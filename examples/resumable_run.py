@@ -6,15 +6,16 @@ Runs the Problem 1 staged SA flow three times on the same case:
 1. an uninterrupted *golden* run;
 2. a checkpointed run that is interrupted mid-flight (a cooperative stop
    flag stands in for the SIGINT/SIGTERM the CLI's ``RunSupervisor``
-   translates into the same hook) — it flushes a final checkpoint and
-   raises ``RunInterrupted``;
+   translates into the same hook) — it stops at the next SA-round boundary,
+   after that round's checkpoint reached disk, and raises
+   ``RunInterrupted``;
 3. a ``resume=True`` run from that checkpoint, which must finish with the
    bitwise-identical score, plan, and simulation count of the golden run.
 
 The same behavior is available on the command line::
 
     python -m repro optimize --case 1 --quick --checkpoint-dir ckpt/
-    # Ctrl-C / SIGTERM -> flushes a checkpoint, exits with code 75
+    # Ctrl-C / SIGTERM -> stops after the current SA round, exits with code 75
     python -m repro optimize --case 1 --quick --checkpoint-dir ckpt/ --resume
 
 Run:  python examples/resumable_run.py [case_number] [grid_size]
@@ -70,7 +71,8 @@ def main() -> None:
           f"{golden.total_simulations} simulations")
 
     with tempfile.TemporaryDirectory() as ckpt_dir:
-        # Interrupt after the 5th checkpoint poll -- mid-SA, mid-stage.
+        # Interrupt at the 5th round boundary: the second direction's
+        # first stage is done, its second stage is still to run.
         polls = [0]
 
         def stop_requested() -> bool:
@@ -79,11 +81,7 @@ def main() -> None:
 
         profiling.reset()
         try:
-            run(
-                checkpoint_dir=ckpt_dir,
-                checkpoint_every=2,
-                interrupt_check=stop_requested,
-            )
+            run(checkpoint_dir=ckpt_dir, interrupt_check=stop_requested)
             raise SystemExit("expected the run to be interrupted")
         except RunInterrupted as exc:
             print(f"interrupted run: stopped early ({exc})")

@@ -1,13 +1,10 @@
-"""Crash-safe checkpoint/resume for the staged SA design flow.
+"""Crash-safe checkpoint files for design runs.
 
-The longest workload in the repo -- a full ``problem1``/``problem2`` sweep
-over flow directions, stages, and SA rounds -- survives process death
-through this package: the runner persists a versioned, CRC-validated,
-atomically-replaced checkpoint at every round boundary and every few SA
-iterations, and ``resume=True`` restores it *bitwise* (identical final
-score, plan, and simulation count), because the SA engine's
-``np.random.Generator`` bit-generator state and every evaluator cache ride
-along in the payload.
+Every design run -- portfolio races and the paper's staged flow alike --
+goes through :func:`repro.optimize.portfolio.run_portfolio`, which persists
+one ``portfolio.ckpt`` at every optimizer round boundary with
+:func:`write_checkpoint` and restores it *bitwise* on ``resume=True``
+(RNG bit-generator states and evaluator caches ride along in the payload).
 
 Layers, bottom to top:
 
@@ -16,11 +13,6 @@ Layers, bottom to top:
 * :mod:`~repro.checkpoint.format` -- header + pickle file format with
   magic/version/fingerprint/CRC validation; every rejection is a typed
   :class:`~repro.errors.CheckpointError`.
-* :mod:`~repro.checkpoint.state` -- the resume-state dataclasses mirroring
-  Algorithm 1's direction/stage/round/iteration nesting.
-* :mod:`~repro.checkpoint.manager` -- cadence + interrupt policy
-  (:class:`CheckpointManager`), used by ``repro.optimize.runner`` and the
-  :mod:`repro.cli` run supervisor.
 """
 
 from ..errors import CheckpointError, RunInterrupted
@@ -37,27 +29,12 @@ from .format import (
     read_checkpoint,
     write_checkpoint,
 )
-from .manager import CHECKPOINT_FILENAME, CheckpointManager
-from .state import (
-    DirectionCursor,
-    DirectionRecord,
-    EvaluatorState,
-    RunState,
-    StageCursor,
-)
 
 __all__ = [
-    "CHECKPOINT_FILENAME",
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_VERSION",
     "CheckpointError",
-    "CheckpointManager",
-    "DirectionCursor",
-    "DirectionRecord",
-    "EvaluatorState",
     "RunInterrupted",
-    "RunState",
-    "StageCursor",
     "append_jsonl",
     "atomic_write_bytes",
     "atomic_write_json",

@@ -11,11 +11,12 @@ Subcommands mirror the library's main entry points::
 
 (also available as ``python -m repro ...``).
 
-Long ``optimize`` runs are supervised when ``--checkpoint-dir`` is given:
-SIGINT/SIGTERM flush a final checkpoint before the process exits with
-:data:`EXIT_INTERRUPTED` (75), and ``--resume`` picks the run back up --
-bitwise -- from whatever the checkpoint captured (see
-:mod:`repro.checkpoint`).
+Long ``optimize`` and ``portfolio`` runs are supervised when
+``--checkpoint-dir`` is given: SIGINT/SIGTERM stop the run at the next
+round boundary, after that round's checkpoint reached disk, and the process
+exits with :data:`EXIT_INTERRUPTED` (75); ``--resume`` picks the run back
+up -- bitwise -- from the checkpoint (see
+:func:`repro.optimize.portfolio.run_portfolio`).
 """
 
 from __future__ import annotations
@@ -169,22 +170,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the winning network to this file")
     p.add_argument(
         "--checkpoint-dir",
-        help="write crash-safe checkpoints here; SIGINT/SIGTERM flush a "
-        f"final one and exit with code {EXIT_INTERRUPTED}",
+        help="checkpoint after every SA round (portfolio.ckpt); "
+        "SIGINT/SIGTERM stop at the next round boundary and exit with code "
+        f"{EXIT_INTERRUPTED}",
     )
     p.add_argument(
         "--resume",
         action="store_true",
         help="resume from the checkpoint in --checkpoint-dir (bitwise; "
         "a missing checkpoint just starts fresh)",
-    )
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="also checkpoint every N SA iterations (default: "
-        "repro.constants.CHECKPOINT_EVERY_ITERATIONS)",
     )
     p.add_argument(
         "--trace-out",
@@ -418,7 +412,6 @@ def _cmd_optimize(args) -> None:
                     initialization=args.init,
                     checkpoint_dir=args.checkpoint_dir,
                     resume=args.resume,
-                    checkpoint_every=args.checkpoint_every,
                     interrupt_check=supervisor.stop_requested,
                 )
         else:

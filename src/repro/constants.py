@@ -103,12 +103,6 @@ POOL_BACKOFF_MAX = 2.0  #: [unit: s]
 #: serial in-process evaluation (correctness over throughput).
 POOL_DEGRADE_AFTER = 3  #: [unit: 1]
 
-#: Default checkpoint cadence inside an SA round: one checkpoint per this
-#: many SA iterations (round/stage/direction boundaries always checkpoint).
-#: An iteration on a contest-size case costs seconds-to-minutes of solver
-#: work, so a write every 10 iterations is noise next to the work it saves.
-CHECKPOINT_EVERY_ITERATIONS = 10  #: [unit: 1]
-
 #: Decimal places a pressure is rounded to before it keys a memoized result
 #: (thermal-result caches, LU caches, search memoizers).  1e-6 Pa resolution
 #: is ~1e-9 of the physical pressures above, far below PRESSURE_SEARCH_RTOL,

@@ -99,10 +99,11 @@ class CheckpointError(ReproError):
 class RunInterrupted(ReproError):
     """A supervised run stopped on request after flushing a checkpoint.
 
-    Raised from inside the staged flow when the run supervisor (SIGINT /
-    SIGTERM handler in :mod:`repro.cli`, or any ``interrupt_check``
-    callback) asked the run to stop; the final checkpoint has already been
-    written when this propagates, so the run can be resumed later.
+    Raised by :func:`repro.optimize.portfolio.run_portfolio` at a round
+    boundary when the run supervisor (SIGINT / SIGTERM handler in
+    :mod:`repro.cli`, a service drain, or any ``interrupt_check`` callback)
+    asked the run to stop; that round's checkpoint has already been written
+    when this propagates, so the run can be resumed later.
 
     Attributes:
         checkpoint_path: Where the final checkpoint was flushed.

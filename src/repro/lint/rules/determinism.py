@@ -29,9 +29,9 @@ Sinks (a tainted value arriving here is a finding):
 * cache keys -- ``hash(...)``, subscript reads/writes and ``.get``/
   ``.setdefault``/``.pop`` on containers named ``*cache*``/``*memo*``, and
   arguments to ``quantize_key`` or any ``*cache_key*`` helper
-* checkpoint state -- arguments to the resumable-state constructors
-  (``RunState``, ``StageCursor``, ``DirectionCursor``, ``EvaluatorState``):
-  whatever goes in is replayed on resume, so it must be derivable
+* checkpoint state -- arguments to ``write_checkpoint``, the one
+  checkpoint writer: whatever goes in is replayed on resume, so it must be
+  derivable
 * telemetry run events -- arguments to ``emit_event`` from non-boundary
   modules (the telemetry package itself stamps wall time on purpose)
 * SA scoring -- ``return`` values of scoring functions (name matching
@@ -80,10 +80,8 @@ _CLOCK_CALLS = frozenset(
      "monotonic_ns", "clock_gettime"}
 )
 
-#: Resumable-state constructors (checkpoint sinks).
-_STATE_CONSTRUCTORS = frozenset(
-    {"RunState", "StageCursor", "DirectionCursor", "EvaluatorState"}
-)
+#: Checkpoint writers (checkpoint sinks).
+_STATE_CONSTRUCTORS = frozenset({"write_checkpoint"})
 
 #: Scoring-function names (SA objective sinks).
 _SCORING_NAME_RE = re.compile(r"score|evaluate|cost|energy|objective")

@@ -6,13 +6,11 @@ infeasible candidates.  The engine handles the paper's specifics -- infinite
 scores, convergence detection ("if W'_pump converges then return") and
 deterministic seeding for multi-round schedules.
 
-Both engines are *resumable*: an ``observer`` callback receives an
-:class:`SACursor` after every completed iteration, and handing that cursor
-back via ``cursor=`` continues the run from the exact iteration it stopped
-at -- including the captured ``np.random.Generator`` bit-generator state,
-so the resumed trajectory is bitwise identical to an uninterrupted one.
-The staged flow's checkpoint layer (:mod:`repro.checkpoint`) persists these
-cursors; the engine itself never touches the filesystem.
+One call runs one SA round.  Rounds are the unit of resumption: the staged
+flow (:mod:`repro.optimize.runner`) checkpoints between rounds, and every
+round derives its RNG from its own seed, so a resumed run replays bitwise.
+An optional ``observer`` receives each iteration's progress fields (the
+``sa.iteration`` run events).
 """
 
 from __future__ import annotations
@@ -73,50 +71,29 @@ class SAHistory:
         return self.accepted / self.proposed if self.proposed else 0.0
 
 
-@dataclass
-class SACursor:
-    """Resumable engine state after a completed SA iteration.
-
-    Handing a cursor back to the engine via ``cursor=`` (with the same
-    ``config``, ``cost_fn`` and ``neighbor_fn``) continues the run exactly
-    where it stopped: ``rng_state`` is the captured bit-generator state, so
-    every later proposal and acceptance draw replays identically.
-
-    Attributes:
-        iteration: Next iteration index to execute.
-        rng_state: ``np.random.Generator.bit_generator.state`` snapshot.
-        current: Incumbent state.
-        current_cost: Incumbent cost.
-        best: Best state so far.
-        best_cost: Best cost so far.
-        history: Live :class:`SAHistory` (restored, then appended to).
-        temperature: Post-decay temperature (``None`` while warming up).
-        stall: Iterations since the best cost last improved.
-        warmup_deltas: Serial engine's warm-up |delta| samples (unused by
-            the batch engine).
-    """
-
-    iteration: int
-    rng_state: Dict[str, Any]
-    current: Any
-    current_cost: float
-    best: Any
-    best_cost: float
-    history: SAHistory
-    temperature: Optional[float]
-    stall: int
-    warmup_deltas: List[float] = field(default_factory=list)
+#: Per-iteration progress hook: receives ``iteration`` (1-based count of
+#: completed iterations), ``current_cost``, ``best_cost``, ``temperature``,
+#: ``stall``, ``accepted`` and ``proposed``.
+SAObserver = Callable[[Dict[str, Any]], None]
 
 
-#: Per-iteration resume hook: receives the cursor after each iteration.
-SAObserver = Callable[[SACursor], None]
-
-
-def _restored_rng(cursor: SACursor) -> np.random.Generator:
-    """A generator replaying from the cursor's captured bit-generator state."""
-    rng = np.random.default_rng()
-    rng.bit_generator.state = cursor.rng_state
-    return rng
+def _progress(
+    iteration: int,
+    current_cost: float,
+    best_cost: float,
+    temperature: Optional[float],
+    stall: int,
+    history: SAHistory,
+) -> Dict[str, Any]:
+    return {
+        "iteration": iteration,
+        "current_cost": current_cost,
+        "best_cost": best_cost,
+        "temperature": temperature,
+        "stall": stall,
+        "accepted": history.accepted,
+        "proposed": history.proposed,
+    }
 
 
 def simulated_annealing(
@@ -125,7 +102,6 @@ def simulated_annealing(
     neighbor_fn: Callable[[Any, np.random.Generator], Any],
     config: SAConfig,
     observer: Optional[SAObserver] = None,
-    cursor: Optional[SACursor] = None,
 ) -> Tuple[Any, float, SAHistory]:
     """Run one SA round; returns ``(best_state, best_cost, history)``.
 
@@ -134,37 +110,19 @@ def simulated_annealing(
     candidate (random-walking out of the infeasible region).
 
     Args:
-        observer: Called with an :class:`SACursor` after every completed
-            iteration (checkpointing hook).
-        cursor: Resume from this cursor instead of starting fresh; the
-            resumed trajectory is bitwise identical to the uninterrupted
-            one.
+        observer: Called with the progress fields (see :data:`SAObserver`)
+            after every completed iteration.
     """
-    if cursor is None:
-        rng = np.random.default_rng(config.seed)
-        current = initial_state
-        current_cost = float(cost_fn(current))
-        best, best_cost = current, current_cost
-        history = SAHistory()
-        temperature = config.initial_temperature
-        warmup_deltas: List[float] = []
-        stall = 0
-        start_iteration = 0
-    else:
-        rng = _restored_rng(cursor)
-        current, current_cost = cursor.current, cursor.current_cost
-        best, best_cost = cursor.best, cursor.best_cost
-        history = cursor.history
-        temperature = cursor.temperature
-        warmup_deltas = list(cursor.warmup_deltas)
-        stall = cursor.stall
-        start_iteration = cursor.iteration
-        # Replays the convergence check the uninterrupted run would have
-        # applied at the end of the last completed iteration.
-        if config.stall_limit is not None and stall >= config.stall_limit:
-            return best, best_cost, history
+    rng = np.random.default_rng(config.seed)
+    current = initial_state
+    current_cost = float(cost_fn(current))
+    best, best_cost = current, current_cost
+    history = SAHistory()
+    temperature = config.initial_temperature
+    warmup_deltas: List[float] = []
+    stall = 0
 
-    for iteration in range(start_iteration, config.iterations):
+    for iteration in range(config.iterations):
         candidate = neighbor_fn(current, rng)
         candidate_cost = float(cost_fn(candidate))
         history.proposed += 1
@@ -199,17 +157,9 @@ def simulated_annealing(
             temperature *= config.cooling_rate
         if observer is not None:
             observer(
-                SACursor(
-                    iteration=iteration + 1,
-                    rng_state=rng.bit_generator.state,
-                    current=current,
-                    current_cost=current_cost,
-                    best=best,
-                    best_cost=best_cost,
-                    history=history,
-                    temperature=temperature,
-                    stall=stall,
-                    warmup_deltas=list(warmup_deltas),
+                _progress(
+                    iteration + 1, current_cost, best_cost, temperature,
+                    stall, history,
                 )
             )
         if config.stall_limit is not None and stall >= config.stall_limit:
@@ -224,7 +174,6 @@ def simulated_annealing_batch(
     config: SAConfig,
     batch_size: int,
     observer: Optional[SAObserver] = None,
-    cursor: Optional[SACursor] = None,
 ) -> Tuple[Any, float, SAHistory]:
     """Batched SA: evaluate several neighbors per iteration, move to the best.
 
@@ -234,32 +183,20 @@ def simulated_annealing_batch(
     in as ``batch_cost_fn`` to fan the work across processes -- and the best
     candidate faces the usual Metropolis acceptance.
 
-    ``observer`` / ``cursor`` give the same per-iteration checkpoint hook and
-    bitwise resume semantics as :func:`simulated_annealing`.
+    ``observer`` gets the same per-iteration progress fields as in
+    :func:`simulated_annealing`.
     """
     if batch_size < 1:
         raise SearchError(f"batch size must be >= 1, got {batch_size}")
-    if cursor is None:
-        rng = np.random.default_rng(config.seed)
-        current = initial_state
-        current_cost = float(batch_cost_fn([current])[0])
-        best, best_cost = current, current_cost
-        history = SAHistory()
-        temperature = config.initial_temperature
-        stall = 0
-        start_iteration = 0
-    else:
-        rng = _restored_rng(cursor)
-        current, current_cost = cursor.current, cursor.current_cost
-        best, best_cost = cursor.best, cursor.best_cost
-        history = cursor.history
-        temperature = cursor.temperature
-        stall = cursor.stall
-        start_iteration = cursor.iteration
-        if config.stall_limit is not None and stall >= config.stall_limit:
-            return best, best_cost, history
+    rng = np.random.default_rng(config.seed)
+    current = initial_state
+    current_cost = float(batch_cost_fn([current])[0])
+    best, best_cost = current, current_cost
+    history = SAHistory()
+    temperature = config.initial_temperature
+    stall = 0
 
-    for iteration in range(start_iteration, config.iterations):
+    for iteration in range(config.iterations):
         batch = [neighbor_fn(current, rng) for _ in range(batch_size)]
         costs = [float(c) for c in batch_cost_fn(batch)]
         history.proposed += len(batch)
@@ -292,16 +229,9 @@ def simulated_annealing_batch(
             temperature *= config.cooling_rate
         if observer is not None:
             observer(
-                SACursor(
-                    iteration=iteration + 1,
-                    rng_state=rng.bit_generator.state,
-                    current=current,
-                    current_cost=current_cost,
-                    best=best,
-                    best_cost=best_cost,
-                    history=history,
-                    temperature=temperature,
-                    stall=stall,
+                _progress(
+                    iteration + 1, current_cost, best_cost, temperature,
+                    stall, history,
                 )
             )
         if config.stall_limit is not None and stall >= config.stall_limit:

@@ -35,7 +35,7 @@ from ..networks.serpentine import (
     serpentine_network,
     variable_pitch_network,
 )
-from .runner import PROBLEM_PUMPING_POWER, PROBLEM_THERMAL_GRADIENT
+from .stages import PROBLEM_PUMPING_POWER, PROBLEM_THERMAL_GRADIENT
 
 
 @dataclass

@@ -1,11 +1,10 @@
 """Multi-fidelity optimizer portfolio: 2RM-as-surrogate search strategies.
 
-The staged SA flow (:mod:`repro.optimize.runner`) is one fixed recipe.  This
-module races a *portfolio* of strategies over the same tree-parameter search
-space, all built on one shared idea: search with cheap 2RM surrogate scores
-(fidelity ``"low"``), promote elite candidates to the 4RM reference
-(fidelity ``"high"``), and correct the surrogate with a fitted per-case
-offset model that recalibrates as promotions accumulate.
+This module races a *portfolio* of strategies over the tree-parameter
+search space.  Most are built on one shared idea: search with cheap 2RM
+surrogate scores (fidelity ``"low"``), promote elite candidates to the 4RM
+reference (fidelity ``"high"``), and correct the surrogate with a fitted
+per-case offset model that recalibrates as promotions accumulate.
 
 Strategies (see :mod:`repro.optimize.registry`):
 
@@ -22,17 +21,18 @@ Strategies (see :mod:`repro.optimize.registry`):
 * ``sa_4rm`` -- the pure-4RM comparator: the same annealer as
   ``multi_fidelity`` but every candidate pays a reference evaluation.  The
   ``--bench portfolio`` speedup/quality envelope is measured against it.
-* ``staged_sa`` -- an adapter around the paper's staged flow.
+* ``staged_sa`` -- the paper's staged flow (Algorithm 1), one round per
+  (direction, stage, SA round); see :mod:`repro.optimize.runner`.
 
-Orchestration (:func:`run_portfolio`) is round-based: every optimizer
-advances one round at a time, emits a comparable ``portfolio.round`` /
-``round.end`` event pair, and checkpoints at round boundaries --
-``resume=True`` restores the exact RNG bit-generator states, memo caches,
-and offset-model pairs, so a resumed portfolio run is bitwise identical to
-an uninterrupted one.  With ``run_log_dir`` set, each optimizer writes its
-own JSONL run log, so two strategies (or two whole runs) are directly
-comparable via ``python -m repro.telemetry report A.jsonl --compare
-B.jsonl``.
+Orchestration (:func:`run_portfolio`) is the one search engine of the
+package: every optimizer advances one round at a time, emits a comparable
+``portfolio.round`` / ``round.end`` event pair, and checkpoints at round
+boundaries -- ``resume=True`` restores the exact RNG bit-generator states,
+memo caches, and offset-model pairs, so a resumed portfolio run is bitwise
+identical to an uninterrupted one.  With ``run_log_dir`` set, each
+optimizer writes its own JSONL run log, so two strategies (or two whole
+runs) are directly comparable via ``python -m repro.telemetry report
+A.jsonl --compare B.jsonl``.
 """
 
 from __future__ import annotations
@@ -66,10 +66,11 @@ from ..telemetry import runlog
 from .annealing import _accept
 from .moves import perturb_tree_params
 from .registry import get_optimizer, register_optimizer
-from .runner import PROBLEM_PUMPING_POWER, PROBLEM_THERMAL_GRADIENT
 from .stages import (
     METRIC_LOWEST_FEASIBLE_POWER,
     METRIC_MIN_GRADIENT_CAPPED,
+    PROBLEM_PUMPING_POWER,
+    PROBLEM_THERMAL_GRADIENT,
     StageConfig,
 )
 
@@ -391,6 +392,16 @@ class PortfolioConfig:
     direction: int = 0
     seed: int = 0
     n_workers: int = 1
+    #: ``staged_sa`` only: the stage schedule (``None``: the quick Table-1
+    #: schedule of ``problem`` at ``tile_size``), the global flow
+    #: directions tried (``None``: just ``direction``), the tree-parameter
+    #: initialization (``"uniform"`` or ``"power_aware"``), and the
+    #: neighbours scored per SA iteration (``None``: ``n_workers`` when
+    #: parallel, else 1 -- classic single-neighbour SA).
+    stages: Optional[Tuple[StageConfig, ...]] = None
+    directions: Optional[Tuple[int, ...]] = None
+    initialization: str = "uniform"
+    staged_batch: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.problem not in (PROBLEM_PUMPING_POWER, PROBLEM_THERMAL_GRADIENT):
@@ -400,6 +411,17 @@ class PortfolioConfig:
             raise SearchError("portfolio config values must be >= 1")
         if self.replica_spacing <= 1.0:
             raise SearchError("replica_spacing must exceed 1")
+        if self.stages is not None and not self.stages:
+            raise SearchError("need at least one stage")
+        if self.directions is not None and not self.directions:
+            raise SearchError("need at least one direction")
+        if self.initialization not in ("uniform", "power_aware"):
+            raise SearchError(
+                f"unknown initialization {self.initialization!r}; "
+                "use 'uniform' or 'power_aware'"
+            )
+        if self.staged_batch is not None and self.staged_batch < 1:
+            raise SearchError("staged_batch must be >= 1")
 
     def fingerprint_fields(self) -> Tuple[Any, ...]:
         return (
@@ -415,10 +437,13 @@ class OptimizerOutcome:
     """What one portfolio strategy produced.
 
     ``low_evals`` / ``high_evals`` are distinct candidate evaluations per
-    fidelity (the ``staged_sa`` adapter reports thermal-simulation counts
-    instead, the only notion its runner exposes).  ``envelope`` is the
-    offset model's calibrated log-space tolerance at the end of the run
-    (``None`` when the strategy never calibrated).
+    fidelity (``staged_sa`` counts the thermal simulations of its 2RM and
+    4RM work instead, as its :class:`~repro.optimize.runner.StageReport`
+    does).  ``envelope`` is the offset model's calibrated log-space
+    tolerance at the end of the run (``None`` when the strategy never
+    calibrated).  ``flow`` is the staged flow's full
+    :class:`~repro.optimize.runner.OptimizationResult` (winning plan,
+    direction, stage reports); ``None`` for the other strategies.
     """
 
     name: str
@@ -430,6 +455,7 @@ class OptimizerOutcome:
     rounds: List[Dict[str, Any]]
     envelope: Optional[float] = None
     offset_state: Optional[Dict[str, Any]] = None
+    flow: Optional[Any] = None
 
 
 @dataclass
@@ -506,6 +532,15 @@ class RoundOptimizer:
     """
 
     name = "base"
+
+    def n_rounds(self, config: PortfolioConfig) -> int:
+        """Rounds this strategy runs under ``config``."""
+        return config.rounds
+
+    def fingerprint(self, config: PortfolioConfig) -> Tuple[Any, ...]:
+        """Settings beyond :meth:`PortfolioConfig.fingerprint_fields` that
+        shape this strategy's trajectory (checkpoint fingerprint)."""
+        return ()
 
     def init_state(self, ctx: OptimizerContext) -> Dict[str, Any]:
         raise NotImplementedError
@@ -970,82 +1005,6 @@ class RandomRestartOptimizer(RoundOptimizer):
         return self._finalize_verified(ctx, state)
 
 
-@register_optimizer(
-    "staged_sa",
-    "the paper's staged SA flow (Algorithm 1) behind the registry seam",
-)
-class StagedSAOptimizer(RoundOptimizer):
-    """Adapter: runs :func:`~repro.optimize.runner.run_staged_flow` once
-    (its own rounds/stages live inside) and reports its outcome in
-    portfolio terms.  Eval counters are thermal-simulation counts, the only
-    accounting the staged runner exposes."""
-
-    name = "staged_sa"
-
-    def init_state(self, ctx: OptimizerContext) -> Dict[str, Any]:
-        return {"round": 0, "result": None, "rounds": [],
-                "evaluator": ctx.evaluator.state()}
-
-    def run_round(
-        self, ctx: OptimizerContext, state: Dict[str, Any], round_i: int
-    ) -> None:
-        if state["result"] is not None:
-            return
-        from .runner import run_staged_flow
-        from .stages import problem1_stages, problem2_stages
-
-        cfg = ctx.config
-        schedule = (
-            problem1_stages(quick=True, tile_size=cfg.tile_size)
-            if cfg.problem == PROBLEM_PUMPING_POWER
-            else problem2_stages(quick=True, tile_size=cfg.tile_size)
-        )
-        result = run_staged_flow(
-            ctx.case,
-            schedule,
-            cfg.problem,
-            directions=(cfg.direction,),
-            seed=cfg.seed,
-            leaves_per_tree=cfg.leaves_per_tree,
-            n_workers=cfg.n_workers,
-        )
-        state["result"] = result
-        high_sims = sum(
-            report.simulations
-            for report, stage in zip(result.stage_reports, schedule)
-            if stage.model == "4rm"
-        )
-        state["rounds"].append(
-            {
-                "round": round_i,
-                "best_low": math.nan,
-                "best_corrected": result.evaluation.score,
-                "verified": result.evaluation.score,
-                "promotions": 0,
-                "low_evals": result.total_simulations - high_sims,
-                "high_evals": high_sims,
-            }
-        )
-
-    def finalize(
-        self, ctx: OptimizerContext, state: Dict[str, Any]
-    ) -> OptimizerOutcome:
-        result = state["result"]
-        if result is None:
-            self.run_round(ctx, state, 0)
-            result = state["result"]
-        record = state["rounds"][-1]
-        return OptimizerOutcome(
-            name=self.name,
-            params=np.asarray(result.plan.params()),
-            score=result.evaluation.score,
-            evaluation=result.evaluation,
-            low_evals=int(record["low_evals"]),
-            high_evals=int(record["high_evals"]),
-            rounds=list(state["rounds"]),
-        )
-
-
 def _elite_candidates(
     pool: Sequence[Tuple[np.ndarray, float]], elite: int
 ) -> List[Tuple[np.ndarray, float]]:
@@ -1087,13 +1046,28 @@ def _swap_accept(
 
 
 def _portfolio_fingerprint(
-    case: Case, optimizers: Sequence[str], config: PortfolioConfig
+    case: Case,
+    optimizers: Sequence[RoundOptimizer],
+    config: PortfolioConfig,
 ) -> str:
     return fingerprint_of(
         case=(case.number, case.nrows, case.ncols, case.cell_width),
-        optimizers=tuple(optimizers),
+        optimizers=tuple(optimizer.name for optimizer in optimizers),
         config=config.fingerprint_fields(),
+        strategies=tuple(
+            optimizer.fingerprint(config) for optimizer in optimizers
+        ),
     )
+
+
+def _read_payload(path: Path, fingerprint: str) -> Dict[str, Any]:
+    """A validated ``portfolio.ckpt`` payload."""
+    payload = read_checkpoint(path, fingerprint)
+    if not isinstance(payload, dict) or set(payload) != {
+        "completed", "active", "active_state",
+    }:
+        raise CheckpointError(f"{path}: payload is not a portfolio checkpoint")
+    return payload
 
 
 def run_portfolio(
@@ -1142,8 +1116,8 @@ def run_portfolio(
         raise SearchError("portfolio needs at least one optimizer")
     if interrupt_check is not None and checkpoint_dir is None:
         raise CheckpointError("interrupt_check needs checkpoint_dir")
-    entries = [get_optimizer(name) for name in optimizers]
-    fingerprint = _portfolio_fingerprint(case, optimizers, config)
+    strategies = [get_optimizer(name).factory() for name in optimizers]
+    fingerprint = _portfolio_fingerprint(case, strategies, config)
 
     checkpoint_path: Optional[Path] = None
     payload: Dict[str, Any] = {"completed": {}, "active": None,
@@ -1151,19 +1125,23 @@ def run_portfolio(
     if checkpoint_dir is not None:
         checkpoint_path = Path(checkpoint_dir) / PORTFOLIO_CHECKPOINT
         if resume and checkpoint_path.exists():
-            payload = read_checkpoint(checkpoint_path, fingerprint)
+            payload = _read_payload(checkpoint_path, fingerprint)
+            profiling.increment("checkpoint.resumes")
+            active_state = payload["active_state"]
             runlog.emit_event(
-                "portfolio.resume",
+                "checkpoint.resume",
                 fingerprint=fingerprint,
                 completed=sorted(payload["completed"]),
                 active=payload["active"],
+                round=None if active_state is None else active_state["round"],
             )
     elif resume:
         raise CheckpointError("resume=True needs checkpoint_dir")
 
     def save() -> None:
         if checkpoint_path is not None:
-            write_checkpoint(checkpoint_path, payload, fingerprint)
+            with telemetry.span("checkpoint.save"):
+                write_checkpoint(checkpoint_path, payload, fingerprint)
 
     def stop_point(where: str) -> None:
         # Only ever called right after save(): the interrupt defers the
@@ -1171,7 +1149,8 @@ def run_portfolio(
         if interrupt_check is not None and interrupt_check():
             raise RunInterrupted(
                 f"portfolio stopped at {where}; resume from "
-                f"{checkpoint_path}"
+                f"{checkpoint_path}",
+                checkpoint_path=str(checkpoint_path),
             )
 
     def report(event_type: str, **fields: Any) -> None:
@@ -1179,13 +1158,14 @@ def run_portfolio(
             progress(event_type, fields)
 
     outcomes: Dict[str, OptimizerOutcome] = dict(payload["completed"])
-    for spawn, entry in enumerate(entries):
-        if entry.name in outcomes:
+    for spawn, optimizer in enumerate(strategies):
+        name = optimizer.name
+        if name in outcomes:
             continue
-        optimizer = entry.factory()
         ctx = OptimizerContext(case, config, spawn)
+        n_rounds = optimizer.n_rounds(config)
         log = (
-            runlog.RunLog(str(Path(run_log_dir) / f"{entry.name}.jsonl"))
+            runlog.RunLog(str(Path(run_log_dir) / f"{name}.jsonl"))
             if run_log_dir is not None
             else None
         )
@@ -1200,71 +1180,74 @@ def run_portfolio(
                 seed=config.seed,
                 n_workers=config.n_workers,
                 batch_size=config.batch_size,
-                optimizer=entry.name,
+                optimizer=name,
                 fingerprint=fingerprint,
             )
             runlog.emit_event(
                 "portfolio.optimizer.start",
-                optimizer=entry.name,
-                rounds=config.rounds,
+                optimizer=name,
+                rounds=n_rounds,
                 iterations=config.iterations,
             )
             report(
                 "portfolio.optimizer.start",
-                optimizer=entry.name,
-                rounds=config.rounds,
+                optimizer=name,
+                rounds=n_rounds,
                 iterations=config.iterations,
             )
-            with telemetry.span("portfolio.optimizer", optimizer=entry.name):
+            with telemetry.span("portfolio.optimizer", optimizer=name):
                 if (
-                    payload["active"] == entry.name
+                    payload["active"] == name
                     and payload["active_state"] is not None
                 ):
                     state = payload["active_state"]
                 else:
                     state = optimizer.init_state(ctx)
-                    payload["active"] = entry.name
+                    payload["active"] = name
                     payload["active_state"] = state
                     save()
-                for round_i in range(state["round"], config.rounds):
+                for round_i in range(state["round"], n_rounds):
                     optimizer.run_round(ctx, state, round_i)
                     state["round"] = round_i + 1
                     record = state["rounds"][-1] if state["rounds"] else {}
                     runlog.emit_event(
                         "portfolio.round",
-                        optimizer=entry.name,
+                        optimizer=name,
                         **record,
                     )
                     report(
-                        "portfolio.round", optimizer=entry.name, **record
+                        "portfolio.round", optimizer=name, **record
                     )
-                    runlog.emit_event(
-                        "round.end",
-                        d_index=0,
-                        stage=entry.name,
-                        round=round_i,
-                        best_cost=record.get("verified", math.inf),
-                        accepted=0,
-                        proposed=record.get("low_evals", 0)
+                    round_end: Dict[str, Any] = {
+                        "d_index": 0,
+                        "stage": name,
+                        "best_cost": record.get("verified", math.inf),
+                        "accepted": 0,
+                        "proposed": record.get("low_evals", 0)
                         + record.get("high_evals", 0),
-                        acceptance_rate=0.0,
-                        iterations=config.iterations,
+                        "acceptance_rate": 0.0,
+                        "iterations": config.iterations,
+                    }
+                    # Strategies that track SA acceptance (staged_sa)
+                    # report their own values.
+                    round_end.update(
+                        (key, record[key])
+                        for key in round_end
+                        if key in record
                     )
+                    runlog.emit_event("round.end", round=round_i, **round_end)
                     save()
-                    if round_i + 1 < config.rounds:
-                        stop_point(
-                            f"{entry.name} round {round_i + 1}/"
-                            f"{config.rounds}"
-                        )
+                    if round_i + 1 < n_rounds:
+                        stop_point(f"{name} round {round_i + 1}/{n_rounds}")
                 outcome = optimizer.finalize(ctx, state)
-            outcomes[entry.name] = outcome
+            outcomes[name] = outcome
             payload["completed"] = dict(outcomes)
             payload["active"] = None
             payload["active_state"] = None
             save()
             runlog.emit_event(
                 "portfolio.optimizer.end",
-                optimizer=entry.name,
+                optimizer=name,
                 score=outcome.score,
                 feasible=outcome.evaluation.feasible,
                 low_evals=outcome.low_evals,
@@ -1272,7 +1255,7 @@ def run_portfolio(
             )
             report(
                 "portfolio.optimizer.end",
-                optimizer=entry.name,
+                optimizer=name,
                 score=outcome.score,
                 feasible=outcome.evaluation.feasible,
                 low_evals=outcome.low_evals,
@@ -1288,7 +1271,7 @@ def run_portfolio(
             )
             report(
                 "run.end",
-                optimizer=entry.name,
+                optimizer=name,
                 score=outcome.score,
                 feasible=outcome.evaluation.feasible,
                 total_simulations=outcome.low_evals + outcome.high_evals,
@@ -1297,8 +1280,8 @@ def run_portfolio(
         finally:
             if log is not None:
                 runlog.set_run_log(previous_log)
-        if len(outcomes) < len(entries):
-            stop_point(f"completion of {entry.name}")
+        if len(outcomes) < len(strategies):
+            stop_point(f"completion of {name}")
     return PortfolioResult(
         case_number=case.number,
         problem=config.problem,

@@ -32,7 +32,6 @@ def optimize_problem1(
     initialization: str = "uniform",
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    checkpoint_every: Optional[int] = None,
     interrupt_check: Optional[Callable[[], bool]] = None,
 ) -> OptimizationResult:
     """Run the full Problem 1 design flow on one benchmark case.
@@ -46,8 +45,8 @@ def optimize_problem1(
         seed: Base RNG seed.
         quick: Use the reduced laptop-scale schedule.
         leaves_per_tree: Tree band size.
-        checkpoint_dir / resume / checkpoint_every / interrupt_check:
-            Crash-safe checkpointing controls, forwarded to
+        checkpoint_dir / resume / interrupt_check: Crash-safe
+            checkpointing controls, forwarded to
             :func:`~repro.optimize.runner.run_staged_flow`.
 
     Returns:
@@ -67,6 +66,5 @@ def optimize_problem1(
         initialization=initialization,
         checkpoint_dir=checkpoint_dir,
         resume=resume,
-        checkpoint_every=checkpoint_every,
         interrupt_check=interrupt_check,
     )

@@ -34,7 +34,6 @@ def optimize_problem2(
     initialization: str = "uniform",
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    checkpoint_every: Optional[int] = None,
     interrupt_check: Optional[Callable[[], bool]] = None,
 ) -> OptimizationResult:
     """Run the full Problem 2 design flow on one benchmark case.
@@ -57,6 +56,5 @@ def optimize_problem2(
         initialization=initialization,
         checkpoint_dir=checkpoint_dir,
         resume=resume,
-        checkpoint_every=checkpoint_every,
         interrupt_check=interrupt_check,
     )

@@ -10,8 +10,8 @@ runner looks strategies up by name, so CLI flags, benchmark configs, and
 checkpoints all refer to optimizers by string.
 
 Registration is import-time and idempotent by name collision check; the
-portfolio module registers the built-ins when it is imported, so
-``get_optimizer`` lazily imports it on first use.
+portfolio and runner modules register the built-ins when they are
+imported, so ``get_optimizer`` lazily imports them on first use.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ def register_optimizer(
 
 
 def _ensure_builtins() -> None:
-    """Import the portfolio module so built-in optimizers self-register."""
-    if "multi_fidelity" not in _REGISTRY:
-        from . import portfolio  # noqa: F401  (import-time registration)
+    """Import the built-in strategies' modules so they self-register."""
+    if "staged_sa" not in _REGISTRY:
+        # Import-time registration.
+        from . import portfolio, runner  # noqa: F401
 
 
 def get_optimizer(name: str) -> OptimizerEntry:

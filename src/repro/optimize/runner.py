@@ -1,45 +1,35 @@
-"""Shared orchestration of the staged SA design flows (Algorithm 1).
+"""The paper's staged SA design flow (Algorithm 1) as a portfolio optimizer.
 
 Both problems run the same skeleton: per global flow direction, initialize a
 uniform tree plan, then per stage run several SA rounds (same settings,
 different seeds), re-score the per-round bests with the *next* stage's metric
 and carry the winner forward; the final network is evaluated with the 4RM
 reference model.  The problems differ only in the cost metric and the final
-evaluator, both injected here.
+evaluator.
 
-Two run-level disciplines live here:
+:class:`StagedSAOptimizer` (registry name ``staged_sa``) runs every
+(direction, stage, SA round) of that schedule as one round of
+:func:`~repro.optimize.portfolio.run_portfolio`, over a picklable state
+dict.  The staged flow therefore shares the portfolio's single checkpoint
+(``portfolio.ckpt``), its interrupt points between rounds, its run events,
+and its run events.  :func:`run_staged_flow` is the front door that
+returns the flow's :class:`OptimizationResult`.
 
-* **Seeding** -- every (direction, stage, round) derives its own
-  ``np.random.SeedSequence`` child via spawn keys (:func:`_round_seed`), so
-  rounds are statistically independent and the engine RNG state that
-  checkpoints capture is well-defined.
-* **Checkpoint/resume** -- with ``checkpoint_dir`` set, the flow persists a
-  crash-safe checkpoint (see :mod:`repro.checkpoint`) after every direction,
-  stage, and round, plus every few SA iterations inside a round; with
-  ``resume=True`` it restores the checkpoint and finishes the run with
-  *bitwise identical* results (final score, selected plan, and simulation
-  count) to an uninterrupted run -- evaluator caches, grouped-evaluation
-  state, and the SA bit-generator state all ride along.
+Every (direction, stage, round) derives its own ``np.random.SeedSequence``
+child via spawn keys (:func:`_round_seed`), so rounds are statistically
+independent and a run resumed at any round boundary replays bitwise.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import profiling, telemetry
-from ..checkpoint import (
-    CheckpointManager,
-    DirectionCursor,
-    DirectionRecord,
-    EvaluatorState,
-    RunState,
-    StageCursor,
-    fingerprint_of,
-)
 from ..cooling.evaluation import (
     EvaluationResult,
     evaluate_problem1,
@@ -55,26 +45,42 @@ from ..errors import (
 )
 from ..geometry.grid import ChannelGrid
 from ..iccad2015.cases import Case
-from ..networks.tree import TreePlan
+from ..networks.tree import TreePlan, power_aware_initialization
 from ..telemetry import runlog
 from .annealing import (
     SAConfig,
-    SACursor,
     SAObserver,
     simulated_annealing,
     simulated_annealing_batch,
 )
 from .moves import perturb_tree_params
+from .portfolio import (
+    OptimizerContext,
+    OptimizerOutcome,
+    PortfolioConfig,
+    RoundOptimizer,
+    run_portfolio,
+)
+from .registry import register_optimizer
 from .stages import (
     METRIC_FIXED_PRESSURE_GRADIENT,
     METRIC_LOWEST_FEASIBLE_POWER,
     METRIC_MIN_GRADIENT_CAPPED,
+    PROBLEM_PUMPING_POWER,
+    PROBLEM_THERMAL_GRADIENT,
     StageConfig,
+    problem1_stages,
+    problem2_stages,
 )
 
-#: Problem identifiers.
-PROBLEM_PUMPING_POWER = "problem1"
-PROBLEM_THERMAL_GRADIENT = "problem2"
+__all__ = [
+    "OptimizationResult",
+    "PROBLEM_PUMPING_POWER",
+    "PROBLEM_THERMAL_GRADIENT",
+    "StageReport",
+    "StagedSAOptimizer",
+    "run_staged_flow",
+]
 
 
 @dataclass
@@ -84,6 +90,8 @@ class StageReport:
     stage: str
     round_best_costs: List[float]
     selected_cost: float
+    #: Thermal simulations of the stage's SA rounds (candidate evaluations
+    #: in batch mode, where the simulations happen in the workers).
     simulations: int
     #: Per-round SA traces (best-so-far cost per iteration).
     histories: List[object] = field(default_factory=list)
@@ -134,21 +142,21 @@ class _CandidateEvaluator:
 
     # ------------------------------------------------------------------
 
-    def state_snapshot(self) -> EvaluatorState:
+    def state_snapshot(self) -> Dict[str, Any]:
         """A checkpointable copy of the memo cache and scoring counters."""
-        return EvaluatorState(
-            cache=dict(self._cache),
-            simulations=self.simulations,
-            group_counter=self._group_counter,
-            group_pressure=self._group_pressure,
-        )
+        return {
+            "cache": dict(self._cache),
+            "simulations": self.simulations,
+            "group_counter": self._group_counter,
+            "group_pressure": self._group_pressure,
+        }
 
-    def restore_state(self, state: EvaluatorState) -> None:
+    def restore_state(self, state: Dict[str, Any]) -> None:
         """Restore a :meth:`state_snapshot`; resumed scoring replays bitwise."""
-        self._cache = dict(state.cache)
-        self.simulations = state.simulations
-        self._group_counter = state.group_counter
-        self._group_pressure = state.group_pressure
+        self._cache = dict(state["cache"])
+        self.simulations = state["simulations"]
+        self._group_counter = state["group_counter"]
+        self._group_pressure = state["group_pressure"]
 
     # ------------------------------------------------------------------
 
@@ -254,32 +262,355 @@ def _round_seed(
     )
 
 
-def _run_fingerprint(
-    case: Case,
-    stages: Sequence[StageConfig],
-    problem: str,
-    directions: Sequence[int],
-    seed: int,
-    leaves_per_tree: int,
-    effective_batch: int,
-    initialization: str,
-) -> str:
-    """Fingerprint of everything that shapes the search trajectory.
-
-    Worker count is deliberately absent: given a fixed batch size the
-    trajectory does not depend on how many processes score a batch, so a
-    checkpoint may be resumed with different parallelism.
-    """
-    return fingerprint_of(
-        case=(case.number, case.nrows, case.ncols, case.cell_width),
-        stages=tuple(stages),
-        problem=problem,
-        directions=tuple(int(d) for d in directions),
-        seed=int(seed),
-        leaves_per_tree=int(leaves_per_tree),
-        effective_batch=int(effective_batch),
-        initialization=initialization,
+def _flow(
+    config: PortfolioConfig,
+) -> Tuple[Tuple[StageConfig, ...], Tuple[int, ...], int]:
+    """``(stages, directions, batch size)`` the staged flow runs under
+    ``config`` (see the ``staged_sa`` fields of :class:`PortfolioConfig`)."""
+    stages = config.stages
+    if stages is None:
+        schedule = (
+            problem1_stages
+            if config.problem == PROBLEM_PUMPING_POWER
+            else problem2_stages
+        )
+        stages = tuple(schedule(quick=True, tile_size=config.tile_size))
+    directions = (
+        config.directions
+        if config.directions is not None
+        else (config.direction,)
     )
+    batch = config.staged_batch
+    if batch is None:
+        batch = config.n_workers if config.n_workers > 1 else 1
+    return stages, directions, batch
+
+
+def _position(
+    stages: Sequence[StageConfig], round_i: int
+) -> Tuple[int, int, int]:
+    """``(direction index, stage index, SA round)`` of portfolio round
+    ``round_i``: directions in order, each running every stage's rounds."""
+    d_index, k = divmod(round_i, sum(stage.rounds for stage in stages))
+    s_index = 0
+    while k >= stages[s_index].rounds:
+        k -= stages[s_index].rounds
+        s_index += 1
+    return d_index, s_index, k
+
+
+def _evaluate(
+    system: CoolingSystem, case: Case, problem: str
+) -> EvaluationResult:
+    """The problem's network evaluation (Algorithm 2 or its P2 variant)."""
+    if problem == PROBLEM_PUMPING_POWER:
+        return evaluate_problem1(system, case.delta_t_star, case.t_max_star)
+    return evaluate_problem2(system, case.t_max_star, case.w_pump_star())
+
+
+def _reference_pressure(
+    case: Case, plan: TreePlan, stage: StageConfig, problem: str
+) -> Tuple[float, int]:
+    """The fixed pressure for stage-1 costs -- the initial network's
+    optimum -- and the simulations it took."""
+    system = CoolingSystem.for_network(
+        case.base_stack(),
+        plan.build(),
+        case.coolant,
+        model=stage.model,
+        tile_size=stage.tile_size,
+        inlet_temperature=case.inlet_temperature,
+    )
+    return _evaluate(system, case, problem).p_sys, system.n_simulations
+
+
+def _reset_stage(flight: Dict[str, Any]) -> None:
+    """Clear the per-stage fields of a direction in flight."""
+    flight.update(round_bests=[], histories=[], evaluator=None, batch_evals=0)
+
+
+def _iteration_logger(labels: Dict[str, Any]) -> Optional[SAObserver]:
+    """One ``sa.iteration`` run event per SA iteration, when a run log is
+    active."""
+    log = runlog.active_run_log()
+    if log is None:
+        return None
+    return lambda fields: log.emit("sa.iteration", **labels, **fields)
+
+
+@register_optimizer(
+    "staged_sa",
+    "the paper's staged SA flow (Algorithm 1), one round per "
+    "(direction, stage, SA round)",
+)
+class StagedSAOptimizer(RoundOptimizer):
+    """Algorithm 1 over the portfolio's round loop.
+
+    The state dict holds the finished directions' results and the direction
+    in flight: the stage-1 reference pressure, the parameters entering the
+    current stage, the finished stages' reports, and the current stage's
+    round bests, serial-evaluator memo and simulation counts.  The last
+    round of a stage re-scores and selects; the last round of a direction
+    also runs the final 4RM evaluation.
+    """
+
+    name = "staged_sa"
+
+    def __init__(self) -> None:
+        # One plan object per direction for the whole run: the worker-pool
+        # cache is keyed by plan identity, so every stage reuses warm pools.
+        self._plans: Dict[int, TreePlan] = {}
+
+    def n_rounds(self, config: PortfolioConfig) -> int:
+        stages, directions, _ = _flow(config)
+        return len(directions) * sum(stage.rounds for stage in stages)
+
+    def fingerprint(self, config: PortfolioConfig) -> Tuple[Any, ...]:
+        return _flow(config) + (config.initialization,)
+
+    def _plan(
+        self, ctx: OptimizerContext, direction: int, d_index: int
+    ) -> TreePlan:
+        plan = self._plans.get(d_index)
+        if plan is None:
+            plan = ctx.case.tree_plan(
+                direction=direction, leaves_per_tree=ctx.config.leaves_per_tree
+            )
+            if ctx.config.initialization == "power_aware":
+                plan = power_aware_initialization(
+                    plan, sum(ctx.case.power_maps)
+                )
+            self._plans[d_index] = plan
+        return plan
+
+    def init_state(self, ctx: OptimizerContext) -> Dict[str, Any]:
+        return {"round": 0, "rounds": [], "results": [], "direction": None,
+                "high_sims": 0}
+
+    def run_round(
+        self, ctx: OptimizerContext, state: Dict[str, Any], round_i: int
+    ) -> None:
+        case, cfg = ctx.case, ctx.config
+        stages, directions, batch = _flow(cfg)
+        d_index, s_index, round_s = _position(stages, round_i)
+        stage = stages[s_index]
+        plan = self._plan(ctx, directions[d_index], d_index)
+        if state["direction"] is None:
+            state["direction"] = self._start_direction(ctx, plan, stages)
+        flight = state["direction"]
+
+        evaluator = _CandidateEvaluator(
+            case, plan, stage, cfg.problem, flight["fixed_pressure"]
+        )
+        if flight["evaluator"] is not None:
+            evaluator.restore_state(flight["evaluator"])
+
+        def neighbor(
+            params: np.ndarray, rng: np.random.Generator
+        ) -> np.ndarray:
+            return plan.clamp_params(
+                perturb_tree_params(params, stage.step, rng)
+            )
+
+        config = SAConfig(
+            iterations=stage.iterations,
+            seed=_round_seed(cfg.seed, d_index, s_index, round_s),
+            stall_limit=max(stage.iterations // 2, 8),
+        )
+        labels = {"d_index": d_index, "stage": stage.name, "round": round_s}
+        params = np.asarray(flight["params"])
+        with telemetry.span("optimize.round", **labels):
+            if batch > 1:
+                batch_cost = _BatchCost(
+                    case, plan, stage, cfg.problem, flight["fixed_pressure"],
+                    cfg.n_workers,
+                )
+                best, cost, history = simulated_annealing_batch(
+                    params, batch_cost, neighbor, config, batch,
+                    observer=_iteration_logger(labels),
+                )
+                flight["batch_evals"] += batch_cost.evals
+            else:
+                best, cost, history = simulated_annealing(
+                    params, evaluator, neighbor, config,
+                    observer=_iteration_logger(labels),
+                )
+        flight["round_bests"].append((best, cost))
+        flight["histories"].append(history)
+        flight["evaluator"] = evaluator.state_snapshot()
+
+        if round_s + 1 == stage.rounds:
+            self._end_stage(
+                ctx, state, plan, stages, d_index, s_index, evaluator
+            )
+            if s_index + 1 == len(stages):
+                self._end_direction(ctx, state, plan, d_index)
+
+        low, high = self._simulations(state)
+        verified = min(
+            (result.evaluation.score for result in state["results"]),
+            default=math.inf,
+        )
+        state["rounds"].append(
+            {
+                "round": round_i,
+                "d_index": d_index,
+                "stage": stage.name,
+                "best_cost": cost,
+                "accepted": history.accepted,
+                "proposed": history.proposed,
+                "acceptance_rate": history.acceptance_rate,
+                "iterations": len(history.best_costs),
+                "best_low": math.nan,
+                "best_corrected": verified,
+                "verified": verified,
+                "promotions": 0,
+                "low_evals": low,
+                "high_evals": high,
+            }
+        )
+
+    def _start_direction(
+        self,
+        ctx: OptimizerContext,
+        plan: TreePlan,
+        stages: Sequence[StageConfig],
+    ) -> Dict[str, Any]:
+        flight: Dict[str, Any] = {
+            "fixed_pressure": None,
+            "params": plan.params(),
+            "reports": [],
+            "sims": 0,
+        }
+        _reset_stage(flight)
+        if any(s.metric == METRIC_FIXED_PRESSURE_GRADIENT for s in stages):
+            flight["fixed_pressure"], flight["sims"] = _reference_pressure(
+                ctx.case, plan, stages[0], ctx.config.problem
+            )
+        return flight
+
+    def _end_stage(
+        self,
+        ctx: OptimizerContext,
+        state: Dict[str, Any],
+        plan: TreePlan,
+        stages: Sequence[StageConfig],
+        d_index: int,
+        s_index: int,
+        evaluator: _CandidateEvaluator,
+    ) -> None:
+        """Re-score the round bests with the next stage's metric when it
+        differs, then carry the winner into the next stage."""
+        flight = state["direction"]
+        stage = stages[s_index]
+        next_stage = stages[s_index + 1] if s_index + 1 < len(stages) else stage
+        scored = list(flight["round_bests"])
+        rescore_sims = 0
+        if (next_stage.metric, next_stage.model) != (stage.metric, stage.model):
+            rescorer = _CandidateEvaluator(
+                ctx.case, plan, next_stage, ctx.config.problem,
+                flight["fixed_pressure"],
+            )
+            with telemetry.span(
+                "optimize.rescore",
+                d_index=d_index,
+                stage=stage.name,
+                candidates=len(scored),
+            ):
+                scored = [(params, rescorer(params)) for params, _ in scored]
+            rescore_sims = rescorer.simulations
+        scored.sort(key=lambda item: item[1])
+        stage_sims = evaluator.simulations + flight["batch_evals"]
+        flight["reports"].append(
+            StageReport(
+                stage=stage.name,
+                round_best_costs=[cost for _, cost in flight["round_bests"]],
+                selected_cost=scored[0][1],
+                simulations=stage_sims,
+                histories=list(flight["histories"]),
+            )
+        )
+        runlog.emit_event(
+            "stage.end",
+            d_index=d_index,
+            stage=stage.name,
+            selected_cost=scored[0][1],
+            simulations=stage_sims,
+            rescore_sims=rescore_sims,
+        )
+        flight["sims"] += stage_sims + rescore_sims
+        if stage.model == "4rm":
+            state["high_sims"] += stage_sims
+        flight["params"] = scored[0][0]
+        _reset_stage(flight)
+
+    def _end_direction(
+        self,
+        ctx: OptimizerContext,
+        state: Dict[str, Any],
+        plan: TreePlan,
+        d_index: int,
+    ) -> None:
+        """The final 4RM evaluation of the direction's design."""
+        case, flight = ctx.case, state["direction"]
+        final_plan = plan.with_params(np.asarray(flight["params"]))
+        network = final_plan.build()
+        with telemetry.span("optimize.final_eval", d_index=d_index):
+            system = CoolingSystem.for_network(
+                case.base_stack(),
+                network,
+                case.coolant,
+                model="4rm",
+                inlet_temperature=case.inlet_temperature,
+            )
+            evaluation = _evaluate(system, case, ctx.config.problem)
+        result = OptimizationResult(
+            plan=final_plan,
+            network=network,
+            evaluation=evaluation,
+            direction=final_plan.direction,
+            stage_reports=flight["reports"],
+            total_simulations=flight["sims"] + system.n_simulations,
+        )
+        runlog.emit_event(
+            "direction.end",
+            d_index=d_index,
+            direction=int(final_plan.direction),
+            score=evaluation.score,
+            feasible=evaluation.feasible,
+            simulations=result.total_simulations,
+        )
+        state["results"].append(result)
+        state["direction"] = None
+
+    @staticmethod
+    def _simulations(state: Dict[str, Any]) -> Tuple[int, int]:
+        """``(low, high)`` simulations of the finished stages so far: the
+        4RM stages' count is high, everything else low."""
+        total = sum(result.total_simulations for result in state["results"])
+        if state["direction"] is not None:
+            total += state["direction"]["sims"]
+        return total - state["high_sims"], state["high_sims"]
+
+    def finalize(
+        self, ctx: OptimizerContext, state: Dict[str, Any]
+    ) -> OptimizerOutcome:
+        # min() keeps the earliest direction among equal scores.
+        best = min(
+            state["results"], key=lambda result: result.evaluation.score
+        )
+        low, high = self._simulations(state)
+        flow = dataclasses.replace(best, total_simulations=low + high)
+        return OptimizerOutcome(
+            name=self.name,
+            params=np.asarray(best.plan.params()),
+            score=best.evaluation.score,
+            evaluation=best.evaluation,
+            low_evals=low,
+            high_evals=high,
+            rounds=list(state["rounds"]),
+            flow=flow,
+        )
 
 
 def run_staged_flow(
@@ -294,10 +625,11 @@ def run_staged_flow(
     initialization: str = "uniform",
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    checkpoint_every: Optional[int] = None,
     interrupt_check: Optional[Callable[[], bool]] = None,
 ) -> OptimizationResult:
     """Run the full staged SA flow and return the best design found.
+
+    A ``staged_sa`` run of :func:`~repro.optimize.portfolio.run_portfolio`.
 
     Args:
         case: Benchmark case.
@@ -313,459 +645,41 @@ def run_staged_flow(
             64); 1 evaluates in-process.
         batch_size: Neighbors proposed and scored per SA iteration; defaults
             to ``n_workers`` when parallel, else 1 (classic single-neighbor
-            SA).  In batch mode ``StageReport.simulations`` counts candidate
-            evaluations rather than linear solves.
+            SA).
         initialization: ``"uniform"`` (the paper's pre-search init) or
             ``"power_aware"`` (branch positions seeded from per-band power;
             see :func:`repro.networks.tree.power_aware_initialization`).
-        checkpoint_dir: Directory for crash-safe run checkpoints; ``None``
-            disables checkpointing entirely.
+        checkpoint_dir: Directory for the crash-safe ``portfolio.ckpt``,
+            written after every SA round; ``None`` disables checkpointing.
         resume: Restore the checkpoint in ``checkpoint_dir`` when one
             exists; a checkpoint from a different setup raises
             :class:`~repro.errors.CheckpointError`.  The resumed run's final
             result is bitwise identical to an uninterrupted run.
-        checkpoint_every: SA iterations between mid-round checkpoints
-            (default :data:`~repro.constants.CHECKPOINT_EVERY_ITERATIONS`);
-            round/stage/direction boundaries always checkpoint.
-        interrupt_check: Polled after every checkpoint write; returning True
-            stops the run with :class:`~repro.errors.RunInterrupted` *after*
-            the latest state is flushed (the CLI supervisor wires its
-            SIGINT/SIGTERM flag in here).
+        interrupt_check: Polled after every round's checkpoint write;
+            returning True stops the run with
+            :class:`~repro.errors.RunInterrupted` *after* the state is
+            flushed (the CLI supervisor wires its SIGINT/SIGTERM flag in
+            here).
     """
-    if problem not in (PROBLEM_PUMPING_POWER, PROBLEM_THERMAL_GRADIENT):
-        raise SearchError(f"unknown problem {problem!r}")
-    if not directions:
-        raise SearchError("need at least one direction")
-    effective_batch = (
-        batch_size
-        if batch_size is not None
-        else (n_workers if n_workers > 1 else 1)
-    )
-    fingerprint = _run_fingerprint(
-        case, stages, problem, directions, seed, leaves_per_tree,
-        effective_batch, initialization,
-    )
-    run_started = runlog.Stopwatch()
-    runlog.emit_event(
-        "run.start",
+    config = PortfolioConfig(
         problem=problem,
-        case_number=case.number,
-        grid_size=case.nrows,
-        directions=[int(d) for d in directions],
-        seed=int(seed),
-        stages=[s.name for s in stages],
-        n_workers=int(n_workers),
-        batch_size=int(effective_batch),
+        seed=seed,
+        leaves_per_tree=leaves_per_tree,
+        n_workers=n_workers,
+        stages=tuple(stages),
+        directions=tuple(int(d) for d in directions),
         initialization=initialization,
-        fingerprint=fingerprint,
+        staged_batch=batch_size,
     )
-
-    manager: Optional[CheckpointManager] = None
-    state: Optional[RunState] = None
-    if checkpoint_dir is not None:
-        manager = CheckpointManager(
-            checkpoint_dir,
-            fingerprint,
-            every_iterations=checkpoint_every,
-            interrupt_check=interrupt_check,
-        )
-        if resume:
-            state = manager.load()
-    if state is not None:
-        profiling.merge(state.profiling)
-        profiling.increment("checkpoint.resumes")
-        resume_cursor = _resume_cursor_fields(state)
-        telemetry.instant(
-            "checkpoint.resume", fingerprint=fingerprint, **resume_cursor
-        )
-        runlog.emit_event(
-            "checkpoint.resume", fingerprint=fingerprint, **resume_cursor
-        )
-    else:
-        state = RunState()
-
-    results: Dict[int, OptimizationResult] = {
-        record.d_index: record.result for record in state.completed
-    }
-    for d_index, direction in enumerate(directions):
-        if d_index in results:
-            continue
-        plan = case.tree_plan(
-            direction=direction, leaves_per_tree=leaves_per_tree
-        )
-        if initialization == "power_aware":
-            from ..networks.tree import power_aware_initialization
-
-            total_power = sum(case.power_maps)
-            plan = power_aware_initialization(plan, total_power)
-        elif initialization != "uniform":
-            raise SearchError(
-                f"unknown initialization {initialization!r}; "
-                "use 'uniform' or 'power_aware'"
-            )
-        cursor = None
-        if state.direction is not None and state.direction.d_index == d_index:
-            cursor = state.direction
-        with telemetry.span(
-            "optimize.direction", d_index=d_index, direction=int(direction)
-        ):
-            result = _run_one_direction(
-                case,
-                plan,
-                stages,
-                problem,
-                seed=seed,
-                d_index=d_index,
-                n_workers=n_workers,
-                effective_batch=effective_batch,
-                manager=manager,
-                run_state=state,
-                cursor=cursor,
-            )
-        runlog.emit_event(
-            "direction.end",
-            d_index=d_index,
-            direction=int(direction),
-            score=result.evaluation.score,
-            feasible=result.evaluation.feasible,
-            simulations=result.total_simulations,
-        )
-        results[d_index] = result
-        state.completed.append(DirectionRecord(d_index=d_index, result=result))
-        state.direction = None
-        if manager is not None:
-            state.profiling = profiling.snapshot()
-            manager.save(state)
-
-    total_sims = sum(
-        results[d_index].total_simulations
-        for d_index in range(len(directions))
+    result = run_portfolio(
+        case,
+        (StagedSAOptimizer.name,),
+        config,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        interrupt_check=interrupt_check,
     )
-    best: Optional[OptimizationResult] = None
-    for d_index in range(len(directions)):
-        result = results[d_index]
-        if best is None or result.evaluation.score < best.evaluation.score:
-            best = result
-    assert best is not None
-    best.total_simulations = total_sims
-    runlog.emit_event(
-        "run.end",
-        score=best.evaluation.score,
-        feasible=best.evaluation.feasible,
-        direction=best.direction,
-        total_simulations=total_sims,
-        seconds=run_started.elapsed(),
-        histograms=profiling.histogram_summaries(),
-    )
-    return best
-
-
-def _resume_cursor_fields(state: RunState) -> Dict[str, object]:
-    """Where a restored checkpoint picks up, flattened for events/traces."""
-    fields: Dict[str, object] = {
-        "completed_directions": len(state.completed)
-    }
-    if state.direction is not None:
-        fields["d_index"] = state.direction.d_index
-        fields["stage_index"] = state.direction.stage_index
-        stage_cursor = state.direction.stage
-        if stage_cursor is not None:
-            fields["round_index"] = stage_cursor.round_index
-            if stage_cursor.sa is not None:
-                fields["sa_iteration"] = stage_cursor.sa.iteration
-    return fields
-
-
-def _run_one_direction(
-    case: Case,
-    plan: TreePlan,
-    stages: Sequence[StageConfig],
-    problem: str,
-    seed: int,
-    d_index: int,
-    n_workers: int = 1,
-    effective_batch: int = 1,
-    manager: Optional[CheckpointManager] = None,
-    run_state: Optional[RunState] = None,
-    cursor: Optional[DirectionCursor] = None,
-) -> OptimizationResult:
-    if run_state is None:
-        run_state = RunState()
-    if cursor is None:
-        params = plan.params()
-        fixed_pressure: Optional[float] = None
-        pre_sims = 0
-        if any(s.metric == METRIC_FIXED_PRESSURE_GRADIENT for s in stages):
-            fixed_pressure, pre_sims = _reference_pressure(
-                case, plan, stages[0], problem
-            )
-        cursor = DirectionCursor(
-            d_index=d_index,
-            fixed_pressure=fixed_pressure,
-            params=params,
-            sims_so_far=pre_sims,
-        )
-        run_state.direction = cursor
-        _save_boundary(manager, run_state)
-    else:
-        run_state.direction = cursor
-
-    fixed_pressure = cursor.fixed_pressure
-    reports: List[StageReport] = cursor.reports
-    params = np.asarray(cursor.params)
-
-    for s_index in range(cursor.stage_index, len(stages)):
-        stage = stages[s_index]
-        stage_cursor = cursor.stage
-        if stage_cursor is None or stage_cursor.stage_index != s_index:
-            stage_cursor = StageCursor(stage_index=s_index, entry_params=params)
-            cursor.stage = stage_cursor
-        params = np.asarray(stage_cursor.entry_params)
-        evaluator = _CandidateEvaluator(
-            case, plan, stage, problem, fixed_pressure
-        )
-        evaluator.restore_state(stage_cursor.evaluator)
-
-        def neighbor(state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-            return plan.clamp_params(
-                perturb_tree_params(state, stage.step, rng)
-            )
-
-        for round_i in range(stage_cursor.round_index, stage.rounds):
-            sa_cursor: Optional[SACursor] = stage_cursor.sa
-            config = SAConfig(
-                iterations=stage.iterations,
-                seed=_round_seed(seed, d_index, s_index, round_i),
-                stall_limit=max(stage.iterations // 2, 8),
-            )
-            labels = {
-                "d_index": d_index,
-                "stage": stage.name,
-                "round": round_i,
-            }
-            with telemetry.span("optimize.round", **labels):
-                if effective_batch > 1:
-                    batch_cost = _BatchCost(
-                        case,
-                        plan,
-                        stage,
-                        problem,
-                        fixed_pressure,
-                        n_workers,
-                        cache=(
-                            stage_cursor.active_batch_cache
-                            if sa_cursor is not None
-                            else None
-                        ),
-                        evals=(
-                            stage_cursor.active_batch_evals
-                            if sa_cursor is not None
-                            else 0
-                        ),
-                    )
-                    observer = _make_observer(
-                        manager, run_state, stage_cursor, evaluator,
-                        batch_cost, labels,
-                    )
-                    best_state, cost, history = simulated_annealing_batch(
-                        params,
-                        batch_cost,
-                        neighbor,
-                        config,
-                        effective_batch,
-                        observer=observer,
-                        cursor=sa_cursor,
-                    )
-                    stage_cursor.batch_evals += batch_cost.evals
-                else:
-                    observer = _make_observer(
-                        manager, run_state, stage_cursor, evaluator,
-                        None, labels,
-                    )
-                    best_state, cost, history = simulated_annealing(
-                        params, evaluator, neighbor, config,
-                        observer=observer, cursor=sa_cursor,
-                    )
-            runlog.emit_event(
-                "round.end",
-                **labels,
-                best_cost=cost,
-                accepted=history.accepted,
-                proposed=history.proposed,
-                acceptance_rate=history.acceptance_rate,
-                iterations=len(history.best_costs),
-            )
-            stage_cursor.round_states.append(best_state)
-            stage_cursor.round_costs.append(cost)
-            stage_cursor.round_histories.append(history)
-            stage_cursor.round_index = round_i + 1
-            stage_cursor.sa = None
-            stage_cursor.active_batch_cache = None
-            stage_cursor.active_batch_evals = 0
-            stage_cursor.evaluator = evaluator.state_snapshot()
-            _save_boundary(manager, run_state)
-
-        round_bests: List[Tuple[np.ndarray, float]] = list(
-            zip(stage_cursor.round_states, stage_cursor.round_costs)
-        )
-        # Re-score per-round bests with the next stage's metric when it
-        # differs, then carry the winner into the next stage.
-        next_stage = stages[s_index + 1] if s_index + 1 < len(stages) else stage
-        rescore_sims = 0
-        if (next_stage.metric, next_stage.model) != (stage.metric, stage.model):
-            rescorer = _CandidateEvaluator(
-                case, plan, next_stage, problem, fixed_pressure
-            )
-            with telemetry.span(
-                "optimize.rescore",
-                d_index=d_index,
-                stage=stage.name,
-                candidates=len(round_bests),
-            ):
-                scored = [
-                    (state, rescorer(state)) for state, _ in round_bests
-                ]
-            rescore_sims = rescorer.simulations
-        else:
-            scored = round_bests
-        scored.sort(key=lambda item: item[1])
-        params = scored[0][0]
-        stage_sims = evaluator.simulations + stage_cursor.batch_evals
-        reports.append(
-            StageReport(
-                stage=stage.name,
-                round_best_costs=list(stage_cursor.round_costs),
-                selected_cost=scored[0][1],
-                simulations=stage_sims,
-                histories=list(stage_cursor.round_histories),
-            )
-        )
-        runlog.emit_event(
-            "stage.end",
-            d_index=d_index,
-            stage=stage.name,
-            selected_cost=scored[0][1],
-            simulations=stage_sims,
-            rescore_sims=rescore_sims,
-        )
-        cursor.sims_so_far += stage_sims + rescore_sims
-        cursor.stage_index = s_index + 1
-        cursor.params = params
-        cursor.stage = None
-        _save_boundary(manager, run_state)
-
-    params = np.asarray(cursor.params)
-    final_plan = plan.with_params(params)
-    network = final_plan.build()
-    with telemetry.span("optimize.final_eval", d_index=d_index):
-        system = CoolingSystem.for_network(
-            case.base_stack(),
-            network,
-            case.coolant,
-            model="4rm",
-            inlet_temperature=case.inlet_temperature,
-        )
-        if problem == PROBLEM_PUMPING_POWER:
-            evaluation = evaluate_problem1(
-                system, case.delta_t_star, case.t_max_star
-            )
-        else:
-            evaluation = evaluate_problem2(
-                system, case.t_max_star, case.w_pump_star()
-            )
-    return OptimizationResult(
-        plan=final_plan,
-        network=network,
-        evaluation=evaluation,
-        direction=final_plan.direction,
-        stage_reports=reports,
-        total_simulations=cursor.sims_so_far + system.n_simulations,
-    )
-
-
-def _save_boundary(
-    manager: Optional[CheckpointManager], run_state: RunState
-) -> None:
-    """Unconditional boundary checkpoint (round / stage / direction edges)."""
-    if manager is None:
-        return
-    run_state.profiling = profiling.snapshot()
-    manager.save(run_state)
-
-
-def _make_observer(
-    manager: Optional[CheckpointManager],
-    run_state: RunState,
-    stage_cursor: StageCursor,
-    evaluator: _CandidateEvaluator,
-    batch_cost: Optional["_BatchCost"],
-    labels: Optional[Dict[str, object]] = None,
-) -> Optional[SAObserver]:
-    """The per-iteration hook handed to the SA engine.
-
-    Serves two consumers from one callback: the checkpoint cadence (when a
-    ``manager`` is present) and the run-event stream (when a run log is
-    active), which gets one typed ``sa.iteration`` record per iteration
-    carrying ``labels`` (direction/stage/round) plus the engine state.  The
-    checkpoint snapshot (evaluator cache copy, batch cache copy, profiling)
-    is still built lazily, so iterations that do not hit the cadence pay
-    only a counter increment.
-    """
-    log = runlog.active_run_log()
-    if manager is None and log is None:
-        return None
-
-    def observe(sa_cursor: SACursor) -> None:
-        if log is not None:
-            log.emit(
-                "sa.iteration",
-                **(labels or {}),
-                iteration=sa_cursor.iteration,
-                current_cost=sa_cursor.current_cost,
-                best_cost=sa_cursor.best_cost,
-                temperature=sa_cursor.temperature,
-                stall=sa_cursor.stall,
-                accepted=sa_cursor.history.accepted,
-                proposed=sa_cursor.history.proposed,
-            )
-        if manager is None:
-            return
-
-        def build() -> RunState:
-            stage_cursor.sa = sa_cursor
-            stage_cursor.evaluator = evaluator.state_snapshot()
-            if batch_cost is not None:
-                stage_cursor.active_batch_cache = dict(batch_cost.cache)
-                stage_cursor.active_batch_evals = batch_cost.evals
-            run_state.profiling = profiling.snapshot()
-            return run_state
-
-        manager.maybe_save(build)
-
-    return observe
-
-
-def _reference_pressure(
-    case: Case, plan: TreePlan, stage: StageConfig, problem: str
-) -> Tuple[float, int]:
-    """The fixed pressure for stage-1 costs: the initial network's optimum."""
-    system = CoolingSystem.for_network(
-        case.base_stack(),
-        plan.build(),
-        case.coolant,
-        model=stage.model,
-        tile_size=stage.tile_size,
-        inlet_temperature=case.inlet_temperature,
-    )
-    if problem == PROBLEM_PUMPING_POWER:
-        evaluation = evaluate_problem1(
-            system, case.delta_t_star, case.t_max_star
-        )
-    else:
-        evaluation = evaluate_problem2(
-            system, case.t_max_star, case.w_pump_star()
-        )
-    return evaluation.p_sys, system.n_simulations
+    return result.outcomes[StagedSAOptimizer.name].flow
 
 
 class _BatchCost:
@@ -774,10 +688,7 @@ class _BatchCost:
     One instance per SA round.  Parallel dispatch goes through the
     module-level persistent-pool cache of :mod:`repro.optimize.parallel`:
     every batch of the same stage (across SA iterations and rounds) reuses
-    one warm worker pool.  The memo ``cache`` and the ``evals`` counter are
-    checkpointable (and restorable) so a mid-round resume replays the same
-    cache hits -- and therefore the same evaluation counts -- as the
-    uninterrupted run.
+    one warm worker pool.
     """
 
     def __init__(
@@ -788,8 +699,6 @@ class _BatchCost:
         problem: str,
         fixed_pressure: Optional[float],
         n_workers: int,
-        cache: Optional[Dict[bytes, float]] = None,
-        evals: int = 0,
     ):
         self.case = case
         self.plan = plan
@@ -797,8 +706,8 @@ class _BatchCost:
         self.problem = problem
         self.fixed_pressure = fixed_pressure
         self.n_workers = n_workers
-        self.cache: Dict[bytes, float] = dict(cache) if cache else {}
-        self.evals = int(evals)
+        self.cache: Dict[bytes, float] = {}
+        self.evals = 0
 
     def __call__(self, states: Sequence[np.ndarray]) -> List[float]:
         from .parallel import evaluate_population

@@ -25,6 +25,10 @@ from typing import List
 
 from ..errors import SearchError
 
+#: Problem identifiers.
+PROBLEM_PUMPING_POWER = "problem1"
+PROBLEM_THERMAL_GRADIENT = "problem2"
+
 #: Cost metric names.
 METRIC_FIXED_PRESSURE_GRADIENT = "gradient_at_fixed_p"
 METRIC_LOWEST_FEASIBLE_POWER = "lowest_feasible_power"

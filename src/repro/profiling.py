@@ -63,9 +63,9 @@ Well-known names (see ``docs/SOLVER_CACHES.md`` for the cache semantics):
                                per-round memo instead of re-evaluated
 ``optimize.candidate``         timer + histogram over single-candidate
                                scoring (cache misses only)
-``checkpoint.saves``           checkpoints written (boundary + cadence)
+``checkpoint.saves``           checkpoints written (one per round boundary)
 ``checkpoint.loads``           checkpoints read back and validated
-``checkpoint.resumes``         staged-flow runs that continued a prior run
+``checkpoint.resumes``         design runs that continued a prior run
 =============================  =============================================
 """
 

@@ -26,14 +26,11 @@ from typing import FrozenSet
 #: Span names recorded by the tracer (``telemetry.span`` / ``instant``).
 SPAN_NAMES: FrozenSet[str] = frozenset(
     {
-        "checkpoint.load",
-        "checkpoint.resume",
         "checkpoint.save",
         "cooling.evaluate_problem1",
         "cooling.evaluate_problem2",
         "flow.unit_solve",
         "linalg.factorize",
-        "optimize.direction",
         "optimize.final_eval",
         "optimize.rescore",
         "optimize.round",
@@ -131,7 +128,6 @@ EVENT_TYPES: FrozenSet[str] = frozenset(
         "portfolio.optimizer.end",
         "portfolio.optimizer.start",
         "portfolio.promotion",
-        "portfolio.resume",
         "portfolio.round",
         "round.end",
         "run.end",

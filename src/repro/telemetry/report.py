@@ -66,10 +66,7 @@ def _render_summary(label: str, summary: Dict[str, Any]) -> List[str]:
     for resume in summary["resumes"]:
         cursor = ", ".join(
             f"{key}={resume[key]}"
-            for key in (
-                "d_index", "stage_index", "round_index", "sa_iteration",
-                "fingerprint",
-            )
+            for key in ("active", "round", "completed", "fingerprint")
             if key in resume
         )
         lines.append(f"resumed: {cursor}")

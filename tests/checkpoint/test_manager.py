@@ -1,92 +1,76 @@
-"""CheckpointManager policy: cadence, boundaries, interrupt flushing."""
+"""The design runs' one checkpoint: fresh starts, round trips, foreign
+payloads, and interrupt flushing (``run_portfolio`` + ``portfolio.ckpt``)."""
 
 import pytest
 
-from repro.checkpoint import (
-    CHECKPOINT_FILENAME,
-    CheckpointManager,
-    RunState,
-    write_checkpoint,
-)
+from repro import profiling
+from repro.checkpoint import read_checkpoint, write_checkpoint
 from repro.errors import CheckpointError, RunInterrupted
+from repro.iccad2015 import load_case
+from repro.optimize.portfolio import (
+    PORTFOLIO_CHECKPOINT,
+    PortfolioConfig,
+    _portfolio_fingerprint,
+    run_portfolio,
+)
+from repro.optimize.registry import get_optimizer
+from repro.optimize.stages import METRIC_LOWEST_FEASIBLE_POWER, StageConfig
 
-FP = "f" * 64
-
-
-def test_load_missing_is_fresh_run(tmp_path):
-    manager = CheckpointManager(tmp_path, FP)
-    assert manager.load() is None
-
-
-def test_save_load_roundtrip(tmp_path):
-    manager = CheckpointManager(tmp_path, FP)
-    state = RunState(profiling={"counters": {"x": 1}})
-    manager.save(state)
-    assert (tmp_path / CHECKPOINT_FILENAME).exists()
-    loaded = manager.load()
-    assert isinstance(loaded, RunState)
-    assert loaded.profiling == {"counters": {"x": 1}}
-    assert loaded.completed == []
+CONFIG = PortfolioConfig(
+    problem="problem1",
+    stages=(StageConfig("s", 2, 3, 4, METRIC_LOWEST_FEASIBLE_POWER, "2rm"),),
+)
+OPTIMIZERS = ("staged_sa",)
 
 
-def test_non_runstate_payload_rejected(tmp_path):
-    write_checkpoint(tmp_path / CHECKPOINT_FILENAME, {"not": "a RunState"}, FP)
-    manager = CheckpointManager(tmp_path, FP)
-    with pytest.raises(CheckpointError, match="expected RunState"):
-        manager.load()
+@pytest.fixture(scope="module")
+def case():
+    return load_case(1, grid_size=21)
 
 
-def test_invalid_cadence_rejected(tmp_path):
-    with pytest.raises(CheckpointError, match="cadence"):
-        CheckpointManager(tmp_path, FP, every_iterations=0)
+def fingerprint(case):
+    strategies = [get_optimizer(name).factory() for name in OPTIMIZERS]
+    return _portfolio_fingerprint(case, strategies, CONFIG)
 
 
-def test_maybe_save_obeys_cadence_and_is_lazy(tmp_path):
-    manager = CheckpointManager(tmp_path, FP, every_iterations=3)
-    built = []
-
-    def factory():
-        built.append(True)
-        return RunState()
-
-    for _ in range(2):
-        manager.maybe_save(factory)
-    assert built == []  # below cadence: the snapshot is never built
-    assert not (tmp_path / CHECKPOINT_FILENAME).exists()
-    manager.maybe_save(factory)
-    assert built == [True]
-    assert (tmp_path / CHECKPOINT_FILENAME).exists()
-
-
-def test_boundary_save_resets_cadence_counter(tmp_path):
-    manager = CheckpointManager(tmp_path, FP, every_iterations=2)
-    manager.maybe_save(RunState)  # 1 of 2
-    manager.save(RunState())  # boundary: counter back to zero
-    built = []
-    manager.maybe_save(lambda: built.append(True) or RunState())  # 1 of 2
-    assert built == []
-
-
-def test_interrupt_flushes_then_raises(tmp_path):
-    manager = CheckpointManager(
-        tmp_path, FP, interrupt_check=lambda: True
+def run(case, tmp_path, **kwargs):
+    return run_portfolio(
+        case, OPTIMIZERS, CONFIG, checkpoint_dir=str(tmp_path), **kwargs
     )
+
+
+def test_load_missing_is_fresh_run(case, tmp_path):
+    profiling.reset()
+    result = run(case, tmp_path, resume=True)
+    assert result.outcomes["staged_sa"].rounds
+    assert profiling.counter("checkpoint.resumes") == 0
+
+
+def test_save_load_roundtrip(case, tmp_path):
+    result = run(case, tmp_path)
+    path = tmp_path / PORTFOLIO_CHECKPOINT
+    payload = read_checkpoint(path, fingerprint(case))
+    assert payload["active"] is None
+    stored = payload["completed"]["staged_sa"]
+    assert stored.score == result.outcomes["staged_sa"].score
+    assert (stored.params == result.outcomes["staged_sa"].params).all()
+    assert len(stored.rounds) == 3
+
+
+def test_foreign_payload_rejected(case, tmp_path):
+    path = tmp_path / PORTFOLIO_CHECKPOINT
+    write_checkpoint(path, {"not": "a portfolio"}, fingerprint(case))
+    with pytest.raises(CheckpointError, match="not a portfolio checkpoint"):
+        run(case, tmp_path, resume=True)
+
+
+def test_interrupt_flushes_then_raises(case, tmp_path):
     with pytest.raises(RunInterrupted) as excinfo:
-        manager.save(RunState())
+        run(case, tmp_path, interrupt_check=lambda: True)
     # The state reached disk before the stop surfaced, and the exception
     # carries the path so supervisors can tell the user where to resume.
-    assert excinfo.value.checkpoint_path == str(tmp_path / CHECKPOINT_FILENAME)
-    assert isinstance(manager.load(), RunState)
-
-
-def test_interrupt_overrides_cadence(tmp_path):
-    stop = [False]
-    manager = CheckpointManager(
-        tmp_path, FP, every_iterations=1000, interrupt_check=lambda: stop[0]
-    )
-    manager.maybe_save(RunState)
-    assert not (tmp_path / CHECKPOINT_FILENAME).exists()
-    stop[0] = True
-    with pytest.raises(RunInterrupted):
-        manager.maybe_save(RunState)
-    assert (tmp_path / CHECKPOINT_FILENAME).exists()
+    path = tmp_path / PORTFOLIO_CHECKPOINT
+    assert excinfo.value.checkpoint_path == str(path)
+    payload = read_checkpoint(path, fingerprint(case))
+    assert payload["active"] == "staged_sa"
+    assert payload["active_state"]["round"] == 1

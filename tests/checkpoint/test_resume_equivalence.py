@@ -1,11 +1,11 @@
 """Resume equivalence: an interrupted-and-resumed run replays *bitwise*.
 
-The core guarantee of the checkpoint tentpole, property-tested: interrupt a
-staged SA run at an arbitrary checkpoint write (hypothesis picks which one),
+The core guarantee of round-boundary checkpoints, property-tested: interrupt
+a staged SA run at an arbitrary round boundary (hypothesis picks which one),
 resume from disk in a fresh profiler state, and the final score, selected
 plan, simulation count, and winning direction must equal the uninterrupted
-golden run exactly -- the RNG bit-generator state, evaluator memo caches,
-and batch caches all survive the crash.
+golden run exactly -- the per-round seeds, evaluator memo caches, and
+grouped-evaluation state all survive the crash.
 """
 
 import numpy as np
@@ -29,10 +29,18 @@ P1_STAGES = [
     StageConfig("coarse", 5, 2, 8, METRIC_FIXED_PRESSURE_GRADIENT, "2rm"),
     StageConfig("fine", 4, 1, 4, METRIC_LOWEST_FEASIBLE_POWER, "2rm"),
 ]
+#: Twelve short rounds: every ``stop_after`` below lands on a boundary.
+P1_BATCH_STAGES = [
+    StageConfig("coarse", 3, 6, 8, METRIC_FIXED_PRESSURE_GRADIENT, "2rm"),
+    StageConfig("fine", 3, 6, 4, METRIC_LOWEST_FEASIBLE_POWER, "2rm"),
+]
 P2_STAGES = [
     StageConfig(
-        "gradient", 5, 2, 4, METRIC_MIN_GRADIENT_CAPPED, "2rm", group_size=3
-    )
+        "gradient", 5, 4, 4, METRIC_MIN_GRADIENT_CAPPED, "2rm", group_size=3
+    ),
+    StageConfig(
+        "refine", 3, 4, 2, METRIC_MIN_GRADIENT_CAPPED, "2rm", group_size=3
+    ),
 ]
 
 SCENARIOS = {
@@ -40,7 +48,8 @@ SCENARIOS = {
         case, stages=P1_STAGES, directions=(0, 1), seed=3, **kw
     ),
     "p1-batch": lambda case, **kw: optimize_problem1(
-        case, stages=P1_STAGES, directions=(0,), seed=7, batch_size=3, **kw
+        case, stages=P1_BATCH_STAGES, directions=(0,), seed=7, batch_size=3,
+        **kw
     ),
     "p2-grouped": lambda case, **kw: optimize_problem2(
         case, stages=P2_STAGES, directions=(0,), seed=5, **kw
@@ -73,7 +82,8 @@ def summarize(result):
 
 
 def interrupt_and_resume(name, case, tmp_path, stop_after):
-    """Interrupt at the ``stop_after``-th interrupt poll, then resume."""
+    """Interrupt at the ``stop_after``-th interrupt poll (one per round
+    boundary), then resume."""
     calls = [0]
 
     def interrupt():
@@ -85,7 +95,6 @@ def interrupt_and_resume(name, case, tmp_path, stop_after):
         result = SCENARIOS[name](
             case,
             checkpoint_dir=str(tmp_path),
-            checkpoint_every=2,
             interrupt_check=interrupt,
         )
         return summarize(result), False
@@ -93,7 +102,7 @@ def interrupt_and_resume(name, case, tmp_path, stop_after):
         pass
     profiling.reset()  # a resumed process starts with fresh counters
     result = SCENARIOS[name](
-        case, checkpoint_dir=str(tmp_path), checkpoint_every=2, resume=True
+        case, checkpoint_dir=str(tmp_path), resume=True
     )
     return summarize(result), True
 
@@ -103,7 +112,7 @@ def interrupt_and_resume(name, case, tmp_path, stop_after):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(stop_after=st.integers(min_value=1, max_value=60))
+@given(stop_after=st.integers(min_value=1, max_value=6))
 def test_p1_interrupted_resume_is_bitwise(case, tmp_path_factory, stop_after):
     tmp_path = tmp_path_factory.mktemp("ckpt")
     summary, _ = interrupt_and_resume("p1-serial", case, tmp_path, stop_after)
@@ -124,9 +133,7 @@ def test_problem2_grouped_resume_is_bitwise(case, tmp_path, stop_after):
 
 def test_checkpointing_alone_changes_nothing(case, tmp_path):
     profiling.reset()
-    result = SCENARIOS["p1-serial"](
-        case, checkpoint_dir=str(tmp_path), checkpoint_every=3
-    )
+    result = SCENARIOS["p1-serial"](case, checkpoint_dir=str(tmp_path))
     assert summarize(result) == golden("p1-serial", case)
     counters = profiling.snapshot()["counters"]
     assert counters["checkpoint.saves"] > 0
@@ -140,7 +147,7 @@ def test_double_interrupt_then_resume(case, tmp_path):
 
 
 def interrupt_and_resume_twice(case, tmp_path):
-    for stop_after in (3, 4):
+    for stop_after in (2, 2):
         calls = [0]
 
         def interrupt():
@@ -152,7 +159,6 @@ def interrupt_and_resume_twice(case, tmp_path):
             result = SCENARIOS["p1-serial"](
                 case,
                 checkpoint_dir=str(tmp_path),
-                checkpoint_every=2,
                 resume=True,
                 interrupt_check=interrupt,
             )
@@ -161,7 +167,7 @@ def interrupt_and_resume_twice(case, tmp_path):
             continue
     profiling.reset()
     result = SCENARIOS["p1-serial"](
-        case, checkpoint_dir=str(tmp_path), checkpoint_every=2, resume=True
+        case, checkpoint_dir=str(tmp_path), resume=True
     )
     return summarize(result), True
 
@@ -169,15 +175,14 @@ def interrupt_and_resume_twice(case, tmp_path):
 def test_resume_after_completion_returns_same_result(case, tmp_path):
     profiling.reset()
     first = SCENARIOS["p1-serial"](case, checkpoint_dir=str(tmp_path))
-    first_sims = profiling.counter("cooling.simulations")
+    assert profiling.counter("cooling.simulations") > 0
     profiling.reset()
     again = SCENARIOS["p1-serial"](
         case, checkpoint_dir=str(tmp_path), resume=True
     )
     assert summarize(again) == summarize(first)
-    # The resumed profiler holds exactly the merged run-level history: every
-    # direction was already recorded, so no new simulation ran on top of it.
-    assert profiling.counter("cooling.simulations") == first_sims
+    # Every direction was already recorded, so no simulation ran again.
+    assert profiling.counter("cooling.simulations") == 0
 
 
 def test_resume_counter_increments(case, tmp_path):
@@ -192,12 +197,11 @@ def test_resume_counter_increments(case, tmp_path):
         SCENARIOS["p1-serial"](
             case,
             checkpoint_dir=str(tmp_path),
-            checkpoint_every=2,
             interrupt_check=interrupt,
         )
     profiling.reset()
     SCENARIOS["p1-serial"](
-        case, checkpoint_dir=str(tmp_path), checkpoint_every=2, resume=True
+        case, checkpoint_dir=str(tmp_path), resume=True
     )
     counters = profiling.snapshot()["counters"]
     assert counters["checkpoint.resumes"] == 1

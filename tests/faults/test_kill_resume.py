@@ -1,8 +1,9 @@
 """Kill resilience: SIGKILL a checkpointed run mid-stage, resume, match.
 
 The crash-safety acceptance bar: a staged SA run whose *process* dies --
-no handlers, no cleanup, ``SIGKILL`` -- must resume from its checkpoint to
-the exact result of a run that never died.  Two kill strategies:
+no handlers, no cleanup, ``SIGKILL`` -- must resume from its last
+round-boundary checkpoint to the exact result of a run that never died.
+Two kill strategies:
 
 * **faults-chosen**: a :mod:`repro.faults` ``hang`` fault parks the child
   at a deterministic thermal-solve hit mid-stage; the parent detects the
@@ -41,8 +42,8 @@ STAGES = [
 ]
 
 #: The child runs the same flow as :func:`run_golden`, checkpointing every
-#: iteration; with HANG_AFTER set it arms a long ``hang`` fault at the
-#: N-th 2RM thermal solve so the parent can SIGKILL it at a deterministic,
+#: SA round; with HANG_AFTER set it arms a long ``hang`` fault at the N-th
+#: 2RM thermal solve so the parent can SIGKILL it at a deterministic,
 #: faults-chosen point mid-stage.
 CHILD_SCRIPT = """
 import os, sys
@@ -65,7 +66,7 @@ case = load_case(1, grid_size=21)
 def run():
     optimize_problem1(
         case, stages=stages, directions=(0, 1), seed=3,
-        checkpoint_dir=sys.argv[1], checkpoint_every=1,
+        checkpoint_dir=sys.argv[1],
     )
 
 hang_after = int(os.environ.get("HANG_AFTER", "0"))
@@ -159,7 +160,7 @@ def resume(case, tmp_path):
     profiling.reset()
     return optimize_problem1(
         case, stages=STAGES, directions=(0, 1), seed=3,
-        checkpoint_dir=str(tmp_path), checkpoint_every=1, resume=True,
+        checkpoint_dir=str(tmp_path), resume=True,
     )
 
 
@@ -172,7 +173,7 @@ def test_sigkill_at_faults_chosen_point_resumes_bitwise(
 
         child = spawn_child(tmp_path, hang_after=120)
         try:
-            ckpt = tmp_path / "run.ckpt"
+            ckpt = tmp_path / "portfolio.ckpt"
             wait_for_checkpoint(child, ckpt)
             wait_for_stall(child, ckpt)
         finally:
@@ -191,7 +192,7 @@ def test_sigkill_at_first_checkpoint_resumes_bitwise(watchdog, case, tmp_path):
 
         child = spawn_child(tmp_path)
         try:
-            wait_for_checkpoint(child, tmp_path / "run.ckpt")
+            wait_for_checkpoint(child, tmp_path / "portfolio.ckpt")
         finally:
             sigkill(child)
 

@@ -29,7 +29,7 @@ def identity_hash(config):
 
 
 def save_state():
-    return RunState(seed=random.random())  # unseeded RNG into checkpoint
+    write_checkpoint("s.ckpt", payload=random.random())  # unseeded RNG
 
 
 def report(emit_event):

@@ -135,7 +135,7 @@ def test_r9_covers_every_sink_shape():
     messages = " | ".join(f.message for f in report.findings)
     assert "the key of cache '_result_cache'" in messages
     assert "a hash()-based key" in messages
-    assert "checkpoint state (RunState.seed)" in messages
+    assert "checkpoint state (write_checkpoint.payload)" in messages
     assert "a telemetry run event" in messages
     assert "scoring function 'score_candidate'" in messages
 

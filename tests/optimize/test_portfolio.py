@@ -18,7 +18,7 @@ import pytest
 from repro.cases import generate_case
 from repro.checkpoint import CheckpointError
 from repro.cooling.evaluation import EvaluationResult
-from repro.errors import SearchError
+from repro.errors import RunInterrupted, SearchError
 from repro.optimize.portfolio import (
     DEFAULT_PORTFOLIO,
     MultiFidelityEvaluator,
@@ -309,6 +309,39 @@ class TestCheckpointResume:
             assert outcomes_equal(
                 reference.outcomes[name], resumed.outcomes[name]
             )
+
+    def test_staged_sa_stops_between_stages_and_resumes_bitwise(
+        self, case, tmp_path
+    ):
+        """The paper's flow stops at any SA-round boundary, like every other
+        strategy, and the resume reaches the uninterrupted outcome."""
+        opts = ("multi_fidelity", "staged_sa")
+        reference = run_portfolio(case, opts, QUICK)
+        polls = [0]
+
+        def stop() -> bool:
+            # Polls 1-2 are multi_fidelity's; poll 4 follows staged round 2,
+            # the end of the quick schedule's first stage.
+            polls[0] += 1
+            return polls[0] == 4
+
+        with pytest.raises(RunInterrupted, match="staged_sa round 2/6"):
+            run_portfolio(
+                case, opts, QUICK, checkpoint_dir=str(tmp_path),
+                interrupt_check=stop,
+            )
+        resumed = run_portfolio(
+            case, opts, QUICK, checkpoint_dir=str(tmp_path), resume=True
+        )
+        for name in opts:
+            a, b = reference.outcomes[name], resumed.outcomes[name]
+            assert np.array_equal(a.params, b.params) and a.score == b.score
+            assert (a.low_evals, a.high_evals) == (b.low_evals, b.high_evals)
+        staged = resumed.outcomes["staged_sa"]
+        assert len(staged.rounds) == 6
+        assert staged.flow.total_simulations == (
+            staged.low_evals + staged.high_evals
+        )
 
     def test_resume_with_missing_checkpoint_starts_fresh(self, case, tmp_path):
         result = run_portfolio(

@@ -130,7 +130,7 @@ class TestRunEvents:
 
         def interrupt():
             calls[0] += 1
-            return calls[0] >= 3
+            return calls[0] >= 1
 
         set_run_log(RunLog(path, fsync=False))
         try:
@@ -138,7 +138,7 @@ class TestRunEvents:
                 run_staged_flow(
                     case, TINY, PROBLEM_PUMPING_POWER, directions=(0,),
                     seed=0, checkpoint_dir=str(tmp_path / "ckpt"),
-                    checkpoint_every=2, interrupt_check=interrupt,
+                    interrupt_check=interrupt,
                 )
             run_staged_flow(
                 case, TINY, PROBLEM_PUMPING_POWER, directions=(0,),
@@ -150,5 +150,6 @@ class TestRunEvents:
         resumes = [r for r in records if r["type"] == "checkpoint.resume"]
         assert len(resumes) == 1
         assert "fingerprint" in resumes[0]
-        assert "sa_iteration" in resumes[0]
+        assert resumes[0]["active"] == "staged_sa"
+        assert resumes[0]["round"] == 1
         assert "resumed:" in render_report(path)

@@ -123,8 +123,8 @@ def _write_synthetic_log(path, score=5.0):
         batch_size=2, fingerprint="abc123",
     )
     log.emit(
-        "checkpoint.resume", fingerprint="abc123", d_index=0,
-        stage_index=0, round_index=1, sa_iteration=7,
+        "checkpoint.resume", fingerprint="abc123", completed=[],
+        active="staged_sa", round=7,
     )
     for round_i, best in enumerate((9.0, 7.0, score)):
         log.emit("sa.iteration", iteration=round_i, best_cost=best)
@@ -164,7 +164,7 @@ class TestReport:
         _write_synthetic_log(path)
         text = render_report(path)
         assert "problem=problem1" in text
-        assert "resumed:" in text and "sa_iteration=7" in text
+        assert "resumed:" in text and "round=7" in text
         assert "score=5.0" in text
         assert "75.0%" in text  # final round acceptance
         assert "9 -> 7 -> 5" in text  # best-score trajectory
