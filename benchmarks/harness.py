@@ -663,7 +663,7 @@ def run_service_overhead_bench(
     n_batches: int = 2,
     batch_size: int = 1,
     n_workers: int = 1,  # accepted for CLI uniformity; single-worker service
-    repeats: int = 3,
+    repeats: int = 5,
     seed: int = 0,
 ) -> dict:
     """Measure what the service and its observability surface cost a job.
@@ -683,9 +683,10 @@ def run_service_overhead_bench(
 
     The committed artifact is gated by
     ``tests/server/test_bench_service_overhead.py`` on machine-independent
-    *ratios*: the service leg must track the direct leg within queue-poll
-    noise, and the fully-observed leg must stay close to the unobserved
-    one -- "observability is near-free unless armed, and cheap when armed".
+    *ratios*: the service leg must track the direct leg within HTTP and
+    status-poll noise (the worker claims on submit, not at a poll tick),
+    and the fully-observed leg must stay close to the unobserved one --
+    "observability is near-free unless armed, and cheap when armed".
     """
     import statistics
     import tempfile

@@ -176,6 +176,7 @@ class ApiServer:
     def shutdown(self) -> None:
         """Stop accepting connections and join the serving thread."""
         self._stream_stop.set()  # follow=1 streams end with stream.end
+        self.store.wake()  # ... and end now, not at their next poll
         self.httpd.shutdown()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -403,6 +404,12 @@ class ApiServer:
         try:
             delivered: set = set()
             last_write = time.monotonic()
+            # Read before the first look at the job and refreshed by every
+            # wait, so a change that lands between a look and the next
+            # wait cuts that wait short.  The waits' timeouts are the
+            # fallback for writers in other processes, which do not notify
+            # this store object.
+            seen = self.store.generation()
             while reason is None:
                 try:
                     record = self.store.get(job_id)
@@ -433,7 +440,7 @@ class ApiServer:
                         and time.monotonic() < deadline
                         and not self._stream_stop.is_set()
                     ):
-                        time.sleep(0.05)
+                        seen = self.store.wait_for_change(seen, 0.05)
                         tail = flush_events()
                         offset += len(tail)
                         delivered.update(e.get("type") for e in tail)
@@ -450,7 +457,7 @@ class ApiServer:
                     if idle >= self.stream_heartbeat:
                         chunk(b"#hb\n")
                         last_write = time.monotonic()
-                    self._stream_stop.wait(0.1)
+                    seen = self.store.wait_for_change(seen, 0.1)
             chunk(
                 json.dumps(
                     {

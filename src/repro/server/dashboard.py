@@ -7,8 +7,9 @@ endpoint) and ``GET /v1/jobs``, and renders:
 
 * queue depth by state and per-tenant active jobs,
 * lease health: active/expired counts and per-worker heartbeat age,
-* claim->complete latency quantiles (p50/p90/p99) recovered from the
-  ``repro_server_job_duration_seconds`` histogram via
+* claim->complete latency and queue-wait quantiles (p50/p90/p99)
+  recovered from the ``repro_server_job_duration_seconds`` and
+  ``repro_server_queue_wait_seconds`` histograms via
   :func:`~repro.telemetry.promexpo.histogram_quantile`,
 * a live score trajectory per job, tailed incrementally from the events
   endpoint (offset-tracked, so each poll fetches only new rounds).
@@ -43,8 +44,12 @@ MAX_TRAJECTORY = 5
 #: ANSI: clear screen, cursor home.
 _CLEAR = "\x1b[2J\x1b[H"
 
-#: The exported family claim->complete latency quantiles come from.
-_LATENCY_FAMILY = "repro_server_job_duration_seconds"
+#: The exported histogram families quantile lines are rendered from, with
+#: their row labels: claim->complete latency, then claimable->claim wait.
+_QUANTILE_FAMILIES = (
+    ("latency", "repro_server_job_duration_seconds"),
+    ("wait", "repro_server_queue_wait_seconds"),
+)
 
 
 def _samples(
@@ -67,11 +72,11 @@ def _gauge_by_label(
     }
 
 
-def _latency_buckets(
-    families: Mapping[str, Any]
+def _histogram_buckets(
+    families: Mapping[str, Any], family: str
 ) -> List[Tuple[float, float]]:
     buckets: List[Tuple[float, float]] = []
-    for sample in _samples(families, _LATENCY_FAMILY):
+    for sample in _samples(families, family):
         if not sample["name"].endswith("_bucket"):
             continue
         le = sample["labels"].get("le", "")
@@ -153,18 +158,20 @@ def render(state: Mapping[str, Any], now: Optional[float] = None) -> str:
                 for worker, age in sorted(heartbeats.items())
             )
         )
-    buckets = _latency_buckets(families)
-    if buckets and buckets[-1][1] > 0:
+    for label, family in _QUANTILE_FAMILIES:
+        buckets = _histogram_buckets(families, family)
+        if not buckets or buckets[-1][1] <= 0:
+            continue
         try:
             p50 = histogram_quantile(buckets, 0.50)
             p90 = histogram_quantile(buckets, 0.90)
             p99 = histogram_quantile(buckets, 0.99)
-            lines.append(
-                f"latency p50 {p50:.2f}s  p90 {p90:.2f}s  p99 {p99:.2f}s  "
-                f"(n={int(buckets[-1][1])})"
-            )
         except TelemetryError:
-            pass  # a malformed scrape renders everything else anyway
+            continue  # a malformed scrape renders everything else anyway
+        lines.append(
+            f"{label:<7} p50 {p50:.2f}s  p90 {p90:.2f}s  p99 {p99:.2f}s  "
+            f"(n={int(buckets[-1][1])})"
+        )
     tenants = _gauge_by_label(
         families, "repro_server_tenant_active_jobs", "tenant"
     )

@@ -23,6 +23,13 @@ Per-tenant admission control lives here too: a tenant may hold at most
 ``Retry-After``).  The in-process lock makes the cap exact for one server
 process -- the deployment model of the simulation-mode service.
 
+Change notification is in-process too: every record write and event
+append bumps a generation counter under one condition variable, and
+:meth:`JobStore.wait_for_change` blocks until it moves.  Idle workers and
+``follow=1`` streams in the store's process wake the moment a job
+changes; writers in other processes are only seen by their polling
+fallback.
+
 ``repro-lint-scope: determinism-boundary`` -- the store stamps wall-clock
 queue times; the work each job runs stays seeded by its spec.
 """
@@ -97,6 +104,56 @@ class JobStore:
         self.tenant_cap = int(tenant_cap)
         self.lease_ttl = float(lease_ttl)
         self._submit_lock = threading.Lock()
+        self._changed = threading.Condition()
+        self._record_changes = 0
+        self._event_changes = 0
+
+    # -- change notification -------------------------------------------
+
+    def generation(self, records_only: bool = False) -> int:
+        """How many times this store object has changed so far.
+
+        Counts record writes (:meth:`submit`, :meth:`update`) and, unless
+        ``records_only``, event appends (:meth:`log_event`) too.  Read it
+        *before* looking at the store, then hand it to
+        :meth:`wait_for_change`, so a change that lands in between is not
+        slept through.
+        """
+        with self._changed:
+            return self._count(records_only)
+
+    def wait_for_change(
+        self, seen: int, timeout: float, records_only: bool = False
+    ) -> int:
+        """Block until :meth:`generation` moves past ``seen``, or
+        ``timeout`` [unit: s] passes; returns the generation then.
+
+        Only changes made through this object (this process) wake it;
+        callers keep ``timeout`` as their polling fallback.
+        """
+        with self._changed:
+            self._changed.wait_for(
+                lambda: self._count(records_only) != seen, timeout
+            )
+            return self._count(records_only)
+
+    def wake(self) -> None:
+        """Wake every waiter as if a record changed (shutdown uses this so
+        idle loops see their stop flag at once)."""
+        self._bump(records=True)
+
+    def _count(self, records_only: bool) -> int:
+        if records_only:
+            return self._record_changes
+        return self._record_changes + self._event_changes
+
+    def _bump(self, records: bool) -> None:
+        with self._changed:
+            if records:
+                self._record_changes += 1
+            else:
+                self._event_changes += 1
+            self._changed.notify_all()
 
     # -- paths ---------------------------------------------------------
 
@@ -166,6 +223,7 @@ class JobStore:
             directory = self.job_dir(record.job_id)
             directory.mkdir(parents=True, exist_ok=False)
             write_record(self.record_path(record.job_id), record)
+        self._bump(records=True)
         self.log_event(record.job_id, "job.submitted", tenant=tenant)
         profiling.increment("server.jobs_submitted")
         return record
@@ -247,6 +305,7 @@ class JobStore:
         if not self.job_dir(record.job_id).is_dir():
             raise JobNotFoundError(f"no job {record.job_id!r}")
         write_record(self.record_path(record.job_id), record)
+        self._bump(records=True)
         return record
 
     def write_result(self, job_id: str, result: Dict[str, Any]) -> Path:
@@ -360,6 +419,7 @@ class JobStore:
         """Append one lifecycle event to the job's durable event log."""
         record = {"type": event_type, "t_wall": time.time(), **fields}
         append_jsonl(self.events_path(job_id), record, fsync=False)
+        self._bump(records=False)
 
     def events(
         self, job_id: str, offset: int = 0, limit: Optional[int] = None

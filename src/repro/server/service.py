@@ -16,8 +16,10 @@ Graceful shutdown (SIGTERM or :meth:`stop`): flip the API into draining
 mode (submissions get 503 + ``Retry-After``, reads keep serving), set the
 workers' stop flag so in-flight jobs checkpoint at the next round boundary
 and return to ``pending`` -- un-attempted, resumable by the next process --
-then join every thread and close the listener.  Nothing is lost; that is
-the whole point of the durable queue underneath.
+and wake the store so idle workers and ``follow=1`` streams see the flag
+at once (the reaper sleeps on the flag itself), then join every thread and
+close the listener.
+Nothing is lost; that is the whole point of the durable queue underneath.
 
 ``repro-lint-scope: determinism-boundary`` -- process lifecycle is
 wall-clock territory.
@@ -137,7 +139,7 @@ class DesignService:
             self._threads.append(thread)
         reaper_thread = threading.Thread(
             target=self.reaper.run_forever,
-            args=(self._stop.is_set,),
+            args=(self._stop,),
             kwargs={"interval": min(self.store.lease_ttl / 2.0, 1.0)},
             name=self.reaper.reaper_id,
             daemon=True,
@@ -151,6 +153,7 @@ class DesignService:
         self.api.draining.set()
         runlog.emit_event("server.drain", jobs=self.store.queue_depth())
         self._stop.set()
+        self.store.wake()  # idle workers see the stop flag now, not next poll
         for thread in self._threads:
             thread.join(timeout=timeout)
         self.api.shutdown()

@@ -65,7 +65,9 @@ __all__ = ["Reaper", "Worker"]
 #: First retry delay [unit: s]; doubles per attempt (exponential backoff).
 RETRY_BACKOFF_BASE = 2.0
 
-#: Idle sleep between claim scans [unit: s].
+#: Longest idle wait between claim scans [unit: s].  A record write through
+#: the worker's own store wakes it at once; this poll is the fallback for
+#: jobs submitted by other processes and for backoff ``not_before`` expiry.
 POLL_INTERVAL = 0.2
 
 #: The global tracer is process-wide state, so at most one job per process
@@ -152,10 +154,23 @@ class Worker:
         stop_check: Callable[[], bool],
         poll_interval: float = POLL_INTERVAL,
     ) -> None:
-        """Claim and execute jobs until ``stop_check`` returns true."""
-        while not stop_check():
+        """Claim and execute jobs until ``stop_check`` returns true.
+
+        Idle, the worker sleeps until a record of its store changes
+        (submit, requeue, completion, or :meth:`JobStore.wake`) or
+        ``poll_interval`` passes.  Event appends do not wake it: per-round
+        progress never changes what is claimable.
+        """
+        while True:
+            # Read before the stop check and the scan, so a submit or wake
+            # that lands after them cuts the wait short.
+            seen = self.store.generation(records_only=True)
+            if stop_check():
+                return
             if self.claim_once(stop_check) is None:
-                time.sleep(poll_interval)
+                self.store.wait_for_change(
+                    seen, poll_interval, records_only=True
+                )
 
     def claim_once(
         self, stop_check: Optional[Callable[[], bool]] = None
@@ -215,6 +230,12 @@ class Worker:
             resumed = (
                 store.checkpoint_dir(job_id) / PORTFOLIO_CHECKPOINT
             ).exists()
+            # From when the job last became claimable: its submit or
+            # requeue, or the end of its retry backoff.
+            claimable_since = max(record.updated_at, record.not_before)
+            profiling.observe(
+                "server.queue_wait", max(time.time() - claimable_since, 0.0)
+            )
             record = store.update(
                 record.with_state(STATE_RUNNING, worker=self.worker_id)
             )
@@ -416,16 +437,17 @@ class Reaper:
 
     def run_forever(
         self,
-        stop_check: Callable[[], bool],
+        stop: threading.Event,
         interval: Optional[float] = None,
     ) -> None:
-        """Sweep until ``stop_check`` returns true."""
+        """Sweep every ``interval`` until ``stop`` is set (returns at once
+        when it is, not at the end of the current interval)."""
         interval = (
             self.store.lease_ttl / 2.0 if interval is None else interval
         )
-        while not stop_check():
+        while not stop.is_set():
             self.sweep()
-            time.sleep(interval)
+            stop.wait(interval)
 
     def sweep(self) -> List[str]:
         """One recovery pass over the store; returns the reclaimed job ids.

@@ -101,6 +101,7 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "server.jobs_submitted",
         "server.lease_reclaims",
         "server.orphaned_leases_cleared",
+        "server.queue_wait",
         "thermal.factorizations",
         "thermal.factorize",
         "thermal.lu_cache_hits",

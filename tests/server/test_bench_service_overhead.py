@@ -2,9 +2,10 @@
 
 The observability PR's bargain is "near-free unless armed, cheap when
 armed": running a job through the service must track a direct
-``SimulationExecutor.execute`` call within queue-poll noise, and turning
-on the full surface (per-job tracing + a live ``follow=1`` consumer +
-``/metrics`` scrapes) must not meaningfully tax the job on top of that.
+``SimulationExecutor.execute`` call within HTTP and status-poll noise (the
+worker claims on submit, not at a poll tick), and turning on the full
+surface (per-job tracing + a live ``follow=1`` consumer + ``/metrics``
+scrapes) must not meaningfully tax the job on top of that.
 The gates are ratios within one artifact, so they hold across machines.
 
 Regenerate the artifact with::
@@ -25,10 +26,12 @@ ARTIFACT = (
 )
 
 #: The quiet service (no tracing, nobody scraping) may cost at most this
-#: multiple of a direct executor call.  The honest tax is claim-poll and
-#: status-poll latency -- fractions of a second on a seconds-long job --
-#: so 2x is generous headroom for CI noise, not a performance budget.
-MAX_SERVICE_TAX = 2.0
+#: multiple of a direct executor call.  An idle worker wakes on the submit
+#: instead of at its next claim poll, so the honest tax is the HTTP round
+#: trips plus the client's 0.05 s status poll -- tens of milliseconds on a
+#: seconds-long job.  1.25x leaves room for CI noise; a claim that waits
+#: out the 0.2 s worker poll again would cost about 1.3x.
+MAX_SERVICE_TAX = 1.25
 
 #: The fully observed leg (tracing armed, a follower draining the event
 #: stream, metrics parsed every round) over the quiet leg.  Span capture
@@ -50,7 +53,7 @@ def artifact():
 
 def test_artifact_identifies_itself(artifact):
     assert artifact["benchmark"] == "service_overhead"
-    assert artifact["config"]["repeats"] >= 3
+    assert artifact["config"]["repeats"] >= 5
     assert artifact["config"]["legs"] == ["baseline", "disabled", "enabled"]
     for leg in ("baseline", "disabled", "enabled"):
         assert artifact[f"{leg}_seconds"] > 0.0

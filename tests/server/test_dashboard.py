@@ -49,6 +49,8 @@ def sample_metrics():
     profiler = Profiler(enabled=True)
     for value in (1.0, 1.0, 4.0, 8.0):
         profiler.observe("server.job_duration", value)
+    for value in (0.01, 0.02, 0.5):
+        profiler.observe("server.queue_wait", value)
     return render_prometheus(
         profiler.snapshot(),
         [
@@ -91,6 +93,7 @@ def test_render_shows_queue_leases_latency_and_trajectories():
     assert "oldest-pending 7.5s" in screen
     assert "w-0 hb 1.2s" in screen
     assert "latency p50" in screen and "(n=4)" in screen
+    assert "wait    p50" in screen and "(n=3)" in screen
     assert "acme 4" in screen
     assert "j-abc" in screen
     assert "12.5 -> 9.75" in screen
