@@ -323,7 +323,7 @@ def run_parallel_eval_bench(
 
 
 # ---------------------------------------------------------------------------
-# Solver-backend benchmark (BENCH_solver_backends.json)
+# Sparse-solver benchmark (BENCH_solver_backends.json)
 # ---------------------------------------------------------------------------
 
 
@@ -342,41 +342,28 @@ def _latency_summary(samples: List[float]) -> dict:
 
 def run_solver_backends_bench(
     grid_size: int = 21,
-    n_batches: int = 16,
-    batch_size: int = 4,
+    n_batches: int = 16,  # accepted for CLI uniformity; fixed workload
+    batch_size: int = 4,  # accepted for CLI uniformity; fixed workload
     n_workers: int = 4,  # accepted for CLI uniformity; single-process bench
     case_number: int = 1,
     seed: int = 0,
 ) -> dict:
-    """Benchmark the pluggable solver backends and the incremental paths.
+    """Benchmark the ``repro.linalg`` factorization path and the pressure shift.
 
-    Three sections, all on the bundled medium case (case ``case_number`` at
+    Two sections, both on the bundled medium case (case ``case_number`` at
     ``grid_size``):
 
-    * **backends** -- factorize / solve / multi-RHS latency per available
-      registry backend on the 2RM thermal operator, with differential
-      parity against a fresh scipy-splu reference.
-    * **sa_moves** -- the tentpole's acceptance workload: a drifting
-      sequence of local SA moves (a few perturbed cell conductances each)
-      solved via :class:`~repro.linalg.IncrementalFactorization` Woodbury
-      updates vs a fresh registry factorization per move, on identical
-      operators, with per-move parity.  ``n_batches * batch_size`` scales
-      the move count.
+    * **factorize** -- :func:`repro.linalg.factorize` / solve / multi-RHS
+      latency on the 2RM thermal operator, with differential parity against
+      a fresh ``scipy.sparse.linalg.splu`` reference.
     * **pressure_sweep** -- the staged flow's inner loop: one
       :class:`~repro.thermal.common.LinearThermalSystem` probed across a
       drifting pressure schedule with the incremental pressure-shift path
       vs ``exact=True`` fresh factorizations.
     """
-    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import splu
 
-    from repro.linalg import (
-        IncrementalFactorization,
-        LinalgConfig,
-        available_backends,
-        factorize,
-        get_backend,
-        use_config,
-    )
+    from repro.linalg import factorize, use_config
     from repro.materials import WATER
     from repro.thermal.rc2 import RC2Simulator
 
@@ -389,91 +376,27 @@ def run_solver_backends_bench(
     n = matrix.shape[0]
     rhs = simulator.system.rhs(base_pressure)
 
-    # -- backend sweep --------------------------------------------------
-    reference = factorize(matrix, config=None).solve(rhs)
+    # -- factorize / solve latency --------------------------------------
+    reference = splu(matrix).solve(rhs)
     ref_scale = max(float(np.max(np.abs(reference))), 1.0)
     block = rng.uniform(-1.0, 1.0, size=(n, 8))
-    backends = {}
-    for name in available_backends():
-        backend = get_backend(name)
-        if backend.spd_only:
-            continue  # the 2RM operator is unsymmetric (advection)
-        fact_times, solve_times, many_times = [], [], []
-        factor = None
-        for _ in range(15):
-            start = time.perf_counter()
-            factor = backend.factorize(matrix)
-            fact_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            solution = factor.solve(rhs)
-            solve_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            factor.solve_many(block)
-            many_times.append(time.perf_counter() - start)
-        backends[name] = {
-            "factorize": _latency_summary(fact_times),
-            "solve": _latency_summary(solve_times),
-            "solve_many": _latency_summary(many_times),
-            "parity_max_err": float(np.max(np.abs(solution - reference)))
-            / ref_scale,
-        }
-
-    # -- SA-move loop: incremental Woodbury vs fresh factorization ------
-    n_moves = max(120, n_batches * batch_size)
-    coo = matrix.tocoo()
-    off_diag = (coo.row < coo.col) & (coo.data != 0.0)
-    pair_pool = np.stack([coo.row[off_diag], coo.col[off_diag]], axis=1)
-    pair_mags = np.abs(coo.data[off_diag])
-
-    # Rank-threshold tuning (docs/SOLVER_CACHES.md): with rank-4 moves the
-    # per-solve correction cost grows with the accumulated rank, so a lower
-    # threshold trades infrequent cheap rebuilds for uniformly cheap solves.
-    moves_rank_threshold = 32
-    inc = IncrementalFactorization(
-        matrix, config=LinalgConfig(rank_threshold=moves_rank_threshold)
-    )
-    current = matrix.copy()
-    inc_times, fresh_times, move_parity = [], [], 0.0
-    for _ in range(n_moves):
-        picks = rng.integers(0, pair_pool.shape[0], size=4)
-        pairs = pair_pool[picks]
-        deltas = pair_mags[picks] * rng.uniform(-0.1, 0.1, size=4)
-
+    fact_times, solve_times, many_times = [], [], []
+    for _ in range(15):
         start = time.perf_counter()
-        inc.update_pairs(pairs, deltas)
-        x_inc = inc.solve(rhs)
-        inc_times.append(time.perf_counter() - start)
-
+        factor = factorize(matrix)
+        fact_times.append(time.perf_counter() - start)
         start = time.perf_counter()
-        i, j = pairs[:, 0], pairs[:, 1]
-        delta = coo_matrix(
-            (
-                np.concatenate([deltas, deltas, -deltas, -deltas]),
-                (
-                    np.concatenate([i, j, i, j]),
-                    np.concatenate([i, j, j, i]),
-                ),
-            ),
-            shape=(n, n),
-        )
-        current = (current + delta).tocsc()
-        x_fresh = factorize(current).solve(rhs)
-        fresh_times.append(time.perf_counter() - start)
-
-        scale = max(float(np.max(np.abs(x_fresh))), 1.0)
-        move_parity = max(
-            move_parity, float(np.max(np.abs(x_inc - x_fresh))) / scale
-        )
-    sa_moves = {
-        "n_moves": n_moves,
-        "rank_per_move": 4,
-        "rank_threshold": moves_rank_threshold,
-        "incremental": _latency_summary(inc_times),
-        "fresh": _latency_summary(fresh_times),
-        "speedup_p50": _percentile_ms(fresh_times, 50)
-        / _percentile_ms(inc_times, 50),
-        "rebuilds": inc.n_rebuilds,
-        "parity_max_err": move_parity,
+        solution = factor.solve(rhs)
+        solve_times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        factor.solve_many(block)
+        many_times.append(time.perf_counter() - start)
+    factorize_row = {
+        "factorize": _latency_summary(fact_times),
+        "solve": _latency_summary(solve_times),
+        "solve_many": _latency_summary(many_times),
+        "parity_max_err": float(np.max(np.abs(solution - reference)))
+        / ref_scale,
     }
 
     # -- pressure sweep: shift path vs exact refactorization ------------
@@ -525,22 +448,20 @@ def run_solver_backends_bench(
             "case_number": case_number,
             "grid_size": grid_size,
             "n_nodes": n,
-            "n_moves": n_moves,
             "n_probes": n_probes,
             "base_pressure": base_pressure,
             "seed": seed,
-            "available_backends": available_backends(),
         },
-        "backends": backends,
-        "sa_moves": sa_moves,
+        "factorize": factorize_row,
         "pressure_sweep": pressure_sweep,
         "summary": (
-            f"{n} nodes; SA moves p50 incremental "
-            f"{sa_moves['incremental']['p50_ms']:.3f} ms vs fresh "
-            f"{sa_moves['fresh']['p50_ms']:.3f} ms "
-            f"({sa_moves['speedup_p50']:.1f}x); pressure sweep "
-            f"{pressure_sweep['speedup_p50']:.1f}x; parity "
-            f"{max(sa_moves['parity_max_err'], pressure_sweep['parity_max_err']):.2e}"
+            f"{n} nodes; factorize p50 "
+            f"{factorize_row['factorize']['p50_ms']:.3f} ms, solve p50 "
+            f"{factorize_row['solve']['p50_ms']:.3f} ms; pressure sweep p50 "
+            f"shift {pressure_sweep['incremental']['p50_ms']:.3f} ms vs exact "
+            f"{pressure_sweep['exact']['p50_ms']:.3f} ms "
+            f"({pressure_sweep['speedup_p50']:.1f}x); parity "
+            f"{max(factorize_row['parity_max_err'], pressure_sweep['parity_max_err']):.2e}"
         ),
     }
 

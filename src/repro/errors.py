@@ -45,10 +45,9 @@ class ThermalError(ReproError):
 
 
 class LinalgError(ReproError):
-    """Raised by :mod:`repro.linalg`: a singular or failed factorization, an
-    unknown/unavailable solver backend, or a low-rank update that left the
-    system numerically unsolvable.  Callers translate it into their own
-    domain error (:class:`FlowError` / :class:`ThermalError`)."""
+    """Raised by :mod:`repro.linalg`: non-sparse or non-square input, or a
+    singular or otherwise failed factorization.  Callers translate it into
+    their own domain error (:class:`FlowError` / :class:`ThermalError`)."""
 
 
 class SearchError(ReproError):

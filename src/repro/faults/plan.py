@@ -53,8 +53,8 @@ SITE_IO_POWER_MAP = "iccad2015.read_floorplan"
 SITE_PARALLEL_WORKER = "parallel.worker"
 #: In the parent, before a batch is dispatched to the pool.
 SITE_PARALLEL_DISPATCH = "parallel.dispatch"
-#: The solution of a Woodbury low-rank incremental solve, before the
-#: finiteness guard (``repro.linalg`` and the thermal pressure-shift path).
+#: The solution of a Woodbury pressure-shift solve in
+#: ``thermal.common.LinearThermalSystem``, before the finiteness guard.
 SITE_LINALG_UPDATE = "linalg.update"
 #: The serialized job-record bytes, just before the atomic write
 #: (``repro.server.records``); the ``torn-write`` kind truncates them so

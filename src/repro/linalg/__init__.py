@@ -1,72 +1,42 @@
-"""Pluggable sparse linear algebra: one interface, selectable backends,
-incremental low-rank updates.
+"""Sparse linear algebra: one factorization path, one process-wide config.
 
 Public surface:
 
-* :func:`~repro.linalg.registry.factorize` -- the single sanctioned entry
+* :func:`~repro.linalg.superlu.factorize` -- the single sanctioned entry
   point for sparse factorizations (lint rule R5 flags raw ``splu`` calls
-  everywhere else).  Selects scipy SuperLU, UMFPACK, or CHOLMOD per problem
-  size/availability; optional backends degrade gracefully to SuperLU.
-* :class:`~repro.linalg.incremental.IncrementalFactorization` -- Woodbury
-  low-rank updates over a cached base factorization, with an exact
-  refactorization handoff past a configurable rank threshold or update
-  budget.
+  everywhere else).  Runs scipy SuperLU and returns a
+  :class:`~repro.linalg.superlu.Factorization` answering single and
+  multi-RHS solves; every failure surfaces as a typed ``LinalgError``.
 * :class:`~repro.linalg.config.LinalgConfig` -- the picklable process-wide
-  configuration (backend override, incremental on/off, thresholds), shipped
-  to evaluation-pool workers exactly like the fault plan and telemetry
-  config.
+  configuration of the thermal pressure-shift path (incremental on/off,
+  rank threshold, residual tolerance), shipped to evaluation-pool workers
+  exactly like the fault plan and telemetry config.
 
-See ``docs/SOLVER_CACHES.md`` for the registry/update semantics and
+See ``docs/SOLVER_CACHES.md`` for the pressure-shift semantics and
 rank-threshold tuning guidance.
 """
 
 from __future__ import annotations
 
-from .backend import Factorization, SolverBackend
-from .backends import CholmodBackend, ScipySuperLUBackend, UmfpackBackend
 from .config import (
     DEFAULT_RANK_THRESHOLD,
     DEFAULT_RESIDUAL_RTOL,
-    DEFAULT_UPDATE_BUDGET,
     LinalgConfig,
     current_config,
     reset_config,
     set_config,
     use_config,
 )
-from .incremental import IncrementalFactorization
-from .registry import (
-    BACKEND_ENV_VAR,
-    UMFPACK_MIN_NODES,
-    available_backends,
-    factorize,
-    get_backend,
-    register_backend,
-    registered_backends,
-    select_backend,
-)
+from .superlu import Factorization, factorize
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "CholmodBackend",
     "DEFAULT_RANK_THRESHOLD",
     "DEFAULT_RESIDUAL_RTOL",
-    "DEFAULT_UPDATE_BUDGET",
     "Factorization",
-    "IncrementalFactorization",
     "LinalgConfig",
-    "ScipySuperLUBackend",
-    "SolverBackend",
-    "UmfpackBackend",
-    "UMFPACK_MIN_NODES",
-    "available_backends",
     "current_config",
     "factorize",
-    "get_backend",
-    "register_backend",
-    "registered_backends",
     "reset_config",
-    "select_backend",
     "set_config",
     "use_config",
 ]

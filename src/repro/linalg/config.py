@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..errors import LinalgError
 
-#: Default Woodbury rank before the incremental paths refactorize exactly.
+#: Default largest advected-row rank for which the thermal pressure-shift
+#: path is used; above it every pressure probe refactorizes exactly.
 DEFAULT_RANK_THRESHOLD = 96  #: [unit: 1]
-#: Default cap on accumulated low-rank update batches between rebuilds.
-DEFAULT_UPDATE_BUDGET = 64  #: [unit: 1]
 #: Default relative residual above which an incremental solve falls back to
 #: an exact factorization.
 DEFAULT_RESIDUAL_RTOL = 1e-8  #: [unit: 1]
@@ -30,32 +29,23 @@ class LinalgConfig:
     """The sparse-solver knobs one process runs with.
 
     Attributes:
-        backend: Force a registry backend by name; ``None`` auto-selects by
-            problem size and availability (see ``docs/SOLVER_CACHES.md``).
-        incremental: Whether the Woodbury incremental-update paths are used
-            for search probes; exact solves are unaffected.
-        rank_threshold: Largest accumulated low-rank correction before an
-            incremental factorization rebuilds exactly.
-        update_budget: Largest number of update *batches* folded into one
-            base factorization before a rebuild.
+        incremental: Whether pressure probes use the Woodbury
+            pressure-shift path; exact solves are unaffected.
+        rank_threshold: Largest advected-row rank (the Woodbury correction
+            size) for which a thermal system builds the pressure-shift
+            state; larger systems always refactorize exactly.
         residual_rtol: Relative residual bound an incremental solve must
             meet, else it is discarded in favor of an exact solve.
     """
 
-    backend: Optional[str] = None
     incremental: bool = True
     rank_threshold: int = DEFAULT_RANK_THRESHOLD
-    update_budget: int = DEFAULT_UPDATE_BUDGET
     residual_rtol: float = DEFAULT_RESIDUAL_RTOL
 
     def __post_init__(self) -> None:
         if self.rank_threshold < 1:
             raise LinalgError(
                 f"rank_threshold must be >= 1, got {self.rank_threshold}"
-            )
-        if self.update_budget < 1:
-            raise LinalgError(
-                f"update_budget must be >= 1, got {self.update_budget}"
             )
         if not self.residual_rtol > 0:
             raise LinalgError(

@@ -10,12 +10,9 @@ the memoized-LU path and a naive loop is the difference between the paper's
   ``diags``/``.tocsc()``/...) inside a ``for``/``while`` loop -- assemble
   once outside, or factor the loop body into a memoized helper.
 * Direct factorization (``splu``/``spilu``/``factorized``) anywhere outside
-  :mod:`repro.linalg` -- the backend registry is the single sanctioned
-  owner of raw factorizations; everything else calls
-  ``repro.linalg.factorize`` so backend selection, telemetry and the
-  incremental-update machinery stay in one place.  A module can opt in
-  (e.g. benchmark harnesses measuring raw backends) by declaring
-  ``repro-lint-scope: sparse-backend`` in its docstring.
+  :mod:`repro.linalg` -- ``repro.linalg`` is the single sanctioned owner of
+  raw factorizations; everything else calls ``repro.linalg.factorize`` so
+  the error contract and telemetry stay in one place.
 * ``splu`` inside a loop (flagged even inside the sanctioned modules), or
   ``spsolve`` anywhere -- repeated factorizations must go through a
   memoized cache; ``spsolve`` throws its factorization away by
@@ -50,10 +47,9 @@ _CONVERSION_METHODS = {"tocsc", "tocsr", "tocoo", "tolil", "todok"}
 
 _FACTORIZERS = {"splu", "spilu", "factorized"}
 
-#: The one module tree allowed to call raw factorizers: the pluggable
-#: solver-backend registry.  Everything else goes through its
-#: ``repro.linalg.factorize`` front door.
-BACKEND_MODULE = "repro.linalg"
+#: The one module tree allowed to call raw factorizers.  Everything else
+#: goes through its ``repro.linalg.factorize`` front door.
+LINALG_PACKAGE = "repro.linalg"
 
 
 def _callee_name(node: ast.Call) -> Optional[str]:
@@ -79,10 +75,8 @@ class SparsePatternsRule(Rule):
 
     def check(self, ctx: FileContext, project: Project) -> Iterator[Finding]:
         module = ctx.module
-        sanctioned = (
-            module == BACKEND_MODULE
-            or module.startswith(BACKEND_MODULE + ".")
-            or "sparse-backend" in ctx.scopes
+        sanctioned = module == LINALG_PACKAGE or module.startswith(
+            LINALG_PACKAGE + "."
         )
         yield from self._walk(ctx, ctx.tree.body, loop_depth=0,
                               sanctioned=sanctioned)
@@ -153,9 +147,8 @@ class SparsePatternsRule(Rule):
                 yield self.finding(
                     ctx,
                     node,
-                    f"{name}() outside repro.linalg bypasses the solver "
-                    f"backend registry; call repro.linalg.factorize (or "
-                    f"declare 'repro-lint-scope: sparse-backend')",
+                    f"{name}() outside repro.linalg bypasses its error "
+                    f"contract and telemetry; call repro.linalg.factorize",
                 )
             elif loop_depth > 0 and name in _FACTORIZERS:
                 yield self.finding(

@@ -105,7 +105,7 @@ def _init_worker(
 
     Also re-arms the ambient fault plan, the parent's telemetry
     configuration (tracing on/off, span capacity), and the parent's solver
-    configuration (backend choice, incremental updates), so respawned
+    configuration (pressure-shift settings), so respawned
     workers behave identically to the ones they replaced.
     """
     global _WORKER_EVALUATOR
@@ -231,7 +231,7 @@ class PersistentEvaluationPool:
         #: cache key guarantees.
         self.telemetry_config = TelemetryConfig.current()
         #: Solver configuration, captured and shipped the same way so worker
-        #: evaluations use the parent's backend/incremental settings.
+        #: evaluations use the parent's pressure-shift settings.
         self.linalg_config = LinalgConfig.current()
         self.n_workers = int(n_workers)
         self.timeout = float(timeout)

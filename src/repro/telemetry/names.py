@@ -67,10 +67,8 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "linalg.factorizations",
         "linalg.factorize",
         "linalg.incremental_fallbacks",
-        "linalg.incremental_rebuilds",
         "linalg.incremental_solve",
         "linalg.incremental_solves",
-        "linalg.incremental_updates",
         "linalg.shift_bases",
         "optimize.batch_cache_hits",
         "optimize.candidate",
@@ -157,9 +155,7 @@ GAUGE_NAMES: FrozenSet[str] = frozenset(
 
 #: Dynamic name families: an f-string whose literal prefix is
 #: ``"<prefix>."`` is accepted for a registered ``"<prefix>.*"`` entry.
-WILDCARD_PREFIXES: FrozenSet[str] = frozenset(
-    {"faults.injected.*", "linalg.backend.*"}
-)
+WILDCARD_PREFIXES: FrozenSet[str] = frozenset({"faults.injected.*"})
 
 #: Every registered literal name (the R7 lookup set).
 REGISTERED_NAMES: FrozenSet[str] = (

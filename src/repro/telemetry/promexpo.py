@@ -12,8 +12,10 @@ contract -- no client library on either side.
 Mapping rules (mechanical, so the registry in
 :mod:`repro.telemetry.names` stays the single source of truth):
 
-* dots become underscores and everything gets a ``repro_`` prefix:
-  ``server.jobs_completed`` -> ``repro_server_jobs_completed_total``;
+* dots -- and every other character outside ``[a-zA-Z0-9_:]``, such as
+  the hyphen of ``faults.injected.torn-write`` -- become underscores, and
+  everything gets a ``repro_`` prefix: ``server.jobs_completed`` ->
+  ``repro_server_jobs_completed_total``;
 * profiling **counters** render as Prometheus counters (``_total``);
 * **timers** render as a pair of counters (``_seconds_total`` and
   ``_calls_total``) -- unless a histogram of the same name exists (every
@@ -31,6 +33,7 @@ The module is pure data-in/text-out: no HTTP, no filesystem, no clock.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import TelemetryError
@@ -49,6 +52,12 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Prefix every exported family carries (one namespace per service).
 _PREFIX = "repro_"
+
+#: Characters a metric name may not contain (each becomes ``_``).
+_INVALID_NAME_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
+
+#: The exposition format's metric-name grammar.
+_METRIC_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
 
 #: Sample types the parser accepts after a ``# TYPE`` declaration.
 _SAMPLE_TYPES = frozenset({"counter", "gauge", "histogram", "untyped"})
@@ -70,7 +79,13 @@ def gauge(name: str, value: float, **labels: str) -> Dict[str, Any]:
 
 
 def _family(name: str, suffix: str = "") -> str:
-    return _PREFIX + name.replace(".", "_") + suffix
+    return _PREFIX + _INVALID_NAME_CHARS.sub("_", name) + suffix
+
+
+def _checked_name(name: str, line: str) -> str:
+    if not _METRIC_NAME.fullmatch(name):
+        raise TelemetryError(f"invalid metric name {name!r} in {line!r}")
+    return name
 
 
 def _escape_label(value: str) -> str:
@@ -243,9 +258,10 @@ def parse_prometheus_text(text: str) -> Dict[str, Dict[str, Any]]:
     Returns ``{family: {"type": ..., "help": ..., "samples": [...]}}``
     where each sample is ``{"name", "labels", "value"}``.  Validates the
     grammar strictly enough to catch a broken renderer: unknown line
-    shapes, samples without a preceding ``TYPE``, non-numeric values, and
-    histogram bucket series whose cumulative counts decrease all raise
-    :class:`~repro.errors.TelemetryError`.
+    shapes, family or sample names outside the metric-name grammar
+    ``[a-zA-Z_:][a-zA-Z0-9_:]*``, samples without a preceding ``TYPE``,
+    non-numeric values, and histogram bucket series whose cumulative counts
+    decrease all raise :class:`~repro.errors.TelemetryError`.
     """
     families: Dict[str, Dict[str, Any]] = {}
 
@@ -269,11 +285,13 @@ def parse_prometheus_text(text: str) -> Dict[str, Dict[str, Any]]:
                         f"unknown sample type {kind!r} in {line!r}"
                     )
                 families.setdefault(
-                    parts[2], {"type": kind, "help": "", "samples": []}
+                    _checked_name(parts[2], line),
+                    {"type": kind, "help": "", "samples": []},
                 )["type"] = kind
             elif len(parts) >= 3 and parts[1] == "HELP":
                 families.setdefault(
-                    parts[2], {"type": "untyped", "help": "", "samples": []}
+                    _checked_name(parts[2], line),
+                    {"type": "untyped", "help": "", "samples": []},
                 )["help"] = parts[3] if len(parts) > 3 else ""
             continue  # other comments (heartbeats) are legal and skipped
         brace = line.find("{")
@@ -290,6 +308,7 @@ def parse_prometheus_text(text: str) -> Dict[str, Dict[str, Any]]:
                 raise TelemetryError(f"unparsable sample line {line!r}")
             sample_name, labels = pieces[0], {}
             value = _parse_value(pieces[1])
+        _checked_name(sample_name, line)
         family = family_of(sample_name)
         if family not in families:
             raise TelemetryError(

@@ -301,15 +301,6 @@ class TestR5BackendModule:
         assert len(report.findings) == 1
         assert "outside repro.linalg" in report.findings[0].message
 
-    def test_sparse_backend_scope_is_sanctioned(self, tmp_path):
-        mod = tmp_path / "scoped.py"
-        mod.write_text(
-            '"""Scoped fixture.\n\nrepro-lint-scope: sparse-backend\n"""\n'
-            + self.BODY
-        )
-        report = Analyzer(select=["R5"]).run([str(mod)])
-        assert report.findings == []
-
     def test_in_loop_factorization_flagged_even_when_sanctioned(
         self, tmp_path
     ):

@@ -8,6 +8,7 @@ malformed shapes a broken renderer would produce.
 """
 
 import math
+import re
 
 import pytest
 
@@ -130,6 +131,35 @@ def test_parser_rejects_malformed_text():
             'repro_h_bucket{le="1"} 5\n'
             'repro_h_bucket{le="+Inf"} 2\n'
             "repro_h_sum 1\nrepro_h_count 2\n"
+        )
+
+
+def test_hyphenated_counter_renders_a_valid_metric_name():
+    # Fault kinds such as "torn-write" end up in counter names; the
+    # exposition grammar has no hyphen, and one bad name fails a scrape.
+    profiler = Profiler(enabled=True)
+    profiler.increment("faults.injected.torn-write")
+    families = parse_prometheus_text(render_prometheus(profiler.snapshot()))
+    assert families["repro_faults_injected_torn_write_total"]["samples"][0][
+        "value"
+    ] == 1
+    grammar = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
+    for name, family in families.items():
+        assert grammar.fullmatch(name), name
+        for sample in family["samples"]:
+            assert grammar.fullmatch(sample["name"]), sample["name"]
+
+
+def test_parser_rejects_names_outside_the_metric_grammar():
+    with pytest.raises(TelemetryError, match="invalid metric name"):
+        parse_prometheus_text("# TYPE repro_torn-write_total counter\n")
+    with pytest.raises(TelemetryError, match="invalid metric name"):
+        parse_prometheus_text("# HELP 9lives help text\n")
+    with pytest.raises(TelemetryError, match="invalid metric name"):
+        parse_prometheus_text("# TYPE repro_x counter\nrepro_x-y 1\n")
+    with pytest.raises(TelemetryError, match="invalid metric name"):
+        parse_prometheus_text(
+            '# TYPE repro_x gauge\nrepro.x{tenant="a"} 1\n'
         )
 
 
