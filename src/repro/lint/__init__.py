@@ -1,23 +1,32 @@
 """Domain-aware static analysis for the repro codebase.
 
-``python -m repro.lint [paths]`` runs five AST-based rules that encode the
-invariants the physics and the solver-reuse layers depend on:
+``python -m repro.lint [paths]`` runs nine AST-based rules that encode the
+invariants the physics, solver-reuse, persistence and determinism layers
+depend on:
 
-====  =================  ====================================================
-R1    units              ``[unit: ...]`` tags on physics constants; no
-                         adding/comparing incompatible units
-R2    cache-keys         floats only key caches through ``quantize_key``
-R3    pool-safety        worker-imported modules keep module state private,
-                         immutable, or behind lifecycle functions
-R4    error-discipline   ``ReproError`` subclasses everywhere; no broad
-                         excepts outside ``repro.errors.crash_boundary``
-R5    sparse-patterns    no densification, in-loop assembly, or
-                         unmemoized factorizations
-====  =================  ====================================================
+====  ===================  ==================================================
+R1    units                ``[unit: ...]`` tags on physics constants; no
+                           adding/comparing incompatible units
+R2    cache-keys           floats only key caches through ``quantize_key``
+R3    pool-safety          worker-imported modules keep module state
+                           private, immutable, or behind lifecycle functions
+R4    error-discipline     ``ReproError`` subclasses everywhere; no broad
+                           excepts outside ``repro.errors.crash_boundary``
+R5    sparse-patterns      no densification, in-loop assembly, or raw
+                           factorizations outside ``repro.linalg``
+R6    atomic-persistence   files are written through ``repro.checkpoint``
+R7    telemetry-names      emitted names are declared literals
+R8    unit-flow            unit tags on float signatures; call arguments and
+                           returns match the declared units
+R9    determinism-taint    no nondeterminism reaching keys, checkpoints,
+                           events or SA scores
+====  ===================  ==================================================
 
-See ``docs/STATIC_ANALYSIS.md`` for the conventions each rule enforces and
-the suppression policy (``# repro-lint: disable=R<n>``, budgeted at zero).
-The analyzer is stdlib-only and safe to run anywhere, including CI.
+R1 and R8 share one unit-inference engine
+(:class:`~repro.lint.rules.unit_flow.UnitFlow`).  See
+``docs/STATIC_ANALYSIS.md`` for the conventions each rule enforces and the
+suppression policy (``# repro-lint: disable=R<n>``, budgeted at zero).  The
+analyzer is stdlib-only and safe to run anywhere, including CI.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Command line for the domain lint pass: ``python -m repro.lint [paths]``.
 
-Exit status is 0 only when there are no unsuppressed error findings *and*
+Exit status is 0 only when there are no unsuppressed findings *and*
 the suppression budget holds (``--max-suppressions``, default 0) -- CI runs
 this as a blocking job, so a new suppression is a reviewed decision, not a
 drive-by.
@@ -49,42 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 0 -- fix, don't suppress)",
     )
     parser.add_argument(
-        "--strict-warnings",
-        action="store_true",
-        help="treat warning-severity findings as failures",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the registered rules and exit",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="accept the findings recorded in FILE (they are reported as "
-        "baselined, not failures); see lint-baseline.json",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="snapshot the current unsuppressed findings to FILE and exit 0",
-    )
-    parser.add_argument(
-        "--sarif",
-        metavar="FILE",
-        help="additionally write the report as SARIF 2.1.0 to FILE",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="incremental result cache directory "
-        "(default: .lint_cache; see --no-cache)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="analyze everything from scratch and do not touch the cache",
     )
     return parser
 
@@ -104,25 +71,9 @@ def _print_text_report(report: LintReport, max_suppressions: int) -> None:
             f"-- stale suppression at {suppression.path}:{suppression.line} "
             f"({', '.join(suppression.rules)}): no matching finding"
         )
-    if report.baselined:
-        print(f"-- baselined findings carried as known debt: "
-              f"{len(report.baselined)}")
-        for finding in report.baselined:
-            print(f"   baselined {finding.render()}")
-    for rule, path, message in report.stale_baseline:
-        print(
-            f"-- stale baseline entry {rule} at {path}: no matching finding "
-            f"({message})"
-        )
-    if report.cache_hits:
-        print(
-            f"-- incremental: {len(report.reanalyzed)} analyzed, "
-            f"{report.cache_hits} from cache"
-        )
     print(
         f"checked {report.files_checked} files: "
-        f"{len(report.errors)} errors, {len(report.warnings)} warnings, "
-        f"{len(report.suppressed)} suppressed"
+        f"{len(report.findings)} errors, {len(report.suppressed)} suppressed"
     )
 
 
@@ -139,48 +90,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.select:
         select = [r.strip() for r in args.select.split(",") if r.strip()]
     try:
-        analyzer = Analyzer(select=select)
-        cache = None
-        if not args.no_cache:
-            from .cache import DEFAULT_CACHE_DIR, ResultCache
-
-            cache = ResultCache(
-                args.cache_dir or DEFAULT_CACHE_DIR,
-                rule_ids=[rule.id for rule in analyzer.rules],
-            )
-        report = analyzer.run(args.paths, cache=cache)
-
-        if args.write_baseline:
-            from .baseline import write_baseline
-
-            write_baseline(report.findings, args.write_baseline)
-            print(
-                f"wrote {len(report.findings)} finding(s) to baseline "
-                f"{args.write_baseline}"
-            )
-            return 0
-
-        if args.baseline:
-            from .baseline import apply_baseline, load_baseline
-
-            apply_baseline(report, load_baseline(args.baseline))
+        report = Analyzer(select=select).run(args.paths)
     except LintError as exc:
         print(f"repro.lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.sarif:
-        from .sarif import write_sarif
-
-        write_sarif(report, analyzer.rules, args.sarif)
 
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
         _print_text_report(report, args.max_suppressions)
-    return report.exit_code(
-        max_suppressions=args.max_suppressions,
-        strict_warnings=args.strict_warnings,
-    )
+    return report.exit_code(max_suppressions=args.max_suppressions)
 
 
 if __name__ == "__main__":

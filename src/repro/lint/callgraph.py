@@ -13,18 +13,12 @@ direction for the dataflow rules built on it (an unresolved callee means
 Module-level code (the body outside any ``def``) is modeled as a pseudo
 function named :data:`MODULE_BODY` so constants computed at import time
 participate in the graph.
-
-The graph also exposes the *module dependency closure* used by the
-incremental result cache (:mod:`repro.lint.cache`): a file's findings may
-depend on any module it imports (unit tags, function signatures, taint
-summaries all flow along import edges), so the cache key of a file covers
-the content of its transitive imports within the analyzed set.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from .symbols import ModuleSymbols, Project
 
@@ -42,8 +36,6 @@ class CallGraph:
         self.project = project
         #: caller -> set of callees (both restricted to analyzed functions).
         self.calls: Dict[FunctionKey, Set[FunctionKey]] = {}
-        #: callee -> set of callers (reverse edges).
-        self.called_by: Dict[FunctionKey, Set[FunctionKey]] = {}
         for symbols in project.modules.values():
             self._scan_module(symbols)
 
@@ -84,17 +76,8 @@ class CallGraph:
         if self.project.function_def(*resolved) is None:
             return
         self.calls.setdefault(caller, set()).add(resolved)
-        self.called_by.setdefault(resolved, set()).add(caller)
 
     # -- queries --------------------------------------------------------
-
-    def callees(self, module: str, name: str) -> Set[FunctionKey]:
-        """Functions directly called by ``module.name``."""
-        return set(self.calls.get((module, name), ()))
-
-    def callers(self, module: str, name: str) -> Set[FunctionKey]:
-        """Call sites' functions that directly call ``module.name``."""
-        return set(self.called_by.get((module, name), ()))
 
     def functions(self) -> Iterator[FunctionKey]:
         """Every analyzed top-level function, in deterministic order."""
@@ -126,71 +109,3 @@ class CallGraph:
         for key in self.functions():
             visit(key, set())
         return order
-
-    # -- module dependency closure (incremental cache) -------------------
-
-    def module_imports(self, module: str) -> Set[str]:
-        """Analyzed modules ``module`` imports directly.
-
-        Only the *recorded import targets* count: name resolution (and
-        therefore every cross-module fact a rule can read -- unit tags,
-        signatures, taint summaries) always goes through the module a
-        binding points at, never implicitly through parent-package
-        ``__init__`` files.  Re-exports are covered because ``from pkg
-        import Name`` records ``pkg`` itself as a target.  Expanding to
-        parent packages would make the root package (which imports the
-        world) a dependency hub and defeat incremental invalidation.
-        """
-        symbols = self.project.modules.get(module)
-        if symbols is None:
-            return set()
-        return {
-            target
-            for target in symbols.imports
-            if target in self.project.modules and target != module
-        }
-
-    def dependency_closure(self, module: str) -> Set[str]:
-        """Analyzed modules whose *content* this module's findings can read.
-
-        Direct imports always count: resolution reads their tags,
-        signatures, and constants.  A dependency's own imports matter only
-        when it defines top-level functions -- their taint summaries chase
-        resolve targets recursively -- because every other cross-module
-        read (unit tags, re-export bindings, attribute tags) consults only
-        the target module's own source.  Pure re-export packages (a root
-        ``__init__`` importing the world) therefore contribute content,
-        not transitivity, which keeps the closure -- and the incremental
-        cache's invalidation set -- proportional to real coupling.
-        """
-        closure: Set[str] = set()
-        queue: List[str] = sorted(self.module_imports(module))
-        while queue:
-            dep = queue.pop()
-            if dep in closure or dep == module:
-                continue
-            closure.add(dep)
-            symbols = self.project.modules.get(dep)
-            if symbols is not None and symbols.functions:
-                queue.extend(sorted(self.module_imports(dep)))
-        closure.discard(module)
-        return closure
-
-    def dependents_of(self, module: str) -> Set[str]:
-        """Modules whose dependency closure contains ``module``.
-
-        These are exactly the files the incremental cache must re-analyze
-        when ``module`` changes.
-        """
-        out: Set[str] = set()
-        for candidate in self.project.modules:
-            if candidate == module:
-                continue
-            if module in self.dependency_closure(candidate):
-                out.add(candidate)
-        return out
-
-
-def build_callgraph(project: Project) -> CallGraph:
-    """Construct the call graph for ``project`` (convenience wrapper)."""
-    return CallGraph(project)

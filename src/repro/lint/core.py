@@ -32,7 +32,6 @@ import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -45,13 +44,6 @@ from typing import (
 )
 
 from ..errors import LintError
-
-if TYPE_CHECKING:  # pragma: no cover -- import cycle broken at runtime
-    from .cache import ResultCache
-
-#: Ordered severities; ``error`` findings fail the build, ``warning`` ones
-#: are reported but only fail under ``--strict-warnings``.
-SEVERITIES = ("error", "warning")
 
 _SUPPRESS_RE = re.compile(r"repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 #: Scope markers must sit on their own docstring line (anchored), so prose
@@ -70,13 +62,11 @@ class Finding:
     line: int
     col: int
     message: str
-    severity: str = "error"
 
     def render(self) -> str:
         """``path:line:col: RULE message`` (clickable in most terminals)."""
         return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.rule} [{self.severity}] {self.message}"
+            f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
         )
 
 
@@ -233,7 +223,6 @@ class Rule:
     id: str = ""
     name: str = ""
     description: str = ""
-    severity: str = "error"
 
     def check(
         self, ctx: FileContext, project: "Project"
@@ -242,11 +231,7 @@ class Rule:
         raise NotImplementedError
 
     def finding(
-        self,
-        ctx: FileContext,
-        node: ast.AST,
-        message: str,
-        severity: Optional[str] = None,
+        self, ctx: FileContext, node: ast.AST, message: str
     ) -> Finding:
         """Build a finding anchored at an AST node."""
         return Finding(
@@ -255,7 +240,6 @@ class Rule:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=message,
-            severity=severity or self.severity,
         )
 
 
@@ -268,10 +252,6 @@ def register(rule_cls: Type[Rule]) -> Type[Rule]:
         raise LintError(f"rule {rule_cls.__name__} has no id")
     if rule_cls.id in _REGISTRY:
         raise LintError(f"duplicate rule id {rule_cls.id}")
-    if rule_cls.severity not in SEVERITIES:
-        raise LintError(
-            f"rule {rule_cls.id}: unknown severity {rule_cls.severity!r}"
-        )
     _REGISTRY[rule_cls.id] = rule_cls
     return rule_cls
 
@@ -296,34 +276,10 @@ class LintReport:
     suppressed: List[Finding] = field(default_factory=list)
     unused_suppressions: List[Suppression] = field(default_factory=list)
     files_checked: int = 0
-    #: Findings accepted by a ``--baseline`` file (reported, not failing).
-    baselined: List[Finding] = field(default_factory=list)
-    #: Baseline fingerprints that matched no finding (shrink the file!).
-    stale_baseline: List[tuple] = field(default_factory=list)
-    #: Display paths actually run through the rules this time.
-    reanalyzed: List[str] = field(default_factory=list)
-    #: Files served from the incremental result cache.
-    cache_hits: int = 0
 
-    @property
-    def errors(self) -> List[Finding]:
-        """Unsuppressed findings with ``error`` severity."""
-        return [f for f in self.findings if f.severity == "error"]
-
-    @property
-    def warnings(self) -> List[Finding]:
-        """Unsuppressed findings with ``warning`` severity."""
-        return [f for f in self.findings if f.severity == "warning"]
-
-    def exit_code(
-        self, max_suppressions: int = 0, strict_warnings: bool = False
-    ) -> int:
+    def exit_code(self, max_suppressions: int = 0) -> int:
         """0 when clean under the suppression budget, 1 otherwise."""
-        if self.errors:
-            return 1
-        if strict_warnings and self.warnings:
-            return 1
-        if len(self.suppressed) > max_suppressions:
+        if self.findings or len(self.suppressed) > max_suppressions:
             return 1
         return 0
 
@@ -333,14 +289,10 @@ class LintReport:
             "files_checked": self.files_checked,
             "findings": [f.__dict__ for f in self.findings],
             "suppressed": [f.__dict__ for f in self.suppressed],
-            "baselined": [f.__dict__ for f in self.baselined],
-            "stale_baseline": [list(key) for key in self.stale_baseline],
             "unused_suppressions": [
                 {"path": s.path, "line": s.line, "rules": list(s.rules)}
                 for s in self.unused_suppressions
             ],
-            "reanalyzed": list(self.reanalyzed),
-            "cache_hits": self.cache_hits,
         }
 
 
@@ -384,18 +336,8 @@ class Analyzer:
             chosen = list(select)
         self.rules: List[Rule] = [registry[rule_id]() for rule_id in chosen]
 
-    def run(
-        self, paths: Sequence[str], cache: Optional["ResultCache"] = None
-    ) -> LintReport:
-        """Analyze every ``*.py`` file under ``paths``.
-
-        With a :class:`~repro.lint.cache.ResultCache`, files whose
-        dependency-aware content key is unchanged reuse their recorded
-        findings instead of re-running the rules (see
-        :mod:`repro.lint.cache` for exactly what the key covers).
-        """
-        import hashlib
-
+    def run(self, paths: Sequence[str]) -> LintReport:
+        """Analyze every ``*.py`` file under ``paths``."""
         from .symbols import Project
 
         files = collect_files(paths)
@@ -405,45 +347,17 @@ class Analyzer:
             contexts.append(FileContext(file_path, source, str(file_path)))
         project = Project(contexts)
 
-        source_hashes = {
-            ctx.module: hashlib.sha256(
-                ctx.source.encode("utf-8")
-            ).hexdigest()
-            for ctx in contexts
-        }
         raw: List[Finding] = []
-        reanalyzed: List[str] = []
-        cache_hits = 0
         for ctx in contexts:
-            cached: Optional[List[Finding]] = None
-            key = ""
-            if cache is not None:
-                key = cache.file_key(ctx, project, source_hashes)
-                cached = cache.get(ctx.path, key)
-            if cached is not None:
-                raw.extend(cached)
-                cache_hits += 1
-                continue
-            found: List[Finding] = []
             for rule in self.rules:
-                found.extend(rule.check(ctx, project))
-            raw.extend(found)
-            reanalyzed.append(ctx.path)
-            if cache is not None:
-                cache.put(ctx.path, key, found)
-        if cache is not None:
-            cache.save()
+                raw.extend(rule.check(ctx, project))
         # Frozen findings dedupe exactly; a node reachable through two key
         # contexts (say) reports once.
         raw = sorted(
             set(raw), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
         )
 
-        report = LintReport(
-            files_checked=len(contexts),
-            reanalyzed=reanalyzed,
-            cache_hits=cache_hits,
-        )
+        report = LintReport(files_checked=len(contexts))
         used: Set[Tuple[str, int]] = set()
         suppression_index: Dict[Tuple[str, int], Suppression] = {}
         for ctx in contexts:

@@ -30,12 +30,15 @@ no false certainty), while still being honest about control flow.
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, Generic, List, Optional, TypeVar
+from typing import Any, Dict, Generic, List, Optional, TypeVar, Union
 
 V = TypeVar("V")
 
 #: Environment type: local name -> abstract value (``None`` = unknown).
 Env = Dict[str, Optional[Any]]
+
+#: A ``def`` or ``async def`` node.
+FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
 class ForwardDataflow(Generic[V]):
@@ -131,8 +134,8 @@ class ForwardDataflow(Generic[V]):
     def on_compare(self, node: ast.Compare, values: List[Optional[V]]) -> None:
         """A comparison was evaluated (operand values in order)."""
 
-    def enter_function(self, node: ast.FunctionDef) -> None:
-        """A nested ``def`` was encountered (walked with a copied env)."""
+    def enter_function(self, node: FunctionNode) -> None:
+        """A nested ``def`` or ``async def`` was encountered."""
 
     # -- engine: expressions ---------------------------------------------
 
@@ -240,8 +243,7 @@ class ForwardDataflow(Generic[V]):
 
     def _walk_stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if isinstance(stmt, ast.FunctionDef):
-                self.enter_function(stmt)
+            self.enter_function(stmt)
             return
         if isinstance(stmt, ast.ClassDef):
             for inner in stmt.body:

@@ -55,7 +55,7 @@ import re
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..core import FileContext, Finding, Rule, register
-from ..dataflow import ForwardDataflow
+from ..dataflow import ForwardDataflow, FunctionNode
 from ..symbols import ModuleSymbols, Project
 
 #: Taint tags (human-readable; they appear in finding messages).
@@ -385,7 +385,7 @@ class TaintCheck(TaintFlow):
         self.findings = findings
         self.function_name = function_name
 
-    def enter_function(self, node: ast.FunctionDef) -> None:
+    def enter_function(self, node: FunctionNode) -> None:
         sub = TaintCheck(
             self.rule,
             self.ctx,

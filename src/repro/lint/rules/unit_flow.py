@@ -1,8 +1,11 @@
-"""R8 -- interprocedural unit inference.
+"""R8 -- interprocedural unit inference, and the engine R1 shares.
 
-R1 checks unit algebra *inside* one expression; R8 makes units flow across
-function boundaries, powered by the :mod:`repro.lint.dataflow` framework
-and the project call graph.  Three checks:
+:class:`UnitFlow` is the one unit-inference engine of the lint: a
+:mod:`repro.lint.dataflow` walk whose values are physical units.  One walk
+of a file yields the findings of two rules.  R1 (``units_rule``) keeps the
+*mixing* checks: ``+``/``-`` arithmetic and ``<``/``<=``/``>``/``>=``
+comparisons whose operand units are both known must agree.  R8 makes units
+flow across function boundaries with three checks:
 
 * **Signature coverage**: a public top-level function in a unit-scoped
   module (same scope as R1) with ``float``-annotated parameters or return
@@ -24,18 +27,18 @@ and the project call graph.  Three checks:
   return expression infers to a different unit is flagged at the return
   statement -- the tag and the code cannot both be right.
 
-Inference never guesses: an argument or return whose unit cannot be
-derived is silently skipped, so untagged code stays quiet (the coverage
-check, not noise, is what drives tagging).
+Inference never guesses: an operand, argument or return whose unit cannot
+be derived is silently skipped, so untagged code stays quiet (the coverage
+checks, not noise, are what drive tagging).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..core import FileContext, Finding, Rule, register
-from ..dataflow import ForwardDataflow
+from ..dataflow import ForwardDataflow, FunctionNode
 from ..symbols import (
     ModuleSymbols,
     Project,
@@ -47,6 +50,10 @@ from ..units import DIMENSIONLESS, Unit, format_unit
 #: Builtins that return their (single) argument's unit unchanged.
 _PASSTHROUGH_CALLS = {"float", "abs", "min", "max", "sum", "round"}
 
+#: Rule ids whose findings one :class:`UnitFlow` walk produces.
+MIXING_RULE = "R1"
+FLOW_RULE = "R8"
+
 
 def _is_float_annotation(annotation: Optional[ast.expr]) -> bool:
     return isinstance(annotation, ast.Name) and annotation.id == "float"
@@ -57,25 +64,38 @@ class UnitFlow(ForwardDataflow[Unit]):
 
     def __init__(
         self,
-        rule: "UnitFlowRule",
         ctx: FileContext,
         symbols: ModuleSymbols,
         project: Project,
         findings: List[Finding],
     ) -> None:
         super().__init__()
-        self.rule = rule
         self.ctx = ctx
         self.symbols = symbols
         self.project = project
         self.findings = findings
+        #: Whether this walk is a function body (not the module body).
+        self.in_function = False
         #: Declared return unit of the function being walked, if any.
         self.declared_return: Optional[Unit] = None
 
+    def flag(self, rule: str, node: ast.AST, message: str) -> None:
+        """Record one finding of ``rule`` anchored at ``node``."""
+        self.findings.append(
+            Finding(
+                rule=rule,
+                path=self.ctx.path,
+                line=getattr(node, "lineno", 1),
+                col=getattr(node, "col_offset", 0),
+                message=message,
+            )
+        )
+
     # -- function entry --------------------------------------------------
 
-    def seed_function(self, node: ast.FunctionDef) -> None:
+    def seed_function(self, node: FunctionNode) -> None:
         """Bind declared parameter units (tags win over default values)."""
+        self.in_function = True
         args = node.args
         positional = args.posonlyargs + args.args
         if args.defaults:
@@ -93,12 +113,21 @@ class UnitFlow(ForwardDataflow[Unit]):
         if tag is not None and tag != "any":
             self.declared_return = safe_parse_unit(tag)
 
-    def enter_function(self, node: ast.FunctionDef) -> None:
-        sub = UnitFlow(
-            self.rule, self.ctx, self.symbols, self.project, self.findings
-        )
+    def enter_function(self, node: FunctionNode) -> None:
+        sub = UnitFlow(self.ctx, self.symbols, self.project, self.findings)
         sub.seed_function(node)
         sub.walk(node.body)
+
+    def on_assign(
+        self, name: str, value: Optional[Unit], node: ast.stmt
+    ) -> Optional[Unit]:
+        # A module constant's [unit: ...] tag wins over its literal's
+        # (dimensionless) unit -- that is the tag's whole point.
+        if not self.in_function:
+            tagged = self.symbols.constant_units.get(name)
+            if tagged is not None:
+                return tagged
+        return value
 
     # -- value hooks -------------------------------------------------------
 
@@ -159,6 +188,7 @@ class UnitFlow(ForwardDataflow[Unit]):
         self, node: ast.BinOp, left: Optional[Unit], right: Optional[Unit]
     ) -> Optional[Unit]:
         if isinstance(node.op, (ast.Add, ast.Sub)):
+            self._check_mix(node, left, right, "arithmetic")
             if left is not None and left == right:
                 return left
             return None
@@ -188,7 +218,49 @@ class UnitFlow(ForwardDataflow[Unit]):
         a, b = self.eval(node.body), self.eval(node.orelse)
         return a if a == b else None
 
+    def eval(self, node: ast.expr) -> Optional[Unit]:
+        if isinstance(node, ast.Lambda):
+            # The engine leaves lambda bodies alone; mixing inside one is
+            # still mixing.  Its parameters shadow outer names as unknowns.
+            args = node.args
+            for default in args.defaults + args.kw_defaults:
+                if default is not None:
+                    self.eval(default)
+            saved = dict(self.env)
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                self.env[arg.arg] = None
+            self.eval(node.body)
+            self.env = saved
+            return None
+        return super().eval(node)
+
     # -- checks ------------------------------------------------------------
+
+    def on_compare(
+        self, node: ast.Compare, values: List[Optional[Unit]]
+    ) -> None:
+        operands = [node.left] + list(node.comparators)
+        for op, right, left_unit, right_unit in zip(
+            node.ops, operands[1:], values, values[1:]
+        ):
+            if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
+                self._check_mix(right, left_unit, right_unit, "comparison")
+
+    def _check_mix(
+        self,
+        node: ast.AST,
+        left: Optional[Unit],
+        right: Optional[Unit],
+        kind: str,
+    ) -> None:
+        if left is None or right is None or left == right:
+            return
+        self.flag(
+            MIXING_RULE,
+            node,
+            f"incompatible units in {kind}: "
+            f"[{format_unit(left)}] vs [{format_unit(right)}]",
+        )
 
     def _check_call_args(
         self,
@@ -221,14 +293,12 @@ class UnitFlow(ForwardDataflow[Unit]):
             expected = declared[param]
             if expected is None or expected == actual:
                 continue
-            self.findings.append(
-                self.rule.finding(
-                    self.ctx,
-                    arg_node,
-                    f"argument {param!r} to {module}.{name} has unit "
-                    f"[{format_unit(actual)}] but the parameter is declared "
-                    f"[{format_unit(expected)}]",
-                )
+            self.flag(
+                FLOW_RULE,
+                arg_node,
+                f"argument {param!r} to {module}.{name} has unit "
+                f"[{format_unit(actual)}] but the parameter is declared "
+                f"[{format_unit(expected)}]",
             )
 
     def on_return(self, node: ast.Return, value: Optional[Unit]) -> None:
@@ -237,22 +307,31 @@ class UnitFlow(ForwardDataflow[Unit]):
             and value is not None
             and value != self.declared_return
         ):
-            self.findings.append(
-                self.rule.finding(
-                    self.ctx,
-                    node,
-                    f"return value infers to [{format_unit(value)}] but the "
-                    f"function declares [unit-return: "
-                    f"{format_unit(self.declared_return)}]",
-                )
+            self.flag(
+                FLOW_RULE,
+                node,
+                f"return value infers to [{format_unit(value)}] but the "
+                f"function declares [unit-return: "
+                f"{format_unit(self.declared_return)}]",
             )
+
+
+def unit_findings(
+    ctx: FileContext, project: Project, rule: str
+) -> List[Finding]:
+    """The findings of ``rule`` from one :class:`UnitFlow` walk of a file."""
+    findings: List[Finding] = []
+    UnitFlow(ctx, project.modules[ctx.module], project, findings).walk(
+        ctx.tree.body
+    )
+    return [finding for finding in findings if finding.rule == rule]
 
 
 @register
 class UnitFlowRule(Rule):
     """R8: whole-program unit inference across call/return edges."""
 
-    id = "R8"
+    id = FLOW_RULE
     name = "unit-flow"
     description = (
         "float signatures in unit-scoped modules carry docstring unit tags; "
@@ -263,10 +342,7 @@ class UnitFlowRule(Rule):
         symbols = project.modules[ctx.module]
         if project.in_unit_scope(ctx):
             yield from self._check_coverage(ctx, symbols)
-        findings: List[Finding] = []
-        flow = UnitFlow(self, ctx, symbols, project, findings)
-        flow.walk(ctx.tree.body)
-        yield from findings
+        yield from unit_findings(ctx, project, self.id)
 
     def _check_coverage(
         self, ctx: FileContext, symbols: ModuleSymbols

@@ -9,27 +9,26 @@ Two checks:
   tag in its ``#:`` comment (``[unit: 1]`` for dimensionless values).
 
 * **Mixing**: additions, subtractions and order comparisons whose operand
-  units can both be inferred must agree dimensionally.  Inference follows
-  tagged constants (across imports), ``[unit-return: ...]`` function tags,
-  ``[unit: ...]`` attribute tags in class docstrings, local assignments,
-  parameter defaults, and the ``* / **`` unit algebra; everything else is
-  *unknown* and never flagged, keeping the checker quiet on untagged code.
+  units can both be inferred must agree dimensionally.  Inference is R8's
+  :class:`~repro.lint.rules.unit_flow.UnitFlow` engine: tagged constants
+  (across imports, also as ``module.CONSTANT``), ``[unit-return: ...]``
+  function tags, docstring parameter tags, ``[unit: ...]`` attribute tags in
+  class docstrings, local assignments, parameter defaults, unit-preserving
+  builtins, and the ``* / **`` unit algebra; everything else is *unknown*
+  and never flagged, keeping the checker quiet on untagged code.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, Optional
+from typing import Iterator, Optional
 
 from ..core import FileContext, Finding, Rule, register
 from ..symbols import ModuleSymbols, Project
-from ..units import DIMENSIONLESS, Unit, format_unit
+from .unit_flow import MIXING_RULE, unit_findings
 
 _CONST_NAME_RE = re.compile(r"^_?[A-Z][A-Z0-9_]*$")
-
-#: Builtins that return their (single) argument's unit unchanged.
-_PASSTHROUGH_CALLS = {"float", "abs"}
 
 
 def _is_numeric_literal(node: ast.expr) -> bool:
@@ -42,228 +41,11 @@ def _is_numeric_literal(node: ast.expr) -> bool:
     ) and not isinstance(node.value, bool)
 
 
-class UnitInferencer:
-    """Best-effort unit inference over one function (or module) body."""
-
-    def __init__(
-        self,
-        rule: "UnitsRule",
-        ctx: FileContext,
-        symbols: ModuleSymbols,
-        project: Project,
-    ) -> None:
-        self.rule = rule
-        self.ctx = ctx
-        self.symbols = symbols
-        self.project = project
-        #: Local name -> unit (None once a name becomes ambiguous).
-        self.env: Dict[str, Optional[Unit]] = {}
-        self.findings: list[Finding] = []
-        #: Node ids already checked, so re-inference never double-reports.
-        self._checked: set[int] = set()
-
-    # -- inference -------------------------------------------------------
-
-    def infer(self, node: ast.expr) -> Optional[Unit]:
-        """Unit of an expression, or None when unknown."""
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)) and not isinstance(
-                node.value, bool
-            ):
-                # Zero is the one scalar valid in any unit (sign checks like
-                # ``width <= 0`` are dimensionally sound), so leave it unknown.
-                if node.value == 0:
-                    return None
-                return DIMENSIONLESS
-            return None
-        if isinstance(node, ast.UnaryOp) and isinstance(
-            node.op, (ast.USub, ast.UAdd)
-        ):
-            return self.infer(node.operand)
-        if isinstance(node, ast.Name):
-            if node.id in self.env:
-                return self.env[node.id]
-            resolved = self.project.resolve_name(self.symbols, node.id)
-            if resolved is not None:
-                return self.project.constant_unit(*resolved)
-            return None
-        if isinstance(node, ast.Attribute):
-            return self.project.attribute_unit(node.attr)
-        if isinstance(node, ast.Call):
-            return self._infer_call(node)
-        if isinstance(node, ast.BinOp):
-            return self._infer_binop(node)
-        if isinstance(node, ast.IfExp):
-            a, b = self.infer(node.body), self.infer(node.orelse)
-            return a if a == b else None
-        return None
-
-    def _infer_call(self, node: ast.Call) -> Optional[Unit]:
-        func = node.func
-        if isinstance(func, ast.Name):
-            if func.id in _PASSTHROUGH_CALLS and len(node.args) == 1:
-                return self.infer(node.args[0])
-            resolved = self.project.resolve_name(self.symbols, func.id)
-            if resolved is not None:
-                return self.project.return_unit(*resolved)
-            return self.project.return_unit(self.symbols.module, func.id)
-        if isinstance(func, ast.Attribute) and isinstance(
-            func.value, ast.Name
-        ):
-            module = self.symbols.imported_modules.get(func.value.id)
-            if module is not None:
-                return self.project.return_unit(module, func.attr)
-        return None
-
-    def _infer_binop(self, node: ast.BinOp) -> Optional[Unit]:
-        left = self.infer(node.left)
-        right = self.infer(node.right)
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            self._check_mix(node, left, right, "arithmetic")
-            if left is not None and right is not None and left == right:
-                return left
-            return None
-        if isinstance(node.op, ast.Mult):
-            if left is not None and right is not None:
-                return left * right
-            return None
-        if isinstance(node.op, ast.Div):
-            if left is not None and right is not None:
-                return left / right
-            return None
-        if isinstance(node.op, ast.Pow):
-            exponent = node.right
-            if (
-                left is not None
-                and isinstance(exponent, ast.Constant)
-                and isinstance(exponent.value, int)
-            ):
-                return left ** exponent.value
-            if left is not None and left.dimensionless:
-                return DIMENSIONLESS
-            return None
-        return None
-
-    def _check_mix(
-        self,
-        node: ast.AST,
-        left: Optional[Unit],
-        right: Optional[Unit],
-        kind: str,
-    ) -> None:
-        if id(node) in self._checked:
-            return
-        self._checked.add(id(node))
-        if left is None or right is None or left == right:
-            return
-        self.findings.append(
-            self.rule.finding(
-                self.ctx,
-                node,
-                f"incompatible units in {kind}: "
-                f"[{format_unit(left)}] vs [{format_unit(right)}]",
-            )
-        )
-
-    # -- statement walk ---------------------------------------------------
-
-    def walk_body(self, body: list) -> None:
-        for stmt in body:
-            self._walk_stmt(stmt)
-
-    def _walk_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            sub = UnitInferencer(
-                self.rule, self.ctx, self.symbols, self.project
-            )
-            sub.bind_defaults(stmt)
-            sub.walk_body(stmt.body)
-            self.findings.extend(sub.findings)
-            return
-        if isinstance(stmt, ast.ClassDef):
-            for inner in stmt.body:
-                self._walk_stmt(inner)
-            return
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            unit = self._visit_expr(stmt.value)
-            if isinstance(target, ast.Name):
-                # A [unit: ...] tag on the assignment wins over the literal's
-                # (dimensionless) unit -- that is the tag's whole point.
-                tagged = self.symbols.constant_units.get(target.id)
-                self._bind(target.id, tagged if tagged is not None else unit)
-            return
-        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            unit = self._visit_expr(stmt.value)
-            if isinstance(stmt.target, ast.Name):
-                tagged = self.symbols.constant_units.get(stmt.target.id)
-                self._bind(
-                    stmt.target.id, tagged if tagged is not None else unit
-                )
-            return
-        if isinstance(stmt, ast.AugAssign):
-            self._visit_expr(stmt.value)
-            return
-        # Generic statement: visit every contained expression, and recurse
-        # into nested statement bodies.
-        for field_value in ast.iter_child_nodes(stmt):
-            if isinstance(field_value, ast.expr):
-                self._visit_expr(field_value)
-            elif isinstance(field_value, ast.stmt):
-                self._walk_stmt(field_value)
-            elif isinstance(field_value, ast.excepthandler):
-                for inner in field_value.body:
-                    self._walk_stmt(inner)
-            elif isinstance(field_value, ast.withitem):
-                self._visit_expr(field_value.context_expr)
-
-    def bind_defaults(self, func: ast.FunctionDef) -> None:
-        """Give parameters the unit of their (inferable) default value."""
-        args = func.args
-        positional = args.posonlyargs + args.args
-        defaults = args.defaults
-        if defaults:
-            for arg, default in zip(positional[-len(defaults):], defaults):
-                self._bind(arg.arg, self.infer(default))
-        for arg, kw_default in zip(args.kwonlyargs, args.kw_defaults):
-            if kw_default is not None:
-                self._bind(arg.arg, self.infer(kw_default))
-
-    def _bind(self, name: str, unit: Optional[Unit]) -> None:
-        if name in self.env and self.env[name] != unit:
-            self.env[name] = None  # conflicting rebind: give up on the name
-        else:
-            self.env[name] = unit
-
-    def _visit_expr(self, node: ast.expr) -> Optional[Unit]:
-        """Infer the expression and check every +,-,comparison inside it.
-
-        ``infer`` only recurses along inferable paths, so additions buried in
-        e.g. call arguments are checked explicitly here.
-        """
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Compare):
-                self._check_compare(sub)
-            elif isinstance(sub, ast.BinOp) and isinstance(
-                sub.op, (ast.Add, ast.Sub)
-            ):
-                self.infer(sub)
-        return self.infer(node)
-
-    def _check_compare(self, node: ast.Compare) -> None:
-        operands = [node.left] + list(node.comparators)
-        for op, left, right in zip(node.ops, operands, operands[1:]):
-            if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
-                self._check_mix(
-                    right, self.infer(left), self.infer(right), "comparison"
-                )
-
-
 @register
 class UnitsRule(Rule):
     """R1: unit-tag coverage on constants plus dimensional consistency."""
 
-    id = "R1"
+    id = MIXING_RULE
     name = "units"
     description = (
         "module constants in physics modules must carry [unit: ...] tags; "
@@ -271,12 +53,9 @@ class UnitsRule(Rule):
     )
 
     def check(self, ctx: FileContext, project: Project) -> Iterator[Finding]:
-        symbols = project.modules[ctx.module]
         if project.in_unit_scope(ctx):
-            yield from self._check_tags(ctx, symbols)
-        inferencer = UnitInferencer(self, ctx, symbols, project)
-        inferencer.walk_body(ctx.tree.body)
-        yield from inferencer.findings
+            yield from self._check_tags(ctx, project.modules[ctx.module])
+        yield from unit_findings(ctx, project, self.id)
 
     def _check_tags(
         self, ctx: FileContext, symbols: ModuleSymbols

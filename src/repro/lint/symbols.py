@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import LintError
 from .core import FileContext, _UNIT_TAG_RE
@@ -173,7 +173,7 @@ class ModuleSymbols:
 
 
 def _docstring_param_units(
-    node: ast.FunctionDef,
+    node: Union[ast.FunctionDef, ast.AsyncFunctionDef],
 ) -> Dict[str, Optional[Unit]]:
     """``param -> unit`` tags from a function docstring.
 

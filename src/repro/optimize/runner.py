@@ -11,9 +11,9 @@ evaluator.
 (direction, stage, SA round) of that schedule as one round of
 :func:`~repro.optimize.portfolio.run_portfolio`, over a picklable state
 dict.  The staged flow therefore shares the portfolio's single checkpoint
-(``portfolio.ckpt``), its interrupt points between rounds, its run events,
-and its run events.  :func:`run_staged_flow` is the front door that
-returns the flow's :class:`OptimizationResult`.
+(``portfolio.ckpt``), its interrupt points between rounds, and its run
+events.  :func:`run_staged_flow` is the front door that returns the flow's
+:class:`OptimizationResult`.
 
 Every (direction, stage, round) derives its own ``np.random.SeedSequence``
 child via spawn keys (:func:`_round_seed`), so rounds are statistically

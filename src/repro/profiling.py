@@ -38,7 +38,8 @@ Well-known names (see ``docs/SOLVER_CACHES.md`` for the cache semantics):
 =============================  =============================================
 ``flow.unit_solves``           sparse pressure systems assembled + factorized
 ``flow.unit_cache_hits``       :class:`~repro.flow.network.FlowField` reuses
-``thermal.factorizations``     ``splu`` calls on the thermal operator
+``thermal.factorizations``     ``repro.linalg.factorize`` calls on the
+                               thermal operator
 ``thermal.lu_cache_hits``      thermal solves that reused a factorization
 ``thermal.solves``             thermal linear solves (triangular sweeps)
 ``cooling.simulations``        distinct thermal simulations per network

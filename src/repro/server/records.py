@@ -1,8 +1,9 @@
 """The durable job record: header + CRC-validated JSON body, one per job.
 
-A job record file mirrors the :mod:`repro.checkpoint` format discipline --
-one ASCII JSON header line followed by the payload, here a UTF-8 JSON
-document instead of a pickle::
+A job record file uses the :mod:`repro.checkpoint` framing
+(:func:`~repro.checkpoint.format.pack_armored`) -- one ASCII JSON header
+line followed by the payload, here a UTF-8 JSON document instead of a
+pickle::
 
     {"body_bytes": ..., "crc32": ..., "magic": "repro-job", "version": 1}\\n
     { ...the JobRecord fields, indented JSON... }
@@ -31,13 +32,13 @@ from __future__ import annotations
 import json
 import time
 import uuid
-import zlib
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from ..errors import JobRecordError
 from ..checkpoint.atomic import atomic_write_bytes
+from ..checkpoint.format import pack_armored, unpack_armored
 from ..faults import SITE_SERVER_RECORD, corrupt
 
 __all__ = [
@@ -143,34 +144,10 @@ def write_record(path: Union[str, Path], record: JobRecord) -> Path:
             f"state {record.state!r}"
         )
     body = json.dumps(asdict(record), indent=2, sort_keys=True).encode("utf-8")
-    header = json.dumps(
-        {
-            "magic": JOB_RECORD_MAGIC,
-            "version": JOB_RECORD_VERSION,
-            "body_bytes": len(body),
-            "crc32": zlib.crc32(body),
-        },
-        sort_keys=True,
-    ).encode("ascii")
-    data = corrupt(SITE_SERVER_RECORD, header + b"\n" + body)
-    return atomic_write_bytes(path, data)
-
-
-def _parse_header(path: Path, raw: bytes) -> Tuple[Mapping[str, Any], bytes]:
-    header_line, separator, body = raw.partition(b"\n")
-    if not separator:
-        raise JobRecordError(
-            f"{path}: not a job record (no header/body separator)"
-        )
-    try:
-        header = json.loads(header_line.decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise JobRecordError(
-            f"{path}: not a job record (unparsable header)"
-        ) from exc
-    if not isinstance(header, dict) or header.get("magic") != JOB_RECORD_MAGIC:
-        raise JobRecordError(f"{path}: not a repro job record")
-    return header, body
+    data = pack_armored(
+        JOB_RECORD_MAGIC, JOB_RECORD_VERSION, body, "body_bytes"
+    )
+    return atomic_write_bytes(path, corrupt(SITE_SERVER_RECORD, data))
 
 
 def read_record(path: Union[str, Path]) -> JobRecord:
@@ -186,20 +163,15 @@ def read_record(path: Union[str, Path]) -> JobRecord:
         raw = path.read_bytes()
     except OSError as exc:
         raise JobRecordError(f"cannot read job record {path}: {exc}") from exc
-    header, body = _parse_header(path, raw)
-    version = header.get("version")
-    if version != JOB_RECORD_VERSION:
-        raise JobRecordError(
-            f"{path}: record schema version {version!r} does not match this "
-            f"build's version {JOB_RECORD_VERSION}"
-        )
-    if header.get("body_bytes") != len(body):
-        raise JobRecordError(
-            f"{path}: body is {len(body)} bytes but the header recorded "
-            f"{header.get('body_bytes')!r} (torn or truncated write)"
-        )
-    if header.get("crc32") != zlib.crc32(body):
-        raise JobRecordError(f"{path}: body CRC mismatch (corrupted record)")
+    _, body = unpack_armored(
+        path,
+        raw,
+        kind="job record",
+        magic=JOB_RECORD_MAGIC,
+        version=JOB_RECORD_VERSION,
+        length_key="body_bytes",
+        error=JobRecordError,
+    )
     try:
         fields = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

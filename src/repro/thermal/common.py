@@ -36,6 +36,10 @@ def series_conductance(g_a: float, g_b: float) -> float:
 
     Returns 0 if either path is blocked (zero conductance).
     [unit-return: W/K]
+
+    Args:
+        g_a: First conductance.  [unit: W/K]
+        g_b: Second conductance.  [unit: W/K]
     """
     if g_a <= 0 or g_b <= 0:
         return 0.0
@@ -50,6 +54,12 @@ def h_conv(
 ) -> float:
     """Convective heat transfer coefficient ``h = Nu k_liquid / D_h``.
     [unit-return: W/(m^2 K)]
+
+    Args:
+        coolant: The liquid.
+        channel_width: Channel width ``w_c``.  [unit: m]
+        channel_height: Channel height ``h_c``.  [unit: m]
+        nusselt: Nusselt number ``Nu``.  [unit: 1]
     """
     d_h = hydraulic_diameter(channel_width, channel_height)
     return nusselt * coolant.thermal_conductivity / d_h
@@ -64,6 +74,13 @@ def convective_conductance(
 ) -> float:
     """Wall-to-coolant conductance ``g_sl* = h A`` (the Eq. 5 building block).
     [unit-return: W/K]
+
+    Args:
+        area: Wetted wall area ``A``.  [unit: m^2]
+        coolant: The liquid.
+        channel_width: Channel width ``w_c``.  [unit: m]
+        channel_height: Channel height ``h_c``.  [unit: m]
+        nusselt: Nusselt number ``Nu``.  [unit: 1]
     """
     if area < 0:
         raise ThermalError(f"wall area must be non-negative, got {area}")
@@ -73,6 +90,13 @@ def convective_conductance(
 def slab_half_conductance(k: float, area: float, thickness: float) -> float:
     """Conductance from a slab's center plane to its face, ``k A / (t/2)``.
     [unit-return: W/K]
+
+    Args:
+        k: Thermal conductivity of the slab.  [unit: W/(m K)]
+        area: Face area ``A`` in m^2, or ``1.0`` for the conductance per
+            unit face area (how the 2RM assembly calls it before scaling
+            by per-tile areas).  [unit: any]
+        thickness: Slab thickness ``t``.  [unit: m]
     """
     if thickness <= 0:
         raise ThermalError(f"thickness must be positive, got {thickness}")
@@ -154,6 +178,13 @@ def assemble_advection(
     heat-source-only steady states.  Both schemes conserve energy exactly:
     the column sums are ``C_v Q_out,j`` either way, so the coolant removes
     ``C_v P (sum_j Q_out,j T_j - Q_in_total T_in)``.
+
+    Args:
+        n_nodes: Size of the thermal system.
+        specs: Advection terms of every channel layer at ``P_sys = 1``.
+        c_v: Coolant volumetric heat capacity ``C_v``.  [unit: J/(m^3 K)]
+        inlet_temperature: Coolant inlet temperature ``T_in``.  [unit: K]
+        scheme: :data:`ADVECTION_UPWIND` or :data:`ADVECTION_CENTRAL`.
     """
     if scheme not in ADVECTION_SCHEMES:
         raise ThermalError(

@@ -151,10 +151,12 @@ def run_controlled(
             pressure).
         controller: Called once per control period with
             ``(t_max, p_current)``; returns the commanded pressure in Pa.
-        duration: Total simulated time, s.
-        control_period: Time between controller invocations, s.
-        dt: Backward-Euler step, s (must divide the control period).
-        p_initial: Pump pressure before the first control decision, Pa.
+        duration: Total simulated time.  [unit: s]
+        control_period: Time between controller invocations.  [unit: s]
+        dt: Backward-Euler step (must divide the control period).
+            [unit: s]
+        p_initial: Pump pressure before the first control decision.
+            [unit: Pa]
         power_profile: Optional multiplier on the die power over time
             (models DVFS-driven dynamic power).
         store_results: Keep full thermal snapshots at control instants.

@@ -1,53 +1,29 @@
 """The repository's own source tree must be lint-clean, suppression-free.
 
-This is the acceptance gate CI enforces: ``python -m repro.lint src
---baseline lint-baseline.json`` exits 0 with zero findings and zero
-suppressions.  The committed baseline carries only the known R8 coverage
-debt in ``repro.thermal``; it may shrink, never grow.
+This is the acceptance gate CI enforces: ``python -m repro.lint src`` exits
+0 with zero findings and zero suppressions.  There is no baseline file:
+every rule holds on the whole tree.
 """
 
 from pathlib import Path
 
 from repro.lint import Analyzer
 from repro.lint.__main__ import main
-from repro.lint.baseline import apply_baseline, load_baseline
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 REPO_SRC = REPO_ROOT / "src"
-BASELINE = REPO_ROOT / "lint-baseline.json"
 
 
-def test_cli_exits_zero_on_repo_source(tmp_path, capsys):
-    argv = [
-        str(REPO_SRC),
-        "--baseline",
-        str(BASELINE),
-        "--cache-dir",
-        str(tmp_path / "cache"),
-    ]
-    assert main(argv) == 0
+def test_cli_exits_zero_on_repo_source(capsys):
+    assert main([str(REPO_SRC)]) == 0
     out = capsys.readouterr().out
-    assert "0 errors, 0 warnings, 0 suppressed" in out
+    assert "0 errors, 0 suppressed" in out
 
 
 def test_repo_source_has_no_suppressions_at_all():
     report = Analyzer().run([str(REPO_SRC)])
-    apply_baseline(report, load_baseline(BASELINE))
     assert report.findings == []
     assert report.suppressed == []
     assert report.unused_suppressions == []
     # Sanity: the run actually covered the tree.
     assert report.files_checked > 50
-
-
-def test_baseline_is_exactly_consumed():
-    """Every committed baseline entry still matches a real finding.
-
-    A stale entry means debt was paid down without shrinking the file --
-    the ratchet only works if the baseline tracks reality.
-    """
-    report = Analyzer().run([str(REPO_SRC)])
-    apply_baseline(report, load_baseline(BASELINE))
-    assert report.stale_baseline == []
-    # The baseline is R8 coverage debt only: no other rule may hide in it.
-    assert {f.rule for f in report.baselined} <= {"R8"}

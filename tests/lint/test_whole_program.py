@@ -1,37 +1,16 @@
-"""Whole-program behavior: cross-module dataflow, cache, baseline, SARIF.
+"""Whole-program behavior: units and taint across module boundaries.
 
 The R8/R9 fixtures in ``fixtures/`` exercise single-file shapes; the tests
-here build real mini-packages under ``tmp_path`` so units and taint must
-flow across module boundaries through the project symbol table and call
-graph, and so the incremental cache's invalidation can be observed against
-a genuine import structure.
+here run real mini-packages (``fixtures/unitpkg``, ``fixtures/detpkg``) so
+units and taint must flow across module boundaries through the project
+symbol table and call graph.
 """
 
-import json
 from pathlib import Path
 
-import jsonschema
-import pytest
-
 from repro.lint import Analyzer
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
-from repro.lint.cache import ResultCache
-from repro.lint.core import Finding
-from repro.lint.sarif import to_sarif
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def _write_package(root, package, modules):
-    """Create ``package`` under ``root`` with the given ``name -> source``."""
-    path = root
-    for part in package.split("."):
-        path = path / part
-        path.mkdir(exist_ok=True)
-        (path / "__init__.py").write_text("")
-    for name, source in modules.items():
-        (path / f"{name}.py").write_text(source)
-    return path
 
 
 class TestR8AcrossModules:
@@ -73,307 +52,3 @@ class TestR9AcrossModules:
         assert "wall-clock" in finding.message
         # use_boundary.py keys the same cache off the sanctioned helper
         # and must stay clean.
-
-
-class TestIncrementalCache:
-    """Edits re-analyze the edited file plus its call-graph dependents."""
-
-    A = (
-        '"""Leaf module."""\n'
-        "\n"
-        "\n"
-        "def f(x):\n"
-        "    return x\n"
-    )
-
-    B = (
-        '"""Depends on cp.a."""\n'
-        "\n"
-        "from cp.a import f\n"
-        "\n"
-        "\n"
-        "def g(x):\n"
-        "    return f(x)\n"
-    )
-
-    C = (
-        '"""Independent module."""\n'
-        "\n"
-        "\n"
-        "def h(x):\n"
-        "    return x\n"
-    )
-
-    def _run(self, pkg, cache_dir):
-        analyzer = Analyzer()
-        cache = ResultCache(
-            cache_dir, rule_ids=[rule.id for rule in analyzer.rules]
-        )
-        return analyzer.run([str(pkg)], cache=cache)
-
-    def test_invalidation_follows_the_import_graph(self, tmp_path):
-        pkg = _write_package(
-            tmp_path, "cp", {"a": self.A, "b": self.B, "c": self.C}
-        )
-        cache_dir = tmp_path / "cache"
-
-        cold = self._run(pkg, cache_dir)
-        assert cold.cache_hits == 0
-        assert len(cold.reanalyzed) == 4  # __init__, a, b, c
-
-        warm = self._run(pkg, cache_dir)
-        assert warm.reanalyzed == []
-        assert warm.cache_hits == 4
-
-        (pkg / "a.py").write_text(self.A + "\n# touched\n")
-        edited = self._run(pkg, cache_dir)
-        names = sorted(Path(p).name for p in edited.reanalyzed)
-        assert names == ["a.py", "b.py"]  # c.py and __init__ stay cached
-        assert edited.cache_hits == 2
-
-    def test_cached_findings_match_a_cold_run(self, tmp_path):
-        fixture = FIXTURES / "r9_bad.py"
-        cache_dir = tmp_path / "cache"
-        analyzer = Analyzer(select=["R9"])
-        cache = ResultCache(cache_dir, rule_ids=["R9"])
-        cold = analyzer.run([str(fixture)], cache=cache)
-
-        cache = ResultCache(cache_dir, rule_ids=["R9"])
-        warm = Analyzer(select=["R9"]).run([str(fixture)], cache=cache)
-        assert warm.cache_hits == 1
-        assert [f.__dict__ for f in warm.findings] == [
-            f.__dict__ for f in cold.findings
-        ]
-
-
-class TestBaseline:
-    def test_roundtrip_moves_findings_out_of_failure_set(self, tmp_path):
-        report = Analyzer(select=["R8"]).run([str(FIXTURES / "r8_bad.py")])
-        assert len(report.findings) == 4
-        path = tmp_path / "baseline.json"
-        write_baseline(report.findings, path)
-
-        fresh = Analyzer(select=["R8"]).run([str(FIXTURES / "r8_bad.py")])
-        apply_baseline(fresh, load_baseline(path))
-        assert fresh.findings == []
-        assert len(fresh.baselined) == 4
-        assert fresh.stale_baseline == []
-        assert fresh.exit_code() == 0
-
-    def test_growth_beyond_recorded_count_still_fails(self, tmp_path):
-        report = Analyzer(select=["R8"]).run([str(FIXTURES / "r8_bad.py")])
-        path = tmp_path / "baseline.json"
-        write_baseline(report.findings, path)
-
-        fresh = Analyzer(select=["R8"]).run([str(FIXTURES / "r8_bad.py")])
-        fresh.findings.append(
-            Finding(**dict(fresh.findings[0].__dict__, line=99))
-        )
-        apply_baseline(fresh, load_baseline(path))
-        assert len(fresh.findings) == 1  # the extra occurrence
-        assert fresh.exit_code() == 1
-
-    def test_unmatched_entries_are_reported_stale(self, tmp_path):
-        report = Analyzer(select=["R8"]).run([str(FIXTURES / "r8_bad.py")])
-        path = tmp_path / "baseline.json"
-        write_baseline(report.findings, path)
-
-        clean = Analyzer(select=["R8"]).run([str(FIXTURES / "r8_good.py")])
-        apply_baseline(clean, load_baseline(path))
-        assert clean.findings == []
-        assert len(clean.stale_baseline) == 4
-
-    def test_line_numbers_do_not_churn_the_baseline(self, tmp_path):
-        report = Analyzer(select=["R8"]).run([str(FIXTURES / "r8_bad.py")])
-        path = tmp_path / "baseline.json"
-        write_baseline(report.findings, path)
-        payload = json.loads(path.read_text())
-        assert all("line" not in entry for entry in payload["entries"])
-
-
-#: Trimmed SARIF 2.1.0 schema covering exactly the subset repro.lint emits.
-#: ``additionalProperties: false`` on the emitted objects makes the test
-#: strict: a property outside the standard subset fails validation.
-SARIF_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "required": ["version", "runs"],
-    "properties": {
-        "$schema": {"type": "string"},
-        "version": {"enum": ["2.1.0"]},
-        "runs": {"type": "array", "items": {"$ref": "#/definitions/run"}},
-    },
-    "additionalProperties": False,
-    "definitions": {
-        "run": {
-            "type": "object",
-            "required": ["tool"],
-            "properties": {
-                "tool": {
-                    "type": "object",
-                    "required": ["driver"],
-                    "properties": {
-                        "driver": {"$ref": "#/definitions/toolComponent"}
-                    },
-                    "additionalProperties": False,
-                },
-                "results": {
-                    "type": "array",
-                    "items": {"$ref": "#/definitions/result"},
-                },
-            },
-            "additionalProperties": False,
-        },
-        "toolComponent": {
-            "type": "object",
-            "required": ["name"],
-            "properties": {
-                "name": {"type": "string"},
-                "informationUri": {"type": "string"},
-                "rules": {
-                    "type": "array",
-                    "items": {"$ref": "#/definitions/reportingDescriptor"},
-                },
-            },
-            "additionalProperties": False,
-        },
-        "reportingDescriptor": {
-            "type": "object",
-            "required": ["id"],
-            "properties": {
-                "id": {"type": "string"},
-                "name": {"type": "string"},
-                "shortDescription": {"$ref": "#/definitions/message"},
-                "defaultConfiguration": {
-                    "type": "object",
-                    "properties": {
-                        "level": {"$ref": "#/definitions/level"}
-                    },
-                    "additionalProperties": False,
-                },
-            },
-            "additionalProperties": False,
-        },
-        "result": {
-            "type": "object",
-            "required": ["message"],
-            "properties": {
-                "ruleId": {"type": "string"},
-                "level": {"$ref": "#/definitions/level"},
-                "message": {"$ref": "#/definitions/message"},
-                "locations": {
-                    "type": "array",
-                    "items": {"$ref": "#/definitions/location"},
-                },
-                "baselineState": {
-                    "enum": ["new", "unchanged", "updated", "absent"]
-                },
-                "suppressions": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["kind"],
-                        "properties": {
-                            "kind": {"enum": ["inSource", "external"]}
-                        },
-                        "additionalProperties": False,
-                    },
-                },
-            },
-            "additionalProperties": False,
-        },
-        "location": {
-            "type": "object",
-            "properties": {
-                "physicalLocation": {
-                    "type": "object",
-                    "properties": {
-                        "artifactLocation": {
-                            "type": "object",
-                            "properties": {"uri": {"type": "string"}},
-                            "additionalProperties": False,
-                        },
-                        "region": {
-                            "type": "object",
-                            "properties": {
-                                "startLine": {
-                                    "type": "integer",
-                                    "minimum": 1,
-                                },
-                                "startColumn": {
-                                    "type": "integer",
-                                    "minimum": 1,
-                                },
-                            },
-                            "additionalProperties": False,
-                        },
-                    },
-                    "additionalProperties": False,
-                }
-            },
-            "additionalProperties": False,
-        },
-        "message": {
-            "type": "object",
-            "required": ["text"],
-            "properties": {"text": {"type": "string"}},
-            "additionalProperties": False,
-        },
-        "level": {"enum": ["none", "note", "warning", "error"]},
-    },
-}
-
-
-class TestSarif:
-    def _document(self, tmp_path, with_baseline=False):
-        analyzer = Analyzer(select=["R8", "R9"])
-        report = analyzer.run(
-            [str(FIXTURES / "r8_bad.py"), str(FIXTURES / "r9_bad.py")]
-        )
-        if with_baseline:
-            path = tmp_path / "baseline.json"
-            write_baseline(report.findings[:2], path)
-            apply_baseline(report, load_baseline(path))
-        return report, to_sarif(report, analyzer.rules)
-
-    def test_document_validates_against_the_2_1_0_schema(self, tmp_path):
-        _, document = self._document(tmp_path, with_baseline=True)
-        jsonschema.validate(document, SARIF_SCHEMA)
-
-    def test_every_finding_becomes_a_result(self, tmp_path):
-        report, document = self._document(tmp_path)
-        results = document["runs"][0]["results"]
-        assert len(results) == len(report.findings)
-        assert {r["ruleId"] for r in results} == {"R8", "R9"}
-
-    def test_driver_lists_the_selected_rules(self, tmp_path):
-        _, document = self._document(tmp_path)
-        rules = document["runs"][0]["tool"]["driver"]["rules"]
-        assert [r["id"] for r in rules] == ["R8", "R9"]
-
-    def test_baselined_results_are_marked_unchanged(self, tmp_path):
-        _, document = self._document(tmp_path, with_baseline=True)
-        states = [
-            r.get("baselineState")
-            for r in document["runs"][0]["results"]
-        ]
-        assert states.count("unchanged") == 2
-
-    def test_suppressed_findings_carry_in_source_suppressions(self, tmp_path):
-        source = (
-            "import time\n"
-            "_cache = {}\n"
-            "\n"
-            "\n"
-            "def lookup():\n"
-            "    return _cache[time.time()]  # repro-lint: disable=R9\n"
-        )
-        mod = tmp_path / "mod.py"
-        mod.write_text(source)
-        analyzer = Analyzer(select=["R9"])
-        report = analyzer.run([str(mod)])
-        assert len(report.suppressed) == 1
-        document = to_sarif(report, analyzer.rules)
-        jsonschema.validate(document, SARIF_SCHEMA)
-        results = document["runs"][0]["results"]
-        assert results[-1]["suppressions"] == [{"kind": "inSource"}]
