@@ -40,7 +40,7 @@ import atexit
 import math
 import time
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence
 
@@ -340,11 +340,11 @@ class PersistentEvaluationPool:
         Completed candidates land in ``results`` even when the attempt
         fails part-way, so a retry only redoes the missing ones.
         """
-        futures = {
-            self._executor.submit(_score_in_worker, payloads[i]): i
-            for i in pending
-        }
+        futures: Dict[Future, int] = {}
+        index: Optional[int] = None
         try:
+            for i in pending:
+                futures[self._executor.submit(_score_in_worker, payloads[i])] = i
             remaining = set(futures)
             while remaining:
                 done, _ = wait(
@@ -364,23 +364,21 @@ class PersistentEvaluationPool:
                 for future in done:
                     remaining.discard(future)
                     index = futures[future]
-                    try:
-                        cost, worker_snapshot, worker_spans = future.result()
-                    except BrokenProcessPool as exc:
-                        profiling.increment("parallel.worker_lost")
-                        telemetry.instant(
-                            "parallel.worker_lost", candidate=index
-                        )
-                        raise WorkerLostError(
-                            f"worker process died while scoring candidate "
-                            f"{index}"
-                        ) from exc
-                    except CandidateCrashError:
-                        profiling.increment("parallel.crashed")
-                        raise
+                    cost, worker_snapshot, worker_spans = future.result()
                     results[index] = float(cost)
                     profiling.merge(worker_snapshot)
                     telemetry.extend_spans(worker_spans)
+        except BrokenProcessPool as exc:
+            # From a result, or from ``submit`` when a worker died before the
+            # whole batch was handed out (then ``index`` is None).
+            profiling.increment("parallel.worker_lost")
+            telemetry.instant("parallel.worker_lost", candidate=index)
+            raise WorkerLostError(
+                f"worker process died (last candidate {index})"
+            ) from exc
+        except CandidateCrashError:
+            profiling.increment("parallel.crashed")
+            raise
         finally:
             for future in futures:
                 future.cancel()

@@ -42,6 +42,7 @@ Well-known names (see ``docs/SOLVER_CACHES.md`` for the cache semantics):
                                thermal operator
 ``thermal.lu_cache_hits``      thermal solves that reused a factorization
 ``thermal.solves``             thermal linear solves (triangular sweeps)
+``thermal.field_expansions``   lazy 2RM results expanded to cell maps
 ``cooling.simulations``        distinct thermal simulations per network
 ``cooling.cache_hits``         pressure probes served from the result cache
 ``search.probes``              pressure-search objective evaluations

@@ -102,6 +102,7 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "server.queue_wait",
         "thermal.factorizations",
         "thermal.factorize",
+        "thermal.field_expansions",
         "thermal.lu_cache_hits",
         "thermal.solve",
         "thermal.solves",

@@ -365,45 +365,69 @@ class LinearThermalSystem:
         self.rhs_static = rhs_static
         self.rhs_advection = rhs_advection
         self.n_nodes = stiffness.shape[0]
-        self._k_aligned: Optional[csc_matrix] = None
-        self._a_aligned: Optional[csc_matrix] = None
+        self._aligned_pair: Optional[Tuple[csc_matrix, csc_matrix]] = None
+        self._residual_op: Optional[csc_matrix] = None
         self._lu_cache: "OrderedDict[float, object]" = OrderedDict()
         self._shift: Any = None
         self._base_key: Optional[float] = None
 
     # -- operator assembly with structure reuse -------------------------
 
-    def _build_aligned(self) -> None:
-        """Expand ``K`` and ``A`` onto their shared (union) sparsity pattern.
+    def _aligned(self) -> Tuple[csc_matrix, csc_matrix]:
+        """``K`` and ``A`` on their shared (union) sparsity pattern.
 
-        Both matrices are rebuilt from one concatenated COO triplet list, so
-        their CSC ``indices``/``indptr`` come out identical; the operator at
-        any pressure is then just ``K.data + P * A.data`` on that pattern.
+        The pattern merges the column-major entry keys of both canonical CSC
+        matrices, so the operator at any pressure is ``K.data + P * A.data``.
+        Adding ``0.0`` where both have an entry gives the bits of summing
+        their concatenated triplets in one COO conversion, signed zeros too.
         """
-        k_coo = self.stiffness.tocoo()
-        a_coo = self.advection.tocoo()
-        rows = np.concatenate([k_coo.row, a_coo.row])
-        cols = np.concatenate([k_coo.col, a_coo.col])
-        shape = (self.n_nodes, self.n_nodes)
-        k_data = np.concatenate([k_coo.data, np.zeros(a_coo.nnz)])
-        a_data = np.concatenate([np.zeros(k_coo.nnz), a_coo.data])
-        self._k_aligned = coo_matrix((k_data, (rows, cols)), shape=shape).tocsc()
-        self._a_aligned = coo_matrix((a_data, (rows, cols)), shape=shape).tocsc()
-        # Identical triplet coordinates guarantee identical structure.
-        assert self._k_aligned.nnz == self._a_aligned.nnz
+        if self._aligned_pair is not None:
+            return self._aligned_pair
+        n = self.n_nodes
+        keys = []
+        for matrix in (self.stiffness, self.advection):
+            matrix.sum_duplicates()
+            cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.indptr))
+            keys.append(cols * n + matrix.indices)
+        union = np.sort(np.concatenate(keys))
+        union = union[np.concatenate(([True], union[1:] != union[:-1]))]
+        k_pos, a_pos = (np.searchsorted(union, key) for key in keys)
+        k_data = np.zeros(union.size)
+        k_data[k_pos] = self.stiffness.data
+        k_data[a_pos] += 0.0
+        a_data = np.zeros(union.size)
+        a_data[a_pos] = self.advection.data
+        a_data[k_pos] += 0.0
+        indices = union % n
+        indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * n)
+        self._aligned_pair = (
+            csc_matrix((k_data, indices, indptr), shape=(n, n)),
+            csc_matrix((a_data, indices, indptr), shape=(n, n)),
+        )
+        return self._aligned_pair
 
     def _operator(self, p_sys: float) -> csc_matrix:
         """``K + P A`` assembled on the cached shared sparsity pattern."""
-        if self._k_aligned is None:
-            self._build_aligned()
+        k, a = self._aligned()
         return csc_matrix(
-            (
-                self._k_aligned.data + p_sys * self._a_aligned.data,
-                self._a_aligned.indices,
-                self._a_aligned.indptr,
-            ),
+            (k.data + p_sys * a.data, a.indices, a.indptr),
             shape=(self.n_nodes, self.n_nodes),
         )
+
+    def _residual_operator(self, p_sys: float) -> csc_matrix:
+        """``K + P A`` written over one reused matrix, for residual checks.
+
+        Same operations, in the same order, as :meth:`_operator`, so the
+        same bits; the next call overwrites it, so it never leaves the class.
+        """
+        op = self._residual_op
+        if op is None:
+            op = self._residual_op = self._operator(p_sys)
+        else:
+            k, a = self._aligned()
+            np.multiply(p_sys, a.data, out=op.data)
+            np.add(k.data, op.data, out=op.data)
+        return op
 
     def _factorize(self, p_sys: float) -> Any:
         """A (cached) LU factorization of the operator at ``p_sys``."""
@@ -497,7 +521,7 @@ class LinearThermalSystem:
                     profiling.increment("linalg.incremental_fallbacks")
                     return None
                 x = y - shift.w @ z
-        residual = self._operator(p_sys) @ x - rhs
+        residual = self._residual_operator(p_sys) @ x - rhs
         scale = max(float(np.max(np.abs(rhs))), 1.0)
         if (
             not np.all(np.isfinite(x))
@@ -520,14 +544,13 @@ class LinearThermalSystem:
         factor = self._lu_cache.get(base_key)
         if factor is None:
             factor = self._factorize(base_key)
+        vt = self.advection.tocsr()[rows, :]
         if rows.size:
-            vt = self.advection.tocsr()[rows, :]
             unit = np.zeros((self.n_nodes, rows.size))
             unit[rows, np.arange(rows.size)] = 1.0
             w = factor.solve_many(unit)
             m = np.asarray(vt @ w)
         else:
-            vt = self.advection.tocsr()[rows, :]
             w = np.zeros((self.n_nodes, 0))
             m = np.zeros((0, 0))
         self._shift = _PressureShiftState(

@@ -67,14 +67,6 @@ class Tiling:
             int(self.col_starts[tile_col + 1]),
         )
 
-    def tile_height_cells(self, tile_row: int) -> int:
-        """Cell rows inside one tile row."""
-        return int(self.row_starts[tile_row + 1] - self.row_starts[tile_row])
-
-    def tile_width_cells(self, tile_col: int) -> int:
-        """Cell columns inside one tile column."""
-        return int(self.col_starts[tile_col + 1] - self.col_starts[tile_col])
-
     def tile_heights(self) -> np.ndarray:
         """Cell counts of every tile row, shape (n_tile_rows,)."""
         return np.diff(self.row_starts)

@@ -24,7 +24,8 @@ paper's inner-loop network evaluation affordable.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -103,6 +104,9 @@ class RC2Simulator:
             FlowField(layer.grid, layer.channel_height, coolant, self.edge_factor)
             for layer in stack.channel_layers()
         ]
+        self._layer_names = [layer.name for layer in stack.layers]
+        self._source_layer_indices = stack.source_layer_indices()
+        self._total_power = stack.total_power
         self._allocate_nodes()
         self._build_system()
 
@@ -127,11 +131,14 @@ class RC2Simulator:
         """
         shape = self.tiling.shape
         counter = 0
+        #: First node id of each layer (a layer's node ids are contiguous).
+        self._layer_starts: List[int] = []
         self._solid_ids: List[np.ndarray] = []
         self._liquid_ids: List[Optional[np.ndarray]] = []
         self._solid_counts: List[Optional[np.ndarray]] = []
         self._liquid_counts: List[Optional[np.ndarray]] = []
         for layer in self.stack.layers:
+            self._layer_starts.append(counter)
             if isinstance(layer, ChannelLayer):
                 liquid_count = self.tiling.aggregate_count(layer.grid.liquid)
                 solid_count = self.tiling.aggregate_count(~layer.grid.liquid)
@@ -192,127 +199,82 @@ class RC2Simulator:
             builder.build(), advection, rhs_static, rhs_adv
         )
 
-    # -- horizontal conduction in plain solid layers ---------------------
+    # -- horizontal conduction -------------------------------------------
+
+    def _half_tile_lengths(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Center-to-face distances: east-west (1, Cn) and north-south (Rn, 1)."""
+        w = self.stack.cell_width
+        widths = self.tiling.tile_widths().astype(float)
+        heights = self.tiling.tile_heights().astype(float)
+        return widths[None, :] * w / 2.0, heights[:, None] * w / 2.0
 
     def _add_solid_horizontal(
         self, builder: ConductanceBuilder, k: int, layer: SolidLayer
     ) -> None:
         t = self.tiling
         w = self.stack.cell_width
-        ids = self._solid_ids[k]
         k_mat = layer.material.thermal_conductivity
-        heights = t.tile_heights().astype(float)
-        widths = t.tile_widths().astype(float)
-        # East-west pairs: interface height heights[R]*w, half lengths
-        # widths[C]*w/2 and widths[C+1]*w/2.
-        if t.n_tile_cols > 1:
-            area = heights[:, None] * w * layer.thickness  # (Rn, 1)
-            g_a = k_mat * area / (widths[None, :-1] * w / 2.0)
-            g_b = k_mat * area / (widths[None, 1:] * w / 2.0)
-            g = _series_arr(g_a, g_b)
-            builder.add_pairs(
-                ids[:, :-1].ravel(), ids[:, 1:].ravel(), g.ravel()
-            )
-        # North-south pairs.
-        if t.n_tile_rows > 1:
-            area = widths[None, :] * w * layer.thickness  # (1, Cn)
-            g_a = k_mat * area / (heights[:-1, None] * w / 2.0)
-            g_b = k_mat * area / (heights[1:, None] * w / 2.0)
-            g = _series_arr(g_a, g_b)
-            builder.add_pairs(
-                ids[:-1, :].ravel(), ids[1:, :].ravel(), g.ravel()
-            )
-
-    # -- horizontal conduction in channel layers (complete paths) --------
+        half_ew, half_ns = self._half_tile_lengths()
+        # Interface areas: a tile row's height (column's width) x thickness.
+        ew = k_mat * (t.tile_heights()[:, None] * w * layer.thickness) / half_ew
+        ns = k_mat * (t.tile_widths()[None, :] * w * layer.thickness) / half_ns
+        _add_interfaces(builder, self._solid_ids[k], ew, ew, ns, ns)
 
     def _add_channel_horizontal(
         self, builder: ConductanceBuilder, k: int, layer: ChannelLayer
     ) -> None:
-        t = self.tiling
+        """Solid conduction through complete conducting paths only (Eq. 7)."""
         w = self.stack.cell_width
         h_c = layer.channel_height
         k_wall = layer.wall_material.thermal_conductivity
         solid = ~layer.grid.liquid
-        ids = self._solid_ids[k]
-
-        east_paths, west_paths = _complete_paths(solid, t, axis=1)
-        south_paths, north_paths = _complete_paths(solid, t, axis=0)
-        widths = t.tile_widths().astype(float)
-        heights = t.tile_heights().astype(float)
-
-        if t.n_tile_cols > 1:
-            # Tile (R, C) east half -> interface -> tile (R, C+1) west half.
-            g_a = east_paths[:, :-1] * k_wall * (w * h_c) / (
-                widths[None, :-1] * w / 2.0
-            )
-            g_b = west_paths[:, 1:] * k_wall * (w * h_c) / (
-                widths[None, 1:] * w / 2.0
-            )
-            g = _series_arr(g_a, g_b)
-            a = ids[:, :-1].ravel()
-            b = ids[:, 1:].ravel()
-            valid = (a >= 0) & (b >= 0)
-            builder.add_pairs(a[valid], b[valid], g.ravel()[valid])
-        if t.n_tile_rows > 1:
-            g_a = south_paths[:-1, :] * k_wall * (w * h_c) / (
-                heights[:-1, None] * w / 2.0
-            )
-            g_b = north_paths[1:, :] * k_wall * (w * h_c) / (
-                heights[1:, None] * w / 2.0
-            )
-            g = _series_arr(g_a, g_b)
-            a = ids[:-1, :].ravel()
-            b = ids[1:, :].ravel()
-            valid = (a >= 0) & (b >= 0)
-            builder.add_pairs(a[valid], b[valid], g.ravel()[valid])
+        east, west = _complete_paths(solid, self.tiling, axis=1)
+        south, north = _complete_paths(solid, self.tiling, axis=0)
+        half_ew, half_ns = self._half_tile_lengths()
+        _add_interfaces(
+            builder,
+            self._solid_ids[k],
+            east * k_wall * (w * h_c) / half_ew,
+            west * k_wall * (w * h_c) / half_ew,
+            south * k_wall * (w * h_c) / half_ns,
+            north * k_wall * (w * h_c) / half_ns,
+        )
 
     # -- vertical conduction ---------------------------------------------
 
     def _add_vertical(self, builder: ConductanceBuilder, k: int) -> None:
-        stack = self.stack
-        w = stack.cell_width
-        t = self.tiling
-        below = stack.layers[k]
-        above = stack.layers[k + 1]
-        tile_areas = (
-            t.tile_heights()[:, None] * t.tile_widths()[None, :]
-        ).astype(float) * w * w
-
-        def material_of(layer: Any) -> Any:
-            return (
-                layer.wall_material
-                if isinstance(layer, ChannelLayer)
-                else layer.material
-            )
-
-        channel = None
+        w = self.stack.cell_width
+        below, above = self.stack.layers[k], self.stack.layers[k + 1]
         if isinstance(below, ChannelLayer):
-            channel, other, other_k = below, above, k + 1
+            channel, channel_k, other, other_k = below, k, above, k + 1
         elif isinstance(above, ChannelLayer):
-            channel, other, other_k = above, below, k
-        if channel is None:
+            channel, channel_k, other, other_k = above, k + 1, below, k
+        else:
             # Plain solid-solid interface: full tile area, series halves.
+            assert isinstance(below, SolidLayer) and isinstance(above, SolidLayer)
             g_a = slab_half_conductance(
-                material_of(below).thermal_conductivity, 1.0, below.thickness
+                below.material.thermal_conductivity, 1.0, below.thickness
             )
             g_b = slab_half_conductance(
-                material_of(above).thermal_conductivity, 1.0, above.thickness
+                above.material.thermal_conductivity, 1.0, above.thickness
             )
-            g = _series_arr(
-                g_a * tile_areas, g_b * tile_areas
-            )
+            areas = self._tile_areas()
+            g = _series_arr(g_a * areas, g_b * areas)
             builder.add_pairs(
-                self._solid_ids[k].ravel(),
-                self._solid_ids[k + 1].ravel(),
-                g.ravel(),
+                self._solid_ids[k].ravel(), self._solid_ids[k + 1].ravel(), g.ravel()
             )
             return
-
-        channel_k = k if channel is below else k + 1
+        # Channel layers are never adjacent, so ``other`` is a solid layer.
+        assert isinstance(other, SolidLayer)
         solid_counts = self._solid_counts[channel_k].astype(float)
         liquid_counts = self._liquid_counts[channel_k].astype(float)
-        other_ids = self._solid_ids[other_k]
-        k_other = material_of(other).thermal_conductivity
+        g_other = slab_half_conductance(
+            other.material.thermal_conductivity, 1.0, other.thickness
+        )
+        g_wall = slab_half_conductance(
+            channel.wall_material.thermal_conductivity, 1.0, channel.thickness
+        )
+        b = self._solid_ids[other_k].ravel()
 
         # Channel solid node <-> other layer node through the solid footprint.
         solid_area = solid_counts * w * w
@@ -320,80 +282,37 @@ class RC2Simulator:
             tsv_counts = self.tiling.aggregate_count(
                 channel.grid.tsv_mask & ~channel.grid.liquid
             ).astype(float)
-            plain_counts = solid_counts - tsv_counts
+            g_tsv = slab_half_conductance(
+                self.tsv_material.thermal_conductivity, 1.0, channel.thickness
+            )
             g_chan = (
-                slab_half_conductance(
-                    channel.wall_material.thermal_conductivity,
-                    1.0,
-                    channel.thickness,
-                )
-                * plain_counts
-                * w
-                * w
-                + slab_half_conductance(
-                    self.tsv_material.thermal_conductivity,
-                    1.0,
-                    channel.thickness,
-                )
-                * tsv_counts
-                * w
-                * w
+                g_wall * (solid_counts - tsv_counts) * w * w
+                + g_tsv * tsv_counts * w * w
             )
         else:
-            g_chan = np.where(
-                solid_area > 0,
-                slab_half_conductance(
-                    channel.wall_material.thermal_conductivity,
-                    1.0,
-                    channel.thickness,
-                )
-                * solid_area,
-                0.0,
-            )
-        g_oth = slab_half_conductance(k_other, 1.0, other.thickness) * solid_area
-        g = _series_arr(g_chan, g_oth)
+            g_chan = np.where(solid_area > 0, g_wall * solid_area, 0.0)
+        g = _series_arr(g_chan, g_other * solid_area)
         a = self._solid_ids[channel_k].ravel()
-        b = other_ids.ravel()
         valid = a >= 0
         builder.add_pairs(a[valid], b[valid], g.ravel()[valid])
 
         # Channel liquid node <-> other layer node: Eq. 8 folded side walls.
         liquid_area = liquid_counts * w * w
         side_area = (
-            self._side_wall_pairs(channel_k, channel).astype(float)
-            * w
-            * channel.channel_height
+            _side_walls(channel.grid.liquid, self.tiling) * w * channel.channel_height
         )
         h = h_conv(self.coolant, w, channel.channel_height, self.nusselt)
-        g_conv = h * (liquid_area + side_area / 2.0)
-        g_oth = slab_half_conductance(k_other, 1.0, other.thickness) * liquid_area
-        g = _series_arr(g_conv, g_oth)
+        g = _series_arr(h * (liquid_area + side_area / 2.0), g_other * liquid_area)
         a = self._liquid_ids[channel_k].ravel()
         valid = a >= 0
         builder.add_pairs(a[valid], b[valid], g.ravel()[valid])
 
-    def _side_wall_pairs(self, channel_k: int, channel: ChannelLayer) -> np.ndarray:
-        """Count interior solid-liquid walls per tile.
-
-        Each solid-liquid 4-adjacency on the basic-cell grid is one side wall;
-        it is attributed to the tile of the *liquid* cell (halved between top
-        and bottom transfer by the caller, per Eq. 8).  Cached per layer.
-        """
-        cache = getattr(self, "_side_wall_cache", None)
-        if cache is None:
-            cache = {}
-            self._side_wall_cache = cache
-        if channel_k in cache:
-            return cache[channel_k]
-        liq = channel.grid.liquid
-        counts = np.zeros(liq.shape, dtype=np.int64)
-        counts[:, :-1] += (liq[:, :-1] & ~liq[:, 1:]).astype(np.int64)
-        counts[:, 1:] += (liq[:, 1:] & ~liq[:, :-1]).astype(np.int64)
-        counts[:-1, :] += (liq[:-1, :] & ~liq[1:, :]).astype(np.int64)
-        counts[1:, :] += (liq[1:, :] & ~liq[:-1, :]).astype(np.int64)
-        per_tile = self.tiling.aggregate_sum(counts.astype(float))
-        cache[channel_k] = per_tile
-        return per_tile
+    def _tile_areas(self) -> np.ndarray:
+        """Footprint area of every tile, (n_tile_rows, n_tile_cols)."""
+        t = self.tiling
+        w = self.stack.cell_width
+        cells = t.tile_heights()[:, None] * t.tile_widths()[None, :]
+        return cells.astype(float) * w * w
 
     def _add_top_bc(
         self, builder: ConductanceBuilder, rhs_static: np.ndarray
@@ -403,75 +322,63 @@ class RC2Simulator:
             raise ThermalError(
                 f"ambient heat transfer coefficient must be >= 0, got {h_amb}"
             )
-        t = self.tiling
         w = self.stack.cell_width
-        tile_areas = (
-            t.tile_heights()[:, None] * t.tile_widths()[None, :]
-        ).astype(float) * w * w
         top_k = self.stack.n_layers - 1
-        top = self.stack.layers[top_k]
-        if isinstance(top, ChannelLayer):
+        ids = self._solid_ids[top_k].ravel()
+        if isinstance(self.stack.layers[top_k], ChannelLayer):
             # Expose only the solid footprint of the channel layer to ambient.
             solid_area = self._solid_counts[top_k].astype(float) * w * w
-            ids = self._solid_ids[top_k].ravel()
             g = (h_amb * solid_area).ravel()
             valid = ids >= 0
             builder.add_grounded(ids[valid], g[valid])
             rhs_static[ids[valid]] += g[valid] * t_amb
         else:
-            ids = self._solid_ids[top_k].ravel()
-            g = (h_amb * tile_areas).ravel()
+            g = (h_amb * self._tile_areas()).ravel()
             builder.add_grounded(ids, g)
             rhs_static[ids] += g * t_amb
 
     # -- advection ---------------------------------------------------------
 
     def _advection_specs(self) -> List[AdvectionSpec]:
+        """Unit-pressure advection terms of every channel layer.
+
+        ``np.add.at`` sums edge and cell flows onto tile liquid nodes in
+        edge (cell) order, the floats of a sequential loop.  Node pairs keep
+        their first-appearance order, flow signed from lower id to higher.
+        """
         specs = []
         t = self.tiling
         channel_indices = self.stack.channel_layer_indices()
         for layer_index, field in zip(channel_indices, self.flow_fields):
-            grid = self.stack.layers[layer_index].grid
-            liquid_ids = self._liquid_ids[layer_index]
-            cells = list(grid.liquid_cells())
-            rows = np.array([r for r, _ in cells], dtype=np.int64)
-            cols = np.array([c for _, c in cells], dtype=np.int64)
-            cell_tile = (
-                t.row_of_cell[rows] * t.n_tile_cols + t.col_of_cell[cols]
-            )
-            tile_node_flat = liquid_ids.ravel()
-            cell_node = tile_node_flat[cell_tile]
+            rows, cols = np.nonzero(self.stack.layers[layer_index].grid.liquid)
+            cell_node = self._liquid_ids[layer_index][
+                t.row_of_cell[rows], t.col_of_cell[cols]
+            ]
             unit = field.at_pressure(1.0)
 
             # Net flow between distinct tile liquid nodes.
-            net: Dict[Tuple[int, int], float] = {}
             node_a = cell_node[unit.edge_cells[:, 0]]
             node_b = cell_node[unit.edge_cells[:, 1]]
-            for a, b, q in zip(
-                node_a.tolist(), node_b.tolist(), unit.edge_flows.tolist()
-            ):
-                if a == b:
-                    continue
-                if a < b:
-                    net[(a, b)] = net.get((a, b), 0.0) + q
-                else:
-                    net[(b, a)] = net.get((b, a), 0.0) - q
-            if net:
-                pair_nodes = np.array(list(net.keys()), dtype=np.int64)
-                pair_flows = np.array(list(net.values()))
-            else:
-                pair_nodes = np.zeros((0, 2), dtype=np.int64)
-                pair_flows = np.zeros(0)
+            crossing = node_a != node_b
+            node_a, node_b = node_a[crossing], node_b[crossing]
+            flows = unit.edge_flows[crossing]
+            low = np.minimum(node_a, node_b)
+            high = np.maximum(node_a, node_b)
+            _, first, pair_of_edge = np.unique(
+                low * self.n_nodes + high, return_index=True, return_inverse=True
+            )
+            net = np.zeros(first.size)
+            np.add.at(net, pair_of_edge, np.where(node_a < node_b, flows, -flows))
+            order = np.argsort(first)  # pairs by first appearance
+            pair_flows = net[order]
+            pair_nodes = np.stack([low[first[order]], high[first[order]]], axis=1)
 
             # Aggregate inlet/outlet flows onto tile liquid nodes.
-            node_list = np.unique(cell_node)
-            remap = {int(n): i for i, n in enumerate(node_list)}
-            inlet = np.zeros(len(node_list))
-            outlet = np.zeros(len(node_list))
-            for cell_i, node in enumerate(cell_node.tolist()):
-                idx = remap[node]
-                inlet[idx] += unit.inlet_flows[cell_i]
-                outlet[idx] += unit.outlet_flows[cell_i]
+            node_list, node_of_cell = np.unique(cell_node, return_inverse=True)
+            inlet = np.zeros(node_list.size)
+            outlet = np.zeros(node_list.size)
+            np.add.at(inlet, node_of_cell, unit.inlet_flows)
+            np.add.at(outlet, node_of_cell, unit.outlet_flows)
             specs.append(
                 AdvectionSpec(
                     pair_nodes=pair_nodes,
@@ -538,22 +445,11 @@ class RC2Simulator:
         return caps
 
     def _package(self, p_sys: float, temperatures: np.ndarray) -> ThermalResult:
-        stack = self.stack
-        fields = []
-        liquid_fields = {}
-        for k, layer in enumerate(stack.layers):
-            if isinstance(layer, ChannelLayer):
-                solid_tile = _lookup(temperatures, self._solid_ids[k])
-                liquid_tile = _lookup(temperatures, self._liquid_ids[k])
-                solid_cells = self.tiling.expand(solid_tile)
-                liquid_cells = self.tiling.expand(liquid_tile)
-                field = np.where(layer.grid.liquid, liquid_cells, solid_cells)
-                liquid_fields[k] = np.where(layer.grid.liquid, liquid_cells, np.nan)
-            else:
-                field = self.tiling.expand(
-                    _lookup(temperatures, self._solid_ids[k])
-                )
-            fields.append(field)
+        """A lazy result: per-layer node extrema now, cell maps on first use.
+
+        A layer's node ids are contiguous and each node covers a cell, so
+        the node min/max are those of the layer's cell map.
+        """
         q_sys = sum(f.q_sys(p_sys) for f in self.flow_fields)
         removed = 0.0
         c_v = self.coolant.volumetric_heat_capacity
@@ -567,14 +463,32 @@ class RC2Simulator:
             p_sys=float(p_sys),
             q_sys=q_sys,
             w_pump=float(p_sys) * q_sys,
-            layer_fields=fields,
-            layer_names=[layer.name for layer in stack.layers],
-            source_layer_indices=stack.source_layer_indices(),
+            layer_names=list(self._layer_names),
+            source_layer_indices=list(self._source_layer_indices),
             inlet_temperature=self.inlet_temperature,
-            total_power=stack.total_power,
-            liquid_fields=liquid_fields,
+            total_power=self._total_power,
             coolant_heat_removed=removed,
+            layer_extrema=(
+                np.minimum.reduceat(temperatures, self._layer_starts),
+                np.maximum.reduceat(temperatures, self._layer_starts),
+            ),
+            expand_fields=partial(self._expand_fields, temperatures),
         )
+
+    def _expand_fields(
+        self, temperatures: np.ndarray
+    ) -> Tuple[List[np.ndarray], Dict[int, np.ndarray]]:
+        """Cell-resolution layer and coolant maps of a node temperature vector."""
+        fields = []
+        liquid_fields = {}
+        for k, layer in enumerate(self.stack.layers):
+            cell_nodes = self.tiling.expand(self._solid_ids[k])
+            if isinstance(layer, ChannelLayer):
+                liquid = layer.grid.liquid
+                cell_nodes[liquid] = self.tiling.expand(self._liquid_ids[k])[liquid]
+                liquid_fields[k] = np.where(liquid, temperatures[cell_nodes], np.nan)
+            fields.append(temperatures[cell_nodes])
+        return fields, liquid_fields
 
 
 # ---------------------------------------------------------------------------
@@ -587,19 +501,45 @@ def _series_arr(g_a: np.ndarray, g_b: np.ndarray) -> np.ndarray:
     g_a = np.asarray(g_a, dtype=float)
     g_b = np.asarray(g_b, dtype=float)
     total = g_a + g_b
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(total > 0, g_a * g_b / np.where(total > 0, total, 1.0), 0.0)
-    return out
+    return np.divide(
+        g_a * g_b, total, out=np.zeros(total.shape), where=total > 0
+    )
 
 
-def _lookup(values: np.ndarray, ids: "np.ndarray | None") -> np.ndarray:
-    """Map node ids to values; -1 (absent node) becomes NaN."""
-    if ids is None:
-        raise ThermalError("no node ids for this layer")
-    out = np.full(ids.shape, np.nan)
-    mask = ids >= 0
-    out[mask] = values[ids[mask]]
-    return out
+def _add_interfaces(
+    builder: ConductanceBuilder, ids: np.ndarray, east: np.ndarray,
+    west: np.ndarray, south: np.ndarray, north: np.ndarray,
+) -> None:
+    """Couple neighboring tile nodes of one layer through each interface.
+
+    ``east[R, C]`` is the conductance from tile (R, C)'s node to its east
+    face, and so on; the two facing halves combine in series.  Pairs with
+    an absent (-1) node are skipped.
+    """
+    for near, far, lo, hi in (
+        (east, west, np.s_[:, :-1], np.s_[:, 1:]),
+        (south, north, np.s_[:-1, :], np.s_[1:, :]),
+    ):
+        g = _series_arr(near[lo], far[hi])
+        a = ids[lo].ravel()
+        b = ids[hi].ravel()
+        valid = (a >= 0) & (b >= 0)
+        builder.add_pairs(a[valid], b[valid], g.ravel()[valid])
+
+
+def _side_walls(liquid: np.ndarray, tiling: Tiling) -> np.ndarray:
+    """Count interior solid-liquid walls per tile.
+
+    Each solid-liquid 4-adjacency on the basic-cell grid is one side wall;
+    it is attributed to the tile of the *liquid* cell (halved between top
+    and bottom transfer by the caller, per Eq. 8).
+    """
+    counts = np.zeros(liquid.shape, dtype=np.int64)
+    counts[:, :-1] += liquid[:, :-1] & ~liquid[:, 1:]
+    counts[:, 1:] += liquid[:, 1:] & ~liquid[:, :-1]
+    counts[:-1, :] += liquid[:-1, :] & ~liquid[1:, :]
+    counts[1:, :] += liquid[1:, :] & ~liquid[:-1, :]
+    return tiling.aggregate_sum(counts.astype(float))
 
 
 def _complete_paths(
@@ -615,27 +555,17 @@ def _complete_paths(
     interfaces.
     """
     if axis == 0:
-        south, north = _complete_paths(solid.T, _transposed(tiling), axis=1)
-        return south.T, north.T
-    t = tiling
-    east = np.zeros(t.shape, dtype=np.int64)
-    west = np.zeros(t.shape, dtype=np.int64)
-    for tile_col in range(t.n_tile_cols):
-        c0 = int(t.col_starts[tile_col])
-        c1 = int(t.col_starts[tile_col + 1])
-        width = c1 - c0
-        half = (width + 1) // 2  # near half includes the center column
-        east_block = solid[:, c1 - half : c1].all(axis=1)
-        west_block = solid[:, c0 : c0 + half].all(axis=1)
-        east[:, tile_col] = np.add.reduceat(
-            east_block.astype(np.int64), t.row_starts[:-1]
-        )
-        west[:, tile_col] = np.add.reduceat(
-            west_block.astype(np.int64), t.row_starts[:-1]
-        )
-    return east, west
-
-
-def _transposed(tiling: Tiling) -> Tiling:
-    """A tiling of the transposed grid (same tile size)."""
-    return Tiling(tiling.ncols, tiling.nrows, tiling.tile_size)
+        solid = solid.T
+        along, across = tiling.row_starts, tiling.col_starts
+    else:
+        along, across = tiling.col_starts, tiling.row_starts
+    starts, ends = along[:-1], along[1:]
+    half = (ends - starts + 1) // 2  # near half includes the center cell
+    # blocked[r, c]: non-solid cells of line r before cell c along the axis.
+    blocked = np.zeros((solid.shape[0], solid.shape[1] + 1), dtype=np.int64)
+    np.cumsum(~solid, axis=1, out=blocked[:, 1:])
+    near_end = blocked[:, ends] == blocked[:, ends - half]
+    near_start = blocked[:, starts + half] == blocked[:, starts]
+    east = np.add.reduceat(near_end.astype(np.int64), across[:-1])
+    west = np.add.reduceat(near_start.astype(np.int64), across[:-1])
+    return (east.T, west.T) if axis == 0 else (east, west)

@@ -262,11 +262,7 @@ class RC4Simulator:
         channel_indices = self.stack.channel_layer_indices()
         for layer_index, field in zip(channel_indices, self.flow_fields):
             ids = self._node_ids(layer_index)
-            grid = self.stack.layers[layer_index].grid
-            cells = list(grid.liquid_cells())
-            rows = np.array([r for r, _ in cells], dtype=np.int64)
-            cols = np.array([c for _, c in cells], dtype=np.int64)
-            node_ids = ids[rows, cols]
+            node_ids = ids[self.stack.layers[layer_index].grid.liquid]
             unit = field.at_pressure(1.0)
             pair_nodes = node_ids[unit.edge_cells]
             specs.append(

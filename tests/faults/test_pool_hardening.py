@@ -1,6 +1,7 @@
 """PersistentEvaluationPool resilience: timeouts, retries, degradation."""
 
 import math
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -102,6 +103,32 @@ class TestTimeoutAndRetry:
         fp = death_plan(after=1, max_fires=1)
         with watchdog(WATCHDOG), make_pool(case, fp) as pool:
             costs = pool.evaluate(candidates)
+        assert costs == baseline_costs
+        counters = profiling.snapshot()["counters"]
+        assert counters.get("parallel.worker_lost", 0) >= 1
+        assert counters.get("parallel.retries", 0) >= 1
+
+    def test_pool_broken_at_submit_is_a_lost_worker(
+        self, watchdog, case, candidates, baseline_costs
+    ):
+        """A worker can die while a batch is still being handed out; then
+        ``submit`` itself raises ``BrokenProcessPool``, which must take the
+        same retry path as a death seen through a result."""
+
+        class BrokenAtSubmit:
+            def submit(self, *args, **kwargs):
+                raise BrokenProcessPool("a worker died during dispatch")
+
+            def shutdown(self, *args, **kwargs):
+                pass
+
+        with watchdog(WATCHDOG), make_pool(case) as pool:
+            real = pool._executor
+            pool._executor = BrokenAtSubmit()
+            try:
+                costs = pool.evaluate(candidates)
+            finally:
+                real.shutdown(wait=False, cancel_futures=True)
         assert costs == baseline_costs
         counters = profiling.snapshot()["counters"]
         assert counters.get("parallel.worker_lost", 0) >= 1
