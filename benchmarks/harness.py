@@ -200,7 +200,8 @@ def _seed_evaluate_batch(case, plan, stage, problem, fixed_pressure, batch, n_wo
 
 def make_sa_batches(plan, n_batches, batch_size, seed=0, step=2):
     """SA-shaped candidate batches: each batch perturbs a drifting current
-    state, mirroring how ``simulated_annealing_batch`` proposes neighbors."""
+    state, mirroring how ``repro.optimize.annealing.anneal`` proposes a
+    batch of neighbors."""
     rng = np.random.default_rng(seed)
     batches, current = [], plan.params()
     for _ in range(n_batches):

@@ -4,7 +4,7 @@ Subcommands mirror the library's main entry points::
 
     repro simulate  --case 1 --grid 51 --network tree --pressure 15e3
     repro optimize  --case 1 --problem 1 --quick --out design.txt
-    repro portfolio --case-seed 7 --optimizers multi_fidelity tempering
+    repro portfolio --case-seed 7 --optimizers multi_fidelity sa_4rm
     repro evaluate  --case 1 --network-file design.txt --problem 1
     repro compare   --case 1 --grid 41 --tiles 2 4 8
     repro render    --network-file design.txt

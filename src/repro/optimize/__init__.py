@@ -7,7 +7,8 @@ fixed-pressure gradient cost, later stages evaluate the true objective
 (lowest feasible pumping power, or minimum capped gradient) and the final
 stage switches to the 4RM reference model.
 
-* :mod:`~repro.optimize.annealing` -- generic SA engine.
+* :mod:`~repro.optimize.annealing` -- the SA engine: one batched
+  Metropolis loop that every SA caller runs.
 * :mod:`~repro.optimize.moves` -- the paper's tree-parameter move.
 * :mod:`~repro.optimize.stages` -- stage schedules for both problems.
 * :mod:`~repro.optimize.problem1` -- pumping power minimization (Problem 1).
@@ -16,15 +17,14 @@ stage switches to the 4RM reference model.
   manual-design comparator.
 * :mod:`~repro.optimize.registry` / :mod:`~repro.optimize.portfolio` --
   the optimizer registry and the multi-fidelity portfolio (2RM-surrogate
-  search with elite 4RM promotion, parallel tempering, random-restart
-  racing) raced by :func:`~repro.optimize.portfolio.run_portfolio`.
+  search with elite 4RM promotion, the pure-4RM comparator and the staged
+  flow) raced by :func:`~repro.optimize.portfolio.run_portfolio`.
 """
 
-from .annealing import SAConfig, SAHistory, simulated_annealing
+from .annealing import Chain, SAConfig, SAHistory, anneal
 from .baseline import BaselineResult, best_manual_design, best_straight_baseline
 from .moves import perturb_tree_params
 from .portfolio import (
-    DEFAULT_PORTFOLIO,
     MultiFidelityEvaluator,
     OffsetModel,
     OptimizerOutcome,
@@ -34,11 +34,18 @@ from .portfolio import (
 )
 from .problem1 import OptimizationResult, optimize_problem1
 from .problem2 import optimize_problem2
-from .registry import OptimizerEntry, get_optimizer, optimizer_names, register_optimizer
+from .registry import (
+    DEFAULT_PORTFOLIO,
+    OptimizerEntry,
+    get_optimizer,
+    optimizer_names,
+    register_optimizer,
+)
 from .stages import StageConfig, problem1_stages, problem2_stages
 
 __all__ = [
     "BaselineResult",
+    "Chain",
     "DEFAULT_PORTFOLIO",
     "MultiFidelityEvaluator",
     "OffsetModel",
@@ -50,6 +57,7 @@ __all__ = [
     "SAConfig",
     "SAHistory",
     "StageConfig",
+    "anneal",
     "best_manual_design",
     "best_straight_baseline",
     "get_optimizer",
@@ -61,5 +69,4 @@ __all__ = [
     "problem2_stages",
     "register_optimizer",
     "run_portfolio",
-    "simulated_annealing",
 ]

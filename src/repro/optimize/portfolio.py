@@ -1,28 +1,23 @@
 """Multi-fidelity optimizer portfolio: 2RM-as-surrogate search strategies.
 
 This module races a *portfolio* of strategies over the tree-parameter
-search space.  Most are built on one shared idea: search with cheap 2RM
-surrogate scores (fidelity ``"low"``), promote elite candidates to the 4RM
-reference (fidelity ``"high"``), and correct the surrogate with a fitted
+search space.  The portfolio-native ones share one idea: search with cheap
+2RM surrogate scores (fidelity ``"low"``), promote elite candidates to the
+4RM reference (fidelity ``"high"``), and correct the surrogate with a fitted
 per-case offset model that recalibrates as promotions accumulate.
 
 Strategies (see :mod:`repro.optimize.registry`):
 
 * ``multi_fidelity`` -- batched SA on 2RM scores; after every round the
-  elite candidates are promoted to 4RM and the offset model refits.
-* ``tempering`` -- parallel tempering: a ladder of replicas at geometrically
-  spaced temperatures, every iteration's proposals scored in one
-  :func:`~repro.optimize.parallel.evaluate_population` batch (the
-  persistent worker pool when ``n_workers > 1``), with adjacent-replica
-  state swaps.
-* ``random_restart`` -- a racer: independently seeded SA arms stepped in
-  lockstep (one pooled batch per iteration); the weakest half is retired at
-  each round boundary.
+  elite candidates of the round's scored batches are promoted to 4RM and
+  the offset model refits.
 * ``sa_4rm`` -- the pure-4RM comparator: the same annealer as
   ``multi_fidelity`` but every candidate pays a reference evaluation.  The
   ``--bench portfolio`` speedup/quality envelope is measured against it.
 * ``staged_sa`` -- the paper's staged flow (Algorithm 1), one round per
   (direction, stage, SA round); see :mod:`repro.optimize.runner`.
+
+All three anneal with the one loop, :func:`~repro.optimize.annealing.anneal`.
 
 Orchestration (:func:`run_portfolio`) is the one search engine of the
 package: every optimizer advances one round at a time, emits a comparable
@@ -63,22 +58,15 @@ from ..errors import (
 from ..iccad2015.cases import Case
 from ..networks.tree import TreePlan
 from ..telemetry import runlog
-from .annealing import _accept
+from .annealing import BatchCost, Chain, SAConfig, anneal, warm_up_first_batch
 from .moves import perturb_tree_params
-from .registry import get_optimizer, register_optimizer
+from .registry import DEFAULT_PORTFOLIO, get_optimizer, register_optimizer
 from .stages import (
     METRIC_LOWEST_FEASIBLE_POWER,
     METRIC_MIN_GRADIENT_CAPPED,
     PROBLEM_PUMPING_POWER,
     PROBLEM_THERMAL_GRADIENT,
     StageConfig,
-)
-
-#: The default portfolio raced by :func:`run_portfolio`.
-DEFAULT_PORTFOLIO: Tuple[str, ...] = (
-    "multi_fidelity",
-    "tempering",
-    "random_restart",
 )
 
 #: Checkpoint file name inside ``checkpoint_dir``.
@@ -384,9 +372,6 @@ class PortfolioConfig:
     step: int = 4
     cooling_rate: float = 0.92
     elite: int = 2
-    replicas: int = 4
-    replica_spacing: float = 2.5
-    restarts: int = 4
     tile_size: int = 4
     leaves_per_tree: int = 4
     direction: int = 0
@@ -407,10 +392,8 @@ class PortfolioConfig:
         if self.problem not in (PROBLEM_PUMPING_POWER, PROBLEM_THERMAL_GRADIENT):
             raise SearchError(f"unknown problem {self.problem!r}")
         if min(self.rounds, self.iterations, self.batch_size, self.step,
-               self.elite, self.replicas, self.restarts) < 1:
+               self.elite) < 1:
             raise SearchError("portfolio config values must be >= 1")
-        if self.replica_spacing <= 1.0:
-            raise SearchError("replica_spacing must exceed 1")
         if self.stages is not None and not self.stages:
             raise SearchError("need at least one stage")
         if self.directions is not None and not self.directions:
@@ -426,8 +409,7 @@ class PortfolioConfig:
     def fingerprint_fields(self) -> Tuple[Any, ...]:
         return (
             self.problem, self.rounds, self.iterations, self.batch_size,
-            self.step, self.cooling_rate, self.elite, self.replicas,
-            self.replica_spacing, self.restarts, self.tile_size,
+            self.step, self.cooling_rate, self.elite, self.tile_size,
             self.leaves_per_tree, self.direction, self.seed,
         )
 
@@ -509,12 +491,6 @@ class OptimizerContext:
         )
 
 
-def _rng_from(state: Dict[str, Any]) -> np.random.Generator:
-    rng = np.random.default_rng()
-    rng.bit_generator.state = state
-    return rng
-
-
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
@@ -557,54 +533,6 @@ class RoundOptimizer:
 
     # -- shared helpers -------------------------------------------------
 
-    def _anneal_round(
-        self,
-        ctx: OptimizerContext,
-        state: Dict[str, Any],
-        cost_batch_fn,
-        pool_out: Optional[List[Tuple[np.ndarray, float]]] = None,
-    ) -> None:
-        """One round of batched Metropolis annealing over ``state``."""
-        cfg = ctx.config
-        rng = _rng_from(state["rng"])
-        current = np.asarray(state["current"])
-        current_cost = state["current_cost"]
-        best = np.asarray(state["best"])
-        best_cost = state["best_cost"]
-        temperature = state["temperature"]
-        for _ in range(cfg.iterations):
-            batch = [ctx.neighbor(current, rng) for _ in range(cfg.batch_size)]
-            costs = [float(c) for c in cost_batch_fn(batch)]
-            if pool_out is not None:
-                pool_out.extend(zip(batch, costs))
-            pick = int(np.argmin(costs))
-            candidate, candidate_cost = batch[pick], costs[pick]
-            if temperature is None:
-                finite = [
-                    abs(c - current_cost)
-                    for c in costs
-                    if math.isfinite(c) and c != current_cost
-                ]
-                if finite:
-                    temperature = max(float(np.mean(finite)), 1e-12)
-            effective_t = temperature if temperature is not None else max(
-                abs(current_cost) if math.isfinite(current_cost) else 1.0,
-                1e-12,
-            )
-            if _accept(current_cost, candidate_cost, effective_t, rng):
-                current, current_cost = candidate, candidate_cost
-            for cand, cost in zip(batch, costs):
-                if cost < best_cost:
-                    best, best_cost = cand, cost
-            if temperature is not None:
-                temperature *= cfg.cooling_rate
-        state["rng"] = rng.bit_generator.state
-        state["current"] = current
-        state["current_cost"] = current_cost
-        state["best"] = best
-        state["best_cost"] = best_cost
-        state["temperature"] = temperature
-
     def _verify(
         self,
         ctx: OptimizerContext,
@@ -638,11 +566,52 @@ class RoundOptimizer:
         )
 
 
+class _ChainOptimizer(RoundOptimizer):
+    """One annealing chain from the plan's parameters, advanced by one
+    :func:`~repro.optimize.annealing.anneal` call per round; the state dict
+    holds the chain's :meth:`~repro.optimize.annealing.Chain.state` keys."""
+
+    def _cost(self, ctx: OptimizerContext) -> BatchCost:
+        """The batch cost the chain anneals on."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _schedule(ctx: OptimizerContext) -> SAConfig:
+        return SAConfig(
+            iterations=ctx.config.iterations,
+            cooling_rate=ctx.config.cooling_rate,
+            seed=ctx.seed_seq(0),
+        )
+
+    def init_state(self, ctx: OptimizerContext) -> Dict[str, Any]:
+        chain = Chain.start(
+            ctx.plan.params(), self._cost(ctx), self._schedule(ctx)
+        )
+        return dict(
+            chain.state(),
+            round=0,
+            verified=None,
+            rounds=[],
+            evaluator=ctx.evaluator.state(),
+        )
+
+    def _anneal(
+        self, ctx: OptimizerContext, state: Dict[str, Any], cost: BatchCost
+    ) -> None:
+        """One round of the one loop over the state's chain."""
+        chain = Chain.restore(state)
+        anneal(
+            chain, cost, ctx.neighbor, self._schedule(ctx),
+            ctx.config.batch_size, warm_up=warm_up_first_batch,
+        )
+        state.update(chain.state())
+
+
 @register_optimizer(
     "multi_fidelity",
     "batched SA on 2RM scores with per-round elite 4RM promotion",
 )
-class MultiFidelityOptimizer(RoundOptimizer):
+class MultiFidelityOptimizer(_ChainOptimizer):
     """The tentpole strategy: search low, verify high, correct the gap.
 
     The additive log-offset cannot change the *ranking* of surrogate
@@ -653,29 +622,21 @@ class MultiFidelityOptimizer(RoundOptimizer):
 
     name = "multi_fidelity"
 
-    def init_state(self, ctx: OptimizerContext) -> Dict[str, Any]:
-        rng = np.random.default_rng(ctx.seed_seq(0))
-        params = ctx.plan.params()
-        cost = ctx.evaluator.low(params)
-        return {
-            "round": 0,
-            "rng": rng.bit_generator.state,
-            "current": params,
-            "current_cost": cost,
-            "best": params,
-            "best_cost": cost,
-            "temperature": None,
-            "verified": None,
-            "rounds": [],
-            "evaluator": ctx.evaluator.state(),
-        }
+    def _cost(self, ctx: OptimizerContext) -> BatchCost:
+        return ctx.evaluator.low_batch
 
     def run_round(
         self, ctx: OptimizerContext, state: Dict[str, Any], round_i: int
     ) -> None:
         ctx.evaluator.restore(state["evaluator"])
         pool: List[Tuple[np.ndarray, float]] = []
-        self._anneal_round(ctx, state, ctx.evaluator.low_batch, pool_out=pool)
+
+        def scored(batch: List[np.ndarray]) -> List[float]:
+            costs = ctx.evaluator.low_batch(batch)
+            pool.extend(zip(batch, costs))
+            return costs
+
+        self._anneal(ctx, state, scored)
         pool.append((np.asarray(state["best"]), state["best_cost"]))
         elites = _elite_candidates(pool, ctx.config.elite)
         for params, _ in elites:
@@ -707,42 +668,27 @@ class MultiFidelityOptimizer(RoundOptimizer):
     "sa_4rm",
     "pure-4RM batched SA: the reference-budget comparator",
 )
-class Pure4RMOptimizer(RoundOptimizer):
+class Pure4RMOptimizer(_ChainOptimizer):
     """Identical annealer to ``multi_fidelity`` but every candidate pays a
     4RM reference evaluation -- the baseline that defines the portfolio
     bench's "2x fewer 4RM evaluations" criterion."""
 
     name = "sa_4rm"
 
-    def init_state(self, ctx: OptimizerContext) -> Dict[str, Any]:
-        rng = np.random.default_rng(ctx.seed_seq(0))
-        params = ctx.plan.params()
-        cost = ctx.evaluator.high_evaluation(params).score
-        return {
-            "round": 0,
-            "rng": rng.bit_generator.state,
-            "current": params,
-            "current_cost": cost,
-            "best": params,
-            "best_cost": cost,
-            "temperature": None,
-            "verified": None,
-            "rounds": [],
-            "evaluator": ctx.evaluator.state(),
-        }
-
-    def run_round(
-        self, ctx: OptimizerContext, state: Dict[str, Any], round_i: int
-    ) -> None:
-        ctx.evaluator.restore(state["evaluator"])
-
+    def _cost(self, ctx: OptimizerContext) -> BatchCost:
         def high_batch(batch: Sequence[np.ndarray]) -> List[float]:
             return [
                 ctx.evaluator.high_evaluation(params).score
                 for params in batch
             ]
 
-        self._anneal_round(ctx, state, high_batch)
+        return high_batch
+
+    def run_round(
+        self, ctx: OptimizerContext, state: Dict[str, Any], round_i: int
+    ) -> None:
+        ctx.evaluator.restore(state["evaluator"])
+        self._anneal(ctx, state, self._cost(ctx))
         state["verified"] = (
             np.asarray(state["best"]),
             ctx.evaluator.high_evaluation(np.asarray(state["best"])),
@@ -769,242 +715,6 @@ class Pure4RMOptimizer(RoundOptimizer):
         return outcome
 
 
-@register_optimizer(
-    "tempering",
-    "parallel tempering over the persistent evaluation pool",
-)
-class TemperingOptimizer(RoundOptimizer):
-    """Replica-exchange SA: a geometric temperature ladder, pooled batch
-    scoring, and adjacent swaps with the standard exchange criterion."""
-
-    name = "tempering"
-
-    def init_state(self, ctx: OptimizerContext) -> Dict[str, Any]:
-        cfg = ctx.config
-        rng = np.random.default_rng(ctx.seed_seq(0))
-        base = ctx.plan.params()
-        replicas = [base]
-        for _ in range(cfg.replicas - 1):
-            replicas.append(ctx.neighbor(base, rng))
-        costs = ctx.evaluator.low_batch(replicas)
-        best = int(np.argmin(costs))
-        return {
-            "round": 0,
-            "rng": rng.bit_generator.state,
-            "replicas": [np.asarray(r) for r in replicas],
-            "costs": [float(c) for c in costs],
-            "t_base": None,
-            "sweep": 0,
-            "swaps_attempted": 0,
-            "swaps_accepted": 0,
-            "best": np.asarray(replicas[best]),
-            "best_cost": float(costs[best]),
-            "verified": None,
-            "rounds": [],
-            "evaluator": ctx.evaluator.state(),
-        }
-
-    def _ladder(self, cfg: PortfolioConfig, t_base: float) -> List[float]:
-        return [
-            t_base * cfg.replica_spacing**k for k in range(cfg.replicas)
-        ]
-
-    def run_round(
-        self, ctx: OptimizerContext, state: Dict[str, Any], round_i: int
-    ) -> None:
-        cfg = ctx.config
-        ctx.evaluator.restore(state["evaluator"])
-        rng = _rng_from(state["rng"])
-        replicas = [np.asarray(r) for r in state["replicas"]]
-        costs = [float(c) for c in state["costs"]]
-        best, best_cost = np.asarray(state["best"]), state["best_cost"]
-        t_base = state["t_base"]
-        for _ in range(cfg.iterations):
-            proposals = [ctx.neighbor(r, rng) for r in replicas]
-            proposal_costs = ctx.evaluator.low_batch(proposals)
-            if t_base is None:
-                finite = [
-                    abs(pc - c)
-                    for pc, c in zip(proposal_costs, costs)
-                    if math.isfinite(pc) and pc != c
-                ]
-                if finite:
-                    t_base = max(float(np.mean(finite)), 1e-12)
-            ladder = self._ladder(
-                cfg, t_base if t_base is not None else 1.0
-            )
-            for k in range(cfg.replicas):
-                effective_t = ladder[k] if t_base is not None else max(
-                    abs(costs[k]) if math.isfinite(costs[k]) else 1.0, 1e-12
-                )
-                if _accept(costs[k], proposal_costs[k], effective_t, rng):
-                    replicas[k] = proposals[k]
-                    costs[k] = float(proposal_costs[k])
-                if costs[k] < best_cost:
-                    best, best_cost = replicas[k], costs[k]
-            # Replica-exchange sweep, alternating pair parity: swap replicas
-            # (k, k+1) with probability min(1, exp((b_k - b_{k+1}) *
-            # (E_k - E_{k+1}))) where b = 1/T.
-            if t_base is not None:
-                parity = state["sweep"] % 2
-                for k in range(parity, cfg.replicas - 1, 2):
-                    state["swaps_attempted"] += 1
-                    if _swap_accept(
-                        costs[k], costs[k + 1], ladder[k], ladder[k + 1], rng
-                    ):
-                        replicas[k], replicas[k + 1] = (
-                            replicas[k + 1], replicas[k],
-                        )
-                        costs[k], costs[k + 1] = costs[k + 1], costs[k]
-                        state["swaps_accepted"] += 1
-            state["sweep"] += 1
-        self._verify(ctx, state, best)
-        state["rng"] = rng.bit_generator.state
-        state["replicas"] = replicas
-        state["costs"] = costs
-        state["t_base"] = t_base
-        state["best"] = best
-        state["best_cost"] = best_cost
-        state["rounds"].append(
-            {
-                "round": round_i,
-                "best_low": best_cost,
-                "best_corrected": ctx.evaluator.corrected(best_cost),
-                "verified": state["verified"][1].score,
-                "promotions": 1,
-                "low_evals": ctx.evaluator.low_evals,
-                "high_evals": ctx.evaluator.high_evals,
-                "swap_rate": (
-                    state["swaps_accepted"] / state["swaps_attempted"]
-                    if state["swaps_attempted"]
-                    else 0.0
-                ),
-            }
-        )
-        state["evaluator"] = ctx.evaluator.state()
-
-    def finalize(
-        self, ctx: OptimizerContext, state: Dict[str, Any]
-    ) -> OptimizerOutcome:
-        return self._finalize_verified(ctx, state)
-
-
-@register_optimizer(
-    "random_restart",
-    "independently seeded SA arms raced with halving at round boundaries",
-)
-class RandomRestartOptimizer(RoundOptimizer):
-    """A portfolio racer: arms step in lockstep (one pooled batch per
-    iteration across all live arms) and the weakest half retires at every
-    round boundary, concentrating the budget on promising basins."""
-
-    name = "random_restart"
-
-    def init_state(self, ctx: OptimizerContext) -> Dict[str, Any]:
-        cfg = ctx.config
-        arms = []
-        base = ctx.plan.params()
-        starts: List[np.ndarray] = []
-        rngs = []
-        for arm_i in range(cfg.restarts):
-            rng = np.random.default_rng(ctx.seed_seq(0, arm_i))
-            start = base if arm_i == 0 else ctx.neighbor(base, rng)
-            rngs.append(rng)
-            starts.append(start)
-        costs = ctx.evaluator.low_batch(starts)
-        for rng, start, cost in zip(rngs, starts, costs):
-            arms.append(
-                {
-                    "rng": rng.bit_generator.state,
-                    "current": np.asarray(start),
-                    "current_cost": float(cost),
-                    "best": np.asarray(start),
-                    "best_cost": float(cost),
-                    "temperature": None,
-                    "alive": True,
-                }
-            )
-        best = int(np.argmin(costs))
-        return {
-            "round": 0,
-            "arms": arms,
-            "best": np.asarray(starts[best]),
-            "best_cost": float(costs[best]),
-            "verified": None,
-            "rounds": [],
-            "evaluator": ctx.evaluator.state(),
-        }
-
-    def run_round(
-        self, ctx: OptimizerContext, state: Dict[str, Any], round_i: int
-    ) -> None:
-        cfg = ctx.config
-        ctx.evaluator.restore(state["evaluator"])
-        arms = state["arms"]
-        best, best_cost = np.asarray(state["best"]), state["best_cost"]
-        for _ in range(cfg.iterations):
-            live = [arm for arm in arms if arm["alive"]]
-            proposals = []
-            for arm in live:
-                rng = _rng_from(arm["rng"])
-                proposals.append(ctx.neighbor(np.asarray(arm["current"]), rng))
-                arm["rng"] = rng.bit_generator.state
-            proposal_costs = ctx.evaluator.low_batch(proposals)
-            for arm, candidate, cost in zip(live, proposals, proposal_costs):
-                cost = float(cost)
-                rng = _rng_from(arm["rng"])
-                if arm["temperature"] is None:
-                    delta = abs(cost - arm["current_cost"])
-                    if math.isfinite(delta) and delta > 0.0:
-                        arm["temperature"] = max(delta, 1e-12)
-                effective_t = (
-                    arm["temperature"]
-                    if arm["temperature"] is not None
-                    else max(
-                        abs(arm["current_cost"])
-                        if math.isfinite(arm["current_cost"])
-                        else 1.0,
-                        1e-12,
-                    )
-                )
-                if _accept(arm["current_cost"], cost, effective_t, rng):
-                    arm["current"], arm["current_cost"] = candidate, cost
-                if cost < arm["best_cost"]:
-                    arm["best"], arm["best_cost"] = candidate, cost
-                if cost < best_cost:
-                    best, best_cost = candidate, cost
-                if arm["temperature"] is not None:
-                    arm["temperature"] *= cfg.cooling_rate
-                arm["rng"] = rng.bit_generator.state
-        # Racing: retire the weakest half (keep at least one arm) until the
-        # final round, which runs whatever survived.
-        live = [arm for arm in arms if arm["alive"]]
-        if round_i < cfg.rounds - 1 and len(live) > 1:
-            ranked = sorted(live, key=lambda arm: arm["best_cost"])
-            for arm in ranked[max(len(ranked) // 2, 1):]:
-                arm["alive"] = False
-        self._verify(ctx, state, best)
-        state["best"], state["best_cost"] = best, best_cost
-        state["rounds"].append(
-            {
-                "round": round_i,
-                "best_low": best_cost,
-                "best_corrected": ctx.evaluator.corrected(best_cost),
-                "verified": state["verified"][1].score,
-                "promotions": 1,
-                "low_evals": ctx.evaluator.low_evals,
-                "high_evals": ctx.evaluator.high_evals,
-                "alive": sum(1 for arm in arms if arm["alive"]),
-            }
-        )
-        state["evaluator"] = ctx.evaluator.state()
-
-    def finalize(
-        self, ctx: OptimizerContext, state: Dict[str, Any]
-    ) -> OptimizerOutcome:
-        return self._finalize_verified(ctx, state)
-
-
 def _elite_candidates(
     pool: Sequence[Tuple[np.ndarray, float]], elite: int
 ) -> List[Tuple[np.ndarray, float]]:
@@ -1018,26 +728,6 @@ def _elite_candidates(
             seen[key] = (np.asarray(params), cost)
     ranked = sorted(seen.values(), key=lambda item: (item[1], item[0].tobytes()))
     return ranked[:elite]
-
-
-def _swap_accept(
-    cost_a: float,
-    cost_b: float,
-    t_a: float,
-    t_b: float,
-    rng: np.random.Generator,
-) -> bool:
-    """Replica-exchange acceptance for configurations at ``t_a < t_b``."""
-    if math.isinf(cost_a) and math.isinf(cost_b):
-        return False
-    if math.isinf(cost_a):
-        return True  # move the feasible configuration to the colder rung
-    if math.isinf(cost_b):
-        return False
-    log_p = (1.0 / t_a - 1.0 / t_b) * (cost_a - cost_b)
-    if log_p >= 0.0:
-        return True
-    return rng.random() < math.exp(log_p)
 
 
 # ---------------------------------------------------------------------------

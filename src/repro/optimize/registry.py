@@ -1,13 +1,13 @@
 """The optimizer registry behind the portfolio runner.
 
 Every search strategy the portfolio can race -- the staged SA flow and the
-portfolio-native optimizers (multi-fidelity, parallel tempering, random
-restart, pure-4RM SA) -- registers itself here under a stable name.  The
-registry is the seam between *what* searches (an
-:class:`~repro.optimize.portfolio.RoundOptimizer` subclass) and *how* runs
-are orchestrated (:func:`~repro.optimize.portfolio.run_portfolio`): the
-runner looks strategies up by name, so CLI flags, benchmark configs, and
-checkpoints all refer to optimizers by string.
+portfolio-native optimizers (multi-fidelity and pure-4RM SA) -- registers
+itself here under a stable name.  The registry is the seam between *what*
+searches (an :class:`~repro.optimize.portfolio.RoundOptimizer` subclass)
+and *how* runs are orchestrated
+(:func:`~repro.optimize.portfolio.run_portfolio`): the runner looks
+strategies up by name, so CLI flags, benchmark configs, and checkpoints all
+refer to optimizers by string.
 
 Registration is import-time and idempotent by name collision check; the
 portfolio and runner modules register the built-ins when they are
@@ -40,6 +40,10 @@ class OptimizerEntry:
 
 
 _REGISTRY: Dict[str, OptimizerEntry] = {}
+
+#: The strategies raced when a caller names none (the CLI's ``portfolio``
+#: command and the design service).
+DEFAULT_PORTFOLIO: Tuple[str, ...] = ("multi_fidelity",)
 
 
 def register_optimizer(

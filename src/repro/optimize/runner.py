@@ -48,10 +48,13 @@ from ..iccad2015.cases import Case
 from ..networks.tree import TreePlan, power_aware_initialization
 from ..telemetry import runlog
 from .annealing import (
+    BatchCost,
+    Chain,
     SAConfig,
     SAObserver,
-    simulated_annealing,
-    simulated_annealing_batch,
+    anneal,
+    warm_up_first_batch,
+    warm_up_first_three,
 )
 from .moves import perturb_tree_params
 from .portfolio import (
@@ -174,6 +177,11 @@ class _CandidateEvaluator:
             )
         except (DesignRuleError, FlowError, GeometryError, ThermalError):
             return None
+
+    def batch(self, states: Sequence[np.ndarray]) -> List[float]:
+        """The batch cost of :func:`~repro.optimize.annealing.anneal`, one
+        candidate at a time."""
+        return [self(params) for params in states]
 
     def __call__(self, params: np.ndarray) -> float:
         key = np.asarray(params, dtype=int).tobytes()
@@ -418,23 +426,30 @@ class StagedSAOptimizer(RoundOptimizer):
             stall_limit=max(stage.iterations // 2, 8),
         )
         labels = {"d_index": d_index, "stage": stage.name, "round": round_s}
-        params = np.asarray(flight["params"])
         with telemetry.span("optimize.round", **labels):
-            if batch > 1:
-                batch_cost = _BatchCost(
+            # One neighbour per iteration scores in-process on the stage's
+            # evaluator; a batch of them goes through the worker pool.
+            pooled = (
+                _BatchCost(
                     case, plan, stage, cfg.problem, flight["fixed_pressure"],
                     cfg.n_workers,
                 )
-                best, cost, history = simulated_annealing_batch(
-                    params, batch_cost, neighbor, config, batch,
-                    observer=_iteration_logger(labels),
-                )
-                flight["batch_evals"] += batch_cost.evals
-            else:
-                best, cost, history = simulated_annealing(
-                    params, evaluator, neighbor, config,
-                    observer=_iteration_logger(labels),
-                )
+                if batch > 1
+                else None
+            )
+            cost_fn: BatchCost = evaluator.batch if pooled is None else pooled
+            chain = Chain.start(np.asarray(flight["params"]), cost_fn, config)
+            history = anneal(
+                chain, cost_fn, neighbor, config, batch,
+                warm_up=(
+                    warm_up_first_three if pooled is None
+                    else warm_up_first_batch
+                ),
+                observer=_iteration_logger(labels),
+            )
+        if pooled is not None:
+            flight["batch_evals"] += pooled.evals
+        best, cost = chain.best, chain.best_cost
         flight["round_bests"].append((best, cost))
         flight["histories"].append(history)
         flight["evaluator"] = evaluator.state_snapshot()

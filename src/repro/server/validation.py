@@ -17,7 +17,7 @@ import math
 from typing import Any, Dict, List, Optional
 
 from ..errors import BenchmarkError, JobValidationError
-from ..optimize.registry import optimizer_names
+from ..optimize.registry import DEFAULT_PORTFOLIO, optimizer_names
 
 __all__ = [
     "MAX_GRID_SIZE",
@@ -200,7 +200,7 @@ def validate_submission(payload: Any) -> Dict[str, Any]:
         )
     }
 
-    optimizers = payload.get("optimizers", ["multi_fidelity"])
+    optimizers = payload.get("optimizers", list(DEFAULT_PORTFOLIO))
     if (
         not isinstance(optimizers, list)
         or not optimizers

@@ -8,8 +8,8 @@ import pytest
 from repro import profiling
 from repro.errors import SearchError
 from repro.iccad2015 import load_case
-from repro.optimize import SAConfig, optimize_problem1
-from repro.optimize.annealing import simulated_annealing_batch
+from repro.optimize import Chain, SAConfig, anneal, optimize_problem1
+from repro.optimize.annealing import warm_up_first_batch
 from repro.optimize.parallel import (
     CandidateCrashError,
     PersistentEvaluationPool,
@@ -296,6 +296,16 @@ class TestPersistentPool:
         assert not pools[1].closed and not pools[2].closed
 
 
+def batch_anneal(batch_cost, neighbor, config, batch_size):
+    """``(best, best_cost, history)`` of the one loop on a fresh chain."""
+    chain = Chain.start(0, batch_cost, config)
+    history = anneal(
+        chain, batch_cost, neighbor, config, batch_size,
+        warm_up=warm_up_first_batch,
+    )
+    return chain.best, chain.best_cost, history
+
+
 class TestBatchSA:
     def test_optimizes_quadratic(self):
         def batch_cost(states):
@@ -305,9 +315,7 @@ class TestBatchSA:
             return state + int(rng.choice((-1, 1)))
 
         config = SAConfig(iterations=60, seed=1)
-        best, cost, history = simulated_annealing_batch(
-            0, batch_cost, neighbor, config, batch_size=4
-        )
+        best, cost, history = batch_anneal(batch_cost, neighbor, config, 4)
         assert best == 7 and cost == 0.0
         assert history.proposed == pytest.approx(60 * 4, abs=4 * 60)
 
@@ -319,17 +327,13 @@ class TestBatchSA:
             return state + int(rng.choice((-1, 1)))
 
         config = SAConfig(iterations=80, seed=2)
-        best, cost, _ = simulated_annealing_batch(
-            0, batch_cost, neighbor, config, batch_size=1
-        )
+        best, cost, _ = batch_anneal(batch_cost, neighbor, config, 1)
         assert cost == 0.0
 
     def test_invalid_batch_size(self):
         config = SAConfig(iterations=5, seed=0)
         with pytest.raises(SearchError):
-            simulated_annealing_batch(
-                0, lambda s: [0.0] * len(s), lambda s, r: s, config, 0
-            )
+            batch_anneal(lambda s: [0.0] * len(s), lambda s, r: s, config, 0)
 
 
 class TestEndToEndBatchFlow:

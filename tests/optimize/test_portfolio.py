@@ -56,12 +56,8 @@ def outcomes_equal(a, b) -> bool:
 class TestRegistry:
     def test_builtins_registered(self):
         names = optimizer_names()
-        for expected in (
-            "multi_fidelity", "tempering", "random_restart", "sa_4rm",
-            "staged_sa",
-        ):
-            assert expected in names
-        assert set(DEFAULT_PORTFOLIO) <= set(names)
+        assert names == ("multi_fidelity", "sa_4rm", "staged_sa")
+        assert DEFAULT_PORTFOLIO == ("multi_fidelity",)
 
     def test_lookup_returns_entry(self):
         entry = get_optimizer("multi_fidelity")
@@ -230,7 +226,7 @@ class TestRunPortfolio:
         )
 
     def test_outcomes_are_verified_at_high_fidelity(self, case):
-        result = run_portfolio(case, ("multi_fidelity", "tempering"), QUICK)
+        result = run_portfolio(case, ("multi_fidelity", "sa_4rm"), QUICK)
         for outcome in result.outcomes.values():
             assert isinstance(outcome.evaluation, EvaluationResult)
             assert outcome.evaluation.fidelity == "high"
@@ -240,7 +236,8 @@ class TestRunPortfolio:
         assert result.best.name in result.outcomes
 
     def test_worker_count_invariance(self, case):
-        serial = run_portfolio(case, ("tempering",), QUICK)
+        opts = ("multi_fidelity", "sa_4rm")
+        serial = run_portfolio(case, opts, QUICK)
         cfg = PortfolioConfig(
             rounds=QUICK.rounds,
             iterations=QUICK.iterations,
@@ -248,11 +245,12 @@ class TestRunPortfolio:
             seed=QUICK.seed,
             n_workers=2,
         )
-        pooled = run_portfolio(case, ("tempering",), cfg)
-        a, b = serial.outcomes["tempering"], pooled.outcomes["tempering"]
-        assert np.array_equal(a.params, b.params)
-        assert a.score == b.score
-        assert a.low_evals == b.low_evals
+        pooled = run_portfolio(case, opts, cfg)
+        for name in opts:
+            a, b = serial.outcomes[name], pooled.outcomes[name]
+            assert np.array_equal(a.params, b.params)
+            assert a.score == b.score
+            assert a.low_evals == b.low_evals
 
     def test_empty_portfolio_rejected(self, case):
         with pytest.raises(SearchError, match="at least one"):
@@ -285,7 +283,7 @@ class TestCheckpointResume:
     def test_interrupted_resume_is_bitwise(self, case, tmp_path, monkeypatch):
         import repro.optimize.portfolio as pf
 
-        opts = ("multi_fidelity", "tempering")
+        opts = ("multi_fidelity", "sa_4rm")
         reference = run_portfolio(case, opts, QUICK)
 
         calls = {"n": 0}
@@ -392,7 +390,3 @@ class TestConfigValidation:
     def test_rejects_nonpositive_knobs(self):
         with pytest.raises(SearchError):
             PortfolioConfig(rounds=0)
-
-    def test_rejects_flat_ladder(self):
-        with pytest.raises(SearchError, match="replica_spacing"):
-            PortfolioConfig(replica_spacing=1.0)
