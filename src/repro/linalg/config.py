@@ -4,7 +4,7 @@
 pattern: a small frozen (hashable, picklable) dataclass captured with
 :meth:`LinalgConfig.current` in the parent, shipped through the evaluation
 pool's initializer arguments, re-armed worker-side with
-:meth:`LinalgConfig.apply`, and folded into the pool cache key so flipping
+:meth:`LinalgConfig.apply`, and part of the shared pool's key so flipping
 any knob never reuses workers armed with a stale setup.
 """
 

@@ -4,15 +4,21 @@ The paper's server evaluates 64 neighboring network solutions simultaneously
 in each SA iteration.  :func:`evaluate_population` reproduces that pattern:
 score a batch of tree-parameter vectors, optionally across worker processes.
 
-Workers are *persistent*: a :class:`PersistentEvaluationPool` ships the full
-evaluation context (case, plan, stage, problem) to each worker exactly once
-via the pool initializer, and every subsequent candidate costs only a tiny
-``(n_trees, 2)`` int array on the wire.  Pools are kept alive in a small
-module-level cache keyed by that context, so consecutive SA iterations --
-and rounds, which share a stage -- reuse the same warm workers instead of
-paying pool spin-up plus context re-pickling per batch.  Each worker's
-:class:`~repro.optimize.runner._CandidateEvaluator` also keeps its
-per-params cost cache across batches.
+One worker pool per process serves every stage and both fidelities.
+:func:`score_on_pool` dispatches to a single module-level
+:class:`PersistentEvaluationPool`, keyed only by its worker count and the
+fault plan, telemetry configuration and solver configuration its workers were
+armed with; when any of them changes, the old pool is closed and a new one
+started.  Workers are stage-agnostic: each batch carries its *evaluation
+context* -- a picklable object with ``scorer()`` and ``infeasible()``, such
+as :class:`StageContext` (a staged-flow stage metric) or the portfolio's 4RM
+:class:`~repro.optimize.portfolio.ReferenceContext` -- pickled once per batch
+and named by the sha256 of those bytes.  A worker unpickles a digest it has
+not seen once and keeps the built scorer in a small LRU
+(:data:`CONTEXT_SLOTS`), so staged-SA stages, directions, portfolio
+strategies and whole jobs reuse the same warm workers, and each worker's
+:class:`~repro.optimize.runner._CandidateEvaluator` keeps its per-params
+cost cache while its context stays in the LRU.
 
 Error discipline (shared by the serial and parallel paths): a
 :class:`~repro.errors.ReproError` means the candidate network is illegal or
@@ -28,21 +34,28 @@ the Problem-1 metrics parallelize freely.
 Resilience (see ``docs/ROBUSTNESS.md``): batches run with a no-progress
 timeout, bounded exponential-backoff retries that replace dead or hung
 worker processes, and -- after enough consecutive pool failures -- a
-permanent degradation to serial in-process evaluation.  Pool-level failures
-surface as :class:`~repro.errors.PoolError` subclasses; per-candidate
-results already collected before a failure are kept, so retries only redo
-the missing work.
+degradation to serial in-process evaluation.  A degraded shared pool lasts
+only until the job that degraded it ends (:func:`shutdown_degraded_pool`).
+Pool-level failures surface as :class:`~repro.errors.PoolError`
+subclasses; per-candidate results already collected before a failure are
+kept, so retries only redo the missing work.
 """
 
 from __future__ import annotations
 
 import atexit
+import functools
+import hashlib
 import math
+import pickle
+import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Sequence
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -53,7 +66,6 @@ from ..constants import (
     POOL_BACKOFF_MAX,
     POOL_DEGRADE_AFTER,
     POOL_MAX_RETRIES,
-    quantize_key,
 )
 from ..errors import (
     CandidateCrashError,
@@ -75,55 +87,19 @@ __all__ = [
     "CandidateCrashError",
     "PersistentEvaluationPool",
     "PoolError",
+    "StageContext",
     "WorkerLostError",
     "WorkerTimeoutError",
     "evaluate_population",
+    "score_on_pool",
+    "shutdown_degraded_pool",
     "shutdown_pools",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Worker-side machinery
+# Evaluation contexts
 # ---------------------------------------------------------------------------
-
-#: The evaluator owned by this worker process, installed once by
-#: :func:`_init_worker`.  ``None`` in the parent process.
-_WORKER_EVALUATOR = None
-
-
-def _init_worker(
-    case,
-    plan,
-    stage,
-    problem,
-    fixed_pressure,
-    fault_plan=None,
-    telemetry_config=None,
-    linalg_config=None,
-) -> None:
-    """Pool initializer: build this worker's evaluator exactly once.
-
-    Also re-arms the ambient fault plan, the parent's telemetry
-    configuration (tracing on/off, span capacity), and the parent's solver
-    configuration (pressure-shift settings), so respawned
-    workers behave identically to the ones they replaced.
-    """
-    global _WORKER_EVALUATOR
-    from .runner import _CandidateEvaluator
-
-    if fault_plan is not None:
-        faults.set_active_plan(fault_plan)
-    if telemetry_config is not None:
-        telemetry_config.apply()
-    # Under the fork start method this process inherits the spawning
-    # thread's lane (the service worker thread's); drop it so exported
-    # spans group as a distinct pool-worker row, not the parent's.
-    telemetry.set_thread_lane(None)
-    if linalg_config is not None:
-        linalg_config.apply()
-    _WORKER_EVALUATOR = _CandidateEvaluator(
-        case, plan, stage, problem, fixed_pressure
-    )
 
 
 def _score_candidate(evaluator, params: np.ndarray) -> float:
@@ -142,10 +118,98 @@ def _score_candidate(evaluator, params: np.ndarray) -> float:
         return math.inf
 
 
-def _score_in_worker(params: np.ndarray):
-    """Worker entry point: score one candidate.
+class StageContext(NamedTuple):
+    """A staged-flow metric: what :func:`evaluate_population` scores.
 
-    Returns ``(cost, counters, spans)``: the worker's profiling counters
+    Fields as in the staged flow (:mod:`repro.optimize.runner`).
+    """
+
+    case: Case
+    plan: TreePlan
+    stage: StageConfig
+    problem: str
+    fixed_pressure: Optional[float] = None
+
+    def scorer(self) -> Callable[[np.ndarray], float]:
+        """A cost function over parameter vectors (``inf``: infeasible)."""
+        from .runner import _CandidateEvaluator
+
+        return functools.partial(
+            _score_candidate, _CandidateEvaluator(*self)
+        )
+
+    @staticmethod
+    def infeasible() -> float:
+        """The cost of a candidate a worker-site fault made infeasible."""
+        return math.inf
+
+
+def _result_score(result: Any) -> float:
+    """The score of one context result: a cost, or an evaluation's score."""
+    return result if isinstance(result, float) else result.score
+
+
+#: Evaluation contexts a process keeps built, by digest.  Two cover a
+#: multi-fidelity round (its 2RM and 4RM contexts); the rest let a staged
+#: flow's consecutive stages come back warm.
+CONTEXT_SLOTS = 4
+
+#: ``digest -> (context, scorer)`` of this process, least recent first.
+#: Pool workers fill it; the parent only when a pool degraded to serial.
+_contexts: "OrderedDict[bytes, Tuple[Any, Callable[[np.ndarray], Any]]]" = (
+    OrderedDict()
+)
+
+
+def _context_scorer(
+    digest: bytes, blob: bytes
+) -> Tuple[Any, Callable[[np.ndarray], Any]]:
+    """``(context, scorer)`` of a pickled context; unpickled and built once
+    per digest while the digest stays in :data:`_contexts`."""
+    entry = _contexts.get(digest)
+    if entry is not None:
+        _contexts.move_to_end(digest)
+        return entry
+    context = pickle.loads(blob)
+    entry = (context, context.scorer())
+    profiling.increment("parallel.context_loads")
+    _contexts[digest] = entry
+    while len(_contexts) > CONTEXT_SLOTS:
+        _contexts.popitem(last=False)
+    return entry
+
+
+# ---------------------------------------------------------------------------
+# Worker-side machinery
+# ---------------------------------------------------------------------------
+
+
+def _init_worker(
+    fault_plan=None, telemetry_config=None, linalg_config=None
+) -> None:
+    """Pool initializer: arm this worker like the parent.
+
+    Re-arms the ambient fault plan, the parent's telemetry configuration
+    (tracing on/off, span capacity), and the parent's solver configuration
+    (pressure-shift settings), so respawned workers behave identically to
+    the ones they replaced.  Evaluation contexts arrive with the tasks.
+    """
+    if fault_plan is not None:
+        faults.set_active_plan(fault_plan)
+    if telemetry_config is not None:
+        telemetry_config.apply()
+    # Under the fork start method this process inherits the spawning
+    # thread's lane (the service worker thread's); drop it so exported
+    # spans group as a distinct pool-worker row, not the parent's.
+    telemetry.set_thread_lane(None)
+    if linalg_config is not None:
+        linalg_config.apply()
+
+
+def _score_in_worker(digest: bytes, blob: bytes, params: np.ndarray):
+    """Worker entry point: score one candidate under a pickled context.
+
+    Returns ``(result, counters, spans)``: the worker's profiling counters
     are reset around each candidate so the returned snapshot is a
     per-candidate delta the parent can merge into its own profiler, and the
     worker's span buffer is drained the same way -- solver-reuse statistics
@@ -154,20 +218,25 @@ def _score_in_worker(params: np.ndarray):
 
     The ``parallel.worker`` injection site lives here -- and only here, so
     worker-death faults can never fire in the parent's serial-degradation
-    path.  An injected :class:`~repro.errors.ReproError` scores ``inf``
-    like any infeasible candidate; an injected untyped crash is translated
-    by :func:`~repro.errors.crash_boundary` and propagates.
+    path.  An injected :class:`~repro.errors.ReproError` scores the
+    context's ``infeasible()`` result like any infeasible candidate; an
+    injected untyped crash is translated by
+    :func:`~repro.errors.crash_boundary` and propagates.
     """
     profiling.reset()
     telemetry.clear_spans()
+    context, scorer = _context_scorer(digest, blob)
     try:
         with crash_boundary(f"fault injection at {SITE_PARALLEL_WORKER}"):
             faults.inject(SITE_PARALLEL_WORKER)
     except ReproError:
-        return math.inf, profiling.snapshot(), telemetry.drain_spans()
-    with telemetry.span("parallel.candidate"):
-        cost = _score_candidate(_WORKER_EVALUATOR, params)
-    return cost, profiling.snapshot(), telemetry.drain_spans()
+        result = context.infeasible()
+    else:
+        params = np.asarray(params, dtype=int)
+        with telemetry.span("parallel.candidate"):
+            with crash_boundary(f"candidate params {params.tolist()}"):
+                result = scorer(params)
+    return result, profiling.snapshot(), telemetry.drain_spans()
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +245,14 @@ def _score_in_worker(params: np.ndarray):
 
 
 class PersistentEvaluationPool:
-    """A reusable worker pool bound to one evaluation context.
+    """A reusable, stage-agnostic worker pool.
 
     Args:
-        case / plan / stage / problem / fixed_pressure: As in the staged
-            flow (:mod:`repro.optimize.runner`); pickled to each worker once.
+        case / plan / stage / problem / fixed_pressure: Optional default
+            context, as in the staged flow (:mod:`repro.optimize.runner`):
+            :meth:`evaluate` scores under this :class:`StageContext` when it
+            is given no other.  Omit them for a pool that only scores
+            explicit contexts.
         n_workers: Worker process count (>= 1).
         timeout: No-progress timeout per batch in seconds: the batch fails
             with :class:`~repro.errors.WorkerTimeoutError` when no candidate
@@ -194,16 +266,16 @@ class PersistentEvaluationPool:
         fault_plan: Optional :class:`~repro.faults.FaultPlan` shipped to
             every worker (chaos testing); workers re-arm it on (re)spawn.
 
-    Use as a context manager or call :meth:`close` explicitly; pools cached
-    by :func:`evaluate_population` are closed on eviction and at exit.
+    Use as a context manager or call :meth:`close` explicitly; the shared
+    pool of :func:`score_on_pool` is closed when replaced and at exit.
     """
 
     def __init__(
         self,
-        case: Case,
-        plan: TreePlan,
-        stage: StageConfig,
-        problem: str,
+        case: Optional[Case] = None,
+        plan: Optional[TreePlan] = None,
+        stage: Optional[StageConfig] = None,
+        problem: Optional[str] = None,
         fixed_pressure: Optional[float] = None,
         n_workers: int = 2,
         timeout: float = CANDIDATE_TIMEOUT,
@@ -222,13 +294,20 @@ class PersistentEvaluationPool:
             raise SearchError(
                 f"degrade_after must be >= 1, got {degrade_after}"
             )
-        #: Strong references keep ``id()``-based cache keys valid.
-        self.context = (case, plan, stage, problem, fixed_pressure)
+        self.context: Optional[StageContext] = None
+        if case is not None:
+            if plan is None or stage is None or problem is None:
+                raise SearchError(
+                    "a default context needs case, plan, stage and problem"
+                )
+            self.context = StageContext(
+                case, plan, stage, problem, fixed_pressure
+            )
         self.fault_plan = fault_plan
         #: Captured once at construction and shipped to every worker
         #: (including respawns), like the fault plan.  Flipping tracing in
-        #: the parent therefore requires a new pool -- which the module
-        #: cache key guarantees.
+        #: the parent therefore requires a new pool -- which
+        #: :func:`score_on_pool` starts.
         self.telemetry_config = TelemetryConfig.current()
         #: Solver configuration, captured and shipped the same way so worker
         #: evaluations use the parent's pressure-shift settings.
@@ -240,7 +319,6 @@ class PersistentEvaluationPool:
         self.degrade_after = int(degrade_after)
         self._consecutive_failures = 0
         self._degraded = False
-        self._serial_evaluator = None
         self._spawn_executor()
         self._closed = False
         profiling.increment("parallel.pool_starts")
@@ -249,12 +327,30 @@ class PersistentEvaluationPool:
         self._executor = ProcessPoolExecutor(
             max_workers=self.n_workers,
             initializer=_init_worker,
-            initargs=self.context
-            + (self.fault_plan, self.telemetry_config, self.linalg_config),
+            initargs=(
+                self.fault_plan, self.telemetry_config, self.linalg_config
+            ),
         )
 
-    def evaluate(self, params_list: Sequence[np.ndarray]) -> List[float]:
-        """Score a batch of candidates; one cost per candidate, in order.
+    def serves(self, n_workers: int, fault_plan) -> bool:
+        """Whether this open pool matches ``n_workers``, ``fault_plan`` and
+        the process's live telemetry and solver configurations."""
+        return (
+            not self._closed
+            and self.n_workers == n_workers
+            and self.fault_plan is fault_plan
+            and self.telemetry_config == TelemetryConfig.current()
+            and self.linalg_config == LinalgConfig.current()
+        )
+
+    def evaluate(
+        self, params_list: Sequence[np.ndarray], context: Any = None
+    ) -> List[Any]:
+        """Score a batch of candidates; one result per candidate, in order.
+
+        ``context`` is the evaluation context (default: the pool's own
+        :class:`StageContext`); results are whatever its scorer returns --
+        costs for a :class:`StageContext`.
 
         Pool-level failures (hang, worker death) are retried with backoff
         and worker replacement; after ``degrade_after`` consecutive failures
@@ -264,6 +360,9 @@ class PersistentEvaluationPool:
         """
         if self._closed:
             raise SearchError("persistent evaluation pool is closed")
+        context = self.context if context is None else context
+        if context is None:
+            raise SearchError("pool has no default evaluation context")
         payloads = [np.asarray(p, dtype=int) for p in params_list]
         if not payloads:
             return []
@@ -271,30 +370,33 @@ class PersistentEvaluationPool:
         profiling.observe(
             "parallel.batch_size", len(payloads), bounds=SIZE_BUCKET_BOUNDS
         )
+        blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
+        task = (hashlib.sha256(blob).digest(), blob)
         with telemetry.span("parallel.batch", candidates=len(payloads)):
             with profiling.timer("parallel.batch"):
-                costs = self._evaluate_resilient(payloads)
+                results = self._evaluate_resilient(task, payloads)
         profiling.increment("parallel.batches")
-        profiling.increment("parallel.candidates", len(costs))
+        profiling.increment("parallel.candidates", len(results))
         profiling.increment(
-            "parallel.infeasible", sum(1 for c in costs if math.isinf(c))
+            "parallel.infeasible",
+            sum(1 for r in results if math.isinf(_result_score(r))),
         )
-        return costs
+        return results
 
     # -- resilience ----------------------------------------------------
 
     def _evaluate_resilient(
-        self, payloads: List[np.ndarray]
-    ) -> List[float]:
-        results: Dict[int, float] = {}
+        self, task: Tuple[bytes, bytes], payloads: List[np.ndarray]
+    ) -> List[Any]:
+        results: Dict[int, Any] = {}
         retries = 0
         while len(results) < len(payloads):
             pending = [i for i in range(len(payloads)) if i not in results]
             if self._degraded:
-                self._evaluate_serial(payloads, pending, results)
+                self._evaluate_serial(task, payloads, pending, results)
                 continue
             try:
-                self._collect_parallel(payloads, pending, results)
+                self._collect_parallel(task, payloads, pending, results)
                 self._consecutive_failures = 0
             except PoolError:
                 self._consecutive_failures += 1
@@ -331,9 +433,10 @@ class PersistentEvaluationPool:
 
     def _collect_parallel(
         self,
+        task: Tuple[bytes, bytes],
         payloads: List[np.ndarray],
         pending: List[int],
-        results: Dict[int, float],
+        results: Dict[int, Any],
     ) -> None:
         """One parallel attempt at the ``pending`` candidates.
 
@@ -344,7 +447,10 @@ class PersistentEvaluationPool:
         index: Optional[int] = None
         try:
             for i in pending:
-                futures[self._executor.submit(_score_in_worker, payloads[i])] = i
+                future = self._executor.submit(
+                    _score_in_worker, *task, payloads[i]
+                )
+                futures[future] = i
             remaining = set(futures)
             while remaining:
                 done, _ = wait(
@@ -364,8 +470,8 @@ class PersistentEvaluationPool:
                 for future in done:
                     remaining.discard(future)
                     index = futures[future]
-                    cost, worker_snapshot, worker_spans = future.result()
-                    results[index] = float(cost)
+                    result, worker_snapshot, worker_spans = future.result()
+                    results[index] = result
                     profiling.merge(worker_snapshot)
                     telemetry.extend_spans(worker_spans)
         except BrokenProcessPool as exc:
@@ -385,22 +491,17 @@ class PersistentEvaluationPool:
 
     def _evaluate_serial(
         self,
+        task: Tuple[bytes, bytes],
         payloads: List[np.ndarray],
         pending: List[int],
-        results: Dict[int, float],
+        results: Dict[int, Any],
     ) -> None:
         """Degraded path: score the pending candidates in-process."""
-        if self._serial_evaluator is None:
-            from .runner import _CandidateEvaluator
-
-            case, plan, stage, problem, fixed_pressure = self.context
-            self._serial_evaluator = _CandidateEvaluator(
-                case, plan, stage, problem, fixed_pressure
-            )
+        _, scorer = _context_scorer(*task)
         for index in pending:
-            results[index] = _score_candidate(
-                self._serial_evaluator, payloads[index]
-            )
+            params = payloads[index]
+            with crash_boundary(f"candidate params {params.tolist()}"):
+                results[index] = scorer(params)
             profiling.increment("parallel.serial_fallback")
 
     def _degrade(self) -> None:
@@ -462,94 +563,71 @@ class PersistentEvaluationPool:
         self.close()
 
 
-#: Live pools kept warm across :func:`evaluate_population` calls.  Two slots
-#: cover the common shape of the staged flow (current stage plus the
-#: next-stage re-scorer) without hoarding idle processes.
-_POOL_CACHE_SIZE = 2
-_pool_cache: "OrderedDict[tuple, PersistentEvaluationPool]" = OrderedDict()
+# ---------------------------------------------------------------------------
+# The process's shared pool
+# ---------------------------------------------------------------------------
+
+#: The pool :func:`score_on_pool` dispatches to; ``None`` until the first
+#: pooled batch, and after :func:`shutdown_pools`.
+_shared_pool: Optional[PersistentEvaluationPool] = None
+
+#: Pooled batches of concurrent threads (design-service workers) run one at
+#: a time, so no thread replaces or degrades the pool under another's batch.
+_shared_lock = threading.RLock()
 
 
-class _IdentityKey:
-    """Cache-key component comparing by object identity.
-
-    Replaces raw ``id(...)`` in the pool-cache key: an integer id can be
-    recycled by a *different* object once the original dies, and ids leak
-    run-to-run nondeterminism into anything the key reaches.  The wrapper
-    pins its referent (so no recycling) and equals only a wrapper around
-    the very same object; the hash is the interpreter's identity hash,
-    which only ever needs to be stable within the owning process.
-    """
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj: object) -> None:
-        self.obj = obj
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _IdentityKey) and self.obj is other.obj
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
-    def __hash__(self) -> int:
-        return object.__hash__(self.obj)
-
-
-def _cached_pool(
-    case: Case,
-    plan: TreePlan,
-    stage: StageConfig,
-    problem: str,
-    fixed_pressure: Optional[float],
-    n_workers: int,
-) -> PersistentEvaluationPool:
-    # Identity-based keys are safe because each cached pool holds strong
-    # references to its context objects (via the key's _IdentityKey
-    # wrappers), pinning them alive.  The pressure is quantized like every
-    # other float cache key in the repo, so an epsilon-perturbed context
-    # reuses the warm pool.  The ambient fault plan (chaos runs), telemetry
-    # configuration and solver configuration join the key so a plan change
-    # -- or flipping tracing or incremental updates on/off -- never reuses
-    # workers armed with a stale setup.
+def _configure_shared_pool(n_workers: int) -> PersistentEvaluationPool:
+    """The shared pool, replaced when it does not serve ``n_workers`` under
+    the ambient fault plan and the live telemetry and solver configurations
+    (the old workers are closed).  Call with :data:`_shared_lock` held."""
+    global _shared_pool
     fault_plan = faults.active_plan()
-    quantized_pressure = (
-        None if fixed_pressure is None else quantize_key(fixed_pressure)
-    )
-    key = (
-        _IdentityKey(case),
-        _IdentityKey(plan),
-        stage,
-        problem,
-        quantized_pressure,
-        n_workers,
-        None if fault_plan is None else _IdentityKey(fault_plan),
-        TelemetryConfig.current(),
-        LinalgConfig.current(),
-    )
-    pool = _pool_cache.get(key)
-    if pool is not None and not pool.closed:
-        _pool_cache.move_to_end(key)
-        return pool
-    pool = PersistentEvaluationPool(
-        case,
-        plan,
-        stage,
-        problem,
-        fixed_pressure,
-        n_workers=n_workers,
-        fault_plan=fault_plan,
-    )
-    _pool_cache[key] = pool
-    while len(_pool_cache) > _POOL_CACHE_SIZE:
-        _, evicted = _pool_cache.popitem(last=False)
-        evicted.close()
+    pool = _shared_pool
+    if pool is None or not pool.serves(n_workers, fault_plan):
+        if pool is not None:
+            pool.close()
+        pool = PersistentEvaluationPool(
+            n_workers=n_workers, fault_plan=fault_plan
+        )
+        _shared_pool = pool
     return pool
 
 
+def score_on_pool(
+    context: Any, params_list: Sequence[np.ndarray], n_workers: int
+) -> List[Any]:
+    """Score a batch under ``context`` on this process's shared pool.
+
+    ``context`` is any picklable evaluation context (``scorer()`` and
+    ``infeasible()``); one result per candidate, in order.
+    """
+    with _shared_lock:
+        return _configure_shared_pool(n_workers).evaluate(params_list, context)
+
+
+def shutdown_degraded_pool() -> None:
+    """Close the shared pool if it degraded to serial evaluation.
+
+    Called when a design job ends, so a degradation lasts for the job that
+    caused it only: the next job starts a fresh parallel pool instead of
+    inheriting a long-lived worker process's serial fallback.
+    """
+    global _shared_pool
+    with _shared_lock:
+        if _shared_pool is not None and _shared_pool.degraded:
+            _shared_pool.close()
+            _shared_pool = None
+
+
 def shutdown_pools() -> None:
-    """Close every cached worker pool (also registered at interpreter exit)."""
-    while _pool_cache:
-        _, pool = _pool_cache.popitem(last=False)
+    """Close the shared worker pool (also registered at interpreter exit).
+
+    Does not wait for a batch in flight (a daemon thread may hold one at
+    exit); that batch fails on the closed pool.
+    """
+    global _shared_pool
+    pool, _shared_pool = _shared_pool, None
+    if pool is not None:
         pool.close()
 
 
@@ -578,9 +656,8 @@ def evaluate_population(
             flow (:mod:`repro.optimize.runner`).
         params_list: Candidate (n_trees, 2) arrays.
         n_workers: Worker processes; 1 evaluates serially in-process.
-        pool: An explicit :class:`PersistentEvaluationPool` to dispatch to
-            (its context must match the other arguments); by default a
-            module-cached pool for this context is created or reused.
+        pool: An explicit :class:`PersistentEvaluationPool` to dispatch to;
+            by default the process's shared pool (:func:`score_on_pool`).
 
     Returns:
         One cost per candidate (``inf`` for illegal/infeasible networks).
@@ -591,26 +668,20 @@ def evaluate_population(
         raise SearchError(f"n_workers must be >= 1, got {n_workers}")
     if not params_list:
         return []
+    context = StageContext(case, plan, stage, problem, fixed_pressure)
     # The grouped metric is stateful across candidates and must stay serial
     # no matter what was requested; otherwise go parallel when a pool was
     # handed in or more than one worker was asked for.
     if stage.metric == METRIC_MIN_GRADIENT_CAPPED or (
         pool is None and n_workers == 1
     ):
-        from .runner import _CandidateEvaluator
-
-        evaluator = _CandidateEvaluator(
-            case, plan, stage, problem, fixed_pressure
-        )
-        costs = [_score_candidate(evaluator, params) for params in params_list]
+        scorer = context.scorer()
+        costs = [scorer(params) for params in params_list]
         profiling.increment("parallel.candidates", len(costs))
         profiling.increment(
             "parallel.infeasible", sum(1 for c in costs if math.isinf(c))
         )
         return costs
-
-    if pool is None:
-        pool = _cached_pool(
-            case, plan, stage, problem, fixed_pressure, n_workers
-        )
-    return pool.evaluate(params_list)
+    if pool is not None:
+        return pool.evaluate(params_list, context)
+    return score_on_pool(context, params_list, n_workers)

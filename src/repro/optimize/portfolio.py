@@ -32,10 +32,13 @@ A.jsonl --compare B.jsonl``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -60,6 +63,7 @@ from ..networks.tree import TreePlan
 from ..telemetry import runlog
 from .annealing import BatchCost, Chain, SAConfig, anneal, warm_up_first_batch
 from .moves import perturb_tree_params
+from .parallel import shutdown_degraded_pool
 from .registry import DEFAULT_PORTFOLIO, get_optimizer, register_optimizer
 from .stages import (
     METRIC_LOWEST_FEASIBLE_POWER,
@@ -184,17 +188,64 @@ def _infeasible_high() -> EvaluationResult:
     )
 
 
+def _evaluate_high(
+    context: "ReferenceContext", base_stack: Any, params: np.ndarray
+) -> EvaluationResult:
+    """The 4RM reference evaluation of one candidate (illegal or infeasible
+    networks score :func:`_infeasible_high`)."""
+    case = context.case
+    try:
+        grid = context.plan.with_params(np.asarray(params, dtype=int)).build()
+        system = CoolingSystem.for_network(
+            base_stack,
+            grid,
+            case.coolant,
+            model="4rm",
+            inlet_temperature=case.inlet_temperature,
+        )
+        if context.problem == PROBLEM_PUMPING_POWER:
+            return evaluate_problem1(
+                system, case.delta_t_star, case.t_max_star
+            )
+        return evaluate_problem2(
+            system, case.t_max_star, case.w_pump_star()
+        )
+    except (DesignRuleError, FlowError, GeometryError, SearchError,
+            ThermalError):
+        return _infeasible_high()
+
+
+class ReferenceContext(NamedTuple):
+    """The 4RM reference evaluation of a case's tree plan, as an evaluation
+    context the shared worker pool can run
+    (:func:`~repro.optimize.parallel.score_on_pool`)."""
+
+    case: Case
+    plan: TreePlan
+    problem: str
+
+    def scorer(self) -> Callable[[np.ndarray], EvaluationResult]:
+        """Parameter vector -> reference :class:`EvaluationResult`."""
+        return functools.partial(_evaluate_high, self, self.case.base_stack())
+
+    @staticmethod
+    def infeasible() -> EvaluationResult:
+        """The result of a candidate a worker-site fault made infeasible."""
+        return _infeasible_high()
+
+
 class MultiFidelityEvaluator:
     """Fidelity-tagged candidate scoring with memoization and calibration.
 
     ``low`` scores come from the 2RM surrogate through
-    :func:`~repro.optimize.parallel.evaluate_population` (and therefore the
-    persistent worker pool when ``n_workers > 1``); ``high`` scores run the
-    full 4RM reference evaluation.  Promotions feed the :class:`OffsetModel`
-    so :meth:`corrected` drifts toward the reference scale as evidence
-    accumulates.  ``low_evals`` / ``high_evals`` count *distinct candidate
-    evaluations* per fidelity (memo hits are free), which is what the
-    ``--bench portfolio`` 4RM-evaluation budget compares.
+    :func:`~repro.optimize.parallel.evaluate_population`; ``high`` scores
+    run the full 4RM reference evaluation.  With ``n_workers > 1`` both go
+    to the process's shared worker pool, one dispatch per batch of memo
+    misses; otherwise they run in-process.  Promotions feed the
+    :class:`OffsetModel` so :meth:`corrected` drifts toward the reference
+    scale as evidence accumulates.  ``low_evals`` / ``high_evals`` count
+    *distinct candidate evaluations* per fidelity (memo hits are free),
+    which is what the ``--bench portfolio`` 4RM-evaluation budget compares.
     """
 
     def __init__(
@@ -224,7 +275,12 @@ class MultiFidelityEvaluator:
         self.high_evals = 0
         self._low_cache: Dict[bytes, float] = {}
         self._high_cache: Dict[bytes, EvaluationResult] = {}
-        self._base_stack = case.base_stack()
+        self._reference = ReferenceContext(case, plan, problem)
+        #: The in-process reference scorer (``n_workers == 1``), built on
+        #: first use.
+        self._reference_scorer: Optional[
+            Callable[[np.ndarray], EvaluationResult]
+        ] = None
 
     @staticmethod
     def _case_scale(case: Case, problem: str) -> float:
@@ -236,19 +292,27 @@ class MultiFidelityEvaluator:
     def _key(params: np.ndarray) -> bytes:
         return np.asarray(params, dtype=int).tobytes()
 
+    @classmethod
+    def _misses(
+        cls, params_list: Sequence[np.ndarray], cache: Dict[bytes, Any]
+    ) -> List[Tuple[bytes, np.ndarray]]:
+        """The distinct candidates of a batch ``cache`` lacks, in order."""
+        missing: List[Tuple[bytes, np.ndarray]] = []
+        seen = set()
+        for params in params_list:
+            key = cls._key(params)
+            if key not in cache and key not in seen:
+                seen.add(key)
+                missing.append((key, np.asarray(params, dtype=int)))
+        return missing
+
     # -- low fidelity ---------------------------------------------------
 
     def low_batch(self, params_list: Sequence[np.ndarray]) -> List[float]:
         """Surrogate scores for a batch (one pooled dispatch for misses)."""
         from .parallel import evaluate_population
 
-        keys = [self._key(p) for p in params_list]
-        missing: List[Tuple[bytes, np.ndarray]] = []
-        seen = set()
-        for key, params in zip(keys, params_list):
-            if key not in self._low_cache and key not in seen:
-                seen.add(key)
-                missing.append((key, np.asarray(params, dtype=int)))
+        missing = self._misses(params_list, self._low_cache)
         if missing:
             costs = evaluate_population(
                 self.case,
@@ -262,7 +326,7 @@ class MultiFidelityEvaluator:
                 self._low_cache[key] = float(cost)
             self.low_evals += len(missing)
             profiling.increment("portfolio.low_evals", len(missing))
-        return [self._low_cache[key] for key in keys]
+        return [self._low_cache[self._key(p)] for p in params_list]
 
     def low(self, params: np.ndarray) -> float:
         """Surrogate score of one candidate."""
@@ -274,66 +338,71 @@ class MultiFidelityEvaluator:
 
     # -- high fidelity --------------------------------------------------
 
-    def _evaluate_high(self, params: np.ndarray) -> EvaluationResult:
-        try:
-            grid = self.plan.with_params(np.asarray(params, dtype=int)).build()
-            system = CoolingSystem.for_network(
-                self._base_stack,
-                grid,
-                self.case.coolant,
-                model="4rm",
-                inlet_temperature=self.case.inlet_temperature,
-            )
-            if self.problem == PROBLEM_PUMPING_POWER:
-                return evaluate_problem1(
-                    system, self.case.delta_t_star, self.case.t_max_star
+    def high_batch(
+        self, params_list: Sequence[np.ndarray]
+    ) -> List[EvaluationResult]:
+        """Reference (4RM) evaluations of a batch, memoized.
+
+        The memo misses run as one dispatch to the shared worker pool when
+        ``n_workers > 1``, else in-process, in batch order.  Counts toward
+        ``high_evals`` but does *not* calibrate the offset model -- this is
+        the pure-4RM path (``sa_4rm``) and the scoring half of
+        :meth:`promote`.
+        """
+        from .parallel import score_on_pool
+
+        missing = self._misses(params_list, self._high_cache)
+        if missing:
+            batch = [params for _, params in missing]
+            if self.n_workers > 1:
+                evaluations = score_on_pool(
+                    self._reference, batch, self.n_workers
                 )
-            return evaluate_problem2(
-                system, self.case.t_max_star, self.case.w_pump_star()
-            )
-        except (DesignRuleError, FlowError, GeometryError, SearchError,
-                ThermalError):
-            return _infeasible_high()
+            else:
+                if self._reference_scorer is None:
+                    self._reference_scorer = self._reference.scorer()
+                evaluations = [self._reference_scorer(p) for p in batch]
+            for (key, _), evaluation in zip(missing, evaluations):
+                self._high_cache[key] = evaluation
+            self.high_evals += len(missing)
+            profiling.increment("portfolio.high_evals", len(missing))
+        return [self._high_cache[self._key(p)] for p in params_list]
 
     def high_evaluation(self, params: np.ndarray) -> EvaluationResult:
-        """The reference (4RM) evaluation of one candidate, memoized.
+        """The reference (4RM) evaluation of one candidate (see
+        :meth:`high_batch`)."""
+        return self.high_batch([params])[0]
 
-        Counts toward ``high_evals`` but does *not* calibrate the offset
-        model -- this is the pure-4RM path (``sa_4rm``).
+    def promote(
+        self, params_list: Sequence[np.ndarray]
+    ) -> List[EvaluationResult]:
+        """Verify elite candidates at the reference fidelity, as one batch.
+
+        Candidates without a memoized reference evaluation are scored at
+        both fidelities (the 4RM ones as one :meth:`high_batch`); then, in
+        batch order, each one's (surrogate, reference) pair feeds the
+        offset model and emits a ``portfolio.promotion`` run event.
+        Candidates promoted before observe nothing new.
         """
-        key = self._key(params)
-        if key in self._high_cache:
-            return self._high_cache[key]
-        evaluation = self._evaluate_high(params)
-        self._high_cache[key] = evaluation
-        self.high_evals += 1
-        profiling.increment("portfolio.high_evals")
-        return evaluation
-
-    def promote(self, params: np.ndarray) -> EvaluationResult:
-        """Verify one elite candidate at the reference fidelity.
-
-        Scores the candidate at both fidelities (memoized), feeds the
-        (surrogate, reference) pair to the offset model, and emits a
-        ``portfolio.promotion`` run event.
-        """
-        key = self._key(params)
-        if key in self._high_cache:
-            return self._high_cache[key]
-        low_score = self.low(params)
-        with telemetry.span("portfolio.promote"):
-            evaluation = self.high_evaluation(params)
-        self.offset.observe(low_score, evaluation.score)
-        profiling.increment("portfolio.promotions")
-        runlog.emit_event(
-            "portfolio.promotion",
-            low_score=low_score,
-            high_score=evaluation.score,
-            corrected=self.corrected(low_score),
-            offset=self.offset.log_offset,
-            pairs=self.offset.n_pairs,
-        )
-        return evaluation
+        fresh = [
+            params for _, params in self._misses(params_list, self._high_cache)
+        ]
+        if fresh:
+            low_scores = self.low_batch(fresh)
+            with telemetry.span("portfolio.promote", candidates=len(fresh)):
+                evaluations = self.high_batch(fresh)
+            for low_score, evaluation in zip(low_scores, evaluations):
+                self.offset.observe(low_score, evaluation.score)
+                profiling.increment("portfolio.promotions")
+                runlog.emit_event(
+                    "portfolio.promotion",
+                    low_score=low_score,
+                    high_score=evaluation.score,
+                    corrected=self.corrected(low_score),
+                    offset=self.offset.log_offset,
+                    pairs=self.offset.n_pairs,
+                )
+        return [self._high_cache[self._key(p)] for p in params_list]
 
     # -- checkpointing --------------------------------------------------
 
@@ -537,20 +606,22 @@ class RoundOptimizer:
         self,
         ctx: OptimizerContext,
         state: Dict[str, Any],
-        params: np.ndarray,
+        params_list: Sequence[np.ndarray],
     ) -> None:
-        """Promote ``params``; keep the best verified candidate in state."""
-        evaluation = ctx.evaluator.promote(params)
-        verified = state.get("verified")
-        if verified is None or evaluation.score < verified[1].score:
-            state["verified"] = (np.asarray(params), evaluation)
+        """Promote ``params_list`` as one batch; keep the best verified
+        candidate in state (the earliest among equal scores)."""
+        evaluations = ctx.evaluator.promote(params_list)
+        for params, evaluation in zip(params_list, evaluations):
+            verified = state.get("verified")
+            if verified is None or evaluation.score < verified[1].score:
+                state["verified"] = (np.asarray(params), evaluation)
 
     def _finalize_verified(
         self, ctx: OptimizerContext, state: Dict[str, Any]
     ) -> OptimizerOutcome:
         ctx.evaluator.restore(state["evaluator"])
         if state.get("verified") is None:
-            self._verify(ctx, state, np.asarray(state["best"]))
+            self._verify(ctx, state, [np.asarray(state["best"])])
             state["evaluator"] = ctx.evaluator.state()
         params, evaluation = state["verified"]
         return OptimizerOutcome(
@@ -639,8 +710,7 @@ class MultiFidelityOptimizer(_ChainOptimizer):
         self._anneal(ctx, state, scored)
         pool.append((np.asarray(state["best"]), state["best_cost"]))
         elites = _elite_candidates(pool, ctx.config.elite)
-        for params, _ in elites:
-            self._verify(ctx, state, params)
+        self._verify(ctx, state, [params for params, _ in elites])
         state["rounds"].append(
             {
                 "round": round_i,
@@ -677,10 +747,7 @@ class Pure4RMOptimizer(_ChainOptimizer):
 
     def _cost(self, ctx: OptimizerContext) -> BatchCost:
         def high_batch(batch: Sequence[np.ndarray]) -> List[float]:
-            return [
-                ctx.evaluator.high_evaluation(params).score
-                for params in batch
-            ]
+            return [e.score for e in ctx.evaluator.high_batch(batch)]
 
         return high_batch
 
@@ -847,131 +914,140 @@ def run_portfolio(
         if progress is not None:
             progress(event_type, fields)
 
-    outcomes: Dict[str, OptimizerOutcome] = dict(payload["completed"])
-    for spawn, optimizer in enumerate(strategies):
-        name = optimizer.name
-        if name in outcomes:
-            continue
-        ctx = OptimizerContext(case, config, spawn)
-        n_rounds = optimizer.n_rounds(config)
-        log = (
-            runlog.RunLog(str(Path(run_log_dir) / f"{name}.jsonl"))
-            if run_log_dir is not None
-            else None
-        )
-        previous_log = runlog.set_run_log(log) if log is not None else None
-        started = runlog.Stopwatch()
-        try:
-            runlog.emit_event(
-                "run.start",
-                problem=config.problem,
-                case_number=case.number,
-                grid_size=case.nrows,
-                seed=config.seed,
-                n_workers=config.n_workers,
-                batch_size=config.batch_size,
-                optimizer=name,
-                fingerprint=fingerprint,
+    # A pool that degraded to serial during this job is not handed to the
+    # next one.
+    try:
+        outcomes: Dict[str, OptimizerOutcome] = dict(payload["completed"])
+        for spawn, optimizer in enumerate(strategies):
+            name = optimizer.name
+            if name in outcomes:
+                continue
+            ctx = OptimizerContext(case, config, spawn)
+            n_rounds = optimizer.n_rounds(config)
+            log = (
+                runlog.RunLog(str(Path(run_log_dir) / f"{name}.jsonl"))
+                if run_log_dir is not None
+                else None
             )
-            runlog.emit_event(
-                "portfolio.optimizer.start",
-                optimizer=name,
-                rounds=n_rounds,
-                iterations=config.iterations,
-            )
-            report(
-                "portfolio.optimizer.start",
-                optimizer=name,
-                rounds=n_rounds,
-                iterations=config.iterations,
-            )
-            with telemetry.span("portfolio.optimizer", optimizer=name):
-                if (
-                    payload["active"] == name
-                    and payload["active_state"] is not None
-                ):
-                    state = payload["active_state"]
-                else:
-                    state = optimizer.init_state(ctx)
-                    payload["active"] = name
-                    payload["active_state"] = state
-                    save()
-                for round_i in range(state["round"], n_rounds):
-                    optimizer.run_round(ctx, state, round_i)
-                    state["round"] = round_i + 1
-                    record = state["rounds"][-1] if state["rounds"] else {}
-                    runlog.emit_event(
-                        "portfolio.round",
-                        optimizer=name,
-                        **record,
-                    )
-                    report(
-                        "portfolio.round", optimizer=name, **record
-                    )
-                    round_end: Dict[str, Any] = {
-                        "d_index": 0,
-                        "stage": name,
-                        "best_cost": record.get("verified", math.inf),
-                        "accepted": 0,
-                        "proposed": record.get("low_evals", 0)
-                        + record.get("high_evals", 0),
-                        "acceptance_rate": 0.0,
-                        "iterations": config.iterations,
-                    }
-                    # Strategies that track SA acceptance (staged_sa)
-                    # report their own values.
-                    round_end.update(
-                        (key, record[key])
-                        for key in round_end
-                        if key in record
-                    )
-                    runlog.emit_event("round.end", round=round_i, **round_end)
-                    save()
-                    if round_i + 1 < n_rounds:
-                        stop_point(f"{name} round {round_i + 1}/{n_rounds}")
-                outcome = optimizer.finalize(ctx, state)
-            outcomes[name] = outcome
-            payload["completed"] = dict(outcomes)
-            payload["active"] = None
-            payload["active_state"] = None
-            save()
-            runlog.emit_event(
-                "portfolio.optimizer.end",
-                optimizer=name,
-                score=outcome.score,
-                feasible=outcome.evaluation.feasible,
-                low_evals=outcome.low_evals,
-                high_evals=outcome.high_evals,
-            )
-            report(
-                "portfolio.optimizer.end",
-                optimizer=name,
-                score=outcome.score,
-                feasible=outcome.evaluation.feasible,
-                low_evals=outcome.low_evals,
-                high_evals=outcome.high_evals,
-            )
-            runlog.emit_event(
-                "run.end",
-                score=outcome.score,
-                feasible=outcome.evaluation.feasible,
-                total_simulations=outcome.low_evals + outcome.high_evals,
-                seconds=started.elapsed(),
-                histograms=profiling.histogram_summaries(),
-            )
-            report(
-                "run.end",
-                optimizer=name,
-                score=outcome.score,
-                feasible=outcome.evaluation.feasible,
-                total_simulations=outcome.low_evals + outcome.high_evals,
-                seconds=started.elapsed(),
-            )
-        finally:
-            if log is not None:
-                runlog.set_run_log(previous_log)
-        if len(outcomes) < len(strategies):
-            stop_point(f"completion of {name}")
+            previous_log = runlog.set_run_log(log) if log is not None else None
+            started = runlog.Stopwatch()
+            try:
+                runlog.emit_event(
+                    "run.start",
+                    problem=config.problem,
+                    case_number=case.number,
+                    grid_size=case.nrows,
+                    seed=config.seed,
+                    n_workers=config.n_workers,
+                    batch_size=config.batch_size,
+                    optimizer=name,
+                    fingerprint=fingerprint,
+                )
+                runlog.emit_event(
+                    "portfolio.optimizer.start",
+                    optimizer=name,
+                    rounds=n_rounds,
+                    iterations=config.iterations,
+                )
+                report(
+                    "portfolio.optimizer.start",
+                    optimizer=name,
+                    rounds=n_rounds,
+                    iterations=config.iterations,
+                )
+                with telemetry.span("portfolio.optimizer", optimizer=name):
+                    if (
+                        payload["active"] == name
+                        and payload["active_state"] is not None
+                    ):
+                        state = payload["active_state"]
+                    else:
+                        state = optimizer.init_state(ctx)
+                        payload["active"] = name
+                        payload["active_state"] = state
+                        save()
+                    for round_i in range(state["round"], n_rounds):
+                        optimizer.run_round(ctx, state, round_i)
+                        state["round"] = round_i + 1
+                        record = state["rounds"][-1] if state["rounds"] else {}
+                        runlog.emit_event(
+                            "portfolio.round",
+                            optimizer=name,
+                            **record,
+                        )
+                        report(
+                            "portfolio.round", optimizer=name, **record
+                        )
+                        round_end: Dict[str, Any] = {
+                            "d_index": 0,
+                            "stage": name,
+                            "best_cost": record.get("verified", math.inf),
+                            "accepted": 0,
+                            "proposed": record.get("low_evals", 0)
+                            + record.get("high_evals", 0),
+                            "acceptance_rate": 0.0,
+                            "iterations": config.iterations,
+                        }
+                        # Strategies that track SA acceptance (staged_sa)
+                        # report their own values.
+                        round_end.update(
+                            (key, record[key])
+                            for key in round_end
+                            if key in record
+                        )
+                        runlog.emit_event(
+                            "round.end", round=round_i, **round_end
+                        )
+                        save()
+                        if round_i + 1 < n_rounds:
+                            stop_point(
+                                f"{name} round {round_i + 1}/{n_rounds}"
+                            )
+                    outcome = optimizer.finalize(ctx, state)
+                outcomes[name] = outcome
+                payload["completed"] = dict(outcomes)
+                payload["active"] = None
+                payload["active_state"] = None
+                save()
+                runlog.emit_event(
+                    "portfolio.optimizer.end",
+                    optimizer=name,
+                    score=outcome.score,
+                    feasible=outcome.evaluation.feasible,
+                    low_evals=outcome.low_evals,
+                    high_evals=outcome.high_evals,
+                )
+                report(
+                    "portfolio.optimizer.end",
+                    optimizer=name,
+                    score=outcome.score,
+                    feasible=outcome.evaluation.feasible,
+                    low_evals=outcome.low_evals,
+                    high_evals=outcome.high_evals,
+                )
+                runlog.emit_event(
+                    "run.end",
+                    score=outcome.score,
+                    feasible=outcome.evaluation.feasible,
+                    total_simulations=outcome.low_evals + outcome.high_evals,
+                    seconds=started.elapsed(),
+                    histograms=profiling.histogram_summaries(),
+                )
+                report(
+                    "run.end",
+                    optimizer=name,
+                    score=outcome.score,
+                    feasible=outcome.evaluation.feasible,
+                    total_simulations=outcome.low_evals + outcome.high_evals,
+                    seconds=started.elapsed(),
+                )
+            finally:
+                if log is not None:
+                    runlog.set_run_log(previous_log)
+            if len(outcomes) < len(strategies):
+                stop_point(f"completion of {name}")
+    finally:
+        shutdown_degraded_pool()
     return PortfolioResult(
         case_number=case.number,
         problem=config.problem,

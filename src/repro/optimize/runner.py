@@ -364,11 +364,6 @@ class StagedSAOptimizer(RoundOptimizer):
 
     name = "staged_sa"
 
-    def __init__(self) -> None:
-        # One plan object per direction for the whole run: the worker-pool
-        # cache is keyed by plan identity, so every stage reuses warm pools.
-        self._plans: Dict[int, TreePlan] = {}
-
     def n_rounds(self, config: PortfolioConfig) -> int:
         stages, directions, _ = _flow(config)
         return len(directions) * sum(stage.rounds for stage in stages)
@@ -376,19 +371,14 @@ class StagedSAOptimizer(RoundOptimizer):
     def fingerprint(self, config: PortfolioConfig) -> Tuple[Any, ...]:
         return _flow(config) + (config.initialization,)
 
-    def _plan(
-        self, ctx: OptimizerContext, direction: int, d_index: int
-    ) -> TreePlan:
-        plan = self._plans.get(d_index)
-        if plan is None:
-            plan = ctx.case.tree_plan(
-                direction=direction, leaves_per_tree=ctx.config.leaves_per_tree
-            )
-            if ctx.config.initialization == "power_aware":
-                plan = power_aware_initialization(
-                    plan, sum(ctx.case.power_maps)
-                )
-            self._plans[d_index] = plan
+    @staticmethod
+    def _plan(ctx: OptimizerContext, direction: int) -> TreePlan:
+        """The initialized tree plan of one global flow direction."""
+        plan = ctx.case.tree_plan(
+            direction=direction, leaves_per_tree=ctx.config.leaves_per_tree
+        )
+        if ctx.config.initialization == "power_aware":
+            plan = power_aware_initialization(plan, sum(ctx.case.power_maps))
         return plan
 
     def init_state(self, ctx: OptimizerContext) -> Dict[str, Any]:
@@ -402,7 +392,7 @@ class StagedSAOptimizer(RoundOptimizer):
         stages, directions, batch = _flow(cfg)
         d_index, s_index, round_s = _position(stages, round_i)
         stage = stages[s_index]
-        plan = self._plan(ctx, directions[d_index], d_index)
+        plan = self._plan(ctx, directions[d_index])
         if state["direction"] is None:
             state["direction"] = self._start_direction(ctx, plan, stages)
         flight = state["direction"]
@@ -700,10 +690,11 @@ def run_staged_flow(
 class _BatchCost:
     """A caching batch evaluator over :func:`evaluate_population`.
 
-    One instance per SA round.  Parallel dispatch goes through the
-    module-level persistent-pool cache of :mod:`repro.optimize.parallel`:
-    every batch of the same stage (across SA iterations and rounds) reuses
-    one warm worker pool.
+    One instance per SA round.  Parallel dispatch goes through the process's
+    shared worker pool (:func:`~repro.optimize.parallel.score_on_pool`):
+    every batch of every stage, direction and strategy reuses the same warm
+    workers, and each batch ships its stage context under a digest the
+    workers unpickle once.
     """
 
     def __init__(

@@ -113,7 +113,7 @@ class DesignService:
             return (
                 True,
                 f"evaluation pool degraded {degraded_evals}x (serial "
-                f"fallback active)",
+                f"fallback for the rest of that job)",
             )
         return True, f"{len(self.workers)} workers + reaper alive"
 

@@ -76,6 +76,7 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "parallel.batch_size",
         "parallel.batches",
         "parallel.candidates",
+        "parallel.context_loads",
         "parallel.crashed",
         "parallel.degraded",
         "parallel.infeasible",

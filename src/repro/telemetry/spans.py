@@ -334,7 +334,7 @@ class TelemetryConfig:
 
     Shipped in the evaluation pool's initializer arguments (like the fault
     plan) so respawned workers re-arm tracing identically; also part of the
-    pool cache key so flipping tracing rebuilds the pool.
+    shared pool's key, so flipping tracing starts a new pool.
     """
 
     trace: bool = False

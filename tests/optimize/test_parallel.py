@@ -1,22 +1,32 @@
 """Tests for batched/parallel neighbor evaluation."""
 
+import contextlib
+import hashlib
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro import profiling
+from repro import profiling, telemetry
 from repro.errors import SearchError
+from repro.faults import FaultInjector, FaultPlan, FaultSpec, SITE_PARALLEL_WORKER
 from repro.iccad2015 import load_case
+from repro.linalg.config import use_config
 from repro.optimize import Chain, SAConfig, anneal, optimize_problem1
 from repro.optimize.annealing import warm_up_first_batch
 from repro.optimize.parallel import (
     CandidateCrashError,
     PersistentEvaluationPool,
+    StageContext,
     _score_candidate,
     evaluate_population,
+    score_on_pool,
     shutdown_pools,
 )
+from repro.optimize.portfolio import ReferenceContext
 from repro.optimize.runner import PROBLEM_PUMPING_POWER
 from repro.optimize.stages import (
     METRIC_FIXED_PRESSURE_GRADIENT,
@@ -35,6 +45,16 @@ FIXED_PRESSURE = 2e4
 @pytest.fixture(scope="module")
 def case():
     return load_case(1, grid_size=21)
+
+
+@contextlib.contextmanager
+def telemetry_tracing(enabled):
+    """Tracing switched to ``enabled`` for the block."""
+    previous = telemetry.set_tracing(enabled)
+    try:
+        yield
+    finally:
+        telemetry.set_tracing(previous)
 
 
 @pytest.fixture(autouse=True)
@@ -163,8 +183,8 @@ class TestErrorDiscipline:
             def __call__(self, params):
                 raise ValueError("boom in worker")
 
-        # Workers are forked, so they inherit the patched symbol the pool
-        # initializer imports.
+        # Workers are forked, so they inherit the patched symbol the stage
+        # context's scorer imports.
         monkeypatch.setattr(runner, "_CandidateEvaluator", _Broken)
         plan = case.tree_plan()
         with PersistentEvaluationPool(
@@ -250,15 +270,15 @@ class TestPersistentPool:
             case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, [plan.params()],
             fixed_pressure=FIXED_PRESSURE, n_workers=2,
         )
-        cached = list(parallel._pool_cache.values())
-        assert cached and all(not p.closed for p in cached)
+        shared = parallel._shared_pool
+        assert shared is not None and not shared.closed
         shutdown_pools()
-        assert not parallel._pool_cache
-        assert all(p.closed for p in cached)
+        assert parallel._shared_pool is None
+        assert shared.closed
 
     def test_closed_cached_pool_is_replaced(self, case):
-        """Closing a cached pool out from under the cache must not poison
-        later calls: the next evaluation builds a fresh pool."""
+        """Closing the shared pool out from under the module must not
+        poison later calls: the next evaluation builds a fresh pool."""
         from repro.optimize import parallel
 
         plan = case.tree_plan()
@@ -269,31 +289,181 @@ class TestPersistentPool:
         first = evaluate_population(
             case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, batch, **kwargs
         )
-        for pool in parallel._pool_cache.values():
-            pool.close()
+        parallel._shared_pool.close()
         second = evaluate_population(
             case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, batch, **kwargs
         )
         assert second == first
         assert profiling.counter("parallel.pool_starts") == 2
 
-    def test_cache_eviction_closes_oldest(self, case):
-        """The cache is bounded: overflowing it closes (not leaks) the
-        least-recently-used pool's workers."""
+    def test_one_pool_serves_stages_pressures_and_fidelities(self, case):
+        """Three stages x three fixed pressures at 2RM, then a 4RM batch:
+        one pool start, and every result bitwise equal to in-process."""
+        plan = case.tree_plan()
+        shutdown_pools()
+        profiling.reset()
+        batch = [plan.params(), plan.clamp_params(plan.params() + 2)]
+        stages = [
+            StageConfig(f"f{tile}", 4, 1, 4, METRIC_FIXED_PRESSURE_GRADIENT,
+                        "2rm", tile)
+            for tile in (2, 3, 4)
+        ]
+        for stage in stages:
+            for pressure in (1e4, 2e4, 3e4):
+                pooled = evaluate_population(
+                    case, plan, stage, PROBLEM_PUMPING_POWER, batch,
+                    fixed_pressure=pressure, n_workers=2,
+                )
+                serial = evaluate_population(
+                    case, plan, stage, PROBLEM_PUMPING_POWER, batch,
+                    fixed_pressure=pressure, n_workers=1,
+                )
+                assert pooled == serial
+        reference = ReferenceContext(case, plan, PROBLEM_PUMPING_POWER)
+        high = score_on_pool(reference, batch[:1], 2)
+        assert high == [reference.scorer()(batch[0])]
+        assert high[0].fidelity == "high" and high[0].feasible
+        assert profiling.counter("parallel.pool_starts") == 1
+        assert profiling.counter("parallel.batches") == 10
+
+    @pytest.mark.parametrize("change", ["tracing", "linalg", "fault_plan"])
+    def test_config_change_replaces_pool(self, case, change):
+        """The shared pool is keyed by the telemetry, solver and fault
+        configurations its workers were armed with: changing any of them
+        starts a new pool and closes the old workers."""
         from repro.optimize import parallel
 
         plan = case.tree_plan()
         shutdown_pools()
-        pools = []
-        for pressure in (1e4, 2e4, 3e4):
-            evaluate_population(
-                case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER,
-                [plan.params()], fixed_pressure=pressure, n_workers=2,
+        batch = [plan.params()]
+        kwargs = dict(fixed_pressure=FIXED_PRESSURE, n_workers=2)
+        first = evaluate_population(
+            case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, batch, **kwargs
+        )
+        old = parallel._shared_pool
+        workers = list(old._executor._processes.values())
+        assert workers
+        changes = {
+            "tracing": lambda: telemetry_tracing(True),
+            "linalg": lambda: use_config(incremental=False),
+            "fault_plan": lambda: FaultInjector(FaultPlan([FaultSpec(
+                site=SITE_PARALLEL_WORKER, kind="slow", delay=0.0,
+            )])),
+        }
+        with changes[change]():
+            second = evaluate_population(
+                case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, batch,
+                **kwargs,
             )
-            pools.append(next(reversed(parallel._pool_cache.values())))
-        assert len(parallel._pool_cache) == parallel._POOL_CACHE_SIZE
-        assert pools[0].closed
-        assert not pools[1].closed and not pools[2].closed
+            new = parallel._shared_pool
+        assert new is not old and not new.closed
+        assert old.closed
+        for process in workers:
+            process.join(timeout=10.0)
+            assert not process.is_alive()
+        if change != "linalg":
+            assert second == first
+
+    def test_context_lru_is_bounded(self, case):
+        """A process keeps at most CONTEXT_SLOTS built contexts, evicting
+        the least recently used."""
+        from repro.optimize import parallel
+
+        plan = case.tree_plan()
+        digests = []
+        try:
+            for i in range(parallel.CONTEXT_SLOTS + 2):
+                context = StageContext(
+                    case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER,
+                    1e4 * (i + 1),
+                )
+                blob = pickle.dumps(context)
+                digests.append(hashlib.sha256(blob).digest())
+                parallel._context_scorer(digests[-1], blob)
+            assert len(parallel._contexts) == parallel.CONTEXT_SLOTS
+            assert list(parallel._contexts) == digests[2:]
+        finally:
+            parallel._contexts.clear()
+
+    def test_evicted_context_rebuilds_bitwise(self, case):
+        """A context pushed out of the worker's LRU is unpickled again on
+        its next batch and scores the same floats."""
+        from repro.optimize import parallel
+
+        plan = case.tree_plan()
+        profiling.reset()
+        batch = [plan.params(), plan.clamp_params(plan.params() + 2)]
+
+        def context(pressure):
+            return StageContext(
+                case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, pressure
+            )
+
+        with PersistentEvaluationPool(n_workers=1) as pool:
+            first = pool.evaluate(batch, context(FIXED_PRESSURE))
+            again = pool.evaluate(batch, context(FIXED_PRESSURE))
+            assert profiling.counter("parallel.context_loads") == 1
+            for i in range(parallel.CONTEXT_SLOTS):
+                pool.evaluate(batch[:1], context(3e4 + 1e3 * i))
+            rebuilt = pool.evaluate(batch, context(FIXED_PRESSURE))
+        assert first == again == rebuilt  # bitwise
+        assert (
+            profiling.counter("parallel.context_loads")
+            == parallel.CONTEXT_SLOTS + 2
+        )
+
+    def test_concurrent_threads_share_one_pool(self, case):
+        """Design-service worker threads dispatch to the one shared pool at
+        once: every batch scores what it scores alone, and the threads
+        never start a second pool."""
+        plan = case.tree_plan()
+        shutdown_pools()
+        profiling.reset()
+        batch = [plan.params(), plan.clamp_params(plan.params() + 2)]
+        pressures = [1e4 * (i + 1) for i in range(6)]
+        expected = {
+            p: evaluate_population(
+                case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, batch,
+                fixed_pressure=p, n_workers=1,
+            )
+            for p in pressures
+        }
+        got = {}
+        errors = []
+
+        def client(mine):
+            try:
+                for p in mine:
+                    got[p] = evaluate_population(
+                        case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER,
+                        batch, fixed_pressure=p, n_workers=2,
+                    )
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=(pressures[i::3],))
+            for i in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert got == expected
+        assert profiling.counter("parallel.pool_starts") == 1
+
+    def test_pool_without_context_needs_one(self, case):
+        plan = case.tree_plan()
+        with PersistentEvaluationPool(n_workers=1) as pool:
+            with pytest.raises(SearchError, match="context"):
+                pool.evaluate([plan.params()])
 
 
 def batch_anneal(batch_cost, neighbor, config, batch_size):

@@ -10,7 +10,9 @@ Three layers under test:
   checkpoint/resume, worker-count invariance, per-optimizer run logs).
 """
 
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -40,6 +42,19 @@ QUICK = PortfolioConfig(rounds=2, iterations=2, batch_size=2, seed=3)
 @pytest.fixture(scope="module")
 def case():
     return generate_case(7)
+
+
+def bits(value: float) -> bytes:
+    """The IEEE-754 bytes of a float (bitwise comparison)."""
+    return struct.pack("<d", value)
+
+
+def evaluation_bits(evaluation: EvaluationResult) -> tuple:
+    """Every field of an evaluation, floats as their bytes."""
+    return tuple(
+        bits(value) if isinstance(value, float) else value
+        for value in dataclasses.astuple(evaluation)
+    )
 
 
 def outcomes_equal(a, b) -> bool:
@@ -152,13 +167,26 @@ class TestMultiFidelityEvaluator:
     def test_promotion_calibrates_offset(self, evaluator):
         params = evaluator.plan.params()
         pairs_before = evaluator.offset.n_pairs
-        evaluation = evaluator.promote(params)
+        (evaluation,) = evaluator.promote([params])
         assert evaluation.fidelity == "high"
         assert evaluation.feasible
         assert evaluator.offset.n_pairs == pairs_before + 1
         # Memoized: a second promotion is free and observes nothing new.
-        evaluator.promote(params)
+        evaluator.promote([params])
         assert evaluator.offset.n_pairs == pairs_before + 1
+
+    def test_promotion_batch_observes_in_order(self, evaluator):
+        """A batch promotion observes each fresh candidate once, in batch
+        order, and returns the memoized evaluations of repeats."""
+        params = evaluator.plan.params()
+        shifted = evaluator.plan.clamp_params(params + 2)
+        pairs_before = evaluator.offset.n_pairs
+        high_before = evaluator.high_evals
+        evaluations = evaluator.promote([shifted, params, shifted])
+        fresh = evaluator.high_evals - high_before
+        assert evaluator.offset.n_pairs - pairs_before <= fresh <= 2
+        assert evaluations[0] is evaluations[2]
+        assert evaluations[1] == evaluator.high_evaluation(params)
 
     def test_state_round_trip(self, evaluator, case):
         fresh = MultiFidelityEvaluator(
@@ -235,9 +263,14 @@ class TestRunPortfolio:
             assert len(outcome.rounds) == QUICK.rounds
         assert result.best.name in result.outcomes
 
-    def test_worker_count_invariance(self, case):
+    def test_worker_count_invariance(self, case, tmp_path):
+        """n_workers 1 and 2 agree bitwise on both strategies: with two
+        workers the 2RM batches, the promotion batches and sa_4rm's 4RM
+        batches all run on the shared pool."""
         opts = ("multi_fidelity", "sa_4rm")
-        serial = run_portfolio(case, opts, QUICK)
+        serial = run_portfolio(
+            case, opts, QUICK, run_log_dir=str(tmp_path / "serial")
+        )
         cfg = PortfolioConfig(
             rounds=QUICK.rounds,
             iterations=QUICK.iterations,
@@ -245,12 +278,34 @@ class TestRunPortfolio:
             seed=QUICK.seed,
             n_workers=2,
         )
-        pooled = run_portfolio(case, opts, cfg)
+        pooled = run_portfolio(
+            case, opts, cfg, run_log_dir=str(tmp_path / "pooled")
+        )
         for name in opts:
             a, b = serial.outcomes[name], pooled.outcomes[name]
             assert np.array_equal(a.params, b.params)
-            assert a.score == b.score
+            assert bits(a.score) == bits(b.score)
+            assert evaluation_bits(a.evaluation) == evaluation_bits(
+                b.evaluation
+            )
             assert a.low_evals == b.low_evals
+            assert a.high_evals == b.high_evals
+            assert a.rounds == b.rounds
+            assert a.envelope == b.envelope
+            assert a.offset_state == b.offset_state
+        promotions = {
+            label: [
+                {k: v for k, v in record.items()
+                 if k not in ("seq", "t_wall", "t_mono_ns")}
+                for record in read_run_log(
+                    tmp_path / label / "multi_fidelity.jsonl"
+                )
+                if record["type"] == "portfolio.promotion"
+            ]
+            for label in ("serial", "pooled")
+        }
+        assert promotions["serial"]
+        assert promotions["serial"] == promotions["pooled"]
 
     def test_empty_portfolio_rejected(self, case):
         with pytest.raises(SearchError, match="at least one"):
