@@ -405,19 +405,14 @@ def run_solver_backends_bench(
     pressures = base_pressure * (
         1.0 + 0.3 * np.sin(np.linspace(0.0, 9.0, n_probes))
     )
-    # The shift rank equals the advected-row count, which grows with the
-    # grid; raise the threshold so the medium case stays on the shift path
-    # (the tuning recipe documented in docs/SOLVER_CACHES.md).
-    sweep_rank_threshold = 512
-    with use_config(rank_threshold=sweep_rank_threshold):
-        shift_system = RC2Simulator(stack, WATER, tile_size=4).system
-        shift_system.solve(base_pressure, exact=True)  # prime the base factor
-        shift_times = []
-        shift_results = []
-        for p in pressures:
-            start = time.perf_counter()
-            shift_results.append(shift_system.solve(float(p)))
-            shift_times.append(time.perf_counter() - start)
+    shift_system = RC2Simulator(stack, WATER, tile_size=4).system
+    shift_system.solve(base_pressure, exact=True)  # prime the base factor
+    shift_times = []
+    shift_results = []
+    for p in pressures:
+        start = time.perf_counter()
+        shift_results.append(shift_system.solve(float(p)))
+        shift_times.append(time.perf_counter() - start)
 
     exact_system = RC2Simulator(stack, WATER, tile_size=4).system
     exact_times = []
@@ -435,7 +430,6 @@ def run_solver_backends_bench(
             )
     pressure_sweep = {
         "n_probes": n_probes,
-        "rank_threshold": sweep_rank_threshold,
         "incremental": _latency_summary(shift_times),
         "exact": _latency_summary(exact_times),
         "speedup_p50": _percentile_ms(exact_times, 50)

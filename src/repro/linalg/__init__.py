@@ -9,17 +9,16 @@ Public surface:
   multi-RHS solves; every failure surfaces as a typed ``LinalgError``.
 * :class:`~repro.linalg.config.LinalgConfig` -- the picklable process-wide
   configuration of the thermal pressure-shift path (incremental on/off,
-  rank threshold, residual tolerance), shipped to evaluation-pool workers
-  exactly like the fault plan and telemetry config.
+  residual tolerance), shipped to evaluation-pool workers exactly like the
+  fault plan and telemetry config.
 
-See ``docs/SOLVER_CACHES.md`` for the pressure-shift semantics and
-rank-threshold tuning guidance.
+See ``docs/SOLVER_CACHES.md`` for the pressure-shift semantics and the
+measured rank cut between the shift and exact refactorization.
 """
 
 from __future__ import annotations
 
 from .config import (
-    DEFAULT_RANK_THRESHOLD,
     DEFAULT_RESIDUAL_RTOL,
     LinalgConfig,
     current_config,
@@ -30,7 +29,6 @@ from .config import (
 from .superlu import Factorization, factorize
 
 __all__ = [
-    "DEFAULT_RANK_THRESHOLD",
     "DEFAULT_RESIDUAL_RTOL",
     "Factorization",
     "LinalgConfig",

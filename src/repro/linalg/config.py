@@ -16,9 +16,6 @@ from typing import Iterator
 
 from ..errors import LinalgError
 
-#: Default largest advected-row rank for which the thermal pressure-shift
-#: path is used; above it every pressure probe refactorizes exactly.
-DEFAULT_RANK_THRESHOLD = 96  #: [unit: 1]
 #: Default relative residual above which an incremental solve falls back to
 #: an exact factorization.
 DEFAULT_RESIDUAL_RTOL = 1e-8  #: [unit: 1]
@@ -30,23 +27,17 @@ class LinalgConfig:
 
     Attributes:
         incremental: Whether pressure probes use the Woodbury
-            pressure-shift path; exact solves are unaffected.
-        rank_threshold: Largest advected-row rank (the Woodbury correction
-            size) for which a thermal system builds the pressure-shift
-            state; larger systems always refactorize exactly.
+            pressure-shift path on systems whose advected-row rank it
+            pays for (see ``LinearThermalSystem.shift_pays``); exact
+            solves are unaffected.
         residual_rtol: Relative residual bound an incremental solve must
             meet, else it is discarded in favor of an exact solve.
     """
 
     incremental: bool = True
-    rank_threshold: int = DEFAULT_RANK_THRESHOLD
     residual_rtol: float = DEFAULT_RESIDUAL_RTOL
 
     def __post_init__(self) -> None:
-        if self.rank_threshold < 1:
-            raise LinalgError(
-                f"rank_threshold must be >= 1, got {self.rank_threshold}"
-            )
         if not self.residual_rtol > 0:
             raise LinalgError(
                 f"residual_rtol must be > 0, got {self.residual_rtol}"

@@ -70,6 +70,7 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "linalg.incremental_solve",
         "linalg.incremental_solves",
         "linalg.shift_bases",
+        "linalg.shift_rank",
         "optimize.batch_cache_hits",
         "optimize.candidate",
         "parallel.batch",

@@ -322,9 +322,14 @@ class _PressureShiftState:
         self.m = m
 
 
-#: Sentinel: the advection row rank exceeds the configured threshold, so
-#: the incremental pressure-shift path is permanently off for this system.
-_SHIFT_DISABLED = object()
+#: Largest advected-row rank ``r``, per square root of the node count
+#: ``n``, at which a thermal system takes the pressure-shift path.  The
+#: shift pays ``r`` triangular solves once and an ``r x r`` dense solve per
+#: probe, while factorizing these layered meshes costs about ``n ** 1.5``,
+#: so the shift's break-even probe count grows with ``r / sqrt(n)``.  Up to
+#: this bound it wins a 7-47-probe search; above it every probe
+#: refactorizes exactly.  Measurements are in ``docs/SOLVER_CACHES.md``.
+SHIFT_RANK_PER_SQRT_NODE = 10.0  #: [unit: 1]
 
 
 class LinearThermalSystem:
@@ -343,15 +348,20 @@ class LinearThermalSystem:
     Incremental solves: when :class:`~repro.linalg.LinalgConfig` enables
     them (the default), pressure probes after the first are answered through
     the Woodbury pressure-shift path (see :class:`_PressureShiftState`)
-    instead of refactorizing, guarded by a relative-residual check that
-    falls back to the exact path on any doubt.  ``solve(..., exact=True)``
-    bypasses the incremental path entirely -- final scoring uses it so
-    results are bitwise identical with incremental updates on or off.
+    instead of refactorizing, while the advected-row rank stays within
+    :data:`SHIFT_RANK_PER_SQRT_NODE` times the square root of the node
+    count, guarded by a relative-residual check that falls back to the exact
+    path on any doubt.  ``solve(..., exact=True)`` bypasses the incremental
+    path entirely -- final scoring uses it so results are bitwise identical
+    with incremental updates on or off.
     """
 
     #: Factorizations retained per system (the pressure searches probe a few
     #: dozen distinct pressures; an LRU this size never thrashes on them).
     LU_CACHE_SIZE = 32
+    #: Columns of ``W`` solved per block when building the shift state, so
+    #: the unit right-hand sides never take a full ``n x r`` array.
+    SHIFT_BLOCK_COLUMNS = 128
 
     def __init__(
         self,
@@ -368,7 +378,8 @@ class LinearThermalSystem:
         self._aligned_pair: Optional[Tuple[csc_matrix, csc_matrix]] = None
         self._residual_op: Optional[csc_matrix] = None
         self._lu_cache: "OrderedDict[float, object]" = OrderedDict()
-        self._shift: Any = None
+        self._shift: Optional[_PressureShiftState] = None
+        self._advected: Optional[np.ndarray] = None
         self._base_key: Optional[float] = None
 
     # -- operator assembly with structure reuse -------------------------
@@ -490,22 +501,20 @@ class LinearThermalSystem:
     def _solve_incremental(self, p_sys: float) -> Optional[np.ndarray]:
         """A Woodbury solve at ``p_sys``, or ``None`` to use the exact path.
 
-        Applicable once a base factorization exists and the advection
-        operator's row rank fits the configured threshold.  The result is
-        accepted only if its relative residual on the *true* operator at
-        ``p_sys`` meets ``residual_rtol``; otherwise the caller refactorizes
-        exactly (and the fallback is counted).
+        Applicable once a base factorization exists and :meth:`shift_pays`.
+        The result is accepted only if its relative residual on the *true*
+        operator at ``p_sys`` meets ``residual_rtol``; otherwise the
+        caller refactorizes exactly (and the fallback is counted).
         """
         config = linalg.current_config()
         if not config.incremental:
             return None
         shift = self._shift
         if shift is None:
-            if self._base_key is None:
-                return None  # first solve establishes the exact base
-            shift = self._build_shift(config)
-        if shift is _SHIFT_DISABLED:
-            return None
+            # The first solve establishes the exact base.
+            if self._base_key is None or not self.shift_pays():
+                return None
+            shift = self._build_shift()
         rhs = self.rhs_static + p_sys * self.rhs_advection
         dp = p_sys - shift.p0
         with profiling.timer("linalg.incremental_solve"):
@@ -532,32 +541,41 @@ class LinearThermalSystem:
         profiling.increment("linalg.incremental_solves")
         return corrupt(SITE_LINALG_UPDATE, x)
 
-    def _build_shift(self, config: "linalg.LinalgConfig") -> Any:
-        """Build (or permanently disable) the pressure-shift state."""
-        advection = self.advection.tocoo()
-        mask = advection.data != 0.0
-        rows = np.unique(advection.row[mask])
-        if rows.size > config.rank_threshold:
-            self._shift = _SHIFT_DISABLED
-            return self._shift
+    def advected_rows(self) -> np.ndarray:
+        """Sorted node indices of the advection operator's nonzero rows."""
+        if self._advected is None:
+            advection = self.advection.tocoo()
+            self._advected = np.unique(advection.row[advection.data != 0.0])
+        return self._advected
+
+    def shift_pays(self) -> bool:
+        """Whether the advected-row rank is small enough for the shift path."""
+        rank = self.advected_rows().size
+        return rank <= SHIFT_RANK_PER_SQRT_NODE * np.sqrt(self.n_nodes)
+
+    def _build_shift(self) -> _PressureShiftState:
+        """Build the pressure-shift state on the base factorization."""
+        rows = self.advected_rows()
         base_key = self._base_key
         factor = self._lu_cache.get(base_key)
         if factor is None:
             factor = self._factorize(base_key)
         vt = self.advection.tocsr()[rows, :]
-        if rows.size:
-            unit = np.zeros((self.n_nodes, rows.size))
-            unit[rows, np.arange(rows.size)] = 1.0
-            w = factor.solve_many(unit)
-            m = np.asarray(vt @ w)
-        else:
-            w = np.zeros((self.n_nodes, 0))
-            m = np.zeros((0, 0))
-        self._shift = _PressureShiftState(
+        w = np.empty((self.n_nodes, rows.size))
+        for start in range(0, rows.size, self.SHIFT_BLOCK_COLUMNS):
+            block = rows[start : start + self.SHIFT_BLOCK_COLUMNS]
+            unit = np.zeros((self.n_nodes, block.size))
+            unit[block, np.arange(block.size)] = 1.0
+            w[:, start : start + block.size] = factor.solve_many(unit)
+        m = np.asarray(vt @ w)
+        shift = self._shift = _PressureShiftState(
             p0=float(base_key), factor=factor, rows=rows, vt=vt, w=w, m=m
         )
         profiling.increment("linalg.shift_bases")
-        return self._shift
+        profiling.observe(
+            "linalg.shift_rank", rows.size, bounds=profiling.SIZE_BUCKET_BOUNDS
+        )
+        return shift
 
     def system_matrix(self, p_sys: float) -> csc_matrix:
         """The assembled operator at ``p_sys`` (used by the transient solver)."""

@@ -144,23 +144,23 @@ def test_factorize_rejects_non_square_input():
 
 def test_config_validation_rejects_bad_knobs():
     with pytest.raises(LinalgError):
-        LinalgConfig(rank_threshold=0)
-    with pytest.raises(LinalgError):
         LinalgConfig(residual_rtol=0.0)
+    with pytest.raises(LinalgError):
+        LinalgConfig(residual_rtol=-1e-8)
 
 
 def test_use_config_restores_previous_state():
     before = LinalgConfig.current()
-    with use_config(incremental=False, rank_threshold=7) as active:
+    with use_config(incremental=False, residual_rtol=1e-6) as active:
         assert LinalgConfig.current() is active
         assert not active.incremental
-        assert active.rank_threshold == 7
+        assert active.residual_rtol == 1e-6
     assert LinalgConfig.current() is before
 
 
 def test_config_is_hashable_and_picklable():
     import pickle
 
-    config = LinalgConfig(incremental=False, rank_threshold=8)
-    assert hash(config) == hash(LinalgConfig(incremental=False, rank_threshold=8))
+    config = LinalgConfig(incremental=False, residual_rtol=1e-6)
+    assert hash(config) == hash(LinalgConfig(incremental=False, residual_rtol=1e-6))
     assert pickle.loads(pickle.dumps(config)) == config
