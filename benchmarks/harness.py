@@ -6,9 +6,9 @@ winner; see DESIGN.md), and the staged-SA tree-like design flow.  Formats the
 paper's row layout and improvement percentages.
 
 This module is also executable -- ``python benchmarks/harness.py --bench
-parallel_eval --json`` runs the persistent-pool evaluation benchmark and
-writes ``benchmarks/out/BENCH_parallel_eval.json`` (timings, speedup,
-profiling counters), giving future PRs a machine-readable perf trajectory.
+solver_backends --json`` runs one named perf benchmark and writes
+``benchmarks/out/BENCH_solver_backends.json``; ``--bench`` picks
+``portfolio``, ``service_overhead`` or ``solver_backends``.
 """
 
 from __future__ import annotations
@@ -16,17 +16,15 @@ from __future__ import annotations
 import argparse
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from repro import profiling, telemetry
+from repro import profiling
 from repro.analysis import format_table, result_row
 from repro.checkpoint import atomic_write_json
-from repro.telemetry.export import write_chrome_trace
 from repro.analysis.tables import improvement_percent
 from repro.errors import ReproError
 from repro.iccad2015 import CASE_NUMBERS, load_case
@@ -169,161 +167,6 @@ def _try(fn):
 
 
 # ---------------------------------------------------------------------------
-# Persistent-pool evaluation benchmark (BENCH_parallel_eval.json)
-# ---------------------------------------------------------------------------
-
-
-def _score_one_seed(payload):
-    """The seed implementation's worker body, kept verbatim as the baseline:
-    the full context rides along with *every* candidate, a fresh evaluator is
-    built per candidate, and every exception is silently swallowed."""
-    case, plan, stage, problem, fixed_pressure, params = payload
-    from repro.optimize.runner import _CandidateEvaluator
-
-    evaluator = _CandidateEvaluator(case, plan, stage, problem, fixed_pressure)
-    try:
-        return float(evaluator(params))
-    except Exception:
-        return math.inf
-
-
-def _seed_evaluate_batch(case, plan, stage, problem, fixed_pressure, batch, n_workers):
-    """One batch the way the seed ``evaluate_population`` ran it: a brand-new
-    process pool per call, full-context payloads per candidate."""
-    payloads = [
-        (case, plan, stage, problem, fixed_pressure, np.asarray(p, dtype=int))
-        for p in batch
-    ]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(_score_one_seed, payloads))
-
-
-def make_sa_batches(plan, n_batches, batch_size, seed=0, step=2):
-    """SA-shaped candidate batches: each batch perturbs a drifting current
-    state, mirroring how ``repro.optimize.annealing.anneal`` proposes a
-    batch of neighbors."""
-    rng = np.random.default_rng(seed)
-    batches, current = [], plan.params()
-    for _ in range(n_batches):
-        batch = [
-            plan.clamp_params(
-                current + step * rng.integers(-2, 3, size=current.shape)
-            )
-            for _ in range(batch_size)
-        ]
-        current = batch[0]
-        batches.append(batch)
-    return batches
-
-
-def run_parallel_eval_bench(
-    grid_size: int = 21,
-    n_batches: int = 16,
-    batch_size: int = 4,
-    n_workers: int = 4,
-    case_number: int = 1,
-    seed: int = 0,
-) -> dict:
-    """Benchmark the persistent pool against the seed per-batch pool.
-
-    The workload is the SA loop's real shape: ``n_batches`` consecutive
-    batches of ``batch_size`` neighbor candidates (the runner defaults to
-    ``batch_size = n_workers``), scored with the paper's stage-1 metric
-    (thermal gradient at a fixed pressure) on the 2RM model.  The seed
-    implementation pays pool spin-up and full-context pickling for every
-    batch; the persistent pool pays them once.  Also checks all three paths
-    (seed / persistent / serial) return identical costs.
-    """
-    from repro.optimize.parallel import evaluate_population, shutdown_pools
-    from repro.optimize.stages import METRIC_FIXED_PRESSURE_GRADIENT, StageConfig
-
-    if n_workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {n_workers}")
-    if n_batches < 1 or batch_size < 1:
-        raise SystemExit(
-            f"need at least one batch and one candidate per batch, got "
-            f"--batches {n_batches} --batch-size {batch_size}"
-        )
-    case = load_case(case_number, grid_size=grid_size)
-    plan = case.tree_plan()
-    stage = StageConfig(
-        "bench-stage1", 4, 1, 8, METRIC_FIXED_PRESSURE_GRADIENT, "2rm"
-    )
-    fixed_pressure = 2e4
-    batches = make_sa_batches(plan, n_batches, batch_size, seed=seed)
-    n_candidates = n_batches * batch_size
-
-    shutdown_pools()
-    start = time.perf_counter()
-    seed_costs = [
-        _seed_evaluate_batch(
-            case, plan, stage, "problem1", fixed_pressure, batch, n_workers
-        )
-        for batch in batches
-    ]
-    seed_seconds = time.perf_counter() - start
-
-    profiling.reset()
-    start = time.perf_counter()
-    persistent_costs = [
-        evaluate_population(
-            case,
-            plan,
-            stage,
-            "problem1",
-            batch,
-            fixed_pressure=fixed_pressure,
-            n_workers=n_workers,
-        )
-        for batch in batches
-    ]
-    persistent_seconds = time.perf_counter() - start
-    counters_snapshot = profiling.snapshot()
-    shutdown_pools()
-
-    serial_costs = [
-        evaluate_population(
-            case,
-            plan,
-            stage,
-            "problem1",
-            batch,
-            fixed_pressure=fixed_pressure,
-            n_workers=1,
-        )
-        for batch in batches
-    ]
-
-    return {
-        "benchmark": "parallel_eval",
-        "config": {
-            "case_number": case_number,
-            "grid_size": grid_size,
-            "n_batches": n_batches,
-            "batch_size": batch_size,
-            "n_candidates": n_candidates,
-            "n_workers": n_workers,
-            "metric": stage.metric,
-            "model": stage.model,
-            "fixed_pressure": fixed_pressure,
-            "seed": seed,
-        },
-        "seed_seconds": seed_seconds,
-        "persistent_seconds": persistent_seconds,
-        "speedup": seed_seconds / persistent_seconds,
-        "seed_candidates_per_sec": n_candidates / seed_seconds,
-        "persistent_candidates_per_sec": n_candidates / persistent_seconds,
-        "parity_seed_vs_persistent": seed_costs == persistent_costs,
-        "parity_serial_vs_persistent": serial_costs == persistent_costs,
-        "counters": counters_snapshot["counters"],
-        "timers": counters_snapshot["timers"],
-        # p50/p90/p99 summaries (not raw buckets) per latency histogram, so
-        # BENCH_*.json generations stay diffable at a glance.
-        "histograms": profiling.histogram_summaries(counters_snapshot),
-    }
-
-
-# ---------------------------------------------------------------------------
 # Sparse-solver benchmark (BENCH_solver_backends.json)
 # ---------------------------------------------------------------------------
 
@@ -345,7 +188,6 @@ def run_solver_backends_bench(
     grid_size: int = 21,
     n_batches: int = 16,  # accepted for CLI uniformity; fixed workload
     batch_size: int = 4,  # accepted for CLI uniformity; fixed workload
-    n_workers: int = 4,  # accepted for CLI uniformity; single-process bench
     case_number: int = 1,
     seed: int = 0,
 ) -> dict:
@@ -470,7 +312,6 @@ def run_portfolio_bench(
     grid_size: int = 0,  # 0: let each generated case draw its own footprint
     n_batches: int = 2,
     batch_size: int = 3,
-    n_workers: int = 1,  # accepted for CLI uniformity; cases are tiny
     n_cases: int = 100,
     seed: int = 0,
 ) -> dict:
@@ -578,7 +419,6 @@ def run_service_overhead_bench(
     grid_size: int = 9,
     n_batches: int = 2,
     batch_size: int = 1,
-    n_workers: int = 1,  # accepted for CLI uniformity; single-worker service
     repeats: int = 5,
     seed: int = 0,
 ) -> dict:
@@ -710,7 +550,6 @@ def write_bench_json(name: str, payload: dict, out_dir: Optional[Path] = None) -
 
 
 _BENCHES = {
-    "parallel_eval": run_parallel_eval_bench,
     "portfolio": run_portfolio_bench,
     "service_overhead": run_service_overhead_bench,
     "solver_backends": run_solver_backends_bench,
@@ -721,7 +560,7 @@ def main(argv=None) -> int:
     """CLI: run a named perf benchmark, optionally writing BENCH_*.json."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--bench", choices=sorted(_BENCHES), default="parallel_eval",
+        "--bench", choices=sorted(_BENCHES), required=True,
         help="which perf benchmark to run",
     )
     parser.add_argument(
@@ -731,7 +570,6 @@ def main(argv=None) -> int:
     parser.add_argument("--grid", type=int, default=21, help="grid size")
     parser.add_argument("--batches", type=int, default=16, help="batch count")
     parser.add_argument("--batch-size", type=int, default=4, help="candidates per batch")
-    parser.add_argument("--workers", type=int, default=4, help="worker processes")
     parser.add_argument(
         "--cases", type=int, default=None,
         help="generated-case count (portfolio bench only; default 100)",
@@ -744,12 +582,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.trace_out is not None:
-        telemetry.set_tracing(True)
+        profiling.set_tracing(True)
     kwargs = dict(
         grid_size=args.grid,
         n_batches=args.batches,
         batch_size=args.batch_size,
-        n_workers=args.workers,
     )
     if args.bench == "portfolio":
         # Generated cases draw their own footprints; --grid stays with the
@@ -765,23 +602,11 @@ def main(argv=None) -> int:
         kwargs["n_batches"] = min(args.batches, 4)
     result = _BENCHES[args.bench](**kwargs)
     if args.trace_out is not None:
-        write_chrome_trace(args.trace_out)
-        telemetry.set_tracing(False)
-        telemetry.clear_spans()
+        atomic_write_json(args.trace_out, profiling.to_chrome_trace())
+        profiling.set_tracing(False)
+        profiling.clear_spans()
         print(f"[trace: {args.trace_out}]")
-    if "summary" in result:
-        print(f"{args.bench}: {result['summary']}")
-    else:
-        print(
-            f"{args.bench}: seed {result['seed_seconds']:.2f}s, persistent "
-            f"{result['persistent_seconds']:.2f}s, speedup "
-            f"{result['speedup']:.2f}x, parity="
-            f"{result['parity_seed_vs_persistent']}"
-        )
-    if "counters" in result:
-        print(profiling.format_snapshot(
-            {"counters": result["counters"], "timers": result["timers"]}
-        ))
+    print(f"{args.bench}: {result['summary']}")
     if args.json:
         path = write_bench_json(args.bench, result, out_dir=args.out)
         print(f"[artifact: {path}]")

@@ -26,7 +26,7 @@ import signal
 import sys
 from typing import List, Optional
 
-from . import telemetry
+from . import profiling
 from .analysis import (
     compare_models,
     format_table,
@@ -35,8 +35,8 @@ from .analysis import (
     source_layer_map,
 )
 from .telemetry import runlog
-from .telemetry.export import write_chrome_trace
 from .analysis.model_compare import aggregate_by
+from .checkpoint.atomic import atomic_write_json
 from .cooling import CoolingSystem, evaluate_problem1, evaluate_problem2
 from .errors import ReproError, RunInterrupted
 from .iccad2015 import load_case, read_network, write_network
@@ -391,7 +391,7 @@ def _cmd_optimize(args) -> None:
     case = load_case(args.case, grid_size=args.grid)
     optimizer = optimize_problem1 if args.problem == 1 else optimize_problem2
     prev_tracing = (
-        telemetry.set_tracing(True) if args.trace_out else None
+        profiling.set_tracing(True) if args.trace_out else None
     )
     prev_log = (
         runlog.set_run_log(
@@ -430,9 +430,9 @@ def _cmd_optimize(args) -> None:
         if args.run_log:
             runlog.set_run_log(prev_log)
         if args.trace_out:
-            write_chrome_trace(args.trace_out)
-            telemetry.set_tracing(prev_tracing)
-            telemetry.clear_spans()
+            atomic_write_json(args.trace_out, profiling.to_chrome_trace())
+            profiling.set_tracing(prev_tracing)
+            profiling.clear_spans()
             print(f"[trace: {args.trace_out}]", file=sys.stderr)
     ev = result.evaluation
     status = "feasible" if ev.feasible else "INFEASIBLE"

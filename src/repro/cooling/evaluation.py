@@ -26,7 +26,7 @@ from ..constants import (
     PRESSURE_MIN,
     PRESSURE_SEARCH_RTOL,
 )
-from .. import telemetry
+from .. import profiling
 from ..faults import SITE_COOLING_PROBLEM1, SITE_COOLING_PROBLEM2, inject
 from .pressure_search import (
     golden_section_minimize,
@@ -113,7 +113,7 @@ def evaluate_problem1(
         p_max: Upper pressure bound.  [unit: Pa]
     """
     inject(SITE_COOLING_PROBLEM1)
-    with telemetry.span("cooling.evaluate_problem1"):
+    with profiling.span("cooling.evaluate_problem1"):
         before = system.n_simulations
         search = minimize_pressure_for_gradient(
             system.delta_t,
@@ -167,7 +167,7 @@ def evaluate_problem2(
         p_min: Lower pressure bound.  [unit: Pa]
     """
     inject(SITE_COOLING_PROBLEM2)
-    with telemetry.span("cooling.evaluate_problem2"):
+    with profiling.span("cooling.evaluate_problem2"):
         before = system.n_simulations
         p_cap = system.p_sys_for_power(w_pump_star)
         if p_cap <= p_min:

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.sparse import csc_matrix
 
-from .. import linalg, profiling, telemetry
+from .. import linalg, profiling
 from ..constants import EDGE_CONDUCTANCE_FACTOR
 from ..errors import FlowError, LinalgError
 from ..faults import SITE_FLOW_MATRIX, SITE_FLOW_PRESSURES, corrupt
@@ -168,10 +168,9 @@ class FlowField:
             for name in _UNIT_FIELDS:
                 setattr(self, name, cached[name])
             return
-        with telemetry.span("flow.unit_solve", cells=self.n):
-            with profiling.timer("flow.unit_solve"):
-                self._assemble()
-                self._solve_unit()
+        with profiling.timer("flow.unit_solve", cells=self.n):
+            self._assemble()
+            self._solve_unit()
         profiling.increment("flow.unit_solves")
         entry = {name: getattr(self, name) for name in _UNIT_FIELDS}
         for value in entry.values():

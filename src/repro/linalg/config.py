@@ -1,6 +1,6 @@
 """Process-wide solver configuration, shippable to pool workers.
 
-:class:`LinalgConfig` mirrors the :class:`~repro.telemetry.TelemetryConfig`
+:class:`LinalgConfig` mirrors the :class:`~repro.profiling.TelemetryConfig`
 pattern: a small frozen (hashable, picklable) dataclass captured with
 :meth:`LinalgConfig.current` in the parent, shipped through the evaluation
 pool's initializer arguments, re-armed worker-side with

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import MatrixRankWarning, splu
 
-from .. import profiling, telemetry
+from .. import profiling
 from ..errors import LinalgError
 
 
@@ -70,18 +70,17 @@ def factorize(matrix: csc_matrix) -> Factorization:
             otherwise failed factorization.
     """
     system = _as_csc(matrix)
-    with telemetry.span("linalg.factorize", nodes=system.shape[0]):
-        with profiling.timer("linalg.factorize"):
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", MatrixRankWarning)
-                    lu = splu(system)
-            except (
-                RuntimeError,
-                ValueError,
-                ArithmeticError,
-                MatrixRankWarning,
-            ) as exc:
-                raise LinalgError(f"SuperLU factorization failed: {exc}") from exc
+    with profiling.timer("linalg.factorize", nodes=system.shape[0]):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", MatrixRankWarning)
+                lu = splu(system)
+        except (
+            RuntimeError,
+            ValueError,
+            ArithmeticError,
+            MatrixRankWarning,
+        ) as exc:
+            raise LinalgError(f"SuperLU factorization failed: {exc}") from exc
     profiling.increment("linalg.factorizations")
     return Factorization(lu, system.shape[0])

@@ -1,6 +1,6 @@
 """R7 -- telemetry name hygiene.
 
-Every span, counter, timer, histogram, and run-event name must be a
+Every span, counter, histogram, and run-event name must be a
 dot-namespaced **string literal** declared once in the registry module
 :mod:`repro.telemetry.names`.  A dynamic or undeclared name silently forks
 the metric namespace: dashboards and the run-log analyzer group by exact
@@ -9,10 +9,9 @@ runtime) splits one series into several that never line up.
 
 The rule inspects the first positional argument of the emitting calls:
 
-* ``profiling.increment / add_time / timer / observe``
-* ``telemetry.span / instant`` (also receivers ``spans`` / ``runlog``)
+* ``profiling.increment / observe / timer / span / instant``
 * ``runlog.emit_event`` and bare ``span(...)`` / ``instant(...)`` /
-  ``emit_event(...)`` (the ``from ..telemetry import span`` idiom)
+  ``emit_event(...)`` (the ``from ..profiling import span`` idiom)
 * ``promexpo.gauge`` and bare ``gauge(...)`` (Prometheus gauge samples;
   names live in ``GAUGE_NAMES``)
 
@@ -38,13 +37,12 @@ from ..core import FileContext, Finding, Rule, register
 from ..symbols import Project
 
 #: Receiver names whose emitting methods this rule tracks.
-_RECEIVERS = frozenset({"profiling", "telemetry", "runlog", "spans", "promexpo"})
+_RECEIVERS = frozenset({"profiling", "runlog", "promexpo"})
 
 #: Emitting methods on those receivers (first positional arg is the name).
 _METHODS = frozenset(
     {
         "increment",
-        "add_time",
         "timer",
         "observe",
         "span",
@@ -55,7 +53,7 @@ _METHODS = frozenset(
 )
 
 #: Bare function names tracked when imported directly
-#: (``from ..telemetry import span``).
+#: (``from ..profiling import span``).
 _BARE_FUNCTIONS = frozenset({"span", "instant", "emit_event", "gauge"})
 
 #: ``subsystem.noun[.qualifier]`` -- lowercase segments, dots between them.
@@ -106,8 +104,8 @@ class TelemetryNamesRule(Rule):
     id = "R7"
     name = "telemetry-names"
     description = (
-        "span/metric/run-event names passed to profiling.*, telemetry.span/"
-        "instant, and runlog.emit_event must be dot-namespaced string "
+        "span/metric/run-event names passed to profiling.*, "
+        "runlog.emit_event and promexpo.gauge must be dot-namespaced string "
         "literals declared in repro.telemetry.names (f-strings only for "
         "registered wildcard prefixes)"
     )

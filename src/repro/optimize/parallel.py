@@ -45,8 +45,10 @@ from __future__ import annotations
 
 import atexit
 import functools
+import gc
 import hashlib
 import math
+import os
 import pickle
 import threading
 import time
@@ -59,7 +61,7 @@ from typing import (
 
 import numpy as np
 
-from .. import faults, profiling, telemetry
+from .. import faults, profiling
 from ..constants import (
     CANDIDATE_TIMEOUT,
     POOL_BACKOFF_BASE,
@@ -80,7 +82,8 @@ from ..faults import SITE_PARALLEL_DISPATCH, SITE_PARALLEL_WORKER
 from ..iccad2015.cases import Case
 from ..linalg import LinalgConfig
 from ..networks.tree import TreePlan
-from ..telemetry import SIZE_BUCKET_BOUNDS, TelemetryConfig, runlog
+from ..profiling import SIZE_BUCKET_BOUNDS, TelemetryConfig
+from ..telemetry import runlog
 from .stages import METRIC_MIN_GRADIENT_CAPPED, StageConfig
 
 __all__ = [
@@ -90,6 +93,7 @@ __all__ = [
     "StageContext",
     "WorkerLostError",
     "WorkerTimeoutError",
+    "count_scored",
     "evaluate_population",
     "score_on_pool",
     "shutdown_degraded_pool",
@@ -149,6 +153,21 @@ def _result_score(result: Any) -> float:
     return result if isinstance(result, float) else result.score
 
 
+def count_scored(results: Sequence[Any]) -> None:
+    """Count a scored batch into ``parallel.candidates`` and
+    ``parallel.infeasible``.
+
+    Every scoring path calls this once per batch -- the pool, the
+    in-process 2RM path and the in-process 4RM path -- so the counts do not
+    depend on the worker count.
+    """
+    profiling.increment("parallel.candidates", len(results))
+    profiling.increment(
+        "parallel.infeasible",
+        sum(1 for r in results if math.isinf(_result_score(r))),
+    )
+
+
 #: Evaluation contexts a process keeps built, by digest.  Two cover a
 #: multi-fidelity round (its 2RM and 4RM contexts); the rest let a staged
 #: flow's consecutive stages come back warm.
@@ -201,7 +220,7 @@ def _init_worker(
     # Under the fork start method this process inherits the spawning
     # thread's lane (the service worker thread's); drop it so exported
     # spans group as a distinct pool-worker row, not the parent's.
-    telemetry.set_thread_lane(None)
+    profiling.set_thread_lane(None)
     if linalg_config is not None:
         linalg_config.apply()
 
@@ -209,12 +228,10 @@ def _init_worker(
 def _score_in_worker(digest: bytes, blob: bytes, params: np.ndarray):
     """Worker entry point: score one candidate under a pickled context.
 
-    Returns ``(result, counters, spans)``: the worker's profiling counters
-    are reset around each candidate so the returned snapshot is a
-    per-candidate delta the parent can merge into its own profiler, and the
-    worker's span buffer is drained the same way -- solver-reuse statistics
-    and trace timelines both survive the process boundary.  ``spans`` is
-    empty (and free) when tracing is off.
+    Returns ``(result, delta)``: the worker's recorder is reset before the
+    candidate and drained after it, so ``delta`` holds exactly this
+    candidate's counters, histograms and (while tracing) spans, which the
+    parent folds into its own recorder with :func:`repro.profiling.merge`.
 
     The ``parallel.worker`` injection site lives here -- and only here, so
     worker-death faults can never fire in the parent's serial-degradation
@@ -224,7 +241,6 @@ def _score_in_worker(digest: bytes, blob: bytes, params: np.ndarray):
     :func:`~repro.errors.crash_boundary` and propagates.
     """
     profiling.reset()
-    telemetry.clear_spans()
     context, scorer = _context_scorer(digest, blob)
     try:
         with crash_boundary(f"fault injection at {SITE_PARALLEL_WORKER}"):
@@ -233,10 +249,10 @@ def _score_in_worker(digest: bytes, blob: bytes, params: np.ndarray):
         result = context.infeasible()
     else:
         params = np.asarray(params, dtype=int)
-        with telemetry.span("parallel.candidate"):
+        with profiling.span("parallel.candidate"):
             with crash_boundary(f"candidate params {params.tolist()}"):
                 result = scorer(params)
-    return result, profiling.snapshot(), telemetry.drain_spans()
+    return result, profiling.drain()
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +388,10 @@ class PersistentEvaluationPool:
         )
         blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
         task = (hashlib.sha256(blob).digest(), blob)
-        with telemetry.span("parallel.batch", candidates=len(payloads)):
-            with profiling.timer("parallel.batch"):
-                results = self._evaluate_resilient(task, payloads)
+        with profiling.timer("parallel.batch", candidates=len(payloads)):
+            results = self._evaluate_resilient(task, payloads)
         profiling.increment("parallel.batches")
-        profiling.increment("parallel.candidates", len(results))
-        profiling.increment(
-            "parallel.infeasible",
-            sum(1 for r in results if math.isinf(_result_score(r))),
-        )
+        count_scored(results)
         return results
 
     # -- resilience ----------------------------------------------------
@@ -410,7 +421,7 @@ class PersistentEvaluationPool:
                     raise
                 else:
                     profiling.increment("parallel.retries")
-                    telemetry.instant(
+                    profiling.instant(
                         "parallel.retry",
                         attempt=retries + 1,
                         pending=len(payloads) - len(results),
@@ -460,7 +471,7 @@ class PersistentEvaluationPool:
                 )
                 if not done:
                     profiling.increment("parallel.timeouts")
-                    telemetry.instant(
+                    profiling.instant(
                         "parallel.timeout", pending=len(remaining)
                     )
                     raise WorkerTimeoutError(
@@ -470,15 +481,13 @@ class PersistentEvaluationPool:
                 for future in done:
                     remaining.discard(future)
                     index = futures[future]
-                    result, worker_snapshot, worker_spans = future.result()
-                    results[index] = result
-                    profiling.merge(worker_snapshot)
-                    telemetry.extend_spans(worker_spans)
+                    results[index], delta = future.result()
+                    profiling.merge(delta)
         except BrokenProcessPool as exc:
             # From a result, or from ``submit`` when a worker died before the
             # whole batch was handed out (then ``index`` is None).
             profiling.increment("parallel.worker_lost")
-            telemetry.instant("parallel.worker_lost", candidate=index)
+            profiling.instant("parallel.worker_lost", candidate=index)
             raise WorkerLostError(
                 f"worker process died (last candidate {index})"
             ) from exc
@@ -510,7 +519,7 @@ class PersistentEvaluationPool:
             return
         self._degraded = True
         profiling.increment("parallel.degraded")
-        telemetry.instant(
+        profiling.instant(
             "parallel.degraded",
             consecutive_failures=self._consecutive_failures,
         )
@@ -633,6 +642,14 @@ def shutdown_pools() -> None:
 
 atexit.register(shutdown_pools)
 
+# A forked worker inherits the parent's unreachable objects.  When its cyclic
+# collector freed one whose finalizer takes a lock another parent thread held
+# at the fork -- a shut-down executor's ``shutdown_lock``, which its manager
+# thread holds while it joins workers -- the worker hung for good.  Frozen
+# objects are never collected, so the heap is frozen across every fork: the
+# worker keeps the inherited objects frozen, the parent thaws them at once.
+os.register_at_fork(before=gc.freeze, after_in_parent=gc.unfreeze)
+
 
 # ---------------------------------------------------------------------------
 # Public entry point
@@ -677,10 +694,7 @@ def evaluate_population(
     ):
         scorer = context.scorer()
         costs = [scorer(params) for params in params_list]
-        profiling.increment("parallel.candidates", len(costs))
-        profiling.increment(
-            "parallel.infeasible", sum(1 for c in costs if math.isinf(c))
-        )
+        count_scored(costs)
         return costs
     if pool is not None:
         return pool.evaluate(params_list, context)

@@ -42,7 +42,7 @@ from typing import (
 
 import numpy as np
 
-from .. import profiling, telemetry
+from .. import profiling
 from ..checkpoint import CheckpointError, fingerprint_of, read_checkpoint, write_checkpoint
 from ..cooling.evaluation import (
     EvaluationResult,
@@ -349,7 +349,7 @@ class MultiFidelityEvaluator:
         the pure-4RM path (``sa_4rm``) and the scoring half of
         :meth:`promote`.
         """
-        from .parallel import score_on_pool
+        from .parallel import count_scored, score_on_pool
 
         missing = self._misses(params_list, self._high_cache)
         if missing:
@@ -362,6 +362,7 @@ class MultiFidelityEvaluator:
                 if self._reference_scorer is None:
                     self._reference_scorer = self._reference.scorer()
                 evaluations = [self._reference_scorer(p) for p in batch]
+                count_scored(evaluations)
             for (key, _), evaluation in zip(missing, evaluations):
                 self._high_cache[key] = evaluation
             self.high_evals += len(missing)
@@ -389,7 +390,7 @@ class MultiFidelityEvaluator:
         ]
         if fresh:
             low_scores = self.low_batch(fresh)
-            with telemetry.span("portfolio.promote", candidates=len(fresh)):
+            with profiling.span("portfolio.promote", candidates=len(fresh)):
                 evaluations = self.high_batch(fresh)
             for low_score, evaluation in zip(low_scores, evaluations):
                 self.offset.observe(low_score, evaluation.score)
@@ -897,7 +898,7 @@ def run_portfolio(
 
     def save() -> None:
         if checkpoint_path is not None:
-            with telemetry.span("checkpoint.save"):
+            with profiling.span("checkpoint.save"):
                 write_checkpoint(checkpoint_path, payload, fingerprint)
 
     def stop_point(where: str) -> None:
@@ -955,7 +956,7 @@ def run_portfolio(
                     rounds=n_rounds,
                     iterations=config.iterations,
                 )
-                with telemetry.span("portfolio.optimizer", optimizer=name):
+                with profiling.span("portfolio.optimizer", optimizer=name):
                     if (
                         payload["active"] == name
                         and payload["active_state"] is not None

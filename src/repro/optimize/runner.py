@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import profiling, telemetry
+from .. import profiling
 from ..cooling.evaluation import (
     EvaluationResult,
     evaluate_problem1,
@@ -180,8 +180,24 @@ class _CandidateEvaluator:
 
     def batch(self, states: Sequence[np.ndarray]) -> List[float]:
         """The batch cost of :func:`~repro.optimize.annealing.anneal`, one
-        candidate at a time."""
-        return [self(params) for params in states]
+        candidate at a time, in process.
+
+        The memo misses count into ``parallel.candidates`` and
+        ``parallel.infeasible`` (:func:`~repro.optimize.parallel.count_scored`)
+        as a pooled batch's do.  Pool workers score through :meth:`__call__`,
+        never through this method, so nothing is counted twice.
+        """
+        from .parallel import count_scored
+
+        costs, fresh = [], []
+        for params in states:
+            miss = np.asarray(params, dtype=int).tobytes() not in self._cache
+            costs.append(self(params))
+            if miss:
+                fresh.append(costs[-1])
+        if fresh:
+            count_scored(fresh)
+        return costs
 
     def __call__(self, params: np.ndarray) -> float:
         key = np.asarray(params, dtype=int).tobytes()
@@ -416,7 +432,7 @@ class StagedSAOptimizer(RoundOptimizer):
             stall_limit=max(stage.iterations // 2, 8),
         )
         labels = {"d_index": d_index, "stage": stage.name, "round": round_s}
-        with telemetry.span("optimize.round", **labels):
+        with profiling.span("optimize.round", **labels):
             # One neighbour per iteration scores in-process on the stage's
             # evaluator; a batch of them goes through the worker pool.
             pooled = (
@@ -516,13 +532,14 @@ class StagedSAOptimizer(RoundOptimizer):
                 ctx.case, plan, next_stage, ctx.config.problem,
                 flight["fixed_pressure"],
             )
-            with telemetry.span(
+            with profiling.span(
                 "optimize.rescore",
                 d_index=d_index,
                 stage=stage.name,
                 candidates=len(scored),
             ):
-                scored = [(params, rescorer(params)) for params, _ in scored]
+                params_list = [params for params, _ in scored]
+                scored = list(zip(params_list, rescorer.batch(params_list)))
             rescore_sims = rescorer.simulations
         scored.sort(key=lambda item: item[1])
         stage_sims = evaluator.simulations + flight["batch_evals"]
@@ -560,7 +577,7 @@ class StagedSAOptimizer(RoundOptimizer):
         case, flight = ctx.case, state["direction"]
         final_plan = plan.with_params(np.asarray(flight["params"]))
         network = final_plan.build()
-        with telemetry.span("optimize.final_eval", d_index=d_index):
+        with profiling.span("optimize.final_eval", d_index=d_index):
             system = CoolingSystem.for_network(
                 case.base_stack(),
                 network,

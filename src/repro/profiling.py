@@ -1,84 +1,57 @@
-"""Lightweight named counters, timers, and histograms for the hot paths.
+"""The one in-process metrics recorder: counters, histograms and spans.
 
-The solver-reuse layers (flow unit-solution cache, thermal factorization
-reuse, cooling-system result memoization) and the parallel SA evaluation all
-report what they did through this module, so benchmarks can prove that an
-optimization actually removed work instead of guessing from wall clock alone:
+Every layer reports what it did through this module, so benchmarks, the
+``/metrics`` endpoint and traces read measured work instead of guessing
+from wall clock alone:
 
     from repro import profiling
 
     profiling.reset()
-    ...  # run something
-    print(profiling.snapshot())
-    # {"counters": {"flow.unit_cache_hits": 12, ...},
-    #  "timers": {"thermal.factorize": {"count": 9, "seconds": 0.41}, ...},
-    #  "histograms": {"thermal.factorize": {"bounds": [...], ...}}}
+    with profiling.timer("thermal.solve", nodes=n):
+        ...
+    profiling.increment("thermal.solves")
+    profiling.snapshot()
+    # {"counters": {"thermal.solves": 1},
+    #  "histograms": {"thermal.solve": {"bounds": [...], "count": 1, ...}}}
 
-Beyond sum-only timers, every :meth:`Profiler.timer` block also feeds a
-fixed-bucket :class:`Histogram`, so snapshots carry latency *distributions*
-(p50/p90/p99) for the hot paths, not just totals -- a batch whose p99 is 40x
-its p50 looks identical to a uniform one in a sum, and completely different
-in a histogram.  Buckets are fixed and shared by construction, which makes
-histogram merging associative: folding worker snapshots into the parent
-gives the same result in any order.
+Counters and fixed-bucket :class:`Histogram` s are always on, at one lock
+and one dict update per event.  A :func:`timer` block observes its elapsed
+seconds into the histogram of its name, so snapshots carry latency
+*distributions* (p50/p90/p99), not just totals.  Buckets are fixed and
+shared by construction, which makes histogram merging associative: folding
+worker deltas into the parent gives the same result in any order.
 
-Instrumentation is process-local: worker processes of
-:class:`repro.optimize.parallel.PersistentEvaluationPool` accumulate their
-own counters, which the pool can fetch and fold into the parent's profiler
-(:func:`merge`).  Overhead is one dict update plus a lock per event --
-negligible next to a sparse factorization -- and :func:`set_enabled` turns
-everything into no-ops for the truly paranoid.
+*Spans* -- timed regions with attributes and process/thread identity -- are
+recorded only while tracing is on (:func:`set_tracing`, off by default).
+Then every :func:`timer` block is also a span carrying its attributes,
+:func:`span` times a region as a span only, and :func:`instant` records a
+zero-duration marker.  With tracing off, :func:`span` returns a shared no-op
+context manager.  Timestamps come from ``time.monotonic_ns()``:
+``CLOCK_MONOTONIC`` is shared across processes on Linux, so worker and
+parent spans land on one timeline.  The span buffer is bounded
+(:data:`DEFAULT_SPAN_CAPACITY`); overflow is counted, not recorded.
+:func:`to_chrome_trace` renders it as Chrome trace-event JSON (Perfetto).
 
-Metric names are dot-namespaced string literals declared in
-:mod:`repro.telemetry.names` (enforced by lint rule R7); see
-``docs/OBSERVABILITY.md`` for the full registry with semantics.
+Each process records into its own :data:`GLOBAL` recorder.  A worker of
+:class:`repro.optimize.parallel.PersistentEvaluationPool` ships one
+:func:`drain` delta (counters, histograms and spans) home per candidate,
+and the parent folds it in with :func:`merge`.
 
-Well-known names (see ``docs/SOLVER_CACHES.md`` for the cache semantics):
-
-=============================  =============================================
-``flow.unit_solves``           sparse pressure systems assembled + factorized
-``flow.unit_cache_hits``       :class:`~repro.flow.network.FlowField` reuses
-``thermal.factorizations``     ``repro.linalg.factorize`` calls on the
-                               thermal operator
-``thermal.lu_cache_hits``      thermal solves that reused a factorization
-``thermal.solves``             thermal linear solves (triangular sweeps)
-``thermal.field_expansions``   lazy 2RM results expanded to cell maps
-``cooling.simulations``        distinct thermal simulations per network
-``cooling.cache_hits``         pressure probes served from the result cache
-``search.probes``              pressure-search objective evaluations
-``parallel.pool_starts``       persistent worker pools created
-``parallel.batches``           candidate batches dispatched
-``parallel.candidates``        candidates scored (parent-side count)
-``parallel.infeasible``        candidates scored ``inf`` (illegal/infeasible)
-``parallel.crashed``           candidates that raised unexpected exceptions
-``parallel.pool_failures``     batch attempts lost to a pool-level failure
-``parallel.timeouts``          batches that hit the no-progress timeout
-``parallel.worker_lost``       batches that lost a worker process
-``parallel.retries``           batch retries after a pool failure
-``parallel.worker_replacements``  worker sets killed and respawned
-``parallel.degraded``          pools that fell back to serial evaluation
-``parallel.serial_fallback``   candidates scored on the degraded path
-``parallel.batch_size``        histogram of candidates per dispatched batch
-``faults.injected``            faults fired by :mod:`repro.faults` (also
-                               split per kind: ``faults.injected.<kind>``)
-``optimize.batch_cache_hits``  batch-mode candidates served from the
-                               per-round memo instead of re-evaluated
-``optimize.candidate``         timer + histogram over single-candidate
-                               scoring (cache misses only)
-``checkpoint.saves``           checkpoints written (one per round boundary)
-``checkpoint.loads``           checkpoints read back and validated
-``checkpoint.resumes``         design runs that continued a prior run
-=============================  =============================================
+Names are dot-namespaced literals declared in :mod:`repro.telemetry.names`
+(lint rule R7); ``docs/OBSERVABILITY.md`` has the registry with semantics.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import os
 import threading
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+import zlib
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Any, ContextManager, Dict, List, Optional, Sequence, Tuple
 
 from .errors import TelemetryError
 
@@ -238,35 +211,136 @@ class Histogram:
         }
 
 
-class Profiler:
-    """A thread-safe bag of named counters, timers, and histograms."""
+#: Default bound on buffered spans per process; beyond it new spans are
+#: counted as dropped instead of recorded, so a runaway trace cannot eat
+#: the heap.
+DEFAULT_SPAN_CAPACITY = 100_000
 
-    def __init__(self, enabled: bool = True):
+#: Attribute values are coerced to JSON-safe scalars with this check.
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+#: What :func:`span` returns while tracing is off.
+_NULL_SPAN = nullcontext()
+
+
+def _clean_args(attrs: Dict[str, Any]) -> Dict[str, Any]:
+    """Coerce span attributes to JSON-serializable scalars."""
+    return {
+        key: value if isinstance(value, _JSON_SCALARS) else str(value)
+        for key, value in attrs.items()
+    }
+
+
+#: Per-thread state: the *lane* a thread records its spans under.  Lanes
+#: give one process's logical actors (API listener, worker threads) their
+#: own named rows in the exported trace -- threads of one service process
+#: would otherwise collapse into a single anonymous process row.
+_THREAD_STATE = threading.local()
+
+
+def set_thread_lane(lane: Optional[str]) -> None:
+    """Name the lane this thread's spans render under (``None`` clears)."""
+    _THREAD_STATE.lane = lane
+
+
+def current_lane() -> Optional[str]:
+    """This thread's lane, or ``None`` when unset."""
+    return getattr(_THREAD_STATE, "lane", None)
+
+
+def _lane_pid(pid: int, lane: str) -> int:
+    """A stable synthetic pid for a ``(pid, lane)`` row.
+
+    Real Linux pids stay below ``2**22``; offsetting the CRC into the
+    ``2**30`` range keeps synthetic rows from colliding with any real
+    process while staying deterministic across exports.
+    """
+    return 0x40000000 + zlib.crc32(f"{pid}:{lane}".encode("utf-8"))
+
+
+def _event(name: str, ph: str, ts: int, args: Dict[str, Any]) -> dict:
+    """One buffered span (``ph: "X"``) or marker (``ph: "i"``)."""
+    return {
+        "name": name,
+        "ph": ph,
+        "ts": ts,
+        "pid": os.getpid(),
+        "tid": threading.get_ident(),
+        "lane": current_lane(),
+        "args": _clean_args(args),
+    }
+
+
+class _Region:
+    """A timed ``with`` body: a histogram observation, a span, or both."""
+
+    __slots__ = (
+        "_profiler", "_name", "_attrs", "_observe", "_trace", "_start",
+    )
+
+    def __init__(
+        self,
+        profiler: "Profiler",
+        name: str,
+        attrs: Dict[str, Any],
+        observe: bool,
+        trace: bool,
+    ):
+        self._profiler = profiler
+        self._name = name
+        self._attrs = attrs
+        self._observe = observe
+        self._trace = trace
+        self._start = 0
+
+    def __enter__(self) -> "_Region":
+        self._start = time.monotonic_ns()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        elapsed = time.monotonic_ns() - self._start
+        span = None
+        if self._trace:
+            span = _event(self._name, "X", self._start, self._attrs)
+            span["dur"] = elapsed
+        profiler = self._profiler
+        with profiler._lock:
+            if self._observe:
+                profiler._observe_locked(
+                    self._name, elapsed / 1e9, LATENCY_BUCKET_BOUNDS
+                )
+            if span is not None:
+                profiler._record_locked([span])
+
+
+class Profiler:
+    """A thread-safe store of counters, histograms and (while tracing)
+    spans, under one lock."""
+
+    def __init__(
+        self,
+        trace: bool = False,
+        span_capacity: int = DEFAULT_SPAN_CAPACITY,
+        trace_id: Optional[str] = None,
+    ):
         self._lock = threading.Lock()
-        self.enabled = bool(enabled)
+        #: Whether spans are recorded.
+        self.tracing = bool(trace)
+        self.span_capacity = int(span_capacity)
+        #: Stitching key carried by every exported process row.
+        self.trace_id = trace_id
+        #: Spans lost to the capacity bound since the last clear.
+        self.dropped = 0
         self._counters: Dict[str, int] = {}
-        self._timer_counts: Dict[str, int] = {}
-        self._timer_seconds: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._spans: List[dict] = []
 
     # -- events --------------------------------------------------------
 
     def increment(self, name: str, amount: int = 1) -> None:
         """Add ``amount`` to the counter ``name`` (created at 0)."""
-        if not self.enabled:
-            return
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + int(amount)
-
-    def add_time(self, name: str, seconds: float, count: int = 1) -> None:
-        """Record ``seconds`` of wall clock against the timer ``name``."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._timer_counts[name] = self._timer_counts.get(name, 0) + count
-            self._timer_seconds[name] = (
-                self._timer_seconds.get(name, 0.0) + float(seconds)
-            )
 
     def observe(
         self,
@@ -280,8 +354,6 @@ class Profiler:
         with them); later observations must agree or the merge discipline
         would break, so a mismatch raises :class:`TelemetryError`.
         """
-        if not self.enabled:
-            return
         with self._lock:
             self._observe_locked(name, value, tuple(float(b) for b in bounds))
 
@@ -298,23 +370,31 @@ class Profiler:
             )
         histogram.observe(value)
 
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Context manager timing its body into timer + histogram ``name``."""
-        if not self.enabled:
-            yield
+    def timer(self, name: str, **attrs: Any) -> _Region:
+        """Time a ``with`` body into the histogram ``name``; while tracing,
+        also as a span carrying ``attrs`` (stringified unless JSON
+        scalars)."""
+        return _Region(self, name, attrs, observe=True, trace=self.tracing)
+
+    def span(self, name: str, **attrs: Any) -> ContextManager[Any]:
+        """Time a ``with`` body as a span only (a no-op unless tracing)."""
+        if not self.tracing:
+            return _NULL_SPAN
+        return _Region(self, name, attrs, observe=False, trace=True)
+
+    def instant(self, name: str, **attrs: Any) -> None:
+        """Record a zero-duration marker (retry fired, resume point...)."""
+        if not self.tracing:
             return
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                self._timer_counts[name] = self._timer_counts.get(name, 0) + 1
-                self._timer_seconds[name] = (
-                    self._timer_seconds.get(name, 0.0) + elapsed
-                )
-                self._observe_locked(name, elapsed, LATENCY_BUCKET_BOUNDS)
+        marker = _event(name, "i", time.monotonic_ns(), attrs)
+        with self._lock:
+            self._record_locked([marker])
+
+    def _record_locked(self, spans: Sequence[dict]) -> None:
+        """Buffer finished spans, honouring the capacity bound."""
+        room = max(self.span_capacity - len(self._spans), 0)
+        self._spans.extend(spans[:room])
+        self.dropped += max(len(spans) - room, 0)
 
     # -- queries -------------------------------------------------------
 
@@ -324,9 +404,11 @@ class Profiler:
             return self._counters.get(name, 0)
 
     def timer_seconds(self, name: str) -> float:
-        """Accumulated seconds of a timer (0.0 when never used)."""
+        """Seconds accumulated by :meth:`timer` ``name``: the sum of its
+        histogram (0.0 when never used)."""
         with self._lock:
-            return self._timer_seconds.get(name, 0.0)
+            histogram = self._histograms.get(name)
+            return 0.0 if histogram is None else histogram.total
 
     def histogram(self, name: str) -> Optional[Histogram]:
         """A copy of the histogram ``name`` (``None`` when never observed)."""
@@ -337,85 +419,177 @@ class Profiler:
             return Histogram.from_snapshot(histogram.snapshot())
 
     def snapshot(self) -> dict:
-        """A JSON-ready copy: counters, timers, and (when any) histograms.
-
-        The ``"histograms"`` key is only present when at least one
-        histogram has been created, so counter/timer-only consumers (and
-        pre-histogram snapshots riding in old checkpoints) see the same
-        two-key shape as before.
-        """
+        """A JSON-ready copy of the counters and histograms."""
         with self._lock:
-            out: dict = {
-                "counters": dict(self._counters),
-                "timers": {
-                    name: {
-                        "count": self._timer_counts[name],
-                        "seconds": self._timer_seconds[name],
-                    }
-                    for name in self._timer_counts
-                },
-            }
-            if self._histograms:
-                out["histograms"] = {
-                    name: histogram.snapshot()
-                    for name, histogram in self._histograms.items()
-                }
-            return out
+            return self._snapshot_locked()
 
-    def merge(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a worker process) into this one.
+    def _snapshot_locked(self) -> dict:
+        return {
+            "counters": dict(self._counters),
+            "histograms": {
+                name: histogram.snapshot()
+                for name, histogram in self._histograms.items()
+            },
+        }
+
+    def spans(self) -> List[dict]:
+        """A copy of the buffered spans, leaving the buffer intact."""
+        with self._lock:
+            return list(self._spans)
+
+    # -- the worker hop --------------------------------------------------
+
+    def drain(self) -> dict:
+        """Everything recorded since the last reset, as one delta
+        (:meth:`snapshot` plus ``"spans"``), and reset."""
+        with self._lock:
+            delta = self._snapshot_locked()
+            delta["spans"] = self._spans
+            self._counters, self._histograms, self._spans = {}, {}, []
+            return delta
+
+    def merge(self, delta: dict) -> None:
+        """Fold a :meth:`drain` delta or a :meth:`snapshot` (e.g. from a
+        worker process) into this recorder.
 
         Histograms merge bucket-wise (associative, order-independent);
-        snapshots without a ``"histograms"`` key merge as before.
+        spans are kept only while tracing.
         """
-        for name, value in snapshot.get("counters", {}).items():
-            self.increment(name, value)
-        for name, stat in snapshot.get("timers", {}).items():
-            self.add_time(name, stat["seconds"], count=stat["count"])
-        for name, hist_snap in snapshot.get("histograms", {}).items():
-            if not self.enabled:
-                return
-            incoming = Histogram.from_snapshot(hist_snap)
-            with self._lock:
+        incoming = {
+            name: Histogram.from_snapshot(snap)
+            for name, snap in delta.get("histograms", {}).items()
+        }
+        with self._lock:
+            for name, value in delta.get("counters", {}).items():
+                self._counters[name] = self._counters.get(name, 0) + int(value)
+            for name, histogram in incoming.items():
                 existing = self._histograms.get(name)
                 if existing is None:
-                    self._histograms[name] = incoming
+                    self._histograms[name] = histogram
                 else:
-                    existing.merge(incoming)
+                    existing.merge(histogram)
+            if self.tracing:
+                self._record_locked(delta.get("spans", ()))
+
+    def clear_spans(self) -> None:
+        """Discard the buffered spans and reset :attr:`dropped`; counters
+        and histograms are kept."""
+        with self._lock:
+            self._spans.clear()
+            self.dropped = 0
 
     def reset(self) -> None:
-        """Zero every counter, timer, and histogram."""
+        """Zero every counter and histogram and discard every span."""
         with self._lock:
             self._counters.clear()
-            self._timer_counts.clear()
-            self._timer_seconds.clear()
             self._histograms.clear()
+            self._spans.clear()
+            self.dropped = 0
+
+    # -- export --------------------------------------------------------
+
+    def to_chrome_trace(self) -> dict:
+        """The buffered spans as a Chrome trace-event JSON object.
+
+        Loadable in Perfetto / ``chrome://tracing``: ``ph: "X"`` complete
+        events with microsecond ``ts``/``dur``, one named process row per
+        pid (``parent`` for this process, ``worker-<pid>`` otherwise), and
+        the first name segment as the event category.
+
+        Threads that declared a *lane* (:func:`set_thread_lane` -- the API
+        listener and worker threads of one service process) get their own
+        synthetic process rows named after the lane, so a single-process
+        service still renders as distinguishable API / worker / pool-worker
+        timelines.  When :attr:`trace_id` is set it rides in every process
+        row's metadata and in ``otherData`` -- the stitching key across the
+        API, worker, and pool-worker exports of one job.
+        """
+        events: List[dict] = []
+        rows: List[tuple] = []
+        this_pid = os.getpid()
+        for span_dict in self.spans():
+            pid = span_dict["pid"]
+            lane = span_dict.get("lane")
+            if pid != this_pid:
+                # A foreign span carrying a lane is a forked pool worker
+                # that inherited the spawning thread's lane; render it as
+                # its own worker-<pid> row, not under the parent's lane.
+                lane = None
+            display_pid = pid if lane is None else _lane_pid(pid, lane)
+            if (display_pid, pid, lane) not in rows:
+                rows.append((display_pid, pid, lane))
+            event = {
+                "name": span_dict["name"],
+                "cat": span_dict["name"].split(".", 1)[0],
+                "ph": span_dict["ph"],
+                "ts": span_dict["ts"] / 1000.0,
+                "pid": display_pid,
+                "tid": span_dict["tid"],
+                "args": span_dict["args"],
+            }
+            if span_dict["ph"] == "X":
+                event["dur"] = span_dict["dur"] / 1000.0
+            else:
+                event["s"] = "p"
+            events.append(event)
+        for display_pid, pid, lane in rows:
+            if lane is not None:
+                label = lane
+            elif pid == this_pid:
+                label = "parent"
+            else:
+                label = f"worker-{pid}"
+            args: Dict[str, Any] = {"name": label}
+            if self.trace_id is not None:
+                args["trace_id"] = self.trace_id
+            events.append(
+                {
+                    "name": "process_name",
+                    "ph": "M",
+                    "pid": display_pid,
+                    "tid": 0,
+                    "args": args,
+                }
+            )
+        trace: Dict[str, Any] = {
+            "traceEvents": events,
+            "displayTimeUnit": "ms",
+        }
+        if self.trace_id is not None:
+            trace["otherData"] = {"trace_id": self.trace_id}
+        return trace
 
 
-#: The process-global profiler behind the module-level helpers.
+#: The process-global recorder behind the module-level helpers.
 GLOBAL = Profiler()
 
 
 def increment(name: str, amount: int = 1) -> None:
-    """Add to a counter on the global profiler."""
+    """Add to a counter on the global recorder."""
     GLOBAL.increment(name, amount)
-
-
-def add_time(name: str, seconds: float, count: int = 1) -> None:
-    """Record wall-clock seconds on the global profiler."""
-    GLOBAL.add_time(name, seconds, count)
 
 
 def observe(
     name: str, value: float, bounds: Sequence[float] = LATENCY_BUCKET_BOUNDS
 ) -> None:
-    """Record a histogram observation on the global profiler."""
+    """Record a histogram observation on the global recorder."""
     GLOBAL.observe(name, value, bounds=bounds)
 
 
-def timer(name: str):
-    """Time a ``with`` body on the global profiler."""
-    return GLOBAL.timer(name)
+def timer(name: str, **attrs: Any) -> _Region:
+    """Time a ``with`` body on the global recorder (see
+    :meth:`Profiler.timer`)."""
+    return GLOBAL.timer(name, **attrs)
+
+
+def span(name: str, **attrs: Any) -> ContextManager[Any]:
+    """Time a ``with`` body as a span on the global recorder."""
+    return GLOBAL.span(name, **attrs)
+
+
+def instant(name: str, **attrs: Any) -> None:
+    """Record a zero-duration marker on the global recorder."""
+    GLOBAL.instant(name, **attrs)
 
 
 def counter(name: str) -> int:
@@ -434,25 +608,50 @@ def histogram(name: str) -> Optional[Histogram]:
 
 
 def snapshot() -> dict:
-    """Snapshot the global profiler."""
+    """Snapshot the global counters and histograms."""
     return GLOBAL.snapshot()
 
 
-def merge(worker_snapshot: dict) -> None:
-    """Merge a worker snapshot into the global profiler."""
-    GLOBAL.merge(worker_snapshot)
+def spans() -> List[dict]:
+    """A copy of the global span buffer."""
+    return GLOBAL.spans()
+
+
+def drain() -> dict:
+    """Drain the global recorder (a pool worker's per-candidate delta)."""
+    return GLOBAL.drain()
+
+
+def merge(delta: dict) -> None:
+    """Fold a worker delta into the global recorder."""
+    GLOBAL.merge(delta)
+
+
+def clear_spans() -> None:
+    """Discard the global span buffer (counters and histograms stay)."""
+    GLOBAL.clear_spans()
 
 
 def reset() -> None:
-    """Zero the global profiler."""
+    """Zero the global recorder."""
     GLOBAL.reset()
 
 
-def set_enabled(enabled: bool) -> bool:
-    """Enable/disable global instrumentation; returns the previous state."""
-    previous = GLOBAL.enabled
-    GLOBAL.enabled = bool(enabled)
+def set_tracing(enabled: bool) -> bool:
+    """Turn global span recording on or off; returns the previous state."""
+    previous = GLOBAL.tracing
+    GLOBAL.tracing = bool(enabled)
     return previous
+
+
+def is_tracing() -> bool:
+    """Whether the global recorder records spans."""
+    return GLOBAL.tracing
+
+
+def to_chrome_trace() -> dict:
+    """The global span buffer as Chrome trace-event JSON."""
+    return GLOBAL.to_chrome_trace()
 
 
 def histogram_summaries(snap: Optional[dict] = None) -> Dict[str, dict]:
@@ -468,54 +667,30 @@ def histogram_summaries(snap: Optional[dict] = None) -> Dict[str, dict]:
     }
 
 
-def format_snapshot(
-    snap: Optional[dict] = None, sort_by: str = "name"
-) -> str:
-    """Human-readable one-line-per-entry rendering of a snapshot.
+@dataclass(frozen=True)
+class TelemetryConfig:
+    """The picklable slice of tracing state workers must mirror.
 
-    Args:
-        snap: A :func:`snapshot` payload (the global one by default).
-        sort_by: ``"name"`` for alphabetical sections, or ``"seconds"`` to
-            sort timers by accumulated wall clock (descending) and counters
-            by value (descending), so the hottest entries surface first.
-
-    The name column widens to the longest name present (minimum 32), so
-    long dotted names never shear the value columns out of alignment.
+    Shipped in the evaluation pool's initializer arguments (like the fault
+    plan) so respawned workers re-arm tracing identically; also part of the
+    shared pool's key, so flipping tracing starts a new pool.
     """
-    if sort_by not in ("name", "seconds"):
-        raise TelemetryError(
-            f"sort_by must be 'name' or 'seconds', got {sort_by!r}"
-        )
-    snap = snapshot() if snap is None else snap
-    counters = snap.get("counters", {})
-    timers = snap.get("timers", {})
-    summaries = histogram_summaries(snap)
-    names = [*counters, *timers, *summaries]
-    width = max([32, *(len(name) for name in names)]) if names else 32
 
-    if sort_by == "seconds":
-        counter_names = sorted(counters, key=lambda n: (-counters[n], n))
-        timer_names = sorted(
-            timers, key=lambda n: (-timers[n]["seconds"], n)
-        )
-    else:
-        counter_names = sorted(counters)
-        timer_names = sorted(timers)
+    trace: bool = False
+    span_capacity: int = DEFAULT_SPAN_CAPACITY
+    trace_id: Optional[str] = None
 
-    lines: List[str] = []
-    for name in counter_names:
-        lines.append(f"{name:<{width}s} {counters[name]:>12d}")
-    for name in timer_names:
-        stat = timers[name]
-        lines.append(
-            f"{name:<{width}s} {stat['count']:>12d} calls "
-            f"{stat['seconds']:>10.3f} s"
+    @classmethod
+    def current(cls) -> "TelemetryConfig":
+        """The parent process's live configuration."""
+        return cls(
+            trace=GLOBAL.tracing,
+            span_capacity=GLOBAL.span_capacity,
+            trace_id=GLOBAL.trace_id,
         )
-    for name in sorted(summaries):
-        stats = summaries[name]
-        lines.append(
-            f"{name:<{width}s} {stats['count']:>12d} obs   "
-            f"p50 {stats['p50']:.3g} s  p90 {stats['p90']:.3g} s  "
-            f"p99 {stats['p99']:.3g} s"
-        )
-    return "\n".join(lines)
+
+    def apply(self) -> None:
+        """Arm this process's global recorder to match (worker-side)."""
+        GLOBAL.tracing = self.trace
+        GLOBAL.span_capacity = self.span_capacity
+        GLOBAL.trace_id = self.trace_id

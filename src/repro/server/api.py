@@ -44,7 +44,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from .. import profiling, telemetry
+from .. import profiling
 from ..errors import (
     JobError,
     JobNotFoundError,
@@ -186,7 +186,7 @@ class ApiServer:
 
     def _dispatch(self, handler: BaseHTTPRequestHandler, method: str) -> None:
         profiling.increment("server.http_requests")
-        telemetry.set_thread_lane("api")
+        profiling.set_thread_lane("api")
         path, _, query = handler.path.partition("?")
         payload: Union[Dict[str, Any], str]
         follow_job: Optional[str] = None
@@ -195,7 +195,7 @@ class ApiServer:
             # The span closes before a follow=1 stream starts serving, so
             # the request row lands inside the job's tracing window
             # instead of after it (streams outlive the job).
-            with telemetry.span("server.http", method=method, path=path):
+            with profiling.span("server.http", method=method, path=path):
                 follow_job = self._follow_requested(method, path, query)
                 if follow_job is not None:
                     offset = self._offset(query)
@@ -424,7 +424,7 @@ class ApiServer:
                     # A no-op unless a traced job armed the tracer; lands
                     # the API lane inside the job's tracing window so the
                     # /trace export shows the stream serving alongside it.
-                    telemetry.instant(
+                    profiling.instant(
                         "server.http",
                         path=f"/v1/jobs/{job_id}/events",
                         streamed=len(events),

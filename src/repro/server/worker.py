@@ -36,7 +36,7 @@ import time
 import uuid
 from typing import Any, Callable, Dict, List, Optional
 
-from .. import profiling, telemetry
+from .. import profiling
 from ..errors import (
     CandidateCrashError,
     JobNotFoundError,
@@ -49,7 +49,7 @@ from ..errors import (
 )
 from ..faults import SITE_SERVER_WORKER, inject
 from ..optimize.portfolio import PORTFOLIO_CHECKPOINT
-from ..telemetry import TelemetryConfig
+from ..profiling import TelemetryConfig
 from .executor import Executor, SimulationExecutor
 from .jobstore import JobStore
 from .records import (
@@ -223,8 +223,8 @@ class Worker:
         started = time.perf_counter()
         # Lane is thread state; restore the caller's on every exit so a
         # direct claim_once() on a borrowed thread leaves no residue.
-        prior_lane = telemetry.current_lane()
-        telemetry.set_thread_lane(self.worker_id)
+        prior_lane = profiling.current_lane()
+        profiling.set_thread_lane(self.worker_id)
         tracing = self._arm_tracing(record)
         try:
             resumed = (
@@ -266,7 +266,7 @@ class Worker:
                 try:
                     with crash_boundary(f"job {job_id}"):
                         inject(SITE_SERVER_WORKER)  # chaos: die/raise mid-job
-                        with telemetry.span(
+                        with profiling.span(
                             "server.job",
                             job_id=job_id,
                             worker=self.worker_id,
@@ -308,7 +308,7 @@ class Worker:
         finally:
             if tracing:
                 self._finish_tracing(record)
-            telemetry.set_thread_lane(prior_lane)
+            profiling.set_thread_lane(prior_lane)
 
     # -- per-job tracing -----------------------------------------------
 
@@ -318,7 +318,7 @@ class Worker:
             return False
         if not _TRACE_LOCK.acquire(blocking=False):
             return False  # another job is being traced in this process
-        telemetry.clear_spans()
+        profiling.clear_spans()
         TelemetryConfig(trace=True, trace_id=record.trace_id).apply()
         return True
 
@@ -326,13 +326,13 @@ class Worker:
         """Export the stitched trace and disarm (pairs with _arm_tracing)."""
         try:
             self.store.write_trace(
-                record.job_id, telemetry.to_chrome_trace()
+                record.job_id, profiling.to_chrome_trace()
             )
         except (ReproError, OSError):
             pass  # the trace export is best-effort diagnostics
         finally:
             TelemetryConfig().apply()
-            telemetry.clear_spans()
+            profiling.clear_spans()
             _TRACE_LOCK.release()
 
     def _commit(self, record, lease_file, lease, result, started) -> None:

@@ -1,74 +1,19 @@
-"""Observability for the solver + SA stack: spans, histograms, run events.
+"""The telemetry name registry and the output formats built on
+:mod:`repro.profiling` (the one recorder of counters, histograms and spans):
 
-Built *on top of* :mod:`repro.profiling` (which keeps the counters/timers
-and gains fixed-bucket histograms), this package adds the three views the
-flat counter bag cannot give:
-
-- **Span tracing** (:mod:`repro.telemetry.spans`): nested context-managed
-  spans with attributes and process/thread identity, exportable as Chrome
-  trace-event JSON (Perfetto / ``chrome://tracing``) so pool-worker
-  timelines, batch dispatch, retries, and checkpoint flushes are visible on
-  one timeline.  ``telemetry.span("thermal.rc2.solve", cells=n)``.
-- **Run-event streams** (:mod:`repro.telemetry.runlog`): a JSONL
+- :mod:`repro.telemetry.names`: every span, metric, run-event and gauge
+  name, enforced at call sites by lint rule R7;
+- :mod:`repro.telemetry.runlog`: the JSONL
   :class:`~repro.telemetry.runlog.RunLog` of typed per-iteration /
-  per-round / per-stage records, appended atomically, plus the offline
-  analyzer ``python -m repro.telemetry report <run.jsonl>``.
-- **Cross-process plumbing**: workers accumulate spans and histograms
-  locally; the evaluation pool drains them home and folds them into the
-  parent, re-armed on worker respawn via
-  :class:`~repro.telemetry.spans.TelemetryConfig`.
+  per-round / per-stage records, appended atomically;
+- :mod:`repro.telemetry.promexpo`: Prometheus text exposition for
+  ``GET /metrics``;
+- :mod:`repro.telemetry.report`: the offline analyzer
+  ``python -m repro.telemetry report <run.jsonl>``.
 
-Everything is off by default and no-ops at a single-check cost when
-disabled.  All names (spans, metrics, event types) are literals from the
-registry in :mod:`repro.telemetry.names`, enforced by lint rule R7; see
-``docs/OBSERVABILITY.md`` for conventions and the full tables.
-
-This package's top level deliberately imports only stdlib-backed modules
-(``names``, ``spans``, and :class:`Histogram` from :mod:`repro.profiling`);
-file-writing pieces live in the ``runlog`` / ``export`` / ``report``
-submodules and are imported explicitly by their users.
+See ``docs/OBSERVABILITY.md`` for conventions and the full tables.
 """
 
-from ..profiling import (
-    LATENCY_BUCKET_BOUNDS,
-    SIZE_BUCKET_BOUNDS,
-    Histogram,
-)
 from . import names
-from .spans import (
-    DEFAULT_SPAN_CAPACITY,
-    TelemetryConfig,
-    Tracer,
-    clear_spans,
-    current_lane,
-    drain_spans,
-    extend_spans,
-    instant,
-    is_tracing,
-    set_thread_lane,
-    set_tracing,
-    span,
-    spans_snapshot,
-    to_chrome_trace,
-)
 
-__all__ = [
-    "DEFAULT_SPAN_CAPACITY",
-    "Histogram",
-    "LATENCY_BUCKET_BOUNDS",
-    "SIZE_BUCKET_BOUNDS",
-    "TelemetryConfig",
-    "Tracer",
-    "clear_spans",
-    "drain_spans",
-    "current_lane",
-    "extend_spans",
-    "instant",
-    "is_tracing",
-    "names",
-    "set_thread_lane",
-    "set_tracing",
-    "span",
-    "spans_snapshot",
-    "to_chrome_trace",
-]
+__all__ = ["names"]

@@ -1,13 +1,15 @@
 """The documented registry of telemetry names (spans, metrics, run events).
 
-Every span, counter, timer, histogram, and run-event type used anywhere in
-the repo is declared here, once, as a dot-namespaced string.  The R7 lint
-rule (``repro.lint``, telemetry hygiene) checks every
-``profiling.increment(...)`` / ``profiling.timer(...)`` /
-``telemetry.span(...)`` / ``runlog.emit_event(...)`` call site against this
-registry, so a typo'd or undocumented name fails the build instead of
-silently forking the metric namespace.  ``docs/OBSERVABILITY.md`` renders
-the same registry as prose tables.
+Every span, counter, histogram, run-event type and gauge used anywhere in
+the repo is declared here, once, as a dot-namespaced string.  A
+``profiling.timer`` name is both a histogram and (while tracing) a span, so
+it is declared in both sets.  The R7 lint rule (``repro.lint``, telemetry
+hygiene) checks every ``profiling.increment(...)`` / ``observe(...)`` /
+``timer(...)`` / ``span(...)`` / ``instant(...)`` and
+``runlog.emit_event(...)`` call site against this registry, so a typo'd
+or undocumented name fails the build instead of silently forking the
+metric namespace.  ``docs/OBSERVABILITY.md`` renders the same registry as
+prose tables.
 
 Naming convention: ``<subsystem>.<noun_or_verb>[.<qualifier>]`` --
 lowercase, underscores inside segments, dots between them, at least two
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 from typing import FrozenSet
 
-#: Span names recorded by the tracer (``telemetry.span`` / ``instant``).
+#: Span names: ``profiling.span`` / ``instant``, and every
+#: ``profiling.timer`` (recorded while tracing).
 SPAN_NAMES: FrozenSet[str] = frozenset(
     {
         "checkpoint.save",
@@ -31,6 +34,8 @@ SPAN_NAMES: FrozenSet[str] = frozenset(
         "cooling.evaluate_problem2",
         "flow.unit_solve",
         "linalg.factorize",
+        "linalg.incremental_solve",
+        "optimize.candidate",
         "optimize.final_eval",
         "optimize.rescore",
         "optimize.round",
@@ -51,7 +56,8 @@ SPAN_NAMES: FrozenSet[str] = frozenset(
     }
 )
 
-#: Counter / timer / histogram names on :mod:`repro.profiling`.
+#: Counter and histogram names on :mod:`repro.profiling` (a timer's
+#: histogram carries the timer's name).
 METRIC_NAMES: FrozenSet[str] = frozenset(
     {
         "checkpoint.loads",

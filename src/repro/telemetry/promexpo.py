@@ -1,6 +1,6 @@
 """Dependency-free Prometheus text-format (0.0.4) exposition.
 
-Renders the live :func:`repro.profiling.snapshot` -- counters, timers, and
+Renders the live :func:`repro.profiling.snapshot` -- counters and
 fixed-bucket histograms -- plus point-in-time *gauge* samples (queue depth,
 lease health, per-tenant admission) as the plain-text format every
 Prometheus-compatible scraper understands.  The API server mounts the
@@ -17,13 +17,9 @@ Mapping rules (mechanical, so the registry in
   everything gets a ``repro_`` prefix: ``server.jobs_completed`` ->
   ``repro_server_jobs_completed_total``;
 * profiling **counters** render as Prometheus counters (``_total``);
-* **timers** render as a pair of counters (``_seconds_total`` and
-  ``_calls_total``) -- unless a histogram of the same name exists (every
-  ``profiling.timer`` feeds one), in which case the histogram alone is
-  rendered: its ``_sum``/``_count`` carry the same information;
-* **histograms** render as native Prometheus histograms with *cumulative*
-  ``le`` buckets ending in ``+Inf``; latency-bucket histograms get a
-  ``_seconds`` unit suffix;
+* **histograms** (every ``profiling.timer`` feeds one) render as native
+  Prometheus histograms with *cumulative* ``le`` buckets ending in
+  ``+Inf``; latency-bucket histograms get a ``_seconds`` unit suffix;
 * **gauges** (built with :func:`gauge`, names registered in
   ``GAUGE_NAMES`` and checked by lint rule R7) render as gauges, with
   labels escaped per the exposition spec.
@@ -163,7 +159,6 @@ def render_prometheus(
     """
     snapshot = snapshot or {}
     counters: Mapping[str, Any] = snapshot.get("counters", {})
-    timers: Mapping[str, Any] = snapshot.get("timers", {})
     histograms: Mapping[str, Any] = snapshot.get("histograms", {})
 
     blocks: List[Tuple[str, List[str]]] = []
@@ -171,16 +166,6 @@ def render_prometheus(
         family = _family(name, "_total")
         lines = _header(family, "counter", f"total of {name}")
         lines.append(f"{family} {int(value)}")
-        blocks.append((family, lines))
-    for name, stat in timers.items():
-        if name in histograms:
-            continue  # the histogram's _sum/_count carry the same data
-        family = _family(name, "_seconds_total")
-        lines = _header(family, "counter", f"seconds spent in {name}")
-        lines.append(f"{family} {_number(float(stat['seconds']))}")
-        calls = _family(name, "_calls_total")
-        lines += _header(calls, "counter", f"timed calls of {name}")
-        lines.append(f"{calls} {int(stat['count'])}")
         blocks.append((family, lines))
     for name, snap in histograms.items():
         blocks.append((_family(name), _render_histogram(name, snap)))

@@ -23,7 +23,7 @@ from typing import Any, Optional, Tuple
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix
 
-from .. import linalg, profiling, telemetry
+from .. import linalg, profiling
 from ..constants import NUSSELT_NUMBER, quantize_key
 from ..errors import LinalgError, ThermalError
 from ..faults import SITE_LINALG_UPDATE, corrupt
@@ -448,15 +448,14 @@ class LinearThermalSystem:
             self._lu_cache.move_to_end(key)
             profiling.increment("thermal.lu_cache_hits")
             return lu
-        with telemetry.span("thermal.factorize", nodes=self.n_nodes):
-            with profiling.timer("thermal.factorize"):
-                try:
-                    lu = linalg.factorize(self._operator(p_sys))
-                except LinalgError as exc:
-                    raise ThermalError(
-                        "thermal system is singular; some nodes may be "
-                        "thermally isolated from the coolant"
-                    ) from exc
+        with profiling.timer("thermal.factorize", nodes=self.n_nodes):
+            try:
+                lu = linalg.factorize(self._operator(p_sys))
+            except LinalgError as exc:
+                raise ThermalError(
+                    "thermal system is singular; some nodes may be "
+                    "thermally isolated from the coolant"
+                ) from exc
         profiling.increment("thermal.factorizations")
         if self._base_key is None:
             self._base_key = key
@@ -488,9 +487,8 @@ class LinearThermalSystem:
         if temperatures is None:
             lu = self._factorize(p_sys)
             rhs = self.rhs_static + p_sys * self.rhs_advection
-            with telemetry.span("thermal.solve", nodes=self.n_nodes):
-                with profiling.timer("thermal.solve"):
-                    temperatures = lu.solve(rhs)
+            with profiling.timer("thermal.solve", nodes=self.n_nodes):
+                temperatures = lu.solve(rhs)
             profiling.increment("thermal.solves")
         if not np.all(np.isfinite(temperatures)):
             raise ThermalError("thermal solve produced non-finite temperatures")

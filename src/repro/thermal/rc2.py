@@ -34,7 +34,7 @@ from ..constants import (
     INLET_TEMPERATURE,
     NUSSELT_NUMBER,
 )
-from .. import telemetry
+from .. import profiling
 from ..errors import GeometryError, ThermalError
 from ..faults import SITE_THERMAL_RC2, corrupt
 from ..flow.network import FlowField
@@ -399,7 +399,7 @@ class RC2Simulator:
 
         ``exact=True`` bypasses the incremental solver path (final scoring).
         """
-        with telemetry.span("thermal.rc2.solve", cells=self.n_nodes):
+        with profiling.span("thermal.rc2.solve", cells=self.n_nodes):
             temperatures = corrupt(
                 SITE_THERMAL_RC2, self.system.solve(p_sys, exact=exact)
             )

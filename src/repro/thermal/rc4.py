@@ -27,7 +27,7 @@ from ..constants import (
     INLET_TEMPERATURE,
     NUSSELT_NUMBER,
 )
-from .. import telemetry
+from .. import profiling
 from ..errors import GeometryError, ThermalError
 from ..faults import SITE_THERMAL_RC4, corrupt
 from ..flow.network import FlowField
@@ -285,7 +285,7 @@ class RC4Simulator:
 
         ``exact=True`` bypasses the incremental solver path (final scoring).
         """
-        with telemetry.span("thermal.rc4.solve", cells=self.n_nodes):
+        with profiling.span("thermal.rc4.solve", cells=self.n_nodes):
             temperatures = corrupt(
                 SITE_THERMAL_RC4, self.system.solve(p_sys, exact=exact)
             )

@@ -1,6 +1,9 @@
 """PersistentEvaluationPool resilience: timeouts, retries, degradation."""
 
+import gc
 import math
+import threading
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -45,6 +48,23 @@ def baseline_costs(case, candidates):
         case, case.tree_plan(), STAGE, PROBLEM_PUMPING_POWER, n_workers=2
     ) as pool:
         return pool.evaluate(candidates)
+
+
+class CollectingContext:
+    """An evaluation context whose scorer runs a full garbage collection
+    in the worker before scoring ``0.0``."""
+
+    @staticmethod
+    def scorer():
+        def score(params):
+            gc.collect()
+            return 0.0
+
+        return score
+
+    @staticmethod
+    def infeasible():
+        return math.inf
 
 
 def make_pool(case, fault_plan=None, **kwargs):
@@ -248,3 +268,35 @@ class TestLifecycleAndValidation:
     def test_bad_parameters_rejected(self, case, kwargs, match):
         with pytest.raises(SearchError, match=match):
             make_pool(case, **kwargs)
+
+    def test_worker_never_collects_garbage_inherited_at_fork(self):
+        """A forked worker inherits the parent's unreachable objects.  If
+        its collector freed one whose finalizer takes a lock some parent
+        thread held at the fork -- a shut-down executor's
+        ``shutdown_lock``, held by its manager thread while it joins
+        workers -- the worker would hang; so it must never free them."""
+        held = threading.Lock()
+
+        class Cycle:
+            pass
+
+        gc.disable()
+        try:
+            garbage = Cycle()
+            garbage.self = garbage
+            probe = weakref.ref(
+                garbage, lambda _: (held.acquire(), held.release())
+            )
+            del garbage
+            with held:
+                with PersistentEvaluationPool(
+                    n_workers=1, timeout=5.0, max_retries=0
+                ) as pool:
+                    scores = pool.evaluate(
+                        [np.zeros((1, 2), dtype=int)], CollectingContext()
+                    )
+        finally:
+            gc.enable()
+        assert scores == [0.0]
+        gc.collect()
+        assert probe() is None

@@ -1,7 +1,8 @@
 """Fixture: unregistered / dynamic telemetry names (R7 violations)."""
 
-from repro import profiling, telemetry
-from repro.telemetry import runlog, span
+from repro import profiling
+from repro.profiling import span
+from repro.telemetry import runlog
 
 
 def emit_typo_counter():
@@ -16,11 +17,11 @@ def emit_flat_name():
 
 def emit_dynamic_name(kind):
     # Dynamic expression instead of a literal.
-    telemetry.instant("parallel." + kind)
+    profiling.instant("parallel." + kind)
 
 
 def emit_variable_name(name):
-    with telemetry.span(name):
+    with profiling.span(name):
         pass
 
 

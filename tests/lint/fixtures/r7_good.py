@@ -1,13 +1,13 @@
 """Fixture: R7-clean telemetry -- registered dot-namespaced literals."""
 
-from repro import profiling, telemetry
-from repro.telemetry import runlog, span
+from repro import profiling
+from repro.profiling import span
+from repro.telemetry import runlog
 
 
 def emit_registered_metrics(seconds, kind):
     profiling.increment("thermal.solves")
-    profiling.add_time("flow.unit_solve", seconds)
-    with profiling.timer("parallel.batch"):
+    with profiling.timer("parallel.batch", candidates=4):
         pass
     profiling.observe("optimize.candidate", seconds)
     # Wildcard family: literal prefix ends exactly at the boundary.
@@ -15,8 +15,8 @@ def emit_registered_metrics(seconds, kind):
 
 
 def emit_registered_spans(n):
-    with telemetry.span("thermal.rc2.solve", cells=n):
-        telemetry.instant("parallel.retry", attempt=1)
+    with profiling.span("thermal.rc2.solve", cells=n):
+        profiling.instant("parallel.retry", attempt=1)
     with span("checkpoint.save"):
         pass
 

@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import profiling, telemetry
+from repro import profiling
 from repro.errors import SearchError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, SITE_PARALLEL_WORKER
 from repro.iccad2015 import load_case
@@ -27,7 +27,7 @@ from repro.optimize.parallel import (
     shutdown_pools,
 )
 from repro.optimize.portfolio import ReferenceContext
-from repro.optimize.runner import PROBLEM_PUMPING_POWER
+from repro.optimize.runner import PROBLEM_PUMPING_POWER, _CandidateEvaluator
 from repro.optimize.stages import (
     METRIC_FIXED_PRESSURE_GRADIENT,
     METRIC_LOWEST_FEASIBLE_POWER,
@@ -50,11 +50,11 @@ def case():
 @contextlib.contextmanager
 def telemetry_tracing(enabled):
     """Tracing switched to ``enabled`` for the block."""
-    previous = telemetry.set_tracing(enabled)
+    previous = profiling.set_tracing(enabled)
     try:
         yield
     finally:
-        telemetry.set_tracing(previous)
+        profiling.set_tracing(previous)
 
 
 @pytest.fixture(autouse=True)
@@ -72,11 +72,16 @@ class TestEvaluatePopulation:
         for _ in range(3):
             jitter = 2 * rng.integers(-3, 4, size=candidates[-1].shape)
             candidates.append(plan.clamp_params(candidates[-1] + jitter))
-        costs = evaluate_population(
-            case, plan, STAGE, PROBLEM_PUMPING_POWER, candidates, n_workers=1
-        )
-        assert len(costs) == len(candidates)
-        assert all(math.isfinite(c) or math.isinf(c) for c in costs)
+        fresh = [
+            _CandidateEvaluator(case, plan, STAGE, PROBLEM_PUMPING_POWER)(p)
+            for p in candidates
+        ]
+        for n_workers in (1, 2):
+            costs = evaluate_population(
+                case, plan, STAGE, PROBLEM_PUMPING_POWER, candidates,
+                n_workers=n_workers,
+            )
+            assert costs == fresh, n_workers
 
     def test_parallel_matches_serial(self, case):
         plan = case.tree_plan()

@@ -17,6 +17,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro import profiling
 from repro.cases import generate_case
 from repro.checkpoint import CheckpointError
 from repro.cooling.evaluation import EvaluationResult
@@ -266,11 +267,16 @@ class TestRunPortfolio:
     def test_worker_count_invariance(self, case, tmp_path):
         """n_workers 1 and 2 agree bitwise on both strategies: with two
         workers the 2RM batches, the promotion batches and sa_4rm's 4RM
-        batches all run on the shared pool."""
+        batches all run on the shared pool.  The candidate counters agree
+        too: every scoring path counts its batch once."""
         opts = ("multi_fidelity", "sa_4rm")
+        counted = ("parallel.candidates", "parallel.infeasible")
+        profiling.reset()
         serial = run_portfolio(
             case, opts, QUICK, run_log_dir=str(tmp_path / "serial")
         )
+        serial_counts = [profiling.counter(name) for name in counted]
+        profiling.reset()
         cfg = PortfolioConfig(
             rounds=QUICK.rounds,
             iterations=QUICK.iterations,
@@ -281,6 +287,8 @@ class TestRunPortfolio:
         pooled = run_portfolio(
             case, opts, cfg, run_log_dir=str(tmp_path / "pooled")
         )
+        assert serial_counts[0] > 0
+        assert serial_counts == [profiling.counter(name) for name in counted]
         for name in opts:
             a, b = serial.outcomes[name], pooled.outcomes[name]
             assert np.array_equal(a.params, b.params)

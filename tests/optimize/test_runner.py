@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import profiling
 from repro.errors import SearchError
 from repro.iccad2015 import load_case
 from repro.optimize import optimize_problem1, optimize_problem2
@@ -86,6 +87,18 @@ class TestDirections:
         )
         assert multi.evaluation.score <= single.evaluation.score * 1.001
         assert multi.total_simulations > single.total_simulations
+
+    def test_serial_flow_counts_every_scored_candidate(self, case):
+        # One neighbour per iteration scores in process, and so does the
+        # stage hand-off's rescoring: every memo miss (one ``optimize.candidate``
+        # observation) counts into ``parallel.candidates``, as on the pool.
+        profiling.reset()
+        run_staged_flow(
+            case, TINY, PROBLEM_PUMPING_POWER, directions=(0,), seed=0
+        )
+        scored = profiling.histogram("optimize.candidate").count
+        assert scored > 0
+        assert profiling.counter("parallel.candidates") == scored
 
     def test_empty_directions_rejected(self, case):
         with pytest.raises(SearchError, match="direction"):

@@ -46,7 +46,7 @@ class FakeClient:
 def sample_metrics():
     from repro.profiling import Profiler
 
-    profiler = Profiler(enabled=True)
+    profiler = Profiler()
     for value in (1.0, 1.0, 4.0, 8.0):
         profiler.observe("server.job_duration", value)
     for value in (0.01, 0.02, 0.5):

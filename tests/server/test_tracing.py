@@ -10,9 +10,9 @@ off (the default), the global tracer never arms.
 
 import pytest
 
-from repro import telemetry
+from repro import profiling
+from repro.profiling import TelemetryConfig
 from repro.server import DesignService, JobStore, ServiceClient, Worker
-from repro.telemetry import TelemetryConfig
 
 from .conftest import QUICK_PAYLOAD
 
@@ -91,7 +91,7 @@ def test_untraced_service_never_arms_the_tracer(tmp_path, watchdog):
         job_id = client.submit(dict(QUICK_PAYLOAD))["job_id"]
         with watchdog(WATCHDOG):
             client.wait(job_id, timeout=WATCHDOG)
-        assert telemetry.spans_snapshot() == []
+        assert profiling.spans() == []
         with pytest.raises(JobStateError, match="no trace export"):
             client.trace(job_id)
     finally:
@@ -111,12 +111,12 @@ def test_trace_id_rides_telemetry_config_to_pool_workers():
         TelemetryConfig().apply()
         assert TelemetryConfig.current().trace_id is None
         mirrored.apply()
-        with telemetry.span("server.job", job_id="j"):
+        with profiling.span("server.job", job_id="j"):
             pass
-        assert telemetry.to_chrome_trace()["otherData"]["trace_id"] == "t-123"
+        assert profiling.to_chrome_trace()["otherData"]["trace_id"] == "t-123"
     finally:
         original.apply()
-        telemetry.clear_spans()
+        profiling.clear_spans()
 
 
 def test_concurrent_jobs_trace_at_most_one_per_process(tmp_path, watchdog):
@@ -145,3 +145,30 @@ def test_concurrent_jobs_trace_at_most_one_per_process(tmp_path, watchdog):
         assert (
             trace["otherData"]["trace_id"] == store.get(job_id).trace_id
         )
+
+
+def test_arming_a_job_trace_keeps_the_cumulative_metrics(tmp_path):
+    """Counters, histograms and spans share one recorder; arming a per-job
+    trace must clear only the span buffer, never the cumulative counters
+    and histograms that ``/metrics`` serves."""
+    from repro.server import validate_submission
+
+    store = JobStore(tmp_path / "store", lease_ttl=10.0)
+    record = store.submit(validate_submission(dict(QUICK_PAYLOAD)))
+    worker = Worker(store, worker_id="w-0", trace_jobs=True)
+    profiling.increment("server.jobs_submitted", 3)
+    profiling.observe("server.queue_wait", 0.25)
+    previous = profiling.set_tracing(True)
+    try:
+        profiling.instant("server.http")  # a span from before the job
+        before = profiling.snapshot()
+        assert worker._arm_tracing(record)
+        try:
+            assert profiling.spans() == []
+            assert profiling.snapshot() == before
+        finally:
+            worker._finish_tracing(record)
+        assert profiling.snapshot() == before
+    finally:
+        profiling.set_tracing(previous)
+        profiling.clear_spans()

@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from repro import profiling, telemetry
+from repro import profiling
 from repro.errors import RunInterrupted
 from repro.iccad2015 import load_case
 from repro.optimize.parallel import evaluate_population, shutdown_pools
@@ -39,14 +39,14 @@ def case():
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
     """Fresh tracer/profiler/run-log state, no warm pools left behind."""
-    telemetry.set_tracing(False)
-    telemetry.clear_spans()
+    profiling.set_tracing(False)
+    profiling.clear_spans()
     profiling.reset()
     set_run_log(None)
     yield
     shutdown_pools()
-    telemetry.set_tracing(False)
-    telemetry.clear_spans()
+    profiling.set_tracing(False)
+    profiling.clear_spans()
     profiling.reset()
     set_run_log(None)
 
@@ -56,7 +56,7 @@ class TestWorkerSpans:
         """Spans recorded inside pool workers land in the parent tracer."""
         plan = case.tree_plan()
         shutdown_pools()
-        telemetry.set_tracing(True)
+        profiling.set_tracing(True)
         batch = [
             plan.clamp_params(plan.params() + delta) for delta in range(6)
         ]
@@ -64,7 +64,7 @@ class TestWorkerSpans:
             case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, batch,
             fixed_pressure=FIXED_PRESSURE, n_workers=2,
         )
-        spans = telemetry.spans_snapshot()
+        spans = profiling.spans()
         parent_pid = os.getpid()
         parent_names = {
             s["name"] for s in spans if s["pid"] == parent_pid
@@ -88,7 +88,7 @@ class TestWorkerSpans:
             case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, batch,
             fixed_pressure=FIXED_PRESSURE, n_workers=2,
         )
-        telemetry.set_tracing(True)
+        profiling.set_tracing(True)
         evaluate_population(
             case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, batch,
             fixed_pressure=FIXED_PRESSURE, n_workers=2,

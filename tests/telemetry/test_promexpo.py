@@ -25,9 +25,10 @@ from repro.telemetry.promexpo import (
 
 def live_snapshot():
     """A profiler snapshot exercising counters, timers, and histograms."""
-    profiler = Profiler(enabled=True)
+    profiler = Profiler()
     profiler.increment("server.jobs_submitted", 3)
-    profiler.add_time("flow.unit_solve", 0.25, count=5)
+    with profiler.timer("flow.unit_solve"):
+        pass
     for value in (0.01, 0.02, 0.5, 2.0):
         profiler.observe("server.job_duration", value)
     return profiler.snapshot()
@@ -41,26 +42,18 @@ def test_counters_render_as_total_and_round_trip():
     assert family["samples"][0]["value"] == 3
 
 
-def test_timers_render_as_seconds_and_calls_pair():
-    text = render_prometheus(live_snapshot())
-    families = parse_prometheus_text(text)
-    seconds = families["repro_flow_unit_solve_seconds_total"]
-    calls = families["repro_flow_unit_solve_calls_total"]
-    assert seconds["samples"][0]["value"] == pytest.approx(0.25)
-    assert calls["samples"][0]["value"] == 5
-
-
 def test_timer_with_same_name_histogram_renders_histogram_only():
-    """``profiling.timer`` feeds both a timer and a histogram of the same
-    name; exporting both would double-count, so only the histogram (whose
-    _sum/_count carry the timer's data) may render."""
-    profiler = Profiler(enabled=True)
+    """A ``profiling.timer`` is a histogram of its name: it renders as that
+    histogram (whose _sum/_count carry the timer's data) and nothing
+    else."""
+    profiler = Profiler()
     with profiler.timer("thermal.solve"):
         pass
     text = render_prometheus(profiler.snapshot())
     families = parse_prometheus_text(text)
     assert "repro_thermal_solve_seconds" in families
     assert "repro_thermal_solve_seconds_total" not in families
+    assert "repro_thermal_solve_calls_total" not in families
 
 
 def test_latency_histogram_is_cumulative_with_inf_and_unit_suffix():
@@ -137,7 +130,7 @@ def test_parser_rejects_malformed_text():
 def test_hyphenated_counter_renders_a_valid_metric_name():
     # Fault kinds such as "torn-write" end up in counter names; the
     # exposition grammar has no hyphen, and one bad name fails a scrape.
-    profiler = Profiler(enabled=True)
+    profiler = Profiler()
     profiler.increment("faults.injected.torn-write")
     families = parse_prometheus_text(render_prometheus(profiler.snapshot()))
     assert families["repro_faults_injected_torn_write_total"]["samples"][0][
@@ -186,7 +179,7 @@ def test_histogram_quantile_interpolates_and_bounds():
 def test_quantiles_round_trip_through_exposition_text():
     """p50/p90 recovered from rendered text stay within one bucket of the
     profiler's own percentile estimate (the ``repro top`` data path)."""
-    profiler = Profiler(enabled=True)
+    profiler = Profiler()
     for exponent in range(40):
         profiler.observe("server.job_duration", 0.01 * (1.3 ** exponent))
     direct = profiler.histogram("server.job_duration").percentile(90.0)

@@ -1,4 +1,4 @@
-"""Unit tests for the span tracer and its Chrome trace export."""
+"""Unit tests for span recording and its Chrome trace export."""
 
 import os
 import pickle
@@ -6,47 +6,46 @@ import threading
 
 import pytest
 
-from repro import telemetry
-from repro.telemetry import TelemetryConfig
-from repro.telemetry.spans import _NULL_SPAN, Tracer
+from repro import profiling
+from repro.profiling import _NULL_SPAN, Profiler, TelemetryConfig
 
 
 @pytest.fixture(autouse=True)
 def _clean_tracer():
-    """Every test starts and ends with a disabled, empty global tracer."""
-    telemetry.set_tracing(False)
-    telemetry.clear_spans()
+    """Every test starts and ends with an untraced, empty global recorder."""
+    profiling.set_tracing(False)
+    profiling.clear_spans()
     yield
-    telemetry.set_tracing(False)
-    telemetry.clear_spans()
+    profiling.set_tracing(False)
+    profiling.clear_spans()
 
 
 class TestDisabled:
     def test_disabled_span_is_shared_noop(self):
-        tracer = Tracer()
+        tracer = Profiler()
         handle = tracer.span("thermal.solve")
         assert handle is _NULL_SPAN
         with handle:
             pass
-        assert tracer.snapshot() == []
+        assert tracer.spans() == []
 
     def test_disabled_instant_records_nothing(self):
-        tracer = Tracer()
+        tracer = Profiler()
         tracer.instant("parallel.retry", attempt=1)
-        assert tracer.snapshot() == []
+        assert tracer.spans() == []
 
     def test_disabled_extend_is_noop(self):
-        tracer = Tracer()
-        tracer.extend([{"name": "x"}])
-        assert tracer.snapshot() == []
+        tracer = Profiler()
+        tracer.merge({"spans": [{"name": "x"}]})
+        assert tracer.spans() == []
 
 
 class TestRecording:
     def test_span_records_identity_and_timing(self):
-        tracer = Tracer(enabled=True)
+        tracer = Profiler(trace=True)
         with tracer.span("thermal.solve", nodes=100):
             pass
-        (span,) = tracer.snapshot()
+        (span,) = tracer.spans()
         assert span["name"] == "thermal.solve"
         assert span["ph"] == "X"
         assert span["dur"] >= 0
@@ -55,18 +54,18 @@ class TestRecording:
         assert span["args"] == {"nodes": 100}
 
     def test_non_scalar_attrs_are_stringified(self):
-        tracer = Tracer(enabled=True)
+        tracer = Profiler(trace=True)
         with tracer.span("thermal.solve", shape=(3, 4), ok=True):
             pass
-        (span,) = tracer.snapshot()
+        (span,) = tracer.spans()
         assert span["args"] == {"shape": "(3, 4)", "ok": True}
 
     def test_nested_spans_are_contained(self):
-        tracer = Tracer(enabled=True)
+        tracer = Profiler(trace=True)
         with tracer.span("optimize.round"):
             with tracer.span("parallel.batch"):
                 pass
-        inner, outer = tracer.snapshot()
+        inner, outer = tracer.spans()
         assert (inner["name"], outer["name"]) == (
             "parallel.batch", "optimize.round",
         )
@@ -74,67 +73,67 @@ class TestRecording:
         assert outer["ts"] + outer["dur"] >= inner["ts"] + inner["dur"]
 
     def test_instant_marker(self):
-        tracer = Tracer(enabled=True)
+        tracer = Profiler(trace=True)
         tracer.instant("parallel.retry", attempt=2)
-        (marker,) = tracer.snapshot()
+        (marker,) = tracer.spans()
         assert marker["ph"] == "i"
         assert "dur" not in marker
         assert marker["args"] == {"attempt": 2}
 
     def test_span_records_on_exception(self):
-        tracer = Tracer(enabled=True)
+        tracer = Profiler(trace=True)
         with pytest.raises(ValueError):
             with tracer.span("thermal.solve"):
                 raise ValueError("boom")
-        assert len(tracer.snapshot()) == 1
+        assert len(tracer.spans()) == 1
 
 
 class TestBufferDiscipline:
     def test_capacity_bound_counts_drops(self):
-        tracer = Tracer(enabled=True, capacity=2)
+        tracer = Profiler(trace=True, span_capacity=2)
         for _ in range(5):
             tracer.instant("parallel.retry")
-        assert len(tracer.snapshot()) == 2
+        assert len(tracer.spans()) == 2
         assert tracer.dropped == 3
 
     def test_drain_empties_buffer(self):
-        tracer = Tracer(enabled=True)
+        tracer = Profiler(trace=True)
         tracer.instant("parallel.retry")
-        drained = tracer.drain()
+        drained = tracer.drain()["spans"]
         assert len(drained) == 1
-        assert tracer.snapshot() == []
+        assert tracer.spans() == []
 
     def test_extend_folds_and_respects_capacity(self):
-        tracer = Tracer(enabled=True, capacity=3)
+        tracer = Profiler(trace=True, span_capacity=3)
         tracer.instant("parallel.retry")
         worker_spans = [
             {"name": "parallel.candidate", "ph": "i", "ts": 0,
              "pid": 9999, "tid": 1, "args": {}},
         ] * 4
-        tracer.extend(worker_spans)
-        assert len(tracer.snapshot()) == 3
+        tracer.merge({"spans": worker_spans})
+        assert len(tracer.spans()) == 3
         assert tracer.dropped == 2
 
     def test_clear_resets_dropped(self):
-        tracer = Tracer(enabled=True, capacity=1)
+        tracer = Profiler(trace=True, span_capacity=1)
         tracer.instant("parallel.retry")
         tracer.instant("parallel.retry")
         assert tracer.dropped == 1
-        tracer.clear()
+        tracer.clear_spans()
         assert tracer.dropped == 0
-        assert tracer.snapshot() == []
+        assert tracer.spans() == []
 
 
 class TestChromeTrace:
     def test_export_shape(self):
-        tracer = Tracer(enabled=True)
+        tracer = Profiler(trace=True)
         with tracer.span("thermal.rc2.solve", cells=10):
             pass
         tracer.instant("parallel.retry")
-        tracer.extend([
+        tracer.merge({"spans": [
             {"name": "parallel.candidate", "ph": "X", "ts": 5_000,
              "dur": 2_000, "pid": 424242, "tid": 7, "args": {}},
-        ])
+        ]})
         trace = tracer.to_chrome_trace()
         assert trace["displayTimeUnit"] == "ms"
         events = trace["traceEvents"]
@@ -166,33 +165,32 @@ class TestChromeTrace:
 
 class TestModuleHelpers:
     def test_set_tracing_round_trip(self):
-        assert telemetry.set_tracing(True) is False
-        assert telemetry.is_tracing()
-        with telemetry.span("checkpoint.save"):
+        assert profiling.set_tracing(True) is False
+        assert profiling.is_tracing()
+        with profiling.span("checkpoint.save"):
             pass
-        assert len(telemetry.spans_snapshot()) == 1
-        assert telemetry.set_tracing(False) is True
-        telemetry.extend_spans(None)  # tolerated
-        telemetry.clear_spans()
-        assert telemetry.spans_snapshot() == []
+        assert len(profiling.spans()) == 1
+        assert profiling.set_tracing(False) is True
+        profiling.clear_spans()
+        assert profiling.spans() == []
 
     def test_drain_and_extend_round_trip(self):
-        telemetry.set_tracing(True)
-        telemetry.instant("parallel.retry")
-        shipped = telemetry.drain_spans()
-        assert telemetry.spans_snapshot() == []
-        telemetry.extend_spans(shipped)
-        assert len(telemetry.spans_snapshot()) == 1
+        profiling.set_tracing(True)
+        profiling.instant("parallel.retry")
+        shipped = profiling.drain()
+        assert profiling.spans() == []
+        profiling.merge(shipped)
+        assert len(profiling.spans()) == 1
 
 
 class TestTelemetryConfig:
     def test_current_apply_round_trip(self):
-        telemetry.set_tracing(True)
+        profiling.set_tracing(True)
         config = TelemetryConfig.current()
         assert config.trace is True
-        telemetry.set_tracing(False)
+        profiling.set_tracing(False)
         config.apply()
-        assert telemetry.is_tracing()
+        assert profiling.is_tracing()
 
     def test_picklable_and_hashable(self):
         config = TelemetryConfig(trace=True, span_capacity=10)
@@ -207,11 +205,11 @@ class TestThreadLanes:
     def test_lane_names_give_threads_their_own_rows(self):
         """API and worker threads of one process export as distinct,
         lane-named process rows with stable synthetic pids."""
-        telemetry.set_tracing(True)
+        profiling.set_tracing(True)
 
         def record(lane):
-            telemetry.set_thread_lane(lane)
-            telemetry.instant("server.http", lane_check=lane)
+            profiling.set_thread_lane(lane)
+            profiling.instant("server.http", lane_check=lane)
 
         threads = [
             threading.Thread(target=record, args=(lane,))
@@ -221,7 +219,7 @@ class TestThreadLanes:
             thread.start()
         for thread in threads:
             thread.join()
-        trace = telemetry.to_chrome_trace()
+        trace = profiling.to_chrome_trace()
         labels = {
             e["pid"]: e["args"]["name"]
             for e in trace["traceEvents"]
@@ -233,11 +231,11 @@ class TestThreadLanes:
         assert len(set(labels)) == 2
 
     def test_lane_clears_and_unlaned_spans_keep_the_plain_row(self):
-        telemetry.set_tracing(True)
-        telemetry.set_thread_lane("api")
-        telemetry.set_thread_lane(None)
-        telemetry.instant("server.http")
-        trace = telemetry.to_chrome_trace()
+        profiling.set_tracing(True)
+        profiling.set_thread_lane("api")
+        profiling.set_thread_lane(None)
+        profiling.instant("server.http")
+        trace = profiling.to_chrome_trace()
         (meta,) = [
             e for e in trace["traceEvents"]
             if e.get("ph") == "M" and e["name"] == "process_name"
@@ -249,16 +247,16 @@ class TestThreadLanes:
         """A forked pool worker inherits the spawning thread's lane in its
         thread-locals; the export must render its spans as a worker-<pid>
         row, not fold them into the parent's lane."""
-        telemetry.set_tracing(True)
-        telemetry.set_thread_lane("worker-0")
+        profiling.set_tracing(True)
+        profiling.set_thread_lane("worker-0")
         try:
-            with telemetry.span("server.job"):
+            with profiling.span("server.job"):
                 pass
-            foreign = dict(telemetry.spans_snapshot()[0])
+            foreign = dict(profiling.spans()[0])
             foreign["pid"] = 424242  # as if drained home from a fork
             foreign["name"] = "parallel.candidate"
-            telemetry.extend_spans([foreign])
-            trace = telemetry.to_chrome_trace()
+            profiling.merge({"spans": [foreign]})
+            trace = profiling.to_chrome_trace()
             labels = {
                 e["args"]["name"]
                 for e in trace["traceEvents"]
@@ -266,13 +264,13 @@ class TestThreadLanes:
             }
             assert labels == {"worker-0", "worker-424242"}
         finally:
-            telemetry.set_thread_lane(None)
+            profiling.set_thread_lane(None)
 
     def test_trace_id_rides_every_process_row(self):
-        telemetry.set_tracing(True)
+        profiling.set_tracing(True)
         TelemetryConfig(trace=True, trace_id="t-42").apply()
-        telemetry.instant("server.http")
-        trace = telemetry.to_chrome_trace()
+        profiling.instant("server.http")
+        trace = profiling.to_chrome_trace()
         assert trace["otherData"] == {"trace_id": "t-42"}
         for event in trace["traceEvents"]:
             if event.get("ph") == "M" and event["name"] == "process_name":

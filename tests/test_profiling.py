@@ -1,4 +1,4 @@
-"""Unit tests for the profiling instrumentation module."""
+"""Unit tests for the metrics recorder: counters, histograms, timers."""
 
 import random
 import threading
@@ -17,12 +17,12 @@ from repro.profiling import (
 
 @pytest.fixture(autouse=True)
 def _clean_global():
-    """Every test starts and ends with a zeroed, enabled global profiler."""
+    """Every test starts and ends with a zeroed, untraced global recorder."""
     profiling.reset()
-    profiling.set_enabled(True)
+    profiling.set_tracing(False)
     yield
     profiling.reset()
-    profiling.set_enabled(True)
+    profiling.set_tracing(False)
 
 
 class TestCounters:
@@ -55,27 +55,47 @@ class TestCounters:
 
 
 class TestTimers:
-    def test_add_time_accumulates(self):
-        p = Profiler()
-        p.add_time("solve", 0.25)
-        p.add_time("solve", 0.5, count=3)
-        assert p.timer_seconds("solve") == pytest.approx(0.75)
-        assert p.snapshot()["timers"]["solve"]["count"] == 4
-
     def test_timer_context_manager(self):
         p = Profiler()
         with p.timer("work"):
             pass
-        snap = p.snapshot()["timers"]["work"]
+        snap = p.snapshot()["histograms"]["work"]
         assert snap["count"] == 1
-        assert snap["seconds"] >= 0.0
+        assert snap["sum"] >= 0.0
+        assert p.timer_seconds("work") == snap["sum"]
 
     def test_timer_records_on_exception(self):
         p = Profiler()
         with pytest.raises(ValueError):
             with p.timer("work"):
                 raise ValueError("boom")
-        assert p.snapshot()["timers"]["work"]["count"] == 1
+        assert p.histogram("work").count == 1
+
+    def test_timer_seconds_is_the_histogram_sum(self):
+        p = Profiler()
+        for _ in range(3):
+            with p.timer("work"):
+                pass
+        assert p.timer_seconds("work") == p.histogram("work").total
+        assert p.timer_seconds("never") == 0.0
+
+    def test_traced_timer_is_one_observation_and_one_span(self):
+        p = Profiler(trace=True)
+        with p.timer("thermal.solve", nodes=42):
+            pass
+        assert p.histogram("thermal.solve").count == 1
+        (span,) = p.spans()
+        assert span["name"] == "thermal.solve"
+        assert span["ph"] == "X"
+        assert span["args"] == {"nodes": 42}
+        assert span["dur"] / 1e9 == p.timer_seconds("thermal.solve")
+
+    def test_untraced_timer_records_no_span(self):
+        p = Profiler()
+        with p.timer("thermal.solve", nodes=42):
+            pass
+        assert p.histogram("thermal.solve").count == 1
+        assert p.spans() == []
 
 
 class TestSnapshotMergeReset:
@@ -91,41 +111,67 @@ class TestSnapshotMergeReset:
         parent, worker = Profiler(), Profiler()
         parent.increment("solves", 2)
         worker.increment("solves", 3)
-        worker.add_time("factorize", 0.1, count=2)
+        worker.observe("factorize", 0.04)
+        worker.observe("factorize", 0.06)
         parent.merge(worker.snapshot())
         assert parent.counter("solves") == 5
         assert parent.timer_seconds("factorize") == pytest.approx(0.1)
-        assert parent.snapshot()["timers"]["factorize"]["count"] == 2
+        assert parent.histogram("factorize").count == 2
 
     def test_merge_empty_snapshot(self):
         p = Profiler()
         p.merge({})
-        assert p.snapshot() == {"counters": {}, "timers": {}}
+        assert p.snapshot() == {"counters": {}, "histograms": {}}
 
     def test_reset(self):
+        p = Profiler(trace=True)
+        p.increment("x")
+        with p.timer("t"):
+            pass
+        p.reset()
+        assert p.snapshot() == {"counters": {}, "histograms": {}}
+        assert p.spans() == []
+
+    def test_snapshot_has_no_timers_key(self):
         p = Profiler()
         p.increment("x")
-        p.add_time("t", 1.0)
-        p.reset()
-        assert p.snapshot() == {"counters": {}, "timers": {}}
-
-
-class TestEnabled:
-    def test_disabled_profiler_is_noop(self):
-        p = Profiler(enabled=False)
-        p.increment("x")
-        p.add_time("t", 1.0)
-        with p.timer("t2"):
+        with p.timer("t"):
             pass
-        assert p.snapshot() == {"counters": {}, "timers": {}}
+        assert set(p.snapshot()) == {"counters", "histograms"}
 
-    def test_set_enabled_round_trip(self):
-        assert profiling.set_enabled(False) is True
-        profiling.increment("x")
-        assert profiling.counter("x") == 0
-        assert profiling.set_enabled(True) is False
-        profiling.increment("x")
-        assert profiling.counter("x") == 1
+    def test_drain_is_one_delta_and_resets(self):
+        worker = Profiler(trace=True)
+        worker.increment("solves", 3)
+        with worker.timer("thermal.solve", nodes=7):
+            pass
+        delta = worker.drain()
+        assert set(delta) == {"counters", "histograms", "spans"}
+        assert worker.snapshot() == {"counters": {}, "histograms": {}}
+        assert worker.spans() == []
+        parent = Profiler(trace=True)
+        parent.merge(delta)
+        assert parent.counter("solves") == 3
+        assert parent.histogram("thermal.solve").count == 1
+        assert [s["args"] for s in parent.spans()] == [{"nodes": 7}]
+
+    def test_untraced_merge_keeps_metrics_and_drops_spans(self):
+        worker = Profiler(trace=True)
+        with worker.timer("thermal.solve"):
+            pass
+        parent = Profiler()
+        parent.merge(worker.drain())
+        assert parent.histogram("thermal.solve").count == 1
+        assert parent.spans() == []
+
+    def test_clear_spans_keeps_counters_and_histograms(self):
+        p = Profiler(trace=True)
+        p.increment("x", 2)
+        with p.timer("t"):
+            pass
+        p.clear_spans()
+        assert p.spans() == []
+        assert p.counter("x") == 2
+        assert p.histogram("t").count == 1
 
 
 class TestHistograms:
@@ -220,11 +266,6 @@ class TestHistograms:
         with pytest.raises(TelemetryError):
             p.observe("batch", 8, bounds=LATENCY_BUCKET_BOUNDS)
 
-    def test_snapshot_omits_histograms_key_when_none(self):
-        p = Profiler()
-        p.increment("x")
-        assert "histograms" not in p.snapshot()
-
     def test_merge_folds_worker_histograms(self):
         parent, worker = Profiler(), Profiler()
         with parent.timer("solve"):
@@ -267,57 +308,15 @@ class TestHistograms:
         assert parent.histogram("solve").count == 4 * 50
 
 
-class TestFormatSnapshot:
-    def test_long_names_stay_aligned(self):
-        long_name = "optimize.batch_cache_hits.some.very.long.subsystem.name"
-        assert len(long_name) > 32
-        profiling.increment(long_name, 3)
-        profiling.increment("search.probes", 1)
-        text = profiling.format_snapshot()
-        lines = text.splitlines()
-        # Every value column starts at the same offset: one space after
-        # the widened name column.
-        offsets = {line.rindex(" ") for line in lines}
-        assert len(offsets) == 1
-        assert all(len(line) > len(long_name) for line in lines)
-
-    def test_sort_by_seconds_orders_hottest_first(self):
-        profiling.add_time("cold.timer", 0.1)
-        profiling.add_time("hot.timer", 9.0)
-        profiling.increment("small.counter", 1)
-        profiling.increment("big.counter", 100)
-        text = profiling.format_snapshot(sort_by="seconds")
-        assert text.index("hot.timer") < text.index("cold.timer")
-        assert text.index("big.counter") < text.index("small.counter")
-
-    def test_sort_by_rejects_unknown_key(self):
-        with pytest.raises(TelemetryError):
-            profiling.format_snapshot(sort_by="frequency")
-
-    def test_histogram_lines_rendered(self):
-        profiling.observe("optimize.candidate", 0.01)
-        text = profiling.format_snapshot()
-        assert "optimize.candidate" in text
-        assert "p50" in text and "p99" in text
-
-
 class TestModuleHelpers:
     def test_global_helpers(self):
         profiling.increment("g", 2)
         with profiling.timer("gt"):
             pass
-        profiling.add_time("gt", 0.5)
+        profiling.observe("gt", 0.5)
         snap = profiling.snapshot()
         assert snap["counters"]["g"] == 2
-        assert snap["timers"]["gt"]["count"] == 2
-        profiling.merge({"counters": {"g": 1}, "timers": {}})
+        assert snap["histograms"]["gt"]["count"] == 2
+        assert profiling.timer_seconds("gt") >= 0.5
+        profiling.merge({"counters": {"g": 1}})
         assert profiling.counter("g") == 3
-
-    def test_format_snapshot(self):
-        profiling.increment("flow.unit_solves", 7)
-        profiling.add_time("thermal.factorize", 0.123, count=2)
-        text = profiling.format_snapshot()
-        assert "flow.unit_solves" in text
-        assert "7" in text
-        assert "thermal.factorize" in text
-        assert "2 calls" in text
