@@ -479,7 +479,6 @@ def run_service_overhead_bench(
             service = DesignService(
                 root,
                 n_workers=1,
-                lease_ttl=30.0,
                 trace_jobs=trace_jobs,
                 stream_heartbeat=1.0,
             )

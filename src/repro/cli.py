@@ -260,7 +260,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the design service (durable job queue + HTTP API)",
     )
     p.add_argument(
-        "--root", required=True, help="job-store root directory (durable)"
+        "--root", required=True,
+        help="job-store root directory (durable, on a local filesystem; "
+        "one server owns it at a time)",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
@@ -271,10 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tenant-cap", type=int, default=8,
         help="max active jobs per tenant (429 past it)",
-    )
-    p.add_argument(
-        "--lease-ttl", type=float, default=30.0, metavar="SECONDS",
-        help="worker lease TTL; crash recovery latency is about one TTL",
     )
     p.add_argument(
         "--run-log", metavar="RUN.jsonl",
@@ -528,7 +526,6 @@ def _cmd_serve(args) -> None:
         port=args.port,
         n_workers=args.workers,
         tenant_cap=args.tenant_cap,
-        lease_ttl=args.lease_ttl,
         run_log=args.run_log,
         trace_jobs=args.trace_jobs,
     )
@@ -536,8 +533,8 @@ def _cmd_serve(args) -> None:
         service.start()
         print(
             f"design service on http://{args.host}:{service.port} "
-            f"(root {args.root}, {args.workers} workers, lease TTL "
-            f"{args.lease_ttl:g}s); SIGTERM drains gracefully",
+            f"(root {args.root}, {args.workers} workers); "
+            f"SIGTERM drains gracefully",
             flush=True,
         )
         try:
@@ -622,7 +619,7 @@ def _format_job_event(event: dict) -> str:
     if etype == "stream.end":
         return f"  [stream closed: {event.get('reason')}]"
     if etype.startswith("job."):
-        who = event.get("worker") or event.get("reaper") or ""
+        who = event.get("worker") or event.get("dead_worker") or ""
         return f"  {etype}" + (f" ({who})" if who else "")
     return ""
 

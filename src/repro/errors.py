@@ -129,10 +129,10 @@ class TelemetryError(ReproError):
 class JobError(ReproError):
     """Base class for the design-as-a-service job layer (:mod:`repro.server`).
 
-    Every rejection path in the job store, lease manager, scheduler, and
-    HTTP API raises a :class:`JobError` subclass, so the API layer can map
-    library failures onto typed HTTP responses (and so no queue-layer
-    failure is ever a bare builtin exception).
+    Every rejection path in the job store, scheduler, and HTTP API raises
+    a :class:`JobError` subclass, so the API layer can map library
+    failures onto typed HTTP responses (and so no queue-layer failure is
+    ever a bare builtin exception).
     """
 
 
@@ -175,16 +175,13 @@ class JobQueueFullError(JobError):
         self.retry_after = retry_after
 
 
-class LeaseError(JobError):
-    """A job lease cannot be acquired, renewed, or released."""
+class JobStoreLockedError(JobError):
+    """Another :class:`~repro.server.jobstore.JobStore` object -- in this
+    process or another -- already owns the store root.
 
-
-class LeaseLostError(LeaseError):
-    """The worker's lease expired or was reclaimed while it held the job.
-
-    The holder must stop mutating the job immediately: another worker may
-    already own it.  Raised by lease renewal and by the completion path's
-    ownership re-check.
+    One object owns a root at a time (an exclusive lock on
+    ``<root>/store.lock``), which is what lets restart-time recovery treat
+    every ``running`` record it finds as orphaned by a dead process.
     """
 
 

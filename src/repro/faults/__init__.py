@@ -63,7 +63,6 @@ from .plan import (
     SITE_LINALG_UPDATE,
     SITE_PARALLEL_DISPATCH,
     SITE_PARALLEL_WORKER,
-    SITE_SERVER_LEASE_RENEW,
     SITE_SERVER_RECORD,
     SITE_SERVER_WORKER,
     SITE_THERMAL_RC2,
@@ -98,7 +97,6 @@ __all__ = [
     "SITE_LINALG_UPDATE",
     "SITE_PARALLEL_DISPATCH",
     "SITE_PARALLEL_WORKER",
-    "SITE_SERVER_LEASE_RENEW",
     "SITE_SERVER_RECORD",
     "SITE_SERVER_WORKER",
     "SITE_THERMAL_RC2",

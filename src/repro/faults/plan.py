@@ -60,8 +60,6 @@ SITE_LINALG_UPDATE = "linalg.update"
 #: (``repro.server.records``); the ``torn-write`` kind truncates them so
 #: the reader's CRC validation path can be proven.
 SITE_SERVER_RECORD = "server.jobstore.record"
-#: A worker's lease-renewal heartbeat (``repro.server.leases``).
-SITE_SERVER_LEASE_RENEW = "server.lease.renew"
 #: Inside a queue worker, between claiming a job and finishing it
 #: (``repro.server.worker``); ``worker-death`` here is a SIGKILL mid-job.
 SITE_SERVER_WORKER = "server.worker.job"
@@ -82,7 +80,6 @@ KNOWN_SITES: Mapping[str, bool] = MappingProxyType(
         SITE_PARALLEL_DISPATCH: False,
         SITE_LINALG_UPDATE: True,
         SITE_SERVER_RECORD: True,
-        SITE_SERVER_LEASE_RENEW: False,
         SITE_SERVER_WORKER: False,
     }
 )

@@ -19,8 +19,7 @@ The rule flags direct serialization-to-file shapes:
 Serializing to a *string* for anything else (stdout, sockets, asserts) is
 fine; only the write-to-file shapes are flagged.  :mod:`repro.checkpoint`
 itself (prefix match, like ``repro.faults`` in R4) is exempt -- it is where
-the atomic primitives are implemented -- as is any module whose docstring
-declares ``repro-lint-scope: atomic-io``.
+the atomic primitives are implemented.
 """
 
 from __future__ import annotations
@@ -69,10 +68,8 @@ class AtomicPersistenceRule(Rule):
 
     def check(self, ctx: FileContext, project: Project) -> Iterator[Finding]:
         module = ctx.module
-        if (
-            module == BOUNDARY_MODULE
-            or module.startswith(BOUNDARY_MODULE + ".")
-            or "atomic-io" in ctx.scopes
+        if module == BOUNDARY_MODULE or module.startswith(
+            BOUNDARY_MODULE + "."
         ):
             return
         for node in ast.walk(ctx.tree):

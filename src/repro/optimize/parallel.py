@@ -493,10 +493,13 @@ class PersistentEvaluationPool:
             ) from exc
         except CandidateCrashError:
             profiling.increment("parallel.crashed")
-            raise
-        finally:
+            # The executor stays in service: drop the batch's leftovers.
+            # Every other failure replaces the executor, whose manager
+            # thread then fails the leftovers itself; cancelling them here
+            # would race its ``set_exception`` (``InvalidStateError``).
             for future in futures:
                 future.cancel()
+            raise
 
     def _evaluate_serial(
         self,
@@ -529,12 +532,12 @@ class PersistentEvaluationPool:
             n_workers=self.n_workers,
         )
         self._terminate_workers()
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        self._executor.shutdown(wait=False)
 
     def _restart_executor(self) -> None:
         """Replace every worker process with a fresh one."""
         self._terminate_workers()
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        self._executor.shutdown(wait=False)
         self._spawn_executor()
         profiling.increment("parallel.worker_replacements")
 
@@ -558,7 +561,7 @@ class PersistentEvaluationPool:
         if not self._closed:
             self._closed = True
             self._terminate_workers()
-            self._executor.shutdown(wait=False, cancel_futures=True)
+            self._executor.shutdown(wait=False)
 
     @property
     def closed(self) -> bool:

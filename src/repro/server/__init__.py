@@ -1,14 +1,14 @@
-"""Crash-safe design-as-a-service: durable queue, leases, HTTP API.
+"""Crash-safe design-as-a-service: durable queue, recovery, HTTP API.
 
 The service turns the optimizer portfolio into a long-running process that
 survives being killed at any instant:
 
 * :mod:`repro.server.records` -- CRC-validated durable job records,
-* :mod:`repro.server.leases` -- TTL lease files (exactly-one-owner),
-* :mod:`repro.server.jobstore` -- the one-directory-per-job queue,
+* :mod:`repro.server.jobstore` -- the one-directory-per-job queue, owned
+  by one object at a time (an exclusive lock on its root),
 * :mod:`repro.server.validation` -- submissions rejected at the door,
 * :mod:`repro.server.executor` -- spec -> deterministic portfolio run,
-* :mod:`repro.server.worker` -- claim/heartbeat workers + the reaper,
+* :mod:`repro.server.worker` -- claiming workers + restart-time recovery,
 * :mod:`repro.server.api` -- stdlib HTTP routes, health/readiness,
   ``/metrics`` exposition, and chunked ``follow=1`` event streams,
 * :mod:`repro.server.service` -- process composition + graceful drain,
@@ -24,16 +24,14 @@ from ..errors import (
     JobQueueFullError,
     JobRecordError,
     JobStateError,
+    JobStoreLockedError,
     JobValidationError,
-    LeaseError,
-    LeaseLostError,
 )
 from .api import ApiServer
 from .client import ServiceClient
 from .dashboard import TopMonitor, render, run_top
 from .executor import Executor, SimulationExecutor
 from .jobstore import JobStore
-from .leases import Lease, LeaseFile
 from .records import (
     JOB_STATES,
     JobRecord,
@@ -47,7 +45,7 @@ from .records import (
 )
 from .service import DesignService
 from .validation import validate_submission
-from .worker import Reaper, Worker
+from .worker import Worker, recover_running
 
 __all__ = [
     "ApiServer",
@@ -61,12 +59,8 @@ __all__ = [
     "JobRecordError",
     "JobStateError",
     "JobStore",
+    "JobStoreLockedError",
     "JobValidationError",
-    "Lease",
-    "LeaseError",
-    "LeaseFile",
-    "LeaseLostError",
-    "Reaper",
     "STATE_COMPLETED",
     "STATE_PENDING",
     "STATE_QUARANTINED",
@@ -77,6 +71,7 @@ __all__ = [
     "TopMonitor",
     "Worker",
     "read_record",
+    "recover_running",
     "render",
     "run_top",
     "validate_submission",

@@ -406,9 +406,8 @@ class ApiServer:
             last_write = time.monotonic()
             # Read before the first look at the job and refreshed by every
             # wait, so a change that lands between a look and the next
-            # wait cuts that wait short.  The waits' timeouts are the
-            # fallback for writers in other processes, which do not notify
-            # this store object.
+            # wait cuts that wait short.  Every writer is a thread of this
+            # process and notifies the store, so the waits need no poll.
             seen = self.store.generation()
             while reason is None:
                 try:
@@ -440,7 +439,9 @@ class ApiServer:
                         and time.monotonic() < deadline
                         and not self._stream_stop.is_set()
                     ):
-                        seen = self.store.wait_for_change(seen, 0.05)
+                        seen = self.store.wait_for_change(
+                            seen, deadline - time.monotonic()
+                        )
                         tail = flush_events()
                         offset += len(tail)
                         delivered.update(e.get("type") for e in tail)
@@ -457,7 +458,11 @@ class ApiServer:
                     if idle >= self.stream_heartbeat:
                         chunk(b"#hb\n")
                         last_write = time.monotonic()
-                    seen = self.store.wait_for_change(seen, 0.1)
+                    # Sleep until a change, or until the next heartbeat.
+                    seen = self.store.wait_for_change(
+                        seen,
+                        last_write + self.stream_heartbeat - time.monotonic(),
+                    )
             chunk(
                 json.dumps(
                     {
@@ -531,7 +536,6 @@ class ApiServer:
         gauges: Dict[str, float] = {
             "queue_depth": 0,
             "oldest_pending_age_s": 0.0,
-            "expired_lease_count": 0,
         }
         for sample in samples:
             name, value = sample["name"], sample["value"]
@@ -542,8 +546,6 @@ class ApiServer:
                     gauges["queue_depth"] += int(value)
             elif name == "server.oldest_pending_age_s":
                 gauges["oldest_pending_age_s"] = value
-            elif name == "server.expired_leases":
-                gauges["expired_lease_count"] = int(value)
         # One collection feeds both this payload and /metrics, so the
         # backpressure decision and the Prometheus scrape agree exactly.
         waiting = int(gauges["queue_depth"])

@@ -163,6 +163,10 @@ class ServiceClient:
         ``stream.end``; closing it early just drops the connection, which
         the server notices within one heartbeat.
 
+        Raises:
+            JobError: The stream broke or closed before ``stream.end``
+                (the server died); follow again from the events received.
+
         Args:
             read_timeout: Socket read timeout [unit: s].  Must exceed the
                 server's heartbeat interval; defaults to the larger of the
@@ -198,6 +202,8 @@ class ServiceClient:
             raise JobError(
                 f"event stream for {job_id} broke: {exc}"
             ) from exc
+        # The connection closed between two lines: the server died.
+        raise JobError(f"event stream for {job_id} broke before stream.end")
 
     def healthz(self) -> Dict[str, Any]:
         return self._request("GET", "/healthz")

@@ -5,8 +5,8 @@ Polls ``GET /metrics`` (parsed with
 deliberately a consumer of the public scrape format, not of any private
 endpoint) and ``GET /v1/jobs``, and renders:
 
-* queue depth by state and per-tenant active jobs,
-* lease health: active/expired counts and per-worker heartbeat age,
+* queue depth by state, the oldest pending job's age, and per-tenant
+  active jobs,
 * claim->complete latency and queue-wait quantiles (p50/p90/p99)
   recovered from the ``repro_server_job_duration_seconds`` and
   ``repro_server_queue_wait_seconds`` histograms via
@@ -134,30 +134,14 @@ def render(state: Mapping[str, Any], now: Optional[float] = None) -> str:
     lines: List[str] = ["repro top -- design service"]
     depth = _gauge_by_label(families, "repro_server_queue_depth", "state")
     if depth:
+        oldest = _gauge_total(families, "repro_server_oldest_pending_age_s")
         lines.append(
             "queue   "
             + "  ".join(f"{st} {int(n)}" for st, n in sorted(depth.items()))
+            + f"  oldest-pending {oldest:.1f}s"
         )
     else:
         lines.append("queue   (no data)")
-    active = int(_gauge_total(families, "repro_server_active_leases"))
-    expired = int(_gauge_total(families, "repro_server_expired_leases"))
-    oldest = _gauge_total(families, "repro_server_oldest_pending_age_s")
-    lines.append(
-        f"leases  active {active}  expired {expired}  "
-        f"oldest-pending {oldest:.1f}s"
-    )
-    heartbeats = _gauge_by_label(
-        families, "repro_server_worker_heartbeat_age_s", "worker"
-    )
-    if heartbeats:
-        lines.append(
-            "workers "
-            + "  ".join(
-                f"{worker} hb {age:.1f}s"
-                for worker, age in sorted(heartbeats.items())
-            )
-        )
     for label, family in _QUANTILE_FAMILIES:
         buckets = _histogram_buckets(families, family)
         if not buckets or buckets[-1][1] <= 0:

@@ -2,33 +2,44 @@
 
 Layout under the store root::
 
+    store.lock          # flock'd by the one JobStore object that owns the root
     jobs/
       j<ts>-<id>/
         record.json     # queue state (records.py header+CRC format)
-        lease.json      # present while a worker owns the job (leases.py)
         checkpoint/     # the job's portfolio checkpoint dir (resume here)
         result.json     # written once, atomically, on completion
         events.jsonl    # per-job lifecycle event log (append-only)
 
-The store is the only component that touches this layout; workers, the
-reaper, and the HTTP API all go through it.  Every record write is atomic
-(:func:`repro.server.records.write_record`), so a crash at any instant
-leaves each job either absent or fully valid -- a half-submitted job cannot
-exist.  Corrupt records (injected torn writes, disk faults) are surfaced
-explicitly by :meth:`JobStore.scan` instead of being silently skipped.
+The store is the only component that touches this layout; workers,
+restart-time recovery, and the HTTP API all go through it.  Every record
+write is atomic (:func:`repro.server.records.write_record`), so a crash at
+any instant leaves each job either absent or fully valid -- a
+half-submitted job cannot exist.  Corrupt records (injected torn writes,
+disk faults) are surfaced explicitly by :meth:`JobStore.scan` instead of
+being silently skipped.
+
+One object owns a root: the constructor takes an exclusive, non-blocking
+``flock`` on ``store.lock`` and :meth:`JobStore.close` drops it, so a
+second opener -- in this process or another -- gets
+:class:`~repro.errors.JobStoreLockedError`.  Holding the lock proves every
+``running`` record on disk was left by a dead owner
+(:func:`repro.server.worker.recover_running`).  The kernel drops the lock
+when the owning process dies, however it dies; a forked child closes its
+inherited copy at once, so a pool worker that outlives a killed server
+cannot keep the root locked.  ``flock`` is not reliable on network
+filesystems: keep the root on a local disk.
 
 Per-tenant admission control lives here too: a tenant may hold at most
 ``tenant_cap`` non-terminal jobs; past that, :meth:`submit` raises
 :class:`~repro.errors.JobQueueFullError` (the API maps it to 429 with a
-``Retry-After``).  The in-process lock makes the cap exact for one server
-process -- the deployment model of the simulation-mode service.
+``Retry-After``).  Admission and claims share one in-process lock, which
+makes the cap exact and gives every pending job exactly one claimer.
 
 Change notification is in-process too: every record write and event
 append bumps a generation counter under one condition variable, and
-:meth:`JobStore.wait_for_change` blocks until it moves.  Idle workers and
-``follow=1`` streams in the store's process wake the moment a job
-changes; writers in other processes are only seen by their polling
-fallback.
+:meth:`JobStore.wait_for_change` blocks until it moves.  Since every
+writer is a thread of the owning process, idle workers and ``follow=1``
+streams wake the moment a job changes, with no polling.
 
 ``repro-lint-scope: determinism-boundary`` -- the store stamps wall-clock
 queue times; the work each job runs stays seeded by its spec.
@@ -36,11 +47,14 @@ queue times; the work each job runs stays seeded by its spec.
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
 import re
 import threading
 import time
 import uuid
+import weakref
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -51,14 +65,15 @@ from ..errors import (
     JobQueueFullError,
     JobRecordError,
     JobStateError,
+    JobStoreLockedError,
 )
 from ..telemetry.promexpo import gauge
 from ..telemetry.runlog import read_run_log
-from .leases import LeaseFile
 from .records import (
     JobRecord,
     STATE_COMPLETED,
     STATE_PENDING,
+    STATE_RUNNING,
     TERMINAL_STATES,
     new_job_id,
     read_record,
@@ -66,6 +81,12 @@ from .records import (
 )
 
 __all__ = ["JobStore"]
+
+#: The lock file at the store root; its ``flock`` marks the owning object.
+LOCK_FILENAME = "store.lock"
+
+#: ``Retry-After`` of a tenant-cap rejection [unit: s].
+TENANT_CAP_RETRY_AFTER = 15.0
 
 #: File names inside one job directory.
 RECORD_FILENAME = "record.json"
@@ -79,34 +100,90 @@ CHECKPOINT_DIRNAME = "checkpoint"
 #: separators, absolute paths -- must never reach a filesystem join.
 _JOB_ID_RE = re.compile(r"j[0-9a-f]{16,}-[0-9a-f]{10}")
 
+#: Every store that holds its root's lock in this process.
+_OPEN_STORES: "weakref.WeakSet[JobStore]" = weakref.WeakSet()
+
+
+def _close_inherited_locks() -> None:
+    """In a forked child: close the inherited lock files.
+
+    A plain ``close``, never ``LOCK_UN``: the lock belongs to the open
+    file the parent shares, and unlocking it here would free the parent's
+    root.  Closing only drops the child's reference, so the lock lives
+    exactly as long as the parent holds it.
+    """
+    for store in list(_OPEN_STORES):
+        store._lock_file.close()
+    _OPEN_STORES.clear()
+
+
+os.register_at_fork(after_in_child=_close_inherited_locks)
+
 
 class JobStore:
-    """Filesystem-backed durable job queue.
+    """Filesystem-backed durable job queue; the one owner of its root.
 
     Args:
         root: Store root directory (created on first use).
         tenant_cap: Max non-terminal jobs one tenant may hold; exceeding
             submissions are rejected with
             :class:`~repro.errors.JobQueueFullError`.
-        lease_ttl: TTL handed to every job's :class:`LeaseFile` [unit: s].
+
+    Raises:
+        JobStoreLockedError: Another object owns ``root``; it stays owned
+            until that object's :meth:`close` or its process's death.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        tenant_cap: int = 8,
-        lease_ttl: float = 30.0,
-    ):
+    def __init__(self, root: Union[str, Path], tenant_cap: int = 8):
         if tenant_cap < 1:
             raise JobStateError(f"tenant_cap must be >= 1, got {tenant_cap}")
         self.root = Path(root)
         self.jobs_dir = self.root / "jobs"
         self.tenant_cap = int(tenant_cap)
-        self.lease_ttl = float(lease_ttl)
-        self._submit_lock = threading.Lock()
+        self.root.mkdir(parents=True, exist_ok=True)
+        self._lock_file = open(self.root / LOCK_FILENAME, "ab")
+        try:
+            fcntl.flock(self._lock_file, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            self._lock_file.close()
+            raise JobStoreLockedError(
+                f"job store {self.root} is owned by another JobStore "
+                f"(another server on this root?); one process owns a store"
+            ) from None
+        _OPEN_STORES.add(self)
+        self._lock = threading.Lock()
         self._changed = threading.Condition()
         self._record_changes = 0
         self._event_changes = 0
+
+    # -- ownership -----------------------------------------------------
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` gave up the root."""
+        return self._lock_file.closed
+
+    def close(self) -> None:
+        """Give up the root (idempotent); a new store may open it now.
+
+        Reads keep working on a closed store; record writes raise
+        :class:`~repro.errors.JobStateError`, since the root may have a
+        new owner.
+        """
+        _OPEN_STORES.discard(self)
+        self._lock_file.close()  # closing the last descriptor unlocks
+
+    def __enter__(self) -> "JobStore":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def _check_owned(self) -> None:
+        if self.closed:
+            raise JobStateError(
+                f"job store {self.root} is closed; it no longer owns the root"
+            )
 
     # -- change notification -------------------------------------------
 
@@ -123,13 +200,13 @@ class JobStore:
             return self._count(records_only)
 
     def wait_for_change(
-        self, seen: int, timeout: float, records_only: bool = False
+        self, seen: int, timeout: Optional[float], records_only: bool = False
     ) -> int:
         """Block until :meth:`generation` moves past ``seen``, or
         ``timeout`` [unit: s] passes; returns the generation then.
 
-        Only changes made through this object (this process) wake it;
-        callers keep ``timeout`` as their polling fallback.
+        ``timeout=None`` waits for a change however long it takes.  Every
+        writer goes through this object, so no change is missed.
         """
         with self._changed:
             self._changed.wait_for(
@@ -187,10 +264,6 @@ class JobStore:
         """The job's portfolio checkpoint dir (crash-resume state)."""
         return self.job_dir(job_id) / CHECKPOINT_DIRNAME
 
-    def lease(self, job_id: str) -> LeaseFile:
-        """The lease file guarding job ``job_id``."""
-        return LeaseFile(self.job_dir(job_id), ttl=self.lease_ttl)
-
     # -- admission -----------------------------------------------------
 
     def submit(self, spec: Dict[str, Any], tenant: str = "default") -> JobRecord:
@@ -200,13 +273,14 @@ class JobStore:
             JobQueueFullError: ``tenant`` already holds ``tenant_cap``
                 non-terminal jobs.
         """
-        with self._submit_lock:
+        with self._lock:
+            self._check_owned()
             active = self.active_count(tenant)
             if active >= self.tenant_cap:
                 raise JobQueueFullError(
                     f"tenant {tenant!r} has {active} active jobs "
                     f"(cap {self.tenant_cap}); retry after one completes",
-                    retry_after=max(self.lease_ttl / 2.0, 1.0),
+                    retry_after=TENANT_CAP_RETRY_AFTER,
                 )
             now = time.time()
             record = JobRecord(
@@ -277,6 +351,17 @@ class JobStore:
             if record.state == STATE_PENDING and record.not_before <= now
         ]
 
+    def next_claim_in(self, now: Optional[float] = None) -> Optional[float]:
+        """Seconds until the earliest backoff-gated pending job becomes
+        claimable [unit: s]; ``None`` when no pending job is gated."""
+        now = time.time() if now is None else now
+        gates = [
+            record.not_before - now
+            for record in self.list_jobs()
+            if record.state == STATE_PENDING and record.not_before > now
+        ]
+        return min(gates) if gates else None
+
     def active_count(self, tenant: str) -> int:
         """Non-terminal jobs currently held by ``tenant``."""
         return sum(
@@ -296,12 +381,36 @@ class JobStore:
 
     # -- writing -------------------------------------------------------
 
+    def claim(self, worker: str) -> Optional[JobRecord]:
+        """Flip the oldest claimable job to ``running`` for ``worker``.
+
+        Returns the running record, or ``None`` when nothing is claimable.
+        The atomic record write is the claim; the store's lock makes it
+        the only one.  Observes ``server.queue_wait`` from when the job
+        last became claimable: its submit or requeue, or the end of its
+        retry backoff.
+        """
+        with self._lock:
+            for record in self.claimable():
+                running = self.update(
+                    record.with_state(STATE_RUNNING, worker=worker)
+                )
+                claimable_since = max(record.updated_at, record.not_before)
+                profiling.observe(
+                    "server.queue_wait",
+                    max(running.updated_at - claimable_since, 0.0),
+                )
+                return running
+        return None
+
     def update(self, record: JobRecord) -> JobRecord:
         """Atomically persist ``record`` over the previous version.
 
         Raises:
             JobNotFoundError: The job was never submitted here.
+            JobStateError: The store is closed.
         """
+        self._check_owned()
         if not self.job_dir(record.job_id).is_dir():
             raise JobNotFoundError(f"no job {record.job_id!r}")
         write_record(self.record_path(record.job_id), record)
@@ -358,10 +467,7 @@ class JobStore:
         """Point-in-time gauge samples for ``/metrics`` and ``/readyz``.
 
         One scan of the store yields queue depth by state, the age of the
-        oldest pending job, per-tenant active-job counts, and lease health
-        (active/expired counts plus per-worker heartbeat age, where the
-        heartbeat time is recovered as ``expires_at - ttl``, the instant
-        of the last successful acquire/renew).
+        oldest pending job, and per-tenant active-job counts.
         """
         now = time.time() if now is None else now
         records, invalid = self.scan()
@@ -392,25 +498,6 @@ class JobStore:
             gauge("server.tenant_active_jobs", count, tenant=tenant)
             for tenant, count in sorted(tenants.items())
         )
-        active = expired = 0
-        for record in records:
-            lease_file = self.lease(record.job_id)
-            lease = lease_file.read()
-            if lease is None:
-                continue
-            if now >= lease.expires_at:
-                expired += 1
-            else:
-                active += 1
-                samples.append(
-                    gauge(
-                        "server.worker_heartbeat_age_s",
-                        max(now - (lease.expires_at - lease_file.ttl), 0.0),
-                        worker=lease.owner,
-                    )
-                )
-        samples.append(gauge("server.active_leases", active))
-        samples.append(gauge("server.expired_leases", expired))
         return samples
 
     # -- per-job event log ---------------------------------------------

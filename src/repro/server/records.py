@@ -62,9 +62,10 @@ JOB_RECORD_MAGIC = "repro-job"
 #: Schema version of the JSON body (bump on any layout change).
 JOB_RECORD_VERSION = 1
 
-#: Waiting for a worker (fresh submission, retry backoff, or reclaimed).
+#: Waiting for a worker (fresh submission, retry backoff, or recovered).
 STATE_PENDING = "pending"
-#: Claimed by a worker holding a live lease.
+#: Claimed by a worker of the process that owns the store; found at
+#: start-up, it was left by a dead process and is recovered.
 STATE_RUNNING = "running"
 #: Finished; ``result.json`` holds the outcome.
 STATE_COMPLETED = "completed"

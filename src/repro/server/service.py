@@ -1,24 +1,27 @@
-"""Service composition: store + workers + reaper + HTTP, one process.
+"""Service composition: store + workers + HTTP, one process.
 
 :class:`DesignService` wires the pieces together the way ``repro serve``
 runs them:
 
-* one :class:`~repro.server.jobstore.JobStore` on a chosen root,
+* one :class:`~repro.server.jobstore.JobStore` owning a chosen root (a
+  second service on the same root fails with
+  :class:`~repro.errors.JobStoreLockedError`),
 * ``n_workers`` :class:`~repro.server.worker.Worker` threads claiming and
   executing jobs (simulation-mode executor by default),
-* one :class:`~repro.server.worker.Reaper` thread reclaiming expired
-  leases,
 * one :class:`~repro.server.api.ApiServer` exposing the HTTP routes, with
   a readiness hook that reports dead worker threads and evaluation-pool
   degradation (the ``parallel.degraded`` counter).
+
+Start-up first settles the jobs a dead predecessor left ``running``
+(:func:`~repro.server.worker.recover_running`), then starts the workers
+and the listener.
 
 Graceful shutdown (SIGTERM or :meth:`stop`): flip the API into draining
 mode (submissions get 503 + ``Retry-After``, reads keep serving), set the
 workers' stop flag so in-flight jobs checkpoint at the next round boundary
 and return to ``pending`` -- un-attempted, resumable by the next process --
 and wake the store so idle workers and ``follow=1`` streams see the flag
-at once (the reaper sleeps on the flag itself), then join every thread and
-close the listener.
+at once, then join every thread, close the listener and free the root.
 Nothing is lost; that is the whole point of the durable queue underneath.
 
 ``repro-lint-scope: determinism-boundary`` -- process lifecycle is
@@ -28,7 +31,6 @@ wall-clock territory.
 from __future__ import annotations
 
 import threading
-import time
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -37,7 +39,7 @@ from ..telemetry import runlog
 from .api import ApiServer
 from .executor import Executor, SimulationExecutor
 from .jobstore import JobStore
-from .worker import Reaper, Worker
+from .worker import Worker, recover_running
 
 __all__ = ["DesignService"]
 
@@ -50,8 +52,6 @@ class DesignService:
         host / port: API bind address (``port=0`` picks a free port).
         n_workers: Worker threads executing jobs.
         tenant_cap: Per-tenant active-job cap (429 past it).
-        lease_ttl: Worker lease TTL [unit: s]; recovery latency after a
-            worker SIGKILL is about one TTL plus a reaper sweep.
         executor: Execution backend shared by all workers (defaults to
             in-process simulation; the remote-shard seam).
         run_log: Optional JSONL path for service lifecycle events.
@@ -69,13 +69,12 @@ class DesignService:
         port: int = 0,
         n_workers: int = 1,
         tenant_cap: int = 8,
-        lease_ttl: float = 30.0,
         executor: Optional[Executor] = None,
         run_log: Optional[str] = None,
         trace_jobs: bool = False,
         stream_heartbeat: float = 5.0,
     ):
-        self.store = JobStore(root, tenant_cap=tenant_cap, lease_ttl=lease_ttl)
+        self.store = JobStore(root, tenant_cap=tenant_cap)
         self.executor = executor or SimulationExecutor()
         self._stop = threading.Event()
         self.workers = [
@@ -87,7 +86,6 @@ class DesignService:
             )
             for i in range(max(n_workers, 1))
         ]
-        self.reaper = Reaper(self.store)
         self.api = ApiServer(
             self.store,
             host=host,
@@ -102,7 +100,7 @@ class DesignService:
 
     def _ready_check(self) -> Tuple[bool, str]:
         alive = sum(1 for t in self._threads if t.is_alive())
-        expected = len(self.workers) + 1  # + reaper
+        expected = len(self.workers)
         degraded_evals = profiling.counter("parallel.degraded")
         if self._threads and alive < expected:
             return (
@@ -115,7 +113,7 @@ class DesignService:
                 f"evaluation pool degraded {degraded_evals}x (serial "
                 f"fallback for the rest of that job)",
             )
-        return True, f"{len(self.workers)} workers + reaper alive"
+        return True, f"{len(self.workers)} workers alive"
 
     # -- lifecycle -----------------------------------------------------
 
@@ -125,9 +123,10 @@ class DesignService:
         return self.api.port
 
     def start(self) -> None:
-        """Start workers, reaper, and the HTTP listener."""
+        """Settle orphaned jobs, then start the workers and the listener."""
         previous = runlog.set_run_log(self._run_log) if self._run_log else None
         del previous  # service owns the log for its whole lifetime
+        recover_running(self.store)
         for worker in self.workers:
             thread = threading.Thread(
                 target=worker.run_forever,
@@ -137,19 +136,11 @@ class DesignService:
             )
             thread.start()
             self._threads.append(thread)
-        reaper_thread = threading.Thread(
-            target=self.reaper.run_forever,
-            args=(self._stop,),
-            kwargs={"interval": min(self.store.lease_ttl / 2.0, 1.0)},
-            name=self.reaper.reaper_id,
-            daemon=True,
-        )
-        reaper_thread.start()
-        self._threads.append(reaper_thread)
         self.api.start()
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Drain gracefully: checkpoint in-flight work, then shut down."""
+        """Drain gracefully: checkpoint in-flight work, shut down, and
+        free the store root."""
         self.api.draining.set()
         runlog.emit_event("server.drain", jobs=self.store.queue_depth())
         self._stop.set()
@@ -157,19 +148,6 @@ class DesignService:
         for thread in self._threads:
             thread.join(timeout=timeout)
         self.api.shutdown()
+        self.store.close()
         if self._run_log is not None:
             runlog.set_run_log(None)
-
-    def serve_until(self, stop_check, poll_interval: float = 0.2) -> None:
-        """Block until ``stop_check`` returns true, then :meth:`stop`.
-
-        The ``repro serve`` handler runs this under a
-        :class:`~repro.cli.RunSupervisor`, so SIGTERM/SIGINT trigger the
-        graceful drain.
-        """
-        self.start()
-        try:
-            while not stop_check():
-                time.sleep(poll_interval)
-        finally:
-            self.stop()

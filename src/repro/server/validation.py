@@ -3,7 +3,7 @@
 Everything a client can put in a ``POST /v1/jobs`` body is checked here,
 *before* anything touches the job store: a job that would fail in the
 executor with certainty (NaN power map, oversize grid, unknown optimizer)
-must cost a typed 4xx, not a queue slot, a worker lease, and three retry
+must cost a typed 4xx, not a queue slot, a worker thread, and three retry
 attempts ending in quarantine.
 
 The validated spec is a plain JSON-serializable dict -- exactly what goes

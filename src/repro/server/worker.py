@@ -1,37 +1,36 @@
-"""Workers and the reaper: lease-based scheduling with crash recovery.
+"""Workers and restart-time recovery.
 
-A :class:`Worker` loops over the store's claimable jobs, acquires each
-job's lease (``O_EXCL`` -- exactly one claimer wins), and executes the
-spec through its :class:`~repro.server.executor.Executor`.  A heartbeat
-thread renews the lease at ``ttl / 3``; losing the lease (the reaper
-reclaimed it, so the rest of the system already presumes this worker dead)
-flips the executor's ``interrupt_check``, stopping the run at the next
-round boundary without committing anything.
+A :class:`Worker` claims the oldest claimable job --
+:meth:`JobStore.claim` flips its record to ``running`` under the store's
+lock, and that atomic record write is the claim -- and executes the spec
+through its :class:`~repro.server.executor.Executor`.  Idle, it sleeps on
+the store's change notifier; the one timed wait is for the earliest retry
+backoff to end.
 
-The :class:`Reaper` is the recovery half: any *running* job whose lease
-has expired belongs to a worker that stopped heartbeating -- SIGKILL, OOM,
-power loss.  The reaper steals the expired lease (rename protocol, at most
-one winner), charges the crash as one attempt, and requeues the job; the
-next worker's executor resumes from the job's checkpoint directory and
-finishes with a bitwise-identical result.  A job that crashed
-``max_attempts`` times is poison and is quarantined instead of looping
-forever.  The reaper also finishes half-committed completions: a result
-file written by a worker that died before flipping its record to
-``completed`` is committed, not re-run.  And it unwedges *pending* jobs
-left behind an expired lease by a claimer that died before the record
-flip -- cleared without charging an attempt, since no work started.
+One object owns a store root (:class:`JobStore` holds an exclusive lock
+on it), so a ``running`` record found when the store opens was left by a
+process that died -- SIGKILL, OOM, power loss.  :func:`recover_running`
+settles each one before the workers start.  A job whose result file
+exists is committed, not re-run: its worker died between writing the
+result and flipping the record.  Any other job is charged one attempt and
+requeued with backoff; the next worker's executor resumes from the job's
+checkpoint directory and finishes with a bitwise-identical result.  At
+``max_attempts`` the job is quarantined instead, so a job that kills the
+process on every attempt is not restarted forever.  The same accounting
+settles a job whose worker thread raised unexpectedly after the claim.
 
 Failure discipline (R4): the executor call is wrapped in
 :func:`~repro.errors.crash_boundary`; everything reaching the retry logic
 is a typed ``ReproError`` or ``CandidateCrashError``.
 
 ``repro-lint-scope: determinism-boundary`` -- scheduling is wall-clock
-(leases, backoff); the work itself stays seeded by the job spec.
+(backoff); the work itself stays seeded by the job spec.
 """
 
 from __future__ import annotations
 
-import threading
+import queue
+import sys
 import time
 import uuid
 from typing import Any, Callable, Dict, List, Optional
@@ -39,10 +38,6 @@ from typing import Any, Callable, Dict, List, Optional
 from .. import profiling
 from ..errors import (
     CandidateCrashError,
-    JobNotFoundError,
-    JobRecordError,
-    LeaseError,
-    LeaseLostError,
     ReproError,
     RunInterrupted,
     crash_boundary,
@@ -60,20 +55,16 @@ from .records import (
     STATE_RUNNING,
 )
 
-__all__ = ["Reaper", "Worker"]
+__all__ = ["Worker", "recover_running"]
 
 #: First retry delay [unit: s]; doubles per attempt (exponential backoff).
 RETRY_BACKOFF_BASE = 2.0
 
-#: Longest idle wait between claim scans [unit: s].  A record write through
-#: the worker's own store wakes it at once; this poll is the fallback for
-#: jobs submitted by other processes and for backoff ``not_before`` expiry.
-POLL_INTERVAL = 0.2
-
 #: The global tracer is process-wide state, so at most one job per process
-#: is traced at a time; workers that lose this lock run their job untraced
-#: rather than interleaving two jobs' spans into one export.
-_TRACE_LOCK = threading.Lock()
+#: is traced at a time: the slot holds the traced job's id.  A worker that
+#: finds it taken runs its job untraced rather than interleaving two jobs'
+#: spans into one export.
+_TRACE_SLOT: "queue.Queue[str]" = queue.Queue(maxsize=1)
 
 
 def _worker_id(prefix: str) -> str:
@@ -85,39 +76,80 @@ def _backoff(attempts: int, base: float) -> float:
     return base * (2.0 ** max(attempts - 1, 0))
 
 
-class _Heartbeat:
-    """Background lease renewal; flags the owner when the lease is lost."""
+def _charge_attempt(
+    store: JobStore, record: JobRecord, error: str, backoff_base: float
+) -> JobRecord:
+    """Charge one failed attempt to a ``running`` job; the written record.
 
-    def __init__(self, lease_file, lease, interval: float):
-        self._lease_file = lease_file
-        self.lease = lease
-        self._interval = interval
-        self._stop = threading.Event()
-        self._lost = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
+    The job is requeued with exponential backoff, or quarantined once it
+    has used ``max_attempts``.  The caller logs the outcome.
+    """
+    attempts = record.attempts + 1
+    if attempts >= record.max_attempts:
+        return store.update(
+            record.with_state(STATE_QUARANTINED, attempts=attempts, error=error)
+        )
+    return store.update(
+        record.with_state(
+            STATE_PENDING,
+            attempts=attempts,
+            error=error,
+            worker=None,
+            not_before=time.time() + _backoff(attempts, backoff_base),
+        )
+    )
 
-    def start(self) -> None:
-        self._thread.start()
 
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=self._interval * 4 + 1.0)
+def recover_running(
+    store: JobStore, retry_backoff: float = RETRY_BACKOFF_BASE
+) -> List[str]:
+    """Settle every ``running`` job of a freshly opened store; their ids.
 
-    @property
-    def lost(self) -> bool:
-        """True once a renewal found the lease stolen or unrenewable."""
-        return self._lost.is_set()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval):
-            try:
-                self.lease = self._lease_file.renew(self.lease)
-            except (LeaseLostError, LeaseError):
-                # Renewal failure (injected or real) means the lease will
-                # expire and the reaper will requeue the job: this worker
-                # must stand down, not race the next owner.
-                self._lost.set()
-                return
+    Call it before any worker of ``store`` starts: the store's lock then
+    proves each such record's owner is dead.  A job with a result file is
+    committed; any other is charged one attempt and requeued, or
+    quarantined at ``max_attempts``.  Each logs one ``job.recovered``
+    event and counts ``server.jobs_recovered``.
+    """
+    recovered: List[str] = []
+    for record in store.list_jobs():
+        if record.state != STATE_RUNNING:
+            continue
+        job_id = record.job_id
+        dead = record.worker or "<unknown>"
+        if store.result_path(job_id).exists():
+            settled = store.update(
+                record.with_state(STATE_COMPLETED, error=None)
+            )
+        else:
+            settled = _charge_attempt(
+                store,
+                record,
+                f"worker {dead} died mid-job (attempt {record.attempts + 1})",
+                retry_backoff,
+            )
+        store.log_event(
+            job_id,
+            "job.recovered",
+            dead_worker=dead,
+            state=settled.state,
+            attempts=settled.attempts,
+        )
+        if settled.state == STATE_COMPLETED:
+            store.log_event(job_id, "job.completed", dead_worker=dead)
+            profiling.increment("server.jobs_completed")
+        elif settled.state == STATE_QUARANTINED:
+            store.log_event(
+                job_id,
+                "job.quarantined",
+                dead_worker=dead,
+                attempts=settled.attempts,
+                error=settled.error,
+            )
+            profiling.increment("server.jobs_quarantined")
+        profiling.increment("server.jobs_recovered")
+        recovered.append(job_id)
+    return recovered
 
 
 class Worker:
@@ -126,7 +158,8 @@ class Worker:
     Args:
         store: The durable queue.
         executor: Execution backend; defaults to in-process simulation.
-        worker_id: Stable identity in leases/records (generated if absent).
+        worker_id: Stable identity in records and events (generated if
+            absent).
         retry_backoff: Base retry delay [unit: s].
         trace_jobs: Arm span tracing per claimed job (the record's
             ``trace_id`` stitches API/worker/pool rows) and export the
@@ -149,17 +182,13 @@ class Worker:
 
     # -- claim loop ----------------------------------------------------
 
-    def run_forever(
-        self,
-        stop_check: Callable[[], bool],
-        poll_interval: float = POLL_INTERVAL,
-    ) -> None:
+    def run_forever(self, stop_check: Callable[[], bool]) -> None:
         """Claim and execute jobs until ``stop_check`` returns true.
 
         Idle, the worker sleeps until a record of its store changes
-        (submit, requeue, completion, or :meth:`JobStore.wake`) or
-        ``poll_interval`` passes.  Event appends do not wake it: per-round
-        progress never changes what is claimable.
+        (submit, requeue, completion, or :meth:`JobStore.wake`) or the
+        earliest retry backoff ends.  Event appends do not wake it:
+        per-round progress never changes what is claimable.
         """
         while True:
             # Read before the stop check and the scan, so a submit or wake
@@ -169,7 +198,7 @@ class Worker:
                 return
             if self.claim_once(stop_check) is None:
                 self.store.wait_for_change(
-                    seen, poll_interval, records_only=True
+                    seen, self.store.next_claim_in(), records_only=True
                 )
 
     def claim_once(
@@ -177,46 +206,38 @@ class Worker:
     ) -> Optional[str]:
         """Claim and fully process one eligible job; its id, or ``None``.
 
-        ``None`` means the queue held nothing this worker could claim --
-        empty, all backoff-gated, or every race lost.
+        ``None`` means the queue held nothing claimable -- empty, or every
+        pending job backoff-gated.  An unexpected exception after the
+        claim charges the job one attempt before it propagates, so the
+        job never stays ``running`` without a worker.
         """
-        for candidate in self.store.claimable():
-            lease_file = self.store.lease(candidate.job_id)
-            lease = lease_file.try_acquire(self.worker_id)
-            if lease is None:
-                continue  # lost the race; try the next job
-            try:
-                try:
-                    record = self.store.get(candidate.job_id)
-                except (JobNotFoundError, JobRecordError):
-                    continue
-                if (
-                    record.state != STATE_PENDING
-                    or record.not_before > time.time()
-                ):
-                    # The queue moved between scan and acquire (another
-                    # worker finished it, the reaper requeued it with
-                    # backoff, ...).
-                    continue
-                self._run_job(record, lease_file, lease, stop_check)
-                return record.job_id
-            finally:
-                # Idempotent (token-guarded): the paths inside _run_job
-                # have already released or deliberately ceded the lease.
-                # This catches every other exit -- an unexpected exception
-                # between acquisition and the heartbeat start would
-                # otherwise strand a pending job behind an orphaned lease.
-                lease_file.release(lease)
-        return None
+        record = self.store.claim(self.worker_id)
+        if record is None:
+            return None
+        done = False
+        try:
+            self._run_job(record, stop_check)
+            done = True
+        finally:
+            if not done:  # an unexpected exception is propagating
+                self._settle_unexpected(record, sys.exc_info()[1])
+        return record.job_id
+
+    def _settle_unexpected(
+        self, record: JobRecord, exc: Optional[BaseException]
+    ) -> None:
+        """Charge an attempt if ``exc`` left the job ``running``."""
+        try:
+            current = self.store.get(record.job_id)
+            if current.state == STATE_RUNNING:
+                self._record_failure(current, exc)
+        except (ReproError, OSError):
+            pass  # left running: the next start's recovery settles it
 
     # -- execution -----------------------------------------------------
 
     def _run_job(
-        self,
-        record: JobRecord,
-        lease_file,
-        lease,
-        stop_check: Optional[Callable[[], bool]],
+        self, record: JobRecord, stop_check: Optional[Callable[[], bool]]
     ) -> None:
         store = self.store
         job_id = record.job_id
@@ -230,28 +251,12 @@ class Worker:
             resumed = (
                 store.checkpoint_dir(job_id) / PORTFOLIO_CHECKPOINT
             ).exists()
-            # From when the job last became claimable: its submit or
-            # requeue, or the end of its retry backoff.
-            claimable_since = max(record.updated_at, record.not_before)
-            profiling.observe(
-                "server.queue_wait", max(time.time() - claimable_since, 0.0)
-            )
-            record = store.update(
-                record.with_state(STATE_RUNNING, worker=self.worker_id)
-            )
             store.log_event(
                 job_id,
                 "job.resumed" if resumed else "job.claimed",
                 worker=self.worker_id,
                 attempt=record.attempts + 1,
             )
-            heartbeat = _Heartbeat(lease_file, lease, store.lease_ttl / 3.0)
-            heartbeat.start()
-
-            def interrupted() -> bool:
-                if heartbeat.lost:
-                    return True
-                return bool(stop_check and stop_check())
 
             def progress(event_type: str, fields: Dict[str, Any]) -> None:
                 # Live per-round events for follow=1 streams; the durable
@@ -275,7 +280,7 @@ class Worker:
                             result = self.executor.execute(
                                 record.spec,
                                 str(store.checkpoint_dir(job_id)),
-                                interrupt_check=interrupted,
+                                interrupt_check=stop_check,
                                 progress=progress,
                             )
                 finally:
@@ -286,25 +291,12 @@ class Worker:
                         self._finish_tracing(record)
                         tracing = False
             except RunInterrupted:
-                heartbeat.stop()
-                if heartbeat.lost:
-                    return  # the reaper owns recovery now; touch nothing
-                self._requeue_drained(record, lease_file, heartbeat.lease)
-                return
-            except LeaseLostError:
-                heartbeat.stop()
+                self._requeue_drained(record)
                 return
             except (ReproError, CandidateCrashError) as exc:
-                heartbeat.stop()
-                if not heartbeat.lost:
-                    self._record_failure(
-                        record, lease_file, heartbeat.lease, exc
-                    )
+                self._record_failure(record, exc)
                 return
-            heartbeat.stop()
-            if heartbeat.lost:
-                return
-            self._commit(record, lease_file, heartbeat.lease, result, started)
+            self._commit(record, result, started)
         finally:
             if tracing:
                 self._finish_tracing(record)
@@ -316,7 +308,9 @@ class Worker:
         """Arm the global tracer for this job; ``True`` when armed."""
         if not self.trace_jobs or record.trace_id is None:
             return False
-        if not _TRACE_LOCK.acquire(blocking=False):
+        try:
+            _TRACE_SLOT.put_nowait(record.job_id)
+        except queue.Full:
             return False  # another job is being traced in this process
         profiling.clear_spans()
         TelemetryConfig(trace=True, trace_id=record.trace_id).apply()
@@ -333,16 +327,17 @@ class Worker:
         finally:
             TelemetryConfig().apply()
             profiling.clear_spans()
-            _TRACE_LOCK.release()
+            _TRACE_SLOT.get_nowait()
 
-    def _commit(self, record, lease_file, lease, result, started) -> None:
-        """Persist result then record -- in that order (see Reaper)."""
+    # -- settling ------------------------------------------------------
+
+    def _commit(
+        self, record: JobRecord, result: Dict[str, Any], started: float
+    ) -> None:
+        """Persist result, then record, then event -- in that order, so a
+        crash in between leaves a result that recovery commits."""
         store = self.store
         store.write_result(record.job_id, result)
-        try:
-            lease_file.verify(lease)
-        except LeaseLostError:
-            return  # stale result file is harmless; the new owner rewrites
         store.update(record.with_state(STATE_COMPLETED, error=None))
         store.log_event(
             record.job_id,
@@ -354,15 +349,10 @@ class Worker:
         profiling.observe(
             "server.job_duration", time.perf_counter() - started
         )
-        lease_file.release(lease)
 
-    def _requeue_drained(self, record, lease_file, lease) -> None:
+    def _requeue_drained(self, record: JobRecord) -> None:
         """Graceful interrupt: back to pending, attempt NOT charged."""
         store = self.store
-        try:
-            lease_file.verify(lease)
-        except LeaseLostError:
-            return
         # Event before record flip: a drain-time follower closes its
         # stream the moment the record leaves ``running``, so the final
         # ``job.interrupted`` line must already be on disk by then.
@@ -370,212 +360,28 @@ class Worker:
             record.job_id, "job.interrupted", worker=self.worker_id
         )
         store.update(record.with_state(STATE_PENDING, worker=None))
-        lease_file.release(lease)
 
-    def _record_failure(self, record, lease_file, lease, exc) -> None:
-        store = self.store
-        try:
-            lease_file.verify(lease)
-        except LeaseLostError:
-            return
-        attempts = record.attempts + 1
-        message = f"{type(exc).__name__}: {exc}"
-        if attempts >= record.max_attempts:
-            store.update(
-                record.with_state(
-                    STATE_QUARANTINED, attempts=attempts, error=message
-                )
-            )
-            store.log_event(
+    def _record_failure(
+        self, record: JobRecord, exc: Optional[BaseException]
+    ) -> None:
+        """Charge the failed attempt: requeue with backoff, or quarantine."""
+        error = f"{type(exc).__name__}: {exc}"
+        settled = _charge_attempt(self.store, record, error, self.retry_backoff)
+        if settled.state == STATE_QUARANTINED:
+            self.store.log_event(
                 record.job_id,
                 "job.quarantined",
                 worker=self.worker_id,
-                attempts=attempts,
-                error=message,
+                attempts=settled.attempts,
+                error=error,
             )
             profiling.increment("server.jobs_quarantined")
         else:
-            store.update(
-                record.with_state(
-                    STATE_PENDING,
-                    attempts=attempts,
-                    error=message,
-                    worker=None,
-                    not_before=time.time()
-                    + _backoff(attempts, self.retry_backoff),
-                )
-            )
-            store.log_event(
+            self.store.log_event(
                 record.job_id,
                 "job.failed",
                 worker=self.worker_id,
-                attempts=attempts,
-                error=message,
+                attempts=settled.attempts,
+                error=error,
             )
             profiling.increment("server.jobs_failed")
-        lease_file.release(lease)
-
-
-class Reaper:
-    """Reclaims jobs whose workers stopped heartbeating.
-
-    Args:
-        store: The durable queue.
-        reaper_id: Identity used when stealing leases.
-        retry_backoff: Base requeue delay [unit: s].
-    """
-
-    def __init__(
-        self,
-        store: JobStore,
-        reaper_id: Optional[str] = None,
-        retry_backoff: float = RETRY_BACKOFF_BASE,
-    ):
-        self.store = store
-        self.reaper_id = reaper_id or _worker_id("reaper")
-        self.retry_backoff = float(retry_backoff)
-
-    def run_forever(
-        self,
-        stop: threading.Event,
-        interval: Optional[float] = None,
-    ) -> None:
-        """Sweep every ``interval`` until ``stop`` is set (returns at once
-        when it is, not at the end of the current interval)."""
-        interval = (
-            self.store.lease_ttl / 2.0 if interval is None else interval
-        )
-        while not stop.is_set():
-            self.sweep()
-            stop.wait(interval)
-
-    def sweep(self) -> List[str]:
-        """One recovery pass over the store; returns the reclaimed job ids.
-
-        Two shapes of orphan are handled: a *running* job whose lease
-        expired (the worker stopped heartbeating mid-job) is requeued with
-        the crash charged as one attempt, and a *pending* job wedged
-        behind an expired lease (the claimer died between lease
-        acquisition and the record flip to running) has the orphaned
-        lease cleared with no attempt charged -- the work never started.
-        """
-        reclaimed: List[str] = []
-        for record in self.store.list_jobs():
-            if record.state == STATE_RUNNING:
-                if self._reclaim(record):
-                    reclaimed.append(record.job_id)
-            elif record.state == STATE_PENDING:
-                if self._clear_orphaned_lease(record):
-                    reclaimed.append(record.job_id)
-        return reclaimed
-
-    def _clear_orphaned_lease(self, record: JobRecord) -> bool:
-        """Unwedge a pending job whose claimer died holding the lease.
-
-        ``try_acquire`` refuses existing leases even when expired (expiry
-        is reclaimed explicitly, never stolen implicitly on claim), so a
-        worker SIGKILLed inside the claim window -- lease on disk, record
-        still ``pending`` -- would block the job forever without this
-        sweep.  Clearing is free: no attempt is charged because no work
-        started, and the job becomes claimable again immediately.
-        """
-        store = self.store
-        lease_file = store.lease(record.job_id)
-        current = lease_file.read()
-        if current is None or not current.expired:
-            return False  # unleased (normal pending) or a live claimer
-        lease = lease_file.steal_expired(self.reaper_id)
-        if lease is None:
-            return False  # a racing reaper won, or the view went stale
-        try:
-            fresh = store.get(record.job_id)
-        except (JobNotFoundError, JobRecordError):
-            lease_file.release(lease)
-            return False
-        if fresh.state != STATE_PENDING:
-            # The claimer was alive after all and flipped the record; it
-            # will lose its lease at the next heartbeat and the running
-            # sweep owns recovery from there.
-            lease_file.release(lease)
-            return False
-        store.log_event(
-            record.job_id,
-            "job.orphaned_lease_cleared",
-            reaper=self.reaper_id,
-            dead_claimer=current.owner,
-        )
-        profiling.increment("server.orphaned_leases_cleared")
-        lease_file.release(lease)
-        return True
-
-    def _reclaim(self, record: JobRecord) -> bool:
-        store = self.store
-        lease_file = store.lease(record.job_id)
-        current = lease_file.read()
-        if current is not None and not current.expired:
-            return False  # the worker is alive and heartbeating
-        if current is None:
-            # Running record with no lease at all: the owner died in the
-            # narrow window around release.  Claim it directly.
-            lease = lease_file.try_acquire(self.reaper_id)
-        else:
-            lease = lease_file.steal_expired(self.reaper_id)
-        if lease is None:
-            return False  # a racing reaper (or revived worker) won
-        try:
-            record = store.get(record.job_id)
-        except (JobNotFoundError, JobRecordError):
-            lease_file.release(lease)
-            return False
-        if record.state != STATE_RUNNING:
-            lease_file.release(lease)
-            return False
-        if store.result_path(record.job_id).exists():
-            # The worker finished the work and died before the final
-            # record write: commit, don't re-run.
-            store.update(record.with_state(STATE_COMPLETED, error=None))
-            store.log_event(
-                record.job_id, "job.completed", worker=self.reaper_id
-            )
-            profiling.increment("server.jobs_completed")
-            lease_file.release(lease)
-            return True
-        attempts = record.attempts + 1
-        dead = record.worker or "<unknown>"
-        if attempts >= record.max_attempts:
-            store.update(
-                record.with_state(
-                    STATE_QUARANTINED,
-                    attempts=attempts,
-                    error=f"worker {dead} lost its lease mid-job "
-                    f"(crash presumed), attempt {attempts}",
-                )
-            )
-            store.log_event(
-                record.job_id,
-                "job.quarantined",
-                reaper=self.reaper_id,
-                dead_worker=dead,
-                attempts=attempts,
-            )
-            profiling.increment("server.jobs_quarantined")
-        else:
-            store.update(
-                record.with_state(
-                    STATE_PENDING,
-                    attempts=attempts,
-                    worker=None,
-                    error=f"reclaimed from {dead} (lease expired)",
-                    not_before=time.time()
-                    + _backoff(attempts, self.retry_backoff),
-                )
-            )
-            store.log_event(
-                record.job_id,
-                "job.lease_reclaimed",
-                reaper=self.reaper_id,
-                dead_worker=dead,
-                attempts=attempts,
-            )
-        lease_file.release(lease)
-        return True

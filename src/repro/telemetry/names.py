@@ -104,9 +104,8 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "server.jobs_completed",
         "server.jobs_failed",
         "server.jobs_quarantined",
+        "server.jobs_recovered",
         "server.jobs_submitted",
-        "server.lease_reclaims",
-        "server.orphaned_leases_cleared",
         "server.queue_wait",
         "thermal.factorizations",
         "thermal.factorize",
@@ -126,9 +125,8 @@ EVENT_TYPES: FrozenSet[str] = frozenset(
         "job.completed",
         "job.failed",
         "job.interrupted",
-        "job.lease_reclaimed",
-        "job.orphaned_lease_cleared",
         "job.quarantined",
+        "job.recovered",
         "job.resumed",
         "job.submitted",
         "pool.degraded",
@@ -153,12 +151,9 @@ EVENT_TYPES: FrozenSet[str] = frozenset(
 #: ``JobStore.collect_gauges`` is the one collection point).
 GAUGE_NAMES: FrozenSet[str] = frozenset(
     {
-        "server.active_leases",
-        "server.expired_leases",
         "server.oldest_pending_age_s",
         "server.queue_depth",
         "server.tenant_active_jobs",
-        "server.worker_heartbeat_age_s",
     }
 )
 

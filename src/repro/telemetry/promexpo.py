@@ -2,7 +2,7 @@
 
 Renders the live :func:`repro.profiling.snapshot` -- counters and
 fixed-bucket histograms -- plus point-in-time *gauge* samples (queue depth,
-lease health, per-tenant admission) as the plain-text format every
+oldest pending age, per-tenant admission) as the plain-text format every
 Prometheus-compatible scraper understands.  The API server mounts the
 result at ``GET /metrics`` (:mod:`repro.server.api`); ``repro top`` and the
 CI text-format check re-read it through :func:`parse_prometheus_text`, so

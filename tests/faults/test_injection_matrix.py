@@ -309,14 +309,14 @@ def test_dispatch_fault_is_typed(watchdog, case, candidates):
 
 
 # ---------------------------------------------------------------------------
-# Queue sites: torn records, lost leases, dying queue workers
+# Queue sites: torn records, dying servers
 # ---------------------------------------------------------------------------
 
 
 def queue_store(tmp_path):
     from repro.server import JobStore, validate_submission
 
-    store = JobStore(tmp_path / "store", lease_ttl=5.0)
+    store = JobStore(tmp_path / "store")
     spec = validate_submission(
         {
             "case_seed": 7,
@@ -352,35 +352,12 @@ def test_torn_record_write_is_surfaced_not_served(watchdog, tmp_path):
     assert store.queue_depth()["invalid"] == 1
 
 
-def test_lease_renewal_fault_is_typed_and_transient(watchdog, tmp_path):
-    from repro.faults import SITE_SERVER_LEASE_RENEW
-    from repro.server import LeaseFile
-
-    lease_file = LeaseFile(tmp_path, ttl=5.0)
-    lease = lease_file.try_acquire("w")
-    plan = FaultPlan(
-        [
-            FaultSpec(
-                site=SITE_SERVER_LEASE_RENEW,
-                kind="raise-infeasible",
-                max_fires=1,
-            )
-        ],
-        seed=1,
-    )
-    with watchdog(WATCHDOG), FaultInjector(plan):
-        with pytest.raises(InjectedFaultError, match="server.lease.renew"):
-            lease_file.renew(lease)
-    assert plan.fired() == 1
-    assert lease_file.renew(lease).renewals == 1  # transient, not fatal
-
-
 _QUEUE_WORKER_DEATH_SCRIPT = """
 import sys
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, SITE_SERVER_WORKER
 from repro.server import JobStore, Worker
 
-store = JobStore(sys.argv[1], lease_ttl=float(sys.argv[2]))
+store = JobStore(sys.argv[1])
 plan = FaultPlan(
     [FaultSpec(site=SITE_SERVER_WORKER, kind="worker-death", max_fires=1)],
     seed=1,
@@ -392,7 +369,7 @@ with FaultInjector(plan):
 
 def test_queue_worker_death_leaves_job_reclaimable(watchdog, tmp_path):
     """``worker-death`` at the queue site is a real ``os._exit`` in a real
-    process; the reaper must requeue the abandoned job."""
+    process; the next owner of the store must recover the abandoned job."""
     import os
     import subprocess
     import sys
@@ -400,11 +377,11 @@ def test_queue_worker_death_leaves_job_reclaimable(watchdog, tmp_path):
     from pathlib import Path
 
     from repro.faults.plan import _DEATH_EXIT_CODE
-    from repro.server import Reaper, Worker
+    from repro.server import Worker, recover_running
 
     store, spec = queue_store(tmp_path)
-    store = type(store)(store.root, lease_ttl=0.2)
     job_id = store.submit(spec).job_id
+    store.close()  # the dying process owns the store next
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -417,21 +394,20 @@ def test_queue_worker_death_leaves_job_reclaimable(watchdog, tmp_path):
                 "-c",
                 _QUEUE_WORKER_DEATH_SCRIPT,
                 str(store.root),
-                str(store.lease_ttl),
             ],
             env=env,
             timeout=WATCHDOG,
         )
     assert proc.returncode == _DEATH_EXIT_CODE
-    _time.sleep(0.25)  # let the orphaned lease expire
-    assert Reaper(store, retry_backoff=0.01).sweep() == [job_id]
-    reclaimed = store.get(job_id)
-    assert reclaimed.state == "pending"
-    assert reclaimed.attempts == 1
-    _time.sleep(0.05)
-    with watchdog(WATCHDOG):
-        assert Worker(store, worker_id="w-2").claim_once() == job_id
-    assert store.get(job_id).state == "completed"
+    with type(store)(store.root) as store:
+        assert recover_running(store, retry_backoff=0.01) == [job_id]
+        recovered = store.get(job_id)
+        assert recovered.state == "pending"
+        assert recovered.attempts == 1
+        _time.sleep(0.05)
+        with watchdog(WATCHDOG):
+            assert Worker(store, worker_id="w-2").claim_once() == job_id
+        assert store.get(job_id).state == "completed"
 
 
 # ---------------------------------------------------------------------------

@@ -268,15 +268,6 @@ class TestR6BoundaryModule:
         assert len(report.findings) == 1
         assert report.findings[0].rule == "R6"
 
-    def test_atomic_io_scope_is_sanctioned(self, tmp_path):
-        mod = tmp_path / "scoped.py"
-        mod.write_text(
-            '"""Scoped fixture.\n\nrepro-lint-scope: atomic-io\n"""\n'
-            + self.BODY
-        )
-        report = Analyzer(select=["R6"]).run([str(mod)])
-        assert report.findings == []
-
 
 class TestR5BackendModule:
     """R5 sanctions raw factorizers only inside ``repro.linalg``."""

@@ -23,12 +23,13 @@ WATCHDOG = 120.0
 def api(tmp_path):
     """An API over a store with NO workers: queue state stays put."""
     server = ApiServer(
-        JobStore(tmp_path / "store", tenant_cap=2, lease_ttl=5.0),
+        JobStore(tmp_path / "store", tenant_cap=2),
         max_queue_depth=3,
     )
     server.start()
     yield server
     server.shutdown()
+    server.store.close()
 
 
 @pytest.fixture
@@ -98,7 +99,7 @@ def test_path_traversal_job_ids_are_404(api, client):
         "/v1/jobs/../events",
         "/v1/jobs/../result",
         "/v1/jobs/..%2f..",
-        "/v1/jobs/lease.json",
+        "/v1/jobs/store.lock",
     ):
         # http.client sends the path verbatim -- urllib would normalize
         # away the exact traversal under test.
@@ -227,7 +228,6 @@ def test_metrics_endpoint_serves_valid_prometheus_text(api, client):
     assert families["repro_server_jobs_submitted_total"]["samples"][0][
         "value"
     ] == 2
-    assert "repro_server_active_leases" in families
     assert "repro_server_oldest_pending_age_s" in families
 
 
@@ -237,7 +237,7 @@ def test_readyz_detail_shares_the_metrics_gauges(api, client):
     assert status == 200
     gauges = ready["gauges"]
     assert gauges["queue_depth"] == 1
-    assert gauges["expired_lease_count"] == 0
+    assert set(gauges) == {"queue_depth", "oldest_pending_age_s"}
     assert gauges["oldest_pending_age_s"] >= 0.0
     assert ready["queue"]["pending"] == 1
 
@@ -251,9 +251,7 @@ def test_trace_endpoint_is_409_until_exported(api, client):
 
 
 def test_full_service_runs_submission_to_result(tmp_path, watchdog):
-    service = DesignService(
-        tmp_path / "svc", n_workers=1, lease_ttl=5.0
-    )
+    service = DesignService(tmp_path / "svc", n_workers=1)
     service.start()
     try:
         client = ServiceClient(f"http://127.0.0.1:{service.port}")
@@ -275,7 +273,7 @@ def test_full_service_runs_submission_to_result(tmp_path, watchdog):
 def test_graceful_stop_drains_in_flight_jobs(tmp_path, watchdog):
     """SIGTERM-equivalent: stop() while a job runs leaves it pending and
     resumable, with a checkpoint on disk and no attempt charged."""
-    service = DesignService(tmp_path / "svc", n_workers=1, lease_ttl=5.0)
+    service = DesignService(tmp_path / "svc", n_workers=1)
     service.start()
     client = ServiceClient(f"http://127.0.0.1:{service.port}")
     payload = dict(QUICK_PAYLOAD)
@@ -292,7 +290,7 @@ def test_graceful_stop_drains_in_flight_jobs(tmp_path, watchdog):
         assert drained.attempts == 0
         assert any(store.checkpoint_dir(job_id).iterdir())
     # A fresh service process over the same root picks the job back up.
-    revived = DesignService(tmp_path / "svc", n_workers=1, lease_ttl=5.0)
+    revived = DesignService(tmp_path / "svc", n_workers=1)
     revived.start()
     try:
         client = ServiceClient(f"http://127.0.0.1:{revived.port}")

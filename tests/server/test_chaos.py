@@ -1,21 +1,27 @@
 """SIGKILL chaos: no acknowledged job is lost, and recovered runs are
 bitwise-identical to uninterrupted ones.
 
-Each scenario kills a real OS process (worker, submitter, reaper) with
-SIGKILL -- no cleanup handlers run -- then proves the survivors restore
-the queue to a coherent state:
+One process owns a store root.  Each scenario kills a real OS process
+(the server, a submitter, a recovering server) with SIGKILL -- no cleanup
+handlers run -- then proves the next owner of the root restores the queue
+to a coherent state:
 
-* worker killed mid-optimization: the reaper reclaims the expired lease,
-  a fresh worker resumes from the per-job checkpoint, and the final
-  score bitwise-matches a never-interrupted run of the same spec;
+* server killed mid-optimization: a restart on the same root starts at
+  once (the kernel freed the store lock, and the killed server's orphaned
+  pool workers do not hold it), recovery charges the crash as one
+  attempt, the job resumes from its checkpoint, and the final score
+  bitwise-matches a never-interrupted run of the same spec;
 * submitter killed mid-burst: every acknowledged job id has a complete,
   CRC-valid record; crash debris is at worst an empty job dir, never a
   torn record;
-* reaper killed mid-sweep: recovery still happens exactly once -- the
-  job is charged one attempt, not two, and then completes.
+* server killed mid-recovery: the next start still charges exactly one
+  attempt, not two, and the job then completes.
+
+A second server on a held root is refused with the typed error.
 """
 
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -25,7 +31,14 @@ from pathlib import Path
 import pytest
 
 from repro.optimize.portfolio import PORTFOLIO_CHECKPOINT
-from repro.server import JobStore, Reaper, Worker
+from repro.server import (
+    JobStore,
+    ServiceClient,
+    Worker,
+    read_record,
+    recover_running,
+    validate_submission,
+)
 from repro.server.records import (
     STATE_COMPLETED,
     STATE_PENDING,
@@ -41,19 +54,57 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 EXACT_FIELDS = ("winner", "score", "p_sys", "w_pump", "t_max", "delta_t")
 
 
-def spawn(script, *argv):
-    """Run ``script`` in a fresh interpreter with the repo on sys.path."""
+def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH", "")) if p
     )
+    return env
+
+
+def spawn(script, *argv):
+    """Run ``script`` in a fresh interpreter with the repo on sys.path."""
     return subprocess.Popen(
         [sys.executable, "-c", script, *map(str, argv)],
-        env=env,
+        env=child_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
     )
+
+
+def serve(root):
+    """``repro serve`` on ``root`` in its own session, so the pool workers
+    a SIGKILL orphans can be killed with it (:func:`kill_session`)."""
+    return subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--root", str(root), "--port", "0", "--workers", "1",
+        ],
+        env=child_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        start_new_session=True,
+    )
+
+
+def client_of(server):
+    """A client for a :func:`serve` process, once it reports its port."""
+    line = server.stdout.readline()
+    match = re.search(r"http://[0-9.]+:([0-9]+)", line)
+    assert match, f"repro serve did not start: {line!r}"
+    return ServiceClient(f"http://127.0.0.1:{match.group(1)}", timeout=30.0)
+
+
+def kill_session(server):
+    """SIGKILL a :func:`serve` process and every process of its session."""
+    try:
+        os.killpg(server.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    server.wait(timeout=30)
+    server.stdout.close()
 
 
 def wait_until(predicate, deadline, interval=0.01):
@@ -72,69 +123,84 @@ def long_spec(quick_spec):
     return spec
 
 
-WORKER_SCRIPT = """
-import sys
-from repro.server import JobStore, Worker
-
-store = JobStore(sys.argv[1], lease_ttl=float(sys.argv[2]))
-worker = Worker(store, worker_id="w-victim")
-worker.claim_once()
-"""
-
-
-def test_sigkill_worker_reaper_reclaims_and_result_is_bitwise_identical(
-    tmp_path, watchdog, quick_spec
+def test_sigkill_server_restart_recovers_bitwise_identical_result(
+    tmp_path, watchdog
 ):
-    spec = long_spec(quick_spec)
+    # Two pool workers per job: forked children that inherit the server's
+    # open files, the store lock among them, and outlive its SIGKILL.
+    payload = long_spec(dict(QUICK_PAYLOAD, n_workers=2))
 
     # Baseline: the same spec, never interrupted.
-    baseline_store = JobStore(tmp_path / "baseline", lease_ttl=30.0)
-    baseline_id = baseline_store.submit(dict(spec)).job_id
-    with watchdog(WATCHDOG):
-        assert Worker(baseline_store, worker_id="w-calm").claim_once()
-    baseline = baseline_store.read_result(baseline_id)
+    with JobStore(tmp_path / "baseline") as baseline_store:
+        baseline_id = baseline_store.submit(
+            validate_submission(dict(payload))
+        ).job_id
+        with watchdog(WATCHDOG):
+            assert Worker(baseline_store, worker_id="w-calm").claim_once()
+        baseline = baseline_store.read_result(baseline_id)
 
-    # Victim run: a separate OS process claims the job...
-    store = JobStore(tmp_path / "chaos", lease_ttl=1.0)
-    job_id = store.submit(dict(spec)).job_id
-    victim = spawn(WORKER_SCRIPT, store.root, store.lease_ttl)
+    root = tmp_path / "chaos"
+    first = serve(root)
     try:
-        ckpt = store.checkpoint_dir(job_id) / PORTFOLIO_CHECKPOINT
-        # ...and dies the instant resumable state reaches disk.
+        client = client_of(first)
+        job_id = client.submit(dict(payload))["job_id"]
+        job_dir = root / "jobs" / job_id
+        # Die the instant resumable state reaches disk.
+        ckpt = job_dir / "checkpoint" / PORTFOLIO_CHECKPOINT
         assert wait_until(ckpt.exists, WATCHDOG), "no checkpoint appeared"
-        victim.send_signal(signal.SIGKILL)
-        victim.wait(timeout=30)
+        first.send_signal(signal.SIGKILL)
+        first.wait(timeout=30)
+        assert read_record(job_dir / "record.json").state == STATE_RUNNING
+
+        # The restart owns the root at once: no TTL to wait out, and the
+        # dead server's orphaned pool workers, still alive, hold no lock.
+        second = serve(root)
+        try:
+            client = client_of(second)
+            os.killpg(first.pid, 0)  # the orphans are still there
+            kill_session(first)
+            with watchdog(WATCHDOG):
+                final = client.wait(job_id, timeout=WATCHDOG)
+            result = client.result(job_id)
+            events = client.events(job_id)["events"]
+        finally:
+            second.send_signal(signal.SIGTERM)
+            assert second.wait(timeout=60) == 0
+            second.stdout.close()
     finally:
-        victim.kill()
-        victim.wait(timeout=30)
-
-    assert store.get(job_id).state == STATE_RUNNING  # died mid-job
-    lease_file = store.lease(job_id)
-    assert wait_until(
-        lambda: (lambda l: l is None or l.expired)(lease_file.read()),
-        WATCHDOG,
-    ), "orphaned lease never expired"
-
-    reaper = Reaper(store, reaper_id="r-1", retry_backoff=0.01)
-    assert reaper.sweep() == [job_id]
-    reclaimed = store.get(job_id)
-    assert reclaimed.state == STATE_PENDING
-    assert reclaimed.attempts == 1
-    assert ckpt.exists()  # reclaim preserved the checkpoint
-
-    time.sleep(0.05)  # clear the requeue backoff
-    with watchdog(WATCHDOG):
-        assert Worker(store, worker_id="w-rescue").claim_once() == job_id
-    final = store.get(job_id)
-    assert final.state == STATE_COMPLETED
-    result = store.read_result(job_id)
+        kill_session(first)
 
     # Zero loss AND zero drift: resume produced the exact same design.
+    assert final["attempts"] == 1
     for field in EXACT_FIELDS:
         assert result[field] == baseline[field], field
-    types = [e["type"] for e in store.events(job_id)]
-    assert "job.lease_reclaimed" in types
+    types = [e["type"] for e in events]
+    assert "job.recovered" in types
     assert "job.resumed" in types
+    assert types[-1] == "job.completed"
+
+
+def test_second_server_on_a_held_root_exits_with_the_typed_error(tmp_path):
+    root = tmp_path / "store"
+    first = serve(root)
+    try:
+        client_of(first)  # up, and owning the root
+        second = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--root", str(root), "--port", "0",
+            ],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=WATCHDOG,
+        )
+        assert second.returncode == 1
+        assert "owned by another JobStore" in second.stderr
+    finally:
+        first.send_signal(signal.SIGTERM)
+        assert first.wait(timeout=60) == 0
+        first.stdout.close()
 
 
 SUBMITTER_SCRIPT = """
@@ -154,14 +220,14 @@ while True:
 
 
 def test_sigkill_submitter_leaves_no_torn_records(tmp_path, watchdog):
-    store = JobStore(tmp_path / "store", tenant_cap=100000)
-    submitter = spawn(SUBMITTER_SCRIPT, store.root)
+    root = tmp_path / "store"
+    jobs_dir = root / "jobs"
+    submitter = spawn(SUBMITTER_SCRIPT, root)
     try:
         # Let it ack a healthy burst, then kill it mid-stride.
         # jobs/ is created lazily by the submitter's first admission.
         assert wait_until(
-            lambda: store.jobs_dir.exists()
-            and len(list(store.jobs_dir.iterdir())) >= 6,
+            lambda: jobs_dir.exists() and len(list(jobs_dir.iterdir())) >= 6,
             WATCHDOG,
         ), "submitter never produced jobs"
         submitter.send_signal(signal.SIGKILL)
@@ -177,65 +243,74 @@ def test_sigkill_submitter_leaves_no_torn_records(tmp_path, watchdog):
     acked = [line for line in lines[:-1] if line]  # last line may be torn
     assert len(acked) >= 4
 
-    records, invalid = store.scan()
-    surviving = {r.job_id for r in records}
-    # Zero loss: every acknowledged job has a complete, CRC-valid record.
-    for job_id in acked:
-        assert job_id in surviving, f"acked {job_id} lost"
-        assert store.get(job_id).state == STATE_PENDING
-    # Crash debris is at worst an empty dir -- never a half-written
-    # record, because records land via write-to-temp-then-rename.
-    for job_id in invalid:
-        assert not (store.job_dir(job_id) / "record.json").exists()
-    # The store still admits work afterwards.
-    from repro.server import validate_submission
+    # The dead submitter's lock died with it: the root opens at once.
+    with JobStore(root) as store:
+        records, invalid = store.scan()
+        surviving = {r.job_id for r in records}
+        # Zero loss: every acknowledged job has a complete, CRC-valid
+        # record.
+        for job_id in acked:
+            assert job_id in surviving, f"acked {job_id} lost"
+            assert store.get(job_id).state == STATE_PENDING
+        # Crash debris is at worst an empty dir -- never a half-written
+        # record, because records land via write-to-temp-then-rename.
+        for job_id in invalid:
+            assert not (store.job_dir(job_id) / "record.json").exists()
+        # The store still admits work afterwards.
+        store.submit(validate_submission(dict(QUICK_PAYLOAD)), tenant="after")
 
-    store.submit(validate_submission(dict(QUICK_PAYLOAD)), tenant="after")
+
+RECOVERY_SCRIPT = """
+import os, signal, sys
+from repro.server import JobStore, recover_running
+
+store = JobStore(sys.argv[1])
+flip_lands = sys.argv[2] == "after-flip"
+update = store.update
 
 
-REAPER_SCRIPT = """
-import sys, time
-from repro.server import JobStore, Reaper
+def update_then_die(record):
+    if flip_lands:
+        update(record)
+    os.kill(os.getpid(), signal.SIGKILL)
 
-store = JobStore(sys.argv[1], lease_ttl=float(sys.argv[2]))
-reaper = Reaper(store, reaper_id="r-victim", retry_backoff=0.01)
-print("ready", flush=True)
-while True:
-    reaper.sweep()
-    time.sleep(0.01)
+
+store.update = update_then_die
+recover_running(store, retry_backoff=0.01)
 """
 
 
-def test_sigkill_reaper_recovery_still_happens_exactly_once(
-    tmp_path, watchdog, quick_spec
+@pytest.mark.parametrize("kill_at", ["before-flip", "after-flip"])
+def test_sigkill_mid_recovery_still_charges_exactly_one_attempt(
+    tmp_path, watchdog, quick_spec, kill_at
 ):
-    store = JobStore(tmp_path / "store", lease_ttl=0.2)
-    record = store.submit(quick_spec)
-    job_id = record.job_id
-    # Fake a worker that died mid-job: running record, expiring lease.
-    store.update(record.with_state(STATE_RUNNING, worker="w-dead"))
-    assert store.lease(job_id).try_acquire("w-dead") is not None
-    time.sleep(0.25)  # let the lease expire
+    root = tmp_path / "store"
+    with JobStore(root) as store:
+        record = store.submit(quick_spec)
+        job_id = record.job_id
+        # A server that died mid-job left the record running.
+        store.update(record.with_state(STATE_RUNNING, worker="w-dead"))
 
-    victim = spawn(REAPER_SCRIPT, store.root, store.lease_ttl)
+    # The restart dies inside recovery: before its record flip lands, or
+    # after the flip but before the job.recovered event.
+    victim = spawn(RECOVERY_SCRIPT, root, kill_at)
     try:
-        assert victim.stdout.readline().strip() == "ready"
-        time.sleep(0.05)  # let it get into (or through) a sweep
-        victim.send_signal(signal.SIGKILL)
-        victim.wait(timeout=30)
+        assert victim.wait(timeout=WATCHDOG) == -signal.SIGKILL
     finally:
         victim.kill()
         victim.wait(timeout=30)
+        victim.stdout.close()
 
-    # A replacement reaper finishes whatever the victim left undone.
-    Reaper(store, reaper_id="r-successor", retry_backoff=0.01).sweep()
-    reclaimed = store.get(job_id)
-    assert reclaimed.state == STATE_PENDING
-    assert reclaimed.attempts == 1  # exactly one attempt charged, not two
-    types = [e["type"] for e in store.events(job_id)]
-    assert types.count("job.lease_reclaimed") <= 1
+    # The next restart finishes whatever the victim left undone.
+    with JobStore(root) as store:
+        recover_running(store, retry_backoff=0.01)
+        recovered = store.get(job_id)
+        assert recovered.state == STATE_PENDING
+        assert recovered.attempts == 1  # exactly one attempt, not two
+        types = [e["type"] for e in store.events(job_id)]
+        assert types.count("job.recovered") <= 1
 
-    time.sleep(0.05)
-    with watchdog(WATCHDOG):
-        assert Worker(store, worker_id="w-rescue").claim_once() == job_id
-    assert store.get(job_id).state == STATE_COMPLETED
+        time.sleep(0.05)  # clear the requeue backoff
+        with watchdog(WATCHDOG):
+            assert Worker(store, worker_id="w-rescue").claim_once() == job_id
+        assert store.get(job_id).state == STATE_COMPLETED

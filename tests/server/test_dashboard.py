@@ -3,7 +3,7 @@
 A fake client speaking the two public surfaces (``/metrics`` exposition
 text and the jobs/events JSON) drives :class:`TopMonitor` and
 :func:`render` without a server, so the tests pin the screen's content --
-queue, leases, latency quantiles, live score trajectories -- not socket
+queue, latency quantiles, live score trajectories -- not socket
 behavior (the client itself is covered by the API suite).
 """
 
@@ -56,16 +56,13 @@ def sample_metrics():
         [
             gauge("server.queue_depth", 3, state="pending"),
             gauge("server.queue_depth", 1, state="running"),
-            gauge("server.active_leases", 1),
-            gauge("server.expired_leases", 2),
             gauge("server.oldest_pending_age_s", 7.5),
-            gauge("server.worker_heartbeat_age_s", 1.25, worker="w-0"),
             gauge("server.tenant_active_jobs", 4, tenant="acme"),
         ],
     )
 
 
-def test_render_shows_queue_leases_latency_and_trajectories():
+def test_render_shows_queue_latency_and_trajectories():
     monitor = TopMonitor(
         FakeClient(
             metrics_text=sample_metrics(),
@@ -89,9 +86,7 @@ def test_render_shows_queue_leases_latency_and_trajectories():
     )
     screen = render(monitor.poll())
     assert "pending 3" in screen and "running 1" in screen
-    assert "active 1" in screen and "expired 2" in screen
     assert "oldest-pending 7.5s" in screen
-    assert "w-0 hb 1.2s" in screen
     assert "latency p50" in screen and "(n=4)" in screen
     assert "wait    p50" in screen and "(n=3)" in screen
     assert "acme 4" in screen

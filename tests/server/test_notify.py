@@ -3,9 +3,9 @@
 Idle workers and ``follow=1`` streams wait on
 :meth:`JobStore.wait_for_change` instead of sleeping out a poll tick, so
 a submit is claimed, and a terminal event delivered, the moment it lands.
-The polls stay as the fallback for writers in other processes.  These
-tests use poll intervals far longer than the latencies they assert, so a
-pass proves the wake, not the poll.
+One process owns the store, so every writer notifies it and nothing
+polls: a worker's only timed wait is for a retry backoff to end, and a
+stream's is its heartbeat.
 """
 
 import collections
@@ -27,7 +27,8 @@ WATCHDOG = 120.0
 
 @pytest.fixture
 def store(tmp_path):
-    return JobStore(tmp_path / "store", lease_ttl=5.0)
+    with JobStore(tmp_path / "store") as store:
+        yield store
 
 
 def waiter(store, seen, timeout, records_only=False):
@@ -45,13 +46,12 @@ def waiter(store, seen, timeout, records_only=False):
     return done, result
 
 
-def start_workers(store, names, stop, poll_interval):
+def start_workers(store, names, stop):
     threads = []
     for name in names:
         thread = threading.Thread(
             target=Worker(store, worker_id=name).run_forever,
             args=(stop.is_set,),
-            kwargs={"poll_interval": poll_interval},
             name=name,
             daemon=True,
         )
@@ -166,10 +166,10 @@ def test_concurrent_writers_lose_no_change(store, quick_spec):
 
 
 def test_idle_worker_claims_a_submit_at_once(store, quick_spec, watchdog):
-    """With a 30 s poll, only the wake can claim the job inside 1 s."""
+    """An idle worker has no poll: only the wake can claim the job."""
     scans = count_scans(store)
     stop = threading.Event()
-    threads = start_workers(store, ["w-idle"], stop, poll_interval=30.0)
+    threads = start_workers(store, ["w-idle"], stop)
     try:
         assert wait_until(lambda: scans["w-idle"] >= 1, 10.0)
         time.sleep(0.1)  # well into the idle wait
@@ -191,26 +191,27 @@ def test_idle_worker_claims_a_submit_at_once(store, quick_spec, watchdog):
     assert queue_wait.vmax <= claimed + 0.05
 
 
-def test_submit_from_another_store_object_is_claimed_by_the_poll(
-    tmp_path, quick_spec, watchdog
-):
-    """A second ``JobStore`` on the same root stands in for a submitter in
-    another process: it cannot notify the worker's store, so the poll
-    fallback must still find the job."""
-    root = tmp_path / "store"
-    worker_store = JobStore(root, lease_ttl=5.0)
+def test_idle_worker_claims_when_the_backoff_ends(store, quick_spec, watchdog):
+    """The one timed wait: a requeued job is claimed as its backoff ends,
+    with no record change to wake the worker."""
+    record = store.submit(quick_spec)
+    gate = time.time() + 0.3
+    store.update(record.with_state(STATE_PENDING, not_before=gate))
     stop = threading.Event()
-    threads = start_workers(worker_store, ["w-poll"], stop, poll_interval=0.2)
+    threads = start_workers(store, ["w-gated"], stop)
     try:
-        record = JobStore(root, lease_ttl=5.0).submit(quick_spec)
+        assert wait_until(
+            lambda: store.get(record.job_id).state != STATE_PENDING, 10.0
+        ), "the worker slept through the end of the backoff"
+        claimed_at = time.time()
         with watchdog(WATCHDOG):
             assert wait_until(
-                lambda: worker_store.get(record.job_id).state
-                == STATE_COMPLETED,
+                lambda: store.get(record.job_id).state == STATE_COMPLETED,
                 WATCHDOG,
             )
     finally:
-        stop_workers(worker_store, stop, threads)
+        stop_workers(store, stop, threads)
+    assert gate <= claimed_at < gate + 1.0
 
 
 def test_progress_events_do_not_make_idle_workers_rescan(
@@ -219,7 +220,7 @@ def test_progress_events_do_not_make_idle_workers_rescan(
     scans = count_scans(store)
     stop = threading.Event()
     names = ["w-a", "w-b"]
-    threads = start_workers(store, names, stop, poll_interval=30.0)
+    threads = start_workers(store, names, stop)
     try:
         assert wait_until(lambda: all(scans[n] >= 1 for n in names), 10.0)
         record = store.submit(long_spec(quick_spec))
@@ -246,8 +247,8 @@ def test_progress_events_do_not_make_idle_workers_rescan(
 
 def test_follow_delivers_each_event_at_once(store):
     """An event appended while the stream idles, and the terminal
-    ``job.completed`` + ``stream.end``, reach the follower in well under
-    the stream's 0.1 s poll."""
+    ``job.completed`` + ``stream.end``, reach the follower at once, not at
+    the stream's next heartbeat."""
     api = ApiServer(store, stream_heartbeat=5.0)
     api.start()
     try:
@@ -290,12 +291,10 @@ def test_follow_delivers_each_event_at_once(store):
         assert sorted(delays)[len(delays) // 2] < 0.02, delays
 
 
-def test_stop_on_an_idle_service_returns_at_once(tmp_path, monkeypatch):
-    """Workers, reaper and API all wake on ``stop()``.  With a 30 s worker
-    poll, only the wake ends the workers in time; the reaper's 1 s
-    interval is not waited out either."""
-    monkeypatch.setattr(Worker.run_forever, "__defaults__", (30.0,))
-    service = DesignService(tmp_path / "svc", n_workers=2, lease_ttl=30.0)
+def test_stop_on_an_idle_service_returns_at_once(tmp_path):
+    """Workers and API all wake on ``stop()``: idle workers wait on the
+    store with no timeout, so only the wake can end them in time."""
+    service = DesignService(tmp_path / "svc", n_workers=2)
     service.start()
     time.sleep(0.3)  # every thread is in its idle wait
     start = time.monotonic()

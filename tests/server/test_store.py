@@ -1,6 +1,13 @@
-"""The durable job store: admission, ordering, caps, and scan hygiene."""
+"""The durable job store: ownership, admission, ordering, caps, and scan
+hygiene."""
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +15,7 @@ from repro.errors import (
     JobNotFoundError,
     JobQueueFullError,
     JobStateError,
+    JobStoreLockedError,
 )
 from repro.server import JobStore
 from repro.server.records import (
@@ -18,9 +26,81 @@ from repro.server.records import (
 )
 
 
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
 @pytest.fixture
 def store(tmp_path):
-    return JobStore(tmp_path / "store", tenant_cap=2, lease_ttl=5.0)
+    with JobStore(tmp_path / "store", tenant_cap=2) as store:
+        yield store
+
+
+def test_second_store_on_a_held_root_is_typed(store, quick_spec):
+    with pytest.raises(JobStoreLockedError, match="owned by another"):
+        JobStore(store.root)
+    record = store.submit(quick_spec)
+    store.close()
+    assert store.closed
+    assert store.get(record.job_id) == record  # reads outlive ownership
+    with pytest.raises(JobStateError, match="closed"):
+        store.update(record.with_state(STATE_RUNNING, worker="w"))
+    with JobStore(store.root) as successor:  # the root is free at once
+        assert successor.get(record.job_id) == record
+
+
+def _sleep_until_killed(ready):
+    ready.set()
+    time.sleep(600)
+
+
+def test_forked_child_does_not_keep_the_root_locked(store):
+    """A forked pool worker can outlive its server (SIGKILL orphans it);
+    its inherited copy of the lock file must not keep the root locked."""
+    ctx = multiprocessing.get_context("fork")
+    ready = ctx.Event()
+    child = ctx.Process(target=_sleep_until_killed, args=(ready,))
+    child.start()
+    try:
+        assert ready.wait(30.0)
+        store.close()  # the owner goes; the child lives on
+        with JobStore(store.root):
+            pass
+    finally:
+        child.kill()
+        child.join(30.0)
+
+
+HOLDER_SCRIPT = """
+import sys, time
+from repro.server import JobStore
+
+store = JobStore(sys.argv[1])
+print("held", flush=True)
+time.sleep(600)
+"""
+
+
+def test_store_lock_spans_processes_and_dies_with_its_owner(tmp_path):
+    root = tmp_path / "store"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    holder = subprocess.Popen(
+        [sys.executable, "-c", HOLDER_SCRIPT, str(root)],
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert holder.stdout.readline().strip() == "held"
+        with pytest.raises(JobStoreLockedError):
+            JobStore(root)
+        holder.send_signal(signal.SIGKILL)
+        holder.wait(timeout=30)
+    finally:
+        holder.kill()
+        holder.wait(timeout=30)
+        holder.stdout.close()
+    with JobStore(root):  # no TTL to wait out: the kernel freed the lock
+        pass
 
 
 def test_submit_get_round_trip(store, quick_spec):
@@ -54,6 +134,13 @@ def test_backoff_gates_claimability(store, quick_spec):
     )
     assert store.claimable() == []
     assert len(store.list_jobs()) == 1
+    assert 59.0 < store.next_claim_in() <= 60.0
+
+
+def test_nothing_gated_means_no_timed_wait(store, quick_spec):
+    assert store.next_claim_in() is None
+    store.submit(quick_spec)  # claimable now: not a gate either
+    assert store.next_claim_in() is None
 
 
 def test_tenant_cap_rejects_with_retry_after(store, quick_spec):
@@ -61,7 +148,7 @@ def test_tenant_cap_rejects_with_retry_after(store, quick_spec):
     store.submit(quick_spec, tenant="acme")
     with pytest.raises(JobQueueFullError) as excinfo:
         store.submit(quick_spec, tenant="acme")
-    assert excinfo.value.retry_after > 0
+    assert excinfo.value.retry_after == 15.0
     # Another tenant's queue is unaffected.
     store.submit(quick_spec, tenant="other")
 

@@ -5,8 +5,8 @@ contract: every durable event is delivered (within one heartbeat of being
 logged), the final lifecycle event always precedes the synthetic
 ``stream.end`` record, a vanished client costs the server nothing but one
 handler thread that exits by the next write, and a follower spanning a
-worker SIGKILL + reaper reclaim sees the whole recovery story on one
-connection.
+server SIGKILL + restart recovery sees the whole recovery story, resuming
+from its offset on the restarted server.
 """
 
 import http.client
@@ -18,11 +18,13 @@ import time
 
 import pytest
 
-from repro.server import ApiServer, DesignService, JobStore, Reaper, ServiceClient, Worker
+from repro.errors import JobError
+from repro.optimize.portfolio import PORTFOLIO_CHECKPOINT
+from repro.server import ApiServer, DesignService, JobStore, ServiceClient
 from repro.server.records import STATE_COMPLETED, STATE_RUNNING
 
 from .conftest import QUICK_PAYLOAD
-from .test_chaos import WORKER_SCRIPT, long_spec, spawn, wait_until
+from .test_chaos import client_of, kill_session, long_spec, serve, wait_until
 
 WATCHDOG = 240.0
 
@@ -35,12 +37,12 @@ HEARTBEAT = 0.5
 def api(tmp_path):
     """An API over a store with NO workers: streams idle until we act."""
     server = ApiServer(
-        JobStore(tmp_path / "store", lease_ttl=2.0),
-        stream_heartbeat=HEARTBEAT,
+        JobStore(tmp_path / "store"), stream_heartbeat=HEARTBEAT
     )
     server.start()
     yield server
     server.shutdown()
+    server.store.close()
 
 
 @pytest.fixture
@@ -70,7 +72,7 @@ def test_follow_streams_live_run_within_one_heartbeat(tmp_path, watchdog):
     one heartbeat of being written, and the final event precedes
     ``stream.end`` (reason ``completed``)."""
     service = DesignService(
-        tmp_path / "svc", n_workers=1, lease_ttl=5.0,
+        tmp_path / "svc", n_workers=1,
         stream_heartbeat=2.0,
     )
     service.start()
@@ -111,57 +113,69 @@ def test_follow_offset_skips_delivered_events(api, client):
     assert types == ["job.claimed", "job.completed", "stream.end"]
 
 
-def test_follower_spans_worker_sigkill_and_reaper_reclaim(
-    api, client, watchdog
+def test_follower_spans_server_sigkill_and_restart_recovery(
+    tmp_path, watchdog
 ):
-    """One connection observes the whole crash story: claim, SIGKILL (no
-    events -- silence), lease reclaim, resume, completion, stream end."""
-    store = api.store
-    job_id = client.submit(long_spec(dict(QUICK_PAYLOAD)))["job_id"]
-    collected, done, _ = follow_in_thread(client, job_id)
-
-    victim = spawn(WORKER_SCRIPT, store.root, store.lease_ttl)
+    """A follower observes the whole crash story: claim, SIGKILL (the
+    stream breaks with a typed error), then, following the restarted
+    server from its offset, recovery, resume, completion and stream end --
+    nothing lost, nothing delivered twice."""
+    root = tmp_path / "store"
+    first = serve(root)
+    collected, broke = [], []
     try:
-        from repro.optimize.portfolio import PORTFOLIO_CHECKPOINT
+        client = client_of(first)
+        job_id = client.submit(long_spec(dict(QUICK_PAYLOAD)))["job_id"]
 
-        ckpt = store.checkpoint_dir(job_id) / PORTFOLIO_CHECKPOINT
+        def follow():
+            try:
+                for event in client.follow_events(job_id):
+                    collected.append(event)
+            except JobError as exc:
+                broke.append(exc)
+
+        follower = threading.Thread(target=follow, daemon=True)
+        follower.start()
+        ckpt = root / "jobs" / job_id / "checkpoint" / PORTFOLIO_CHECKPOINT
         assert wait_until(ckpt.exists, WATCHDOG), "no checkpoint appeared"
-        victim.send_signal(signal.SIGKILL)
-        victim.wait(timeout=30)
+        kill_session(first)
+        follower.join(timeout=30)
+        assert not follower.is_alive(), "the stream outlived its server"
+        assert broke, "the stream ended without an error"
+
+        second = serve(root)
+        try:
+            client = client_of(second)
+            with watchdog(WATCHDOG):
+                rest = [
+                    (event, time.time())
+                    for event in client.follow_events(
+                        job_id, offset=len(collected)
+                    )
+                ]
+            events = client.events(job_id)["events"]
+        finally:
+            second.send_signal(signal.SIGTERM)
+            assert second.wait(timeout=60) == 0
+            second.stdout.close()
     finally:
-        victim.kill()
-        victim.wait(timeout=30)
+        kill_session(first)
 
-    lease_file = store.lease(job_id)
-    assert wait_until(
-        lambda: (lambda l: l is None or l.expired)(lease_file.read()),
-        WATCHDOG,
-    ), "orphaned lease never expired"
-    reaper = Reaper(store, reaper_id="r-1", retry_backoff=0.01)
-    assert wait_until(lambda: reaper.sweep() == [job_id], WATCHDOG)
-    time.sleep(0.05)  # clear the requeue backoff
-    with watchdog(WATCHDOG):
-        assert Worker(store, worker_id="w-rescue").claim_once() == job_id
-    assert done.wait(30.0), "stream never terminated after recovery"
-
-    types = [event["type"] for event, _ in collected]
-    for expected in (
-        "job.submitted",
-        "job.claimed",
-        "job.lease_reclaimed",
-        "job.resumed",
-        "job.completed",
-    ):
-        assert expected in types, (expected, types)
-    assert types[-1] == "stream.end"
-    assert collected[-1][0]["reason"] == "completed"
-    # The recovery events arrived promptly, not at stream teardown.
-    by_type = {event["type"]: arrived for event, arrived in collected[:-1]}
-    reclaim_event = next(
-        event for event, _ in collected
-        if event["type"] == "job.lease_reclaimed"
+    before = [event["type"] for event in collected]
+    assert before[:2] == ["job.submitted", "job.claimed"], before
+    after = [event["type"] for event, _ in rest]
+    for expected in ("job.recovered", "job.resumed", "job.completed"):
+        assert expected in after, (expected, after)
+    assert after[-1] == "stream.end"
+    assert rest[-1][0]["reason"] == "completed"
+    # What the follower saw before the crash, then what it resumed from
+    # its offset, is the whole log in order.
+    assert collected + [event for event, _ in rest[:-1]] == events
+    # The resume event arrived promptly, not at stream teardown.
+    resumed, arrived = next(
+        (event, at) for event, at in rest if event["type"] == "job.resumed"
     )
-    assert by_type["job.lease_reclaimed"] - reclaim_event["t_wall"] <= 5.0
+    assert arrived - resumed["t_wall"] <= 5.0
 
 
 def test_client_disconnect_releases_thread_and_socket(api, client):
@@ -212,7 +226,7 @@ def test_follow_running_job_survives_drain_with_final_event(
     through the drain window and receives ``job.interrupted`` before the
     stream closes -- the in-flight work's fate is never silent."""
     service = DesignService(
-        tmp_path / "svc", n_workers=1, lease_ttl=5.0,
+        tmp_path / "svc", n_workers=1,
         stream_heartbeat=HEARTBEAT,
     )
     service.start()

@@ -36,7 +36,6 @@ def test_traced_job_stitches_api_worker_and_pool_rows(tmp_path, watchdog):
     service = DesignService(
         tmp_path / "svc",
         n_workers=1,
-        lease_ttl=10.0,
         trace_jobs=True,
         stream_heartbeat=1.0,
     )
@@ -84,7 +83,7 @@ def test_untraced_service_never_arms_the_tracer(tmp_path, watchdog):
     is ever recorded and ``/trace`` stays a typed 409."""
     from repro.errors import JobStateError
 
-    service = DesignService(tmp_path / "svc", n_workers=1, lease_ttl=10.0)
+    service = DesignService(tmp_path / "svc", n_workers=1)
     service.start()
     try:
         client = ServiceClient(f"http://127.0.0.1:{service.port}")
@@ -122,9 +121,9 @@ def test_trace_id_rides_telemetry_config_to_pool_workers():
 def test_concurrent_jobs_trace_at_most_one_per_process(tmp_path, watchdog):
     """The global tracer is process state: with two traced jobs racing in
     one process, exactly one export exists per completed *traced* job and
-    no export ever mixes two jobs' spans (the trace lock guarantees the
+    no export ever mixes two jobs' spans (the trace slot guarantees the
     loser runs untraced)."""
-    store = JobStore(tmp_path / "store", lease_ttl=10.0)
+    store = JobStore(tmp_path / "store")
     from repro.server import validate_submission
 
     ids = [
@@ -153,7 +152,7 @@ def test_arming_a_job_trace_keeps_the_cumulative_metrics(tmp_path):
     and histograms that ``/metrics`` serves."""
     from repro.server import validate_submission
 
-    store = JobStore(tmp_path / "store", lease_ttl=10.0)
+    store = JobStore(tmp_path / "store")
     record = store.submit(validate_submission(dict(QUICK_PAYLOAD)))
     worker = Worker(store, worker_id="w-0", trace_jobs=True)
     profiling.increment("server.jobs_submitted", 3)

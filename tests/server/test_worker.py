@@ -1,4 +1,4 @@
-"""Workers and the reaper: retries, quarantine, drains, and contention."""
+"""Workers and recovery: retries, quarantine, drains, and contention."""
 
 import threading
 import time
@@ -11,7 +11,7 @@ from repro.faults import (
     FaultSpec,
     SITE_SERVER_WORKER,
 )
-from repro.server import JobStore, Reaper, Worker
+from repro.server import JobStore, Worker, recover_running
 from repro.server.records import (
     STATE_COMPLETED,
     STATE_PENDING,
@@ -24,7 +24,8 @@ WATCHDOG = 120.0
 
 @pytest.fixture
 def store(tmp_path):
-    return JobStore(tmp_path / "store", lease_ttl=5.0)
+    with JobStore(tmp_path / "store") as store:
+        yield store
 
 
 def event_types(store, job_id):
@@ -49,7 +50,6 @@ def test_worker_completes_a_job(watchdog, store, quick_spec):
     assert types[-1] == "job.completed"
     assert "portfolio.round" in types
     assert all(t.startswith(("job.", "portfolio.", "run.")) for t in types)
-    assert store.lease(record.job_id).read() is None  # released
 
 
 def test_empty_queue_claims_nothing(store):
@@ -117,7 +117,6 @@ def test_graceful_drain_requeues_without_charging_an_attempt(
     assert drained.state == STATE_PENDING
     assert drained.attempts == 0  # drains are free: not a failure
     assert "job.interrupted" in event_types(store, record.job_id)
-    assert store.lease(record.job_id).read() is None
     ckpt = store.checkpoint_dir(record.job_id)
     assert any(ckpt.iterdir())  # resumable state reached disk
     with watchdog(WATCHDOG):
@@ -154,116 +153,103 @@ def test_two_workers_one_job_exactly_one_executes(
     assert store.get(record.job_id).state == STATE_COMPLETED
 
 
-def test_reaper_ignores_live_leases(store, quick_spec):
-    record = store.submit(quick_spec)
-    store.update(record.with_state(STATE_RUNNING, worker="w-alive"))
-    lease = store.lease(record.job_id).try_acquire("w-alive")
-    assert lease is not None
-    assert Reaper(store).sweep() == []
-    assert store.get(record.job_id).state == STATE_RUNNING
+def fake_dead_owner(store, spec):
+    """A job its (dead) worker left ``running``, as a restart finds it."""
+    record = store.submit(spec)
+    return store.update(record.with_state(STATE_RUNNING, worker="w-dead"))
 
 
-def test_reaper_reclaims_expired_lease_and_requeues(store, quick_spec):
-    store = JobStore(store.root, lease_ttl=0.05)
-    record = store.submit(quick_spec)
-    store.update(record.with_state(STATE_RUNNING, worker="w-dead"))
-    assert store.lease(record.job_id).try_acquire("w-dead") is not None
-    time.sleep(0.08)  # the dead worker never heartbeats
-    reaper = Reaper(store, reaper_id="r-1", retry_backoff=0.01)
-    assert reaper.sweep() == [record.job_id]
-    reclaimed = store.get(record.job_id)
-    assert reclaimed.state == STATE_PENDING
-    assert reclaimed.attempts == 1  # the crash cost one attempt
-    assert reclaimed.worker is None
-    assert "job.lease_reclaimed" in event_types(store, record.job_id)
-    assert store.lease(record.job_id).read() is None
+def test_recovery_requeues_a_running_job(watchdog, store, quick_spec):
+    record = fake_dead_owner(store, quick_spec)
+    assert recover_running(store, retry_backoff=0.01) == [record.job_id]
+    recovered = store.get(record.job_id)
+    assert recovered.state == STATE_PENDING
+    assert recovered.attempts == 1  # the crash cost one attempt
+    assert recovered.worker is None
+    assert "w-dead" in recovered.error
+    (event,) = [
+        e for e in store.events(record.job_id) if e["type"] == "job.recovered"
+    ]
+    assert (event["dead_worker"], event["state"]) == ("w-dead", STATE_PENDING)
+    assert recover_running(store) == []  # nothing left running
+    time.sleep(0.05)  # clear the requeue backoff
+    with watchdog(WATCHDOG):
+        assert Worker(store).claim_once() == record.job_id
+    assert store.get(record.job_id).state == STATE_COMPLETED
 
 
-def test_reaper_quarantines_repeatedly_crashing_job(store, quick_spec):
-    store = JobStore(store.root, lease_ttl=0.05)
+def test_recovery_quarantines_at_max_attempts(store, quick_spec):
     spec = dict(quick_spec)
     spec["max_attempts"] = 1
-    record = store.submit(spec)
-    store.update(record.with_state(STATE_RUNNING, worker="w-dead"))
-    store.lease(record.job_id).try_acquire("w-dead")
-    time.sleep(0.08)
-    assert Reaper(store).sweep() == [record.job_id]
-    assert store.get(record.job_id).state == STATE_QUARANTINED
+    record = fake_dead_owner(store, spec)
+    assert recover_running(store) == [record.job_id]
+    final = store.get(record.job_id)
+    assert final.state == STATE_QUARANTINED
+    assert final.attempts == 1
+    types = event_types(store, record.job_id)
+    assert types[-2:] == ["job.recovered", "job.quarantined"]
 
 
-def test_reaper_commits_half_completed_jobs(store, quick_spec):
+def test_recovery_commits_half_completed_jobs(store, quick_spec):
     """A worker that died between writing the result and flipping the
-    record must not cost a re-run: the reaper commits the completion."""
-    store = JobStore(store.root, lease_ttl=0.05)
-    record = store.submit(quick_spec)
-    store.update(record.with_state(STATE_RUNNING, worker="w-dead"))
-    store.lease(record.job_id).try_acquire("w-dead")
+    record must not cost a re-run: recovery commits the completion."""
+    record = fake_dead_owner(store, quick_spec)
     store.write_result(record.job_id, {"score": 0.5, "winner": "x"})
-    time.sleep(0.08)
-    assert Reaper(store).sweep() == [record.job_id]
+    assert recover_running(store) == [record.job_id]
     final = store.get(record.job_id)
     assert final.state == STATE_COMPLETED
     assert final.attempts == 0  # the work was NOT redone
     assert store.read_result(record.job_id)["score"] == 0.5
+    types = event_types(store, record.job_id)
+    assert types[-2:] == ["job.recovered", "job.completed"]
 
 
-def test_reaper_claims_running_job_with_no_lease(store, quick_spec):
-    record = store.submit(quick_spec)
-    store.update(record.with_state(STATE_RUNNING, worker="w-gone"))
-    reaper = Reaper(store, retry_backoff=0.01)
-    assert reaper.sweep() == [record.job_id]
-    assert store.get(record.job_id).state == STATE_PENDING
-
-
-def test_reaper_unwedges_pending_job_with_orphaned_lease(
-    watchdog, store, quick_spec
-):
-    """A claimer SIGKILLed between lease acquisition and the record flip
-    to running leaves a pending job behind an expired lease.  Acquisition
-    never steals (even expired leases), so only the reaper's sweep can
-    make the job claimable again -- and it must not charge an attempt."""
-    store = JobStore(store.root, lease_ttl=0.05)
-    record = store.submit(quick_spec)
-    assert store.lease(record.job_id).try_acquire("w-dead") is not None
-    time.sleep(0.08)  # the dead claimer never flipped the record
-    assert Worker(store).claim_once() is None  # wedged: acquire refuses
-    assert Reaper(store, reaper_id="r-1").sweep() == [record.job_id]
-    unwedged = store.get(record.job_id)
-    assert unwedged.state == STATE_PENDING
-    assert unwedged.attempts == 0  # no work started, no attempt charged
-    assert store.lease(record.job_id).read() is None
-    assert "job.orphaned_lease_cleared" in event_types(store, record.job_id)
-    long_store = JobStore(store.root, lease_ttl=5.0)
-    with watchdog(WATCHDOG):
-        assert Worker(long_store).claim_once() == record.job_id
-    assert long_store.get(record.job_id).state == STATE_COMPLETED
-
-
-def test_reaper_leaves_live_claim_window_alone(store, quick_spec):
-    """A pending job whose lease is fresh is a claim in progress -- the
-    sweep must not steal it out from under the live claimer."""
-    record = store.submit(quick_spec)
-    assert store.lease(record.job_id).try_acquire("w-claiming") is not None
-    assert Reaper(store).sweep() == []
-    assert store.lease(record.job_id).read().owner == "w-claiming"
-
-
-def test_claim_releases_lease_on_unexpected_error(store, quick_spec):
-    """An unexpected exception inside the claim window (between acquire
-    and the heartbeat start) must not strand the job behind an orphaned
-    lease: the claim path releases on every exit."""
+def test_failing_claim_write_leaves_job_pending(store, quick_spec):
+    """The atomic record write is the claim: when it fails, nothing was
+    claimed and the job stays pending with no attempt charged."""
     record = store.submit(quick_spec)
     worker = Worker(store, worker_id="w-1")
-    original = store.get
+    original = store.update
 
-    def broken_get(job_id):
+    def broken_update(record):
         raise OSError("disk fell over")
 
-    store.get = broken_get
+    store.update = broken_update
     try:
         with pytest.raises(OSError, match="disk fell over"):
             worker.claim_once()
     finally:
-        store.get = original
-    assert store.lease(record.job_id).read() is None  # released, not orphaned
-    assert store.get(record.job_id).state == STATE_PENDING
+        store.update = original
+    pending = store.get(record.job_id)
+    assert pending.state == STATE_PENDING
+    assert pending.attempts == 0
+
+
+def test_failure_after_claim_requeues_with_one_attempt(
+    watchdog, store, quick_spec
+):
+    """An unexpected exception after the record flip must not strand a
+    ``running`` job with no worker: the claim path charges one attempt
+    and requeues it before the exception propagates."""
+    record = store.submit(quick_spec)
+    worker = Worker(store, worker_id="w-1", retry_backoff=0.01)
+    original = store.write_result
+
+    def broken_write_result(job_id, result):
+        raise OSError("disk fell over")
+
+    store.write_result = broken_write_result
+    try:
+        with watchdog(WATCHDOG), pytest.raises(OSError, match="disk fell"):
+            worker.claim_once()
+    finally:
+        store.write_result = original
+    requeued = store.get(record.job_id)
+    assert requeued.state == STATE_PENDING
+    assert requeued.attempts == 1
+    assert "OSError" in requeued.error
+    assert "job.failed" in event_types(store, record.job_id)
+    time.sleep(0.05)
+    with watchdog(WATCHDOG):
+        assert worker.claim_once() == record.job_id
+    assert store.get(record.job_id).state == STATE_COMPLETED
