@@ -185,6 +185,11 @@ class JobStoreLockedError(JobError):
     """
 
 
+class ServerBindError(JobError):
+    """The service cannot listen on its address (already in use, or not
+    allowed); ``repro serve`` exits 1 with this message."""
+
+
 class InjectedFaultError(ReproError):
     """A deliberate fault raised by :mod:`repro.faults` as a *library* error.
 

@@ -9,8 +9,8 @@ factorization.
 The active plan is deliberately *process-local* module state, following the
 same discipline as the worker evaluator of ``repro.optimize.parallel``: it
 is installed either by :class:`FaultInjector` in the driving process or by
-the pool initializer inside each worker (plans pickle by specs + seed and
-re-arm on arrival).
+the pool's ``_init_worker`` inside each worker as it starts (plans pickle
+by specs + seed and re-arm on arrival).
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 :class:`LinalgConfig` mirrors the :class:`~repro.profiling.TelemetryConfig`
 pattern: a small frozen (hashable, picklable) dataclass captured with
-:meth:`LinalgConfig.current` in the parent, shipped through the evaluation
-pool's initializer arguments, re-armed worker-side with
+:meth:`LinalgConfig.current` in the parent, handed to every evaluation
+pool worker as it starts, re-armed worker-side with
 :meth:`LinalgConfig.apply`, and part of the shared pool's key so flipping
 any knob never reuses workers armed with a stale setup.
 """

@@ -2,23 +2,26 @@
 
 The paper's server evaluates 64 neighboring network solutions simultaneously
 in each SA iteration.  :func:`evaluate_population` reproduces that pattern:
-score a batch of tree-parameter vectors, optionally across worker processes.
+score a batch of tree-parameter vectors, optionally across worker processes
+(the grouped Problem-2 metric, inherently sequential, always runs serially).
 
-One worker pool per process serves every stage and both fidelities.
+One worker pool per process serves every stage and both fidelities:
 :func:`score_on_pool` dispatches to a single module-level
-:class:`PersistentEvaluationPool`, keyed only by its worker count and the
-fault plan, telemetry configuration and solver configuration its workers were
-armed with; when any of them changes, the old pool is closed and a new one
-started.  Workers are stage-agnostic: each batch carries its *evaluation
-context* -- a picklable object with ``scorer()`` and ``infeasible()``, such
-as :class:`StageContext` (a staged-flow stage metric) or the portfolio's 4RM
-:class:`~repro.optimize.portfolio.ReferenceContext` -- pickled once per batch
-and named by the sha256 of those bytes.  A worker unpickles a digest it has
-not seen once and keeps the built scorer in a small LRU
-(:data:`CONTEXT_SLOTS`), so staged-SA stages, directions, portfolio
-strategies and whole jobs reuse the same warm workers, and each worker's
-:class:`~repro.optimize.runner._CandidateEvaluator` keeps its per-params
-cost cache while its context stays in the LRU.
+:class:`PersistentEvaluationPool`, replaced when its worker count, fault
+plan, telemetry or solver configuration no longer match.  The pool owns
+its workers -- forked processes on one duplex pipe each -- and keeps one
+candidate in flight per worker, waiting on pipes and process sentinels
+together, so it runs no thread.  A worker loops on ``(digest, context
+bytes, params)`` -> ``(result, recorder delta)`` and exits when the parent's
+end of its pipe closes, even after a SIGKILL of the parent.
+
+Workers are stage-agnostic: each batch carries its *evaluation context* --
+a picklable object with ``scorer()`` and ``infeasible()``, such as
+:class:`StageContext` or the portfolio's 4RM
+:class:`~repro.optimize.portfolio.ReferenceContext` -- named by the sha256
+of its pickle.  A worker builds a digest's scorer once and keeps it in a
+small LRU (:data:`CONTEXT_SLOTS`), so stages, directions, strategies and
+whole jobs reuse the same warm workers and their per-params cost caches.
 
 Error discipline (shared by the serial and parallel paths): a
 :class:`~repro.errors.ReproError` means the candidate network is illegal or
@@ -27,34 +30,31 @@ surfaces as :class:`CandidateCrashError` carrying the offending parameters.
 The ``parallel.infeasible`` / ``parallel.crashed`` profiling counters keep
 the two populations distinguishable.
 
-The grouped Problem-2 metric is inherently sequential (later candidates
-re-use the group leader's optimal pressure), so it always evaluates serially;
-the Problem-1 metrics parallelize freely.
-
 Resilience (see ``docs/ROBUSTNESS.md``): batches run with a no-progress
-timeout, bounded exponential-backoff retries that replace dead or hung
-worker processes, and -- after enough consecutive pool failures -- a
-degradation to serial in-process evaluation.  A degraded shared pool lasts
-only until the job that degraded it ends (:func:`shutdown_degraded_pool`).
-Pool-level failures surface as :class:`~repro.errors.PoolError`
-subclasses; per-candidate results already collected before a failure are
-kept, so retries only redo the missing work.
+timeout, bounded exponential-backoff retries, and -- after enough
+consecutive pool failures -- a degradation to serial in-process
+evaluation; a worker that died or hung is killed and replaced.  A degraded
+shared pool lasts only until the job that degraded it ends
+(:func:`shutdown_degraded_pool`).  Pool-level failures surface as
+:class:`~repro.errors.PoolError` subclasses; per-candidate results already
+collected before a failure are kept, so retries only redo the missing work.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import functools
 import gc
 import hashlib
 import math
+import multiprocessing
 import os
 import pickle
 import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from collections import OrderedDict, deque
+from multiprocessing.connection import Connection, wait
 from typing import (
     Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -203,30 +203,22 @@ def _context_scorer(
 # ---------------------------------------------------------------------------
 
 
-def _init_worker(
-    fault_plan=None, telemetry_config=None, linalg_config=None
-) -> None:
-    """Pool initializer: arm this worker like the parent.
-
-    Re-arms the ambient fault plan, the parent's telemetry configuration
-    (tracing on/off, span capacity), and the parent's solver configuration
-    (pressure-shift settings), so respawned workers behave identically to
-    the ones they replaced.  Evaluation contexts arrive with the tasks.
-    """
+def _init_worker(fault_plan, telemetry_config, linalg_config) -> None:
+    """Arm a new pool worker like the parent: its fault plan, telemetry
+    configuration (tracing, span capacity) and solver configuration
+    (pressure-shift settings), so a respawned worker behaves like the one
+    it replaced.  Evaluation contexts arrive with the tasks."""
     if fault_plan is not None:
         faults.set_active_plan(fault_plan)
-    if telemetry_config is not None:
-        telemetry_config.apply()
-    # Under the fork start method this process inherits the spawning
-    # thread's lane (the service worker thread's); drop it so exported
-    # spans group as a distinct pool-worker row, not the parent's.
+    telemetry_config.apply()
+    linalg_config.apply()
+    # A forked worker inherits the forking thread's lane (a service worker
+    # thread's); drop it so its spans export as a pool-worker row.
     profiling.set_thread_lane(None)
-    if linalg_config is not None:
-        linalg_config.apply()
 
 
 def _score_in_worker(digest: bytes, blob: bytes, params: np.ndarray):
-    """Worker entry point: score one candidate under a pickled context.
+    """Score one candidate under a pickled context, in a pool worker.
 
     Returns ``(result, delta)``: the worker's recorder is reset before the
     candidate and drained after it, so ``delta`` holds exactly this
@@ -255,20 +247,50 @@ def _score_in_worker(digest: bytes, blob: bytes, params: np.ndarray):
     return result, profiling.drain()
 
 
+def _worker_main(
+    conn: Connection, parent_ends: List[Connection], *config: Any
+) -> None:
+    """A pool worker's life: close the inherited ``parent_ends``,
+    :func:`_init_worker` once, then answer each ``(digest, blob, params)``
+    from ``conn`` with :func:`_score_in_worker`'s reply or typed error,
+    until the parent's end of the pipe closes."""
+    for end in parent_ends:
+        end.close()
+    _init_worker(*config)
+    try:
+        while True:
+            task = conn.recv()
+            try:
+                with crash_boundary("pool worker"):
+                    reply = _score_in_worker(*task)
+            except (ReproError, CandidateCrashError) as exc:
+                reply = exc
+            conn.send(reply)
+    except (EOFError, BrokenPipeError):
+        return  # the parent is gone
+
+
+#: Workers are forked: one starts in milliseconds, and as a child of this
+#: process its peak memory counts in this process's resource usage.
+_FORK = multiprocessing.get_context("fork")
+
+
+class _Worker(NamedTuple):
+    """One owned worker process and the parent's end of its pipe."""
+
+    process: multiprocessing.process.BaseProcess
+    conn: Connection
+
+
 # ---------------------------------------------------------------------------
 # Persistent pool
 # ---------------------------------------------------------------------------
 
 
 class PersistentEvaluationPool:
-    """A reusable, stage-agnostic worker pool.
+    """A reusable, stage-agnostic pool of owned worker processes.
 
     Args:
-        case / plan / stage / problem / fixed_pressure: Optional default
-            context, as in the staged flow (:mod:`repro.optimize.runner`):
-            :meth:`evaluate` scores under this :class:`StageContext` when it
-            is given no other.  Omit them for a pool that only scores
-            explicit contexts.
         n_workers: Worker process count (>= 1).
         timeout: No-progress timeout per batch in seconds: the batch fails
             with :class:`~repro.errors.WorkerTimeoutError` when no candidate
@@ -279,8 +301,8 @@ class PersistentEvaluationPool:
             to :data:`~repro.constants.POOL_BACKOFF_MAX`.
         degrade_after: Consecutive failed batches after which the pool
             permanently falls back to serial in-process evaluation.
-        fault_plan: Optional :class:`~repro.faults.FaultPlan` shipped to
-            every worker (chaos testing); workers re-arm it on (re)spawn.
+        fault_plan: Optional :class:`~repro.faults.FaultPlan` armed in
+            every worker (chaos testing), respawned ones included.
 
     Use as a context manager or call :meth:`close` explicitly; the shared
     pool of :func:`score_on_pool` is closed when replaced and at exit.
@@ -288,11 +310,6 @@ class PersistentEvaluationPool:
 
     def __init__(
         self,
-        case: Optional[Case] = None,
-        plan: Optional[TreePlan] = None,
-        stage: Optional[StageConfig] = None,
-        problem: Optional[str] = None,
-        fixed_pressure: Optional[float] = None,
         n_workers: int = 2,
         timeout: float = CANDIDATE_TIMEOUT,
         max_retries: int = POOL_MAX_RETRIES,
@@ -310,22 +327,12 @@ class PersistentEvaluationPool:
             raise SearchError(
                 f"degrade_after must be >= 1, got {degrade_after}"
             )
-        self.context: Optional[StageContext] = None
-        if case is not None:
-            if plan is None or stage is None or problem is None:
-                raise SearchError(
-                    "a default context needs case, plan, stage and problem"
-                )
-            self.context = StageContext(
-                case, plan, stage, problem, fixed_pressure
-            )
         self.fault_plan = fault_plan
-        #: Captured once at construction and shipped to every worker
-        #: (including respawns), like the fault plan.  Flipping tracing in
-        #: the parent therefore requires a new pool -- which
-        #: :func:`score_on_pool` starts.
+        #: Captured once and armed in every worker (respawns too), like the
+        #: fault plan: flipping tracing in the parent needs a new pool,
+        #: which :func:`score_on_pool` starts.
         self.telemetry_config = TelemetryConfig.current()
-        #: Solver configuration, captured and shipped the same way so worker
+        #: Solver configuration, captured and armed the same way so worker
         #: evaluations use the parent's pressure-shift settings.
         self.linalg_config = LinalgConfig.current()
         self.n_workers = int(n_workers)
@@ -335,18 +342,34 @@ class PersistentEvaluationPool:
         self.degrade_after = int(degrade_after)
         self._consecutive_failures = 0
         self._degraded = False
-        self._spawn_executor()
         self._closed = False
+        self._workers: List[_Worker] = []
+        for _ in range(self.n_workers):
+            self._workers.append(self._spawn())
         profiling.increment("parallel.pool_starts")
 
-    def _spawn_executor(self) -> None:
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.n_workers,
-            initializer=_init_worker,
-            initargs=(
-                self.fault_plan, self.telemetry_config, self.linalg_config
-            ),
+    def _spawn(self) -> _Worker:
+        """Fork one armed worker on a new pipe."""
+        conn, child_end = _FORK.Pipe()
+        # The worker closes its copies of this pool's parent ends, its own
+        # included, so this process's death ends its pipe (of two workers,
+        # only the later-forked can hold the other's end: exits cascade).
+        ends = [conn] + [worker.conn for worker in self._workers]
+        config = (self.fault_plan, self.telemetry_config, self.linalg_config)
+        process = _FORK.Process(
+            target=_worker_main, args=(child_end, ends, *config), daemon=True
         )
+        process.start()
+        child_end.close()
+        return _Worker(process, conn)
+
+    @staticmethod
+    def _kill(workers: Sequence[_Worker]) -> None:
+        """Kill (a hung worker ignores less), join and unpipe ``workers``."""
+        for worker in workers:
+            worker.process.kill()
+            worker.process.join()
+            worker.conn.close()
 
     def serves(self, n_workers: int, fault_plan) -> bool:
         """Whether this open pool matches ``n_workers``, ``fault_plan`` and
@@ -360,25 +383,18 @@ class PersistentEvaluationPool:
         )
 
     def evaluate(
-        self, params_list: Sequence[np.ndarray], context: Any = None
+        self, params_list: Sequence[np.ndarray], context: Any
     ) -> List[Any]:
-        """Score a batch of candidates; one result per candidate, in order.
+        """Score a batch under the evaluation ``context``: one result per
+        candidate (a cost, for a :class:`StageContext`), in order.
 
-        ``context`` is the evaluation context (default: the pool's own
-        :class:`StageContext`); results are whatever its scorer returns --
-        costs for a :class:`StageContext`.
-
-        Pool-level failures (hang, worker death) are retried with backoff
-        and worker replacement; after ``degrade_after`` consecutive failures
-        the batch -- and every later one -- completes serially in-process.
-        A :class:`~repro.errors.PoolError` escapes only when retries are
-        exhausted before degradation kicks in.
+        Pool failures (hang, worker death) are retried with backoff and
+        worker replacement; after ``degrade_after`` consecutive failures the
+        batch and every later one complete serially in-process.  A
+        :class:`~repro.errors.PoolError` escapes when retries run out first.
         """
         if self._closed:
             raise SearchError("persistent evaluation pool is closed")
-        context = self.context if context is None else context
-        if context is None:
-            raise SearchError("pool has no default evaluation context")
         payloads = [np.asarray(p, dtype=int) for p in params_list]
         if not payloads:
             return []
@@ -415,31 +431,22 @@ class PersistentEvaluationPool:
                 if self._consecutive_failures >= self.degrade_after:
                     self._degrade()
                 elif retries >= self.max_retries:
-                    # Leave the pool usable for the next batch: replace the
-                    # (dead or hung) workers before propagating.
-                    self._restart_executor()
                     raise
                 else:
+                    retries += 1
+                    left = len(payloads) - len(results)
                     profiling.increment("parallel.retries")
                     profiling.instant(
-                        "parallel.retry",
-                        attempt=retries + 1,
-                        pending=len(payloads) - len(results),
+                        "parallel.retry", attempt=retries, pending=left
                     )
                     runlog.emit_event(
                         "pool.retry",
-                        attempt=retries + 1,
-                        pending=len(payloads) - len(results),
+                        attempt=retries,
+                        pending=left,
                         consecutive_failures=self._consecutive_failures,
                     )
-                    time.sleep(
-                        min(
-                            self.backoff_base * (2.0 ** retries),
-                            POOL_BACKOFF_MAX,
-                        )
-                    )
-                    retries += 1
-                    self._restart_executor()
+                    backoff = self.backoff_base * 2.0 ** (retries - 1)
+                    time.sleep(min(backoff, POOL_BACKOFF_MAX))
         return [results[i] for i in range(len(payloads))]
 
     def _collect_parallel(
@@ -449,57 +456,64 @@ class PersistentEvaluationPool:
         pending: List[int],
         results: Dict[int, Any],
     ) -> None:
-        """One parallel attempt at the ``pending`` candidates.
-
-        Completed candidates land in ``results`` even when the attempt
-        fails part-way, so a retry only redoes the missing ones.
-        """
-        futures: Dict[Future, int] = {}
-        index: Optional[int] = None
+        """One parallel attempt at the ``pending`` candidates, one in flight
+        per worker.  Completed candidates land in ``results`` even when the
+        attempt fails part-way, so a retry only redoes the missing ones."""
+        if self._closed:
+            raise SearchError("persistent evaluation pool is closed")
+        queue, idle = deque(pending), deque(self._workers)
+        busy: Dict[_Worker, int] = {}
         try:
-            for i in pending:
-                future = self._executor.submit(
-                    _score_in_worker, *task, payloads[i]
-                )
-                futures[future] = i
-            remaining = set(futures)
-            while remaining:
-                done, _ = wait(
-                    remaining,
+            while queue or busy:
+                while queue and idle:
+                    worker = idle.popleft()
+                    index = busy[worker] = queue.popleft()
+                    # A worker that died idle refuses its candidate; its
+                    # sentinel reports it below.
+                    with contextlib.suppress(BrokenPipeError):
+                        worker.conn.send((*task, payloads[index]))
+                ready = wait(
+                    [w.conn for w in busy] + [w.process.sentinel for w in busy],
                     timeout=self.timeout,
-                    return_when=FIRST_COMPLETED,
                 )
-                if not done:
+                if not ready:
+                    left = len(busy) + len(queue)
                     profiling.increment("parallel.timeouts")
-                    profiling.instant(
-                        "parallel.timeout", pending=len(remaining)
-                    )
+                    profiling.instant("parallel.timeout", pending=left)
                     raise WorkerTimeoutError(
                         f"no candidate completed within {self.timeout:g} s "
-                        f"({len(remaining)} of {len(futures)} still pending)"
+                        f"({left} of {len(pending)} still pending)"
                     )
-                for future in done:
-                    remaining.discard(future)
-                    index = futures[future]
-                    results[index], delta = future.result()
-                    profiling.merge(delta)
-        except BrokenProcessPool as exc:
-            # From a result, or from ``submit`` when a worker died before the
-            # whole batch was handed out (then ``index`` is None).
-            profiling.increment("parallel.worker_lost")
-            profiling.instant("parallel.worker_lost", candidate=index)
-            raise WorkerLostError(
-                f"worker process died (last candidate {index})"
-            ) from exc
-        except CandidateCrashError:
-            profiling.increment("parallel.crashed")
-            # The executor stays in service: drop the batch's leftovers.
-            # Every other failure replaces the executor, whose manager
-            # thread then fails the leftovers itself; cancelling them here
-            # would race its ``set_exception`` (``InvalidStateError``).
-            for future in futures:
-                future.cancel()
-            raise
+                lost: Optional[int] = None
+                for worker in list(busy):
+                    if worker.conn in ready or worker.process.sentinel in ready:
+                        try:  # a dead worker's pipe polls ready at its end
+                            reply = worker.conn.poll() and worker.conn.recv()
+                        except (EOFError, OSError):
+                            reply = None
+                        if not reply:
+                            lost = busy[worker]
+                            continue
+                        if isinstance(reply, CandidateCrashError):
+                            profiling.increment("parallel.crashed")
+                        if isinstance(reply, BaseException):
+                            raise reply
+                        results[busy.pop(worker)], delta = reply
+                        profiling.merge(delta)
+                        idle.append(worker)
+                if lost is not None:
+                    profiling.increment("parallel.worker_lost")
+                    profiling.instant("parallel.worker_lost", candidate=lost)
+                    raise WorkerLostError(
+                        f"worker process died (last candidate {lost})"
+                    )
+        finally:  # each busy worker died, hangs or holds a stale candidate
+            self._kill(list(busy))
+            if not self._closed:
+                for worker in busy:
+                    slot = self._workers.index(worker)
+                    self._workers[slot] = self._spawn()
+                    profiling.increment("parallel.worker_replacements")
 
     def _evaluate_serial(
         self,
@@ -518,8 +532,6 @@ class PersistentEvaluationPool:
 
     def _degrade(self) -> None:
         """Permanently switch to serial evaluation (correctness first)."""
-        if self._degraded:
-            return
         self._degraded = True
         profiling.increment("parallel.degraded")
         profiling.instant(
@@ -531,21 +543,8 @@ class PersistentEvaluationPool:
             consecutive_failures=self._consecutive_failures,
             n_workers=self.n_workers,
         )
-        self._terminate_workers()
-        self._executor.shutdown(wait=False)
-
-    def _restart_executor(self) -> None:
-        """Replace every worker process with a fresh one."""
-        self._terminate_workers()
-        self._executor.shutdown(wait=False)
-        self._spawn_executor()
-        profiling.increment("parallel.worker_replacements")
-
-    def _terminate_workers(self) -> None:
-        """Forcibly kill worker processes (hung workers ignore shutdown)."""
-        processes = getattr(self._executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            process.terminate()
+        workers, self._workers = self._workers, []
+        self._kill(workers)
 
     @property
     def degraded(self) -> bool:
@@ -553,15 +552,11 @@ class PersistentEvaluationPool:
         return self._degraded
 
     def close(self) -> None:
-        """Shut the worker processes down (idempotent).
-
-        Workers are terminated, not joined: a hung worker must not be able
-        to stall interpreter exit.
-        """
+        """Kill and join the worker processes (idempotent)."""
         if not self._closed:
             self._closed = True
-            self._terminate_workers()
-            self._executor.shutdown(wait=False)
+            workers, self._workers = self._workers, []
+            self._kill(workers)
 
     @property
     def closed(self) -> bool:
@@ -645,12 +640,11 @@ def shutdown_pools() -> None:
 
 atexit.register(shutdown_pools)
 
-# A forked worker inherits the parent's unreachable objects.  When its cyclic
+# A forked worker inherits the parent's unreachable objects.  If its cyclic
 # collector freed one whose finalizer takes a lock another parent thread held
-# at the fork -- a shut-down executor's ``shutdown_lock``, which its manager
-# thread holds while it joins workers -- the worker hung for good.  Frozen
-# objects are never collected, so the heap is frozen across every fork: the
-# worker keeps the inherited objects frozen, the parent thaws them at once.
+# at the fork, the worker would hang for good.  Frozen objects are never
+# collected, so the heap is frozen across every fork: the worker keeps the
+# inherited objects frozen, the parent thaws them at once.
 os.register_at_fork(before=gc.freeze, after_in_parent=gc.unfreeze)
 
 
@@ -667,7 +661,6 @@ def evaluate_population(
     params_list: Sequence[np.ndarray],
     fixed_pressure: Optional[float] = None,
     n_workers: int = 1,
-    pool: Optional[PersistentEvaluationPool] = None,
 ) -> List[float]:
     """Score a batch of candidate parameter vectors.
 
@@ -675,9 +668,8 @@ def evaluate_population(
         case / plan / stage / problem / fixed_pressure: As in the staged
             flow (:mod:`repro.optimize.runner`).
         params_list: Candidate (n_trees, 2) arrays.
-        n_workers: Worker processes; 1 evaluates serially in-process.
-        pool: An explicit :class:`PersistentEvaluationPool` to dispatch to;
-            by default the process's shared pool (:func:`score_on_pool`).
+        n_workers: Worker processes; 1 evaluates serially in-process, more
+            dispatch to the process's shared pool (:func:`score_on_pool`).
 
     Returns:
         One cost per candidate (``inf`` for illegal/infeasible networks).
@@ -690,15 +682,10 @@ def evaluate_population(
         return []
     context = StageContext(case, plan, stage, problem, fixed_pressure)
     # The grouped metric is stateful across candidates and must stay serial
-    # no matter what was requested; otherwise go parallel when a pool was
-    # handed in or more than one worker was asked for.
-    if stage.metric == METRIC_MIN_GRADIENT_CAPPED or (
-        pool is None and n_workers == 1
-    ):
+    # no matter how many workers were asked for.
+    if stage.metric == METRIC_MIN_GRADIENT_CAPPED or n_workers == 1:
         scorer = context.scorer()
         costs = [scorer(params) for params in params_list]
         count_scored(costs)
         return costs
-    if pool is not None:
-        return pool.evaluate(params_list, context)
     return score_on_pool(context, params_list, n_workers)

@@ -564,6 +564,13 @@ class Profiler:
 GLOBAL = Profiler()
 
 
+# A forked child gets the recorder a new lock: another thread of the parent
+# may have held the old one at the fork, and no child thread would free it.
+os.register_at_fork(
+    after_in_child=lambda: setattr(GLOBAL, "_lock", threading.Lock())
+)
+
+
 def increment(name: str, amount: int = 1) -> None:
     """Add to a counter on the global recorder."""
     GLOBAL.increment(name, amount)
@@ -671,7 +678,7 @@ def histogram_summaries(snap: Optional[dict] = None) -> Dict[str, dict]:
 class TelemetryConfig:
     """The picklable slice of tracing state workers must mirror.
 
-    Shipped in the evaluation pool's initializer arguments (like the fault
+    Handed to every evaluation pool worker as it starts (like the fault
     plan) so respawned workers re-arm tracing identically; also part of the
     shared pool's key, so flipping tracing starts a new pool.
     """

@@ -26,6 +26,7 @@ from ..errors import (
     JobStateError,
     JobStoreLockedError,
     JobValidationError,
+    ServerBindError,
 )
 from .api import ApiServer
 from .client import ServiceClient
@@ -65,6 +66,7 @@ __all__ = [
     "STATE_PENDING",
     "STATE_QUARANTINED",
     "STATE_RUNNING",
+    "ServerBindError",
     "ServiceClient",
     "SimulationExecutor",
     "TERMINAL_STATES",

@@ -51,6 +51,7 @@ from ..errors import (
     JobQueueFullError,
     JobStateError,
     JobValidationError,
+    ServerBindError,
 )
 from ..telemetry.promexpo import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from .jobstore import JobStore
@@ -109,7 +110,8 @@ class ApiServer:
     Args:
         store: The durable queue all requests operate on.
         host / port: Bind address (``port=0`` picks a free port; see
-            :attr:`port` after construction).
+            :attr:`port` after construction).  One that cannot be bound
+            raises :class:`~repro.errors.ServerBindError`.
         ready_check: Extra readiness predicate composed into ``/readyz``
             (the service wires pool/worker health through this).
         max_queue_depth: ``/readyz`` reports not-ready once this many
@@ -153,7 +155,12 @@ class ApiServer:
             def do_POST(self) -> None:  # noqa: N802 (http.server API)
                 api._dispatch(self, "POST")
 
-        self.httpd = ThreadingHTTPServer((host, port), _Handler)
+        try:
+            self.httpd = ThreadingHTTPServer((host, port), _Handler)
+        except OSError as exc:
+            raise ServerBindError(
+                f"cannot listen on {host}:{port}: {exc.strerror or exc}"
+            ) from exc
         self.httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
 

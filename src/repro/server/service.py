@@ -10,7 +10,9 @@ runs them:
   executing jobs (simulation-mode executor by default),
 * one :class:`~repro.server.api.ApiServer` exposing the HTTP routes, with
   a readiness hook that reports dead worker threads and evaluation-pool
-  degradation (the ``parallel.degraded`` counter).
+  degradation (the ``parallel.degraded`` counter); an address it cannot
+  listen on fails with :class:`~repro.errors.ServerBindError` and frees
+  the root again.
 
 Start-up first settles the jobs a dead predecessor left ``running``
 (:func:`~repro.server.worker.recover_running`), then starts the workers
@@ -35,6 +37,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from .. import profiling
+from ..errors import ServerBindError
 from ..telemetry import runlog
 from .api import ApiServer
 from .executor import Executor, SimulationExecutor
@@ -86,13 +89,17 @@ class DesignService:
             )
             for i in range(max(n_workers, 1))
         ]
-        self.api = ApiServer(
-            self.store,
-            host=host,
-            port=port,
-            ready_check=self._ready_check,
-            stream_heartbeat=stream_heartbeat,
-        )
+        try:
+            self.api = ApiServer(
+                self.store,
+                host=host,
+                port=port,
+                ready_check=self._ready_check,
+                stream_heartbeat=stream_heartbeat,
+            )
+        except ServerBindError:
+            self.store.close()  # free the root for the next try
+            raise
         self._threads: List[threading.Thread] = []
         self._run_log = runlog.RunLog(run_log) if run_log else None
 

@@ -53,7 +53,7 @@ from repro.iccad2015 import load_case
 from repro.iccad2015.io import read_floorplan, write_floorplan
 from repro.materials import WATER
 from repro.networks import serpentine_network
-from repro.optimize.parallel import PersistentEvaluationPool
+from repro.optimize.parallel import PersistentEvaluationPool, StageContext
 from repro.optimize.runner import PROBLEM_PUMPING_POWER
 from repro.optimize.stages import METRIC_LOWEST_FEASIBLE_POWER, StageConfig
 
@@ -100,25 +100,20 @@ def candidates(case):
 
 
 @pytest.fixture(scope="module")
-def baseline_costs(case, candidates):
-    plan = case.tree_plan()
-    with PersistentEvaluationPool(
-        case, plan, STAGE, PROBLEM_PUMPING_POWER, n_workers=2
-    ) as pool:
-        return pool.evaluate(candidates)
+def context(case):
+    return StageContext(case, case.tree_plan(), STAGE, PROBLEM_PUMPING_POWER)
 
 
-def make_pool(case, fault_plan, **kwargs):
+@pytest.fixture(scope="module")
+def baseline_costs(context, candidates):
+    with PersistentEvaluationPool(n_workers=2) as pool:
+        return pool.evaluate(candidates, context)
+
+
+def make_pool(fault_plan, **kwargs):
     kwargs.setdefault("n_workers", 2)
     kwargs.setdefault("backoff_base", 0.01)
-    return PersistentEvaluationPool(
-        case,
-        case.tree_plan(),
-        STAGE,
-        PROBLEM_PUMPING_POWER,
-        fault_plan=fault_plan,
-        **kwargs,
-    )
+    return PersistentEvaluationPool(fault_plan=fault_plan, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -238,27 +233,27 @@ def test_injected_crash_translates_to_candidate_crash(
 # ---------------------------------------------------------------------------
 
 
-def test_worker_crash_is_typed(watchdog, case, candidates):
+def test_worker_crash_is_typed(watchdog, context, candidates):
     fp = FaultPlan(
         [FaultSpec(site=SITE_PARALLEL_WORKER, kind="raise-crash", max_fires=1)],
         seed=3,
     )
-    with watchdog(WATCHDOG), make_pool(case, fp) as pool:
+    with watchdog(WATCHDOG), make_pool(fp) as pool:
         with pytest.raises(CandidateCrashError, match="injected crash"):
-            pool.evaluate(candidates)
+            pool.evaluate(candidates, context)
 
 
-def test_worker_injected_infeasibility_scores_inf(watchdog, case, candidates):
+def test_worker_injected_infeasibility_scores_inf(watchdog, context, candidates):
     fp = FaultPlan(
         [FaultSpec(site=SITE_PARALLEL_WORKER, kind="raise-infeasible")],
         seed=3,
     )
-    with watchdog(WATCHDOG), make_pool(case, fp) as pool:
-        costs = pool.evaluate(candidates)
+    with watchdog(WATCHDOG), make_pool(fp) as pool:
+        costs = pool.evaluate(candidates, context)
     assert costs == [math.inf] * len(candidates)
 
 
-def test_worker_death_recovers(watchdog, case, candidates, baseline_costs):
+def test_worker_death_recovers(watchdog, context, candidates, baseline_costs):
     fp = FaultPlan(
         [
             FaultSpec(
@@ -270,42 +265,42 @@ def test_worker_death_recovers(watchdog, case, candidates, baseline_costs):
         ],
         seed=3,
     )
-    with watchdog(WATCHDOG), make_pool(case, fp) as pool:
-        costs = pool.evaluate(candidates)
+    with watchdog(WATCHDOG), make_pool(fp) as pool:
+        costs = pool.evaluate(candidates, context)
     assert costs == baseline_costs
 
 
-def test_worker_slow_recovers(watchdog, case, candidates, baseline_costs):
+def test_worker_slow_recovers(watchdog, context, candidates, baseline_costs):
     fp = FaultPlan(
         [FaultSpec(site=SITE_PARALLEL_WORKER, kind="slow", delay=0.02)],
         seed=3,
     )
-    with watchdog(WATCHDOG), make_pool(case, fp) as pool:
-        costs = pool.evaluate(candidates)
+    with watchdog(WATCHDOG), make_pool(fp) as pool:
+        costs = pool.evaluate(candidates, context)
     assert costs == baseline_costs
 
 
-def test_worker_hang_is_typed_timeout(watchdog, case, candidates):
+def test_worker_hang_is_typed_timeout(watchdog, context, candidates):
     fp = FaultPlan(
         [FaultSpec(site=SITE_PARALLEL_WORKER, kind="hang", delay=30.0)],
         seed=3,
     )
     with watchdog(WATCHDOG), make_pool(
-        case, fp, timeout=0.5, max_retries=1, degrade_after=99
+        fp, timeout=0.5, max_retries=1, degrade_after=99
     ) as pool:
         with pytest.raises(WorkerTimeoutError, match="no candidate"):
-            pool.evaluate(candidates)
+            pool.evaluate(candidates, context)
 
 
-def test_dispatch_fault_is_typed(watchdog, case, candidates):
+def test_dispatch_fault_is_typed(watchdog, context, candidates):
     fp = FaultPlan(
         [FaultSpec(site=SITE_PARALLEL_DISPATCH, kind="raise-infeasible")],
         seed=3,
     )
     with watchdog(WATCHDOG), FaultInjector(fp):
-        with make_pool(case, None) as pool:
+        with make_pool(None) as pool:
             with pytest.raises(InjectedFaultError, match="parallel.dispatch"):
-                pool.evaluate(candidates)
+                pool.evaluate(candidates, context)
 
 
 # ---------------------------------------------------------------------------

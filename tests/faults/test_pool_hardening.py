@@ -2,9 +2,10 @@
 
 import gc
 import math
+import os
+import signal
 import threading
 import weakref
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.faults import FaultInjector, FaultPlan, FaultSpec, SITE_PARALLEL_WORK
 from repro.iccad2015 import load_case
 from repro.optimize.parallel import (
     PersistentEvaluationPool,
+    StageContext,
     evaluate_population,
     shutdown_pools,
 )
@@ -43,11 +45,14 @@ def candidates(case):
 
 
 @pytest.fixture(scope="module")
-def baseline_costs(case, candidates):
-    with PersistentEvaluationPool(
-        case, case.tree_plan(), STAGE, PROBLEM_PUMPING_POWER, n_workers=2
-    ) as pool:
-        return pool.evaluate(candidates)
+def context(case):
+    return StageContext(case, case.tree_plan(), STAGE, PROBLEM_PUMPING_POWER)
+
+
+@pytest.fixture(scope="module")
+def baseline_costs(context, candidates):
+    with PersistentEvaluationPool(n_workers=2) as pool:
+        return pool.evaluate(candidates, context)
 
 
 class CollectingContext:
@@ -67,17 +72,10 @@ class CollectingContext:
         return math.inf
 
 
-def make_pool(case, fault_plan=None, **kwargs):
+def make_pool(fault_plan=None, **kwargs):
     kwargs.setdefault("n_workers", 2)
     kwargs.setdefault("backoff_base", 0.01)
-    return PersistentEvaluationPool(
-        case,
-        case.tree_plan(),
-        STAGE,
-        PROBLEM_PUMPING_POWER,
-        fault_plan=fault_plan,
-        **kwargs,
-    )
+    return PersistentEvaluationPool(fault_plan=fault_plan, **kwargs)
 
 
 def death_plan(**spec_kwargs):
@@ -93,7 +91,7 @@ def death_plan(**spec_kwargs):
 
 class TestTimeoutAndRetry:
     def test_hang_times_out_then_retry_recovers(
-        self, watchdog, case, candidates, baseline_costs
+        self, watchdog, context, candidates, baseline_costs
     ):
         # Each worker hangs on its *second* candidate: the first attempt
         # makes partial progress then times out; the respawned workers
@@ -109,8 +107,8 @@ class TestTimeoutAndRetry:
             ],
             seed=3,
         )
-        with watchdog(WATCHDOG), make_pool(case, fp, timeout=5.0) as pool:
-            costs = pool.evaluate(candidates)
+        with watchdog(WATCHDOG), make_pool(fp, timeout=5.0) as pool:
+            costs = pool.evaluate(candidates, context)
         assert costs == baseline_costs
         counters = profiling.snapshot()["counters"]
         assert counters.get("parallel.timeouts", 0) >= 1
@@ -118,54 +116,44 @@ class TestTimeoutAndRetry:
         assert not pool.degraded
 
     def test_worker_death_replaced_and_recovers(
-        self, watchdog, case, candidates, baseline_costs
+        self, watchdog, context, candidates, baseline_costs
     ):
         fp = death_plan(after=1, max_fires=1)
-        with watchdog(WATCHDOG), make_pool(case, fp) as pool:
-            costs = pool.evaluate(candidates)
+        with watchdog(WATCHDOG), make_pool(fp) as pool:
+            costs = pool.evaluate(candidates, context)
         assert costs == baseline_costs
         counters = profiling.snapshot()["counters"]
         assert counters.get("parallel.worker_lost", 0) >= 1
         assert counters.get("parallel.retries", 0) >= 1
 
     def test_pool_broken_at_submit_is_a_lost_worker(
-        self, watchdog, case, candidates, baseline_costs
+        self, watchdog, context, candidates, baseline_costs
     ):
-        """A worker can die while a batch is still being handed out; then
-        ``submit`` itself raises ``BrokenProcessPool``, which must take the
-        same retry path as a death seen through a result."""
-
-        class BrokenAtSubmit:
-            def submit(self, *args, **kwargs):
-                raise BrokenProcessPool("a worker died during dispatch")
-
-            def shutdown(self, *args, **kwargs):
-                pass
-
-        with watchdog(WATCHDOG), make_pool(case) as pool:
-            real = pool._executor
-            pool._executor = BrokenAtSubmit()
-            try:
-                costs = pool.evaluate(candidates)
-            finally:
-                real.shutdown(wait=False, cancel_futures=True)
+        """A worker can die while idle, between batches; then handing it
+        the next batch's candidate fails at once, which must take the same
+        retry path as a death seen through a result."""
+        with watchdog(WATCHDOG), make_pool() as pool:
+            victim = pool._workers[0].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            costs = pool.evaluate(candidates, context)
         assert costs == baseline_costs
         counters = profiling.snapshot()["counters"]
         assert counters.get("parallel.worker_lost", 0) >= 1
         assert counters.get("parallel.retries", 0) >= 1
 
     def test_retries_exhausted_raises_typed_error(
-        self, watchdog, case, candidates
+        self, watchdog, context, candidates
     ):
         fp = FaultPlan(
             [FaultSpec(site=SITE_PARALLEL_WORKER, kind="hang", delay=30.0)],
             seed=3,
         )
         with watchdog(WATCHDOG), make_pool(
-            case, fp, timeout=0.3, max_retries=1, degrade_after=99
+            fp, timeout=0.3, max_retries=1, degrade_after=99
         ) as pool:
             with pytest.raises(WorkerTimeoutError):
-                pool.evaluate(candidates)
+                pool.evaluate(candidates, context)
         counters = profiling.snapshot()["counters"]
         assert counters.get("parallel.timeouts", 0) == 2
         assert counters.get("parallel.retries", 0) == 1
@@ -173,11 +161,11 @@ class TestTimeoutAndRetry:
 
 class TestDegradation:
     def test_persistent_deaths_degrade_to_serial(
-        self, watchdog, case, candidates, baseline_costs
+        self, watchdog, context, candidates, baseline_costs
     ):
         fp = death_plan()  # rate 1.0: every worker dies on every candidate
-        with watchdog(WATCHDOG), make_pool(case, fp) as pool:
-            costs = pool.evaluate(candidates)
+        with watchdog(WATCHDOG), make_pool(fp) as pool:
+            costs = pool.evaluate(candidates, context)
             assert pool.degraded
             assert costs == baseline_costs
             counters = profiling.snapshot()["counters"]
@@ -186,31 +174,29 @@ class TestDegradation:
 
             # Once degraded, later batches stay serial with no new failures.
             failures_before = counters.get("parallel.pool_failures", 0)
-            assert pool.evaluate(candidates) == baseline_costs
+            assert pool.evaluate(candidates, context) == baseline_costs
             after = profiling.snapshot()["counters"]
             assert after.get("parallel.pool_failures", 0) == failures_before
             assert after.get("parallel.serial_fallback") == 2 * len(candidates)
 
     def test_degraded_pool_never_fires_worker_faults(
-        self, watchdog, case, candidates
+        self, watchdog, context, candidates
     ):
         # The parallel.worker site lives only inside pool workers: the
         # serial-degradation path must never execute worker-death faults in
         # the parent (that would kill the test process).
         fp = death_plan()
-        with watchdog(WATCHDOG), make_pool(case, fp) as pool:
-            costs = pool.evaluate(candidates)
+        with watchdog(WATCHDOG), make_pool(fp) as pool:
+            costs = pool.evaluate(candidates, context)
         assert all(math.isfinite(c) or math.isinf(c) for c in costs)
 
 
 class TestCachedDispatch:
     """The evaluate_population front door under an ambient fault plan."""
 
-    def test_empty_batch_short_circuits(self, case):
-        with PersistentEvaluationPool(
-            case, case.tree_plan(), STAGE, PROBLEM_PUMPING_POWER, n_workers=2
-        ) as pool:
-            assert pool.evaluate([]) == []
+    def test_empty_batch_short_circuits(self, context):
+        with PersistentEvaluationPool(n_workers=2) as pool:
+            assert pool.evaluate([], context) == []
 
     def test_ambient_plan_reaches_cached_pool(
         self, watchdog, case, candidates, baseline_costs
@@ -243,15 +229,15 @@ class TestCachedDispatch:
 
 
 class TestLifecycleAndValidation:
-    def test_reuse_after_close_raises(self, case, candidates):
-        pool = make_pool(case)
+    def test_reuse_after_close_raises(self, context, candidates):
+        pool = make_pool()
         pool.close()
         assert pool.closed
         with pytest.raises(SearchError, match="closed"):
-            pool.evaluate(candidates)
+            pool.evaluate(candidates, context)
 
-    def test_close_is_idempotent(self, case):
-        pool = make_pool(case)
+    def test_close_is_idempotent(self):
+        pool = make_pool()
         pool.close()
         pool.close()
         assert pool.closed
@@ -265,16 +251,15 @@ class TestLifecycleAndValidation:
             ({"degrade_after": 0}, "degrade_after"),
         ],
     )
-    def test_bad_parameters_rejected(self, case, kwargs, match):
+    def test_bad_parameters_rejected(self, kwargs, match):
         with pytest.raises(SearchError, match=match):
-            make_pool(case, **kwargs)
+            make_pool(**kwargs)
 
     def test_worker_never_collects_garbage_inherited_at_fork(self):
         """A forked worker inherits the parent's unreachable objects.  If
         its collector freed one whose finalizer takes a lock some parent
-        thread held at the fork -- a shut-down executor's
-        ``shutdown_lock``, held by its manager thread while it joins
-        workers -- the worker would hang; so it must never free them."""
+        thread held at the fork, the worker would hang; so it must never
+        free them."""
         held = threading.Lock()
 
         class Cycle:

@@ -3,9 +3,14 @@
 import contextlib
 import hashlib
 import math
+import os
 import pickle
+import signal
+import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,22 +197,22 @@ class TestErrorDiscipline:
         # context's scorer imports.
         monkeypatch.setattr(runner, "_CandidateEvaluator", _Broken)
         plan = case.tree_plan()
-        with PersistentEvaluationPool(
-            case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER,
-            fixed_pressure=FIXED_PRESSURE, n_workers=2,
-        ) as pool:
+        context = StageContext(
+            case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, FIXED_PRESSURE
+        )
+        with PersistentEvaluationPool(n_workers=2) as pool:
             with pytest.raises(CandidateCrashError, match="boom in worker"):
-                pool.evaluate([plan.params()])
+                pool.evaluate([plan.params()], context)
 
     def test_infeasible_does_not_crash_worker(self, case):
         """An illegal candidate in a worker is just ``inf``, no exception."""
         plan = case.tree_plan()
         bad = np.zeros((plan.params().shape[0] + 1, 2), dtype=int)
-        with PersistentEvaluationPool(
-            case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER,
-            fixed_pressure=FIXED_PRESSURE, n_workers=2,
-        ) as pool:
-            costs = pool.evaluate([plan.params(), bad])
+        context = StageContext(
+            case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, FIXED_PRESSURE
+        )
+        with PersistentEvaluationPool(n_workers=2) as pool:
+            costs = pool.evaluate([plan.params(), bad], context)
         assert math.isfinite(costs[0])
         assert math.isinf(costs[1])
 
@@ -231,20 +236,19 @@ class TestPersistentPool:
 
     def test_explicit_pool_and_close(self, case):
         plan = case.tree_plan()
-        pool = PersistentEvaluationPool(
-            case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER,
-            fixed_pressure=FIXED_PRESSURE, n_workers=2,
+        context = StageContext(
+            case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, FIXED_PRESSURE
         )
-        costs = evaluate_population(
-            case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, [plan.params()],
-            fixed_pressure=FIXED_PRESSURE, n_workers=2, pool=pool,
-        )
+        pool = PersistentEvaluationPool(n_workers=2)
+        costs = pool.evaluate([plan.params()], context)
         assert len(costs) == 1 and math.isfinite(costs[0])
+        workers = [worker.process for worker in pool._workers]
         pool.close()
         assert pool.closed
+        assert all(process.exitcode is not None for process in workers)
         pool.close()  # idempotent
         with pytest.raises(SearchError):
-            pool.evaluate([plan.params()])
+            pool.evaluate([plan.params()], context)
 
     def test_worker_counters_reach_parent(self, case):
         """Solver activity inside workers shows up in the parent profiler."""
@@ -259,12 +263,9 @@ class TestPersistentPool:
         assert profiling.counter("cooling.simulations") == 2
         assert profiling.counter("thermal.solves") == 2
 
-    def test_bad_pool_workers(self, case):
-        plan = case.tree_plan()
+    def test_bad_pool_workers(self):
         with pytest.raises(SearchError):
-            PersistentEvaluationPool(
-                case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, n_workers=0
-            )
+            PersistentEvaluationPool(n_workers=0)
 
     def test_shutdown_pools_closes_cached(self, case):
         from repro.optimize import parallel
@@ -346,7 +347,7 @@ class TestPersistentPool:
             case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, batch, **kwargs
         )
         old = parallel._shared_pool
-        workers = list(old._executor._processes.values())
+        workers = [worker.process for worker in old._workers]
         assert workers
         changes = {
             "tracing": lambda: telemetry_tracing(True),
@@ -464,11 +465,65 @@ class TestPersistentPool:
         assert got == expected
         assert profiling.counter("parallel.pool_starts") == 1
 
-    def test_pool_without_context_needs_one(self, case):
+    def test_running_batch_starts_no_thread(self, case):
+        """The pool waits on its workers' pipes itself: a batch leaves no
+        thread behind, not even on a worker's first use."""
         plan = case.tree_plan()
-        with PersistentEvaluationPool(n_workers=1) as pool:
-            with pytest.raises(SearchError, match="context"):
-                pool.evaluate([plan.params()])
+        context = StageContext(
+            case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, FIXED_PRESSURE
+        )
+        batch = [plan.params(), plan.clamp_params(plan.params() + 2)] * 2
+        with PersistentEvaluationPool(n_workers=2) as pool:
+            threads = threading.active_count()
+            pool.evaluate(batch, context)
+            assert threading.active_count() == threads
+
+
+POOL_OWNER = """
+import time
+from repro.optimize.parallel import PersistentEvaluationPool
+
+pool = PersistentEvaluationPool(n_workers=2)
+print(*(worker.process.pid for worker in pool._workers), flush=True)
+time.sleep(120)
+"""
+
+
+def process_ended(pid):
+    """Whether ``pid`` is gone or a zombie waiting for its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="reads process states from /proc"
+)
+def test_workers_exit_when_their_parent_is_killed():
+    """SIGKILL leaves a pool no chance to close: its workers must notice
+    the parent's end of their pipes closing and exit by themselves."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    owner = subprocess.Popen(
+        [sys.executable, "-c", POOL_OWNER],
+        env=env, stdout=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        pids = [int(pid) for pid in owner.stdout.readline().split()]
+        assert len(pids) == 2
+        owner.send_signal(signal.SIGKILL)
+        owner.wait(timeout=30)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not all(map(process_ended, pids)):
+            time.sleep(0.01)
+        assert all(map(process_ended, pids)), "orphaned workers still alive"
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(owner.pid, signal.SIGKILL)
+        owner.wait(timeout=30)
+        owner.stdout.close()
 
 
 def batch_anneal(batch_cost, neighbor, config, batch_size):

@@ -1,6 +1,7 @@
 """The HTTP API: status codes, backpressure, health, readiness, drain."""
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -11,6 +12,7 @@ from repro.errors import (
     JobQueueFullError,
     JobStateError,
     JobValidationError,
+    ServerBindError,
 )
 from repro.server import ApiServer, DesignService, JobStore, ServiceClient
 
@@ -299,3 +301,15 @@ def test_graceful_stop_drains_in_flight_jobs(tmp_path, watchdog):
         assert store.get(job_id).state == "completed"
     finally:
         revived.stop()
+
+
+def test_taken_port_is_a_typed_error_and_frees_the_root(tmp_path):
+    root = tmp_path / "svc"
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        with pytest.raises(ServerBindError, match=f"127.0.0.1:{port}"):
+            DesignService(root, port=port)
+    with JobStore(root):  # the failed service let go of its root
+        pass

@@ -6,11 +6,12 @@ One process owns a store root.  Each scenario kills a real OS process
 handlers run -- then proves the next owner of the root restores the queue
 to a coherent state:
 
-* server killed mid-optimization: a restart on the same root starts at
-  once (the kernel freed the store lock, and the killed server's orphaned
-  pool workers do not hold it), recovery charges the crash as one
-  attempt, the job resumes from its checkpoint, and the final score
-  bitwise-matches a never-interrupted run of the same spec;
+* server killed mid-optimization: its pool workers see their pipes close
+  and exit on their own, so no process of the killed server is left; a
+  restart on the same root and the same port starts at once, recovery
+  charges the crash as one attempt, the job resumes from its checkpoint,
+  and the final score bitwise-matches a never-interrupted run of the same
+  spec;
 * submitter killed mid-burst: every acknowledged job id has a complete,
   CRC-valid record; crash debris is at worst an empty job dir, never a
   torn record;
@@ -23,6 +24,7 @@ A second server on a held root is refused with the typed error.
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -73,13 +75,14 @@ def spawn(script, *argv):
     )
 
 
-def serve(root):
-    """``repro serve`` on ``root`` in its own session, so the pool workers
-    a SIGKILL orphans can be killed with it (:func:`kill_session`)."""
+def serve(root, port=0):
+    """``repro serve`` on ``root`` in its own session, so a test can watch
+    every process it started (:func:`session_ended`) and clean up after a
+    failure (:func:`kill_session`)."""
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
-            "--root", str(root), "--port", "0", "--workers", "1",
+            "--root", str(root), "--port", str(port), "--workers", "1",
         ],
         env=child_env(),
         stdout=subprocess.PIPE,
@@ -95,6 +98,19 @@ def client_of(server):
     match = re.search(r"http://[0-9.]+:([0-9]+)", line)
     assert match, f"repro serve did not start: {line!r}"
     return ServiceClient(f"http://127.0.0.1:{match.group(1)}", timeout=30.0)
+
+
+def session_ended(sid):
+    """Whether no process of session ``sid`` is alive (a zombie waiting
+    for its reaper has ended)."""
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # the process ended while we looked
+        if fields[0] != "Z" and int(fields[3]) == sid:
+            return False
+    return True
 
 
 def kill_session(server):
@@ -127,7 +143,7 @@ def test_sigkill_server_restart_recovers_bitwise_identical_result(
     tmp_path, watchdog
 ):
     # Two pool workers per job: forked children that inherit the server's
-    # open files, the store lock among them, and outlive its SIGKILL.
+    # open files, its listening socket among them.
     payload = long_spec(dict(QUICK_PAYLOAD, n_workers=2))
 
     # Baseline: the same spec, never interrupted.
@@ -143,6 +159,7 @@ def test_sigkill_server_restart_recovers_bitwise_identical_result(
     first = serve(root)
     try:
         client = client_of(first)
+        port = int(client.base_url.rsplit(":", 1)[1])
         job_id = client.submit(dict(payload))["job_id"]
         job_dir = root / "jobs" / job_id
         # Die the instant resumable state reaches disk.
@@ -151,14 +168,16 @@ def test_sigkill_server_restart_recovers_bitwise_identical_result(
         first.send_signal(signal.SIGKILL)
         first.wait(timeout=30)
         assert read_record(job_dir / "record.json").state == STATE_RUNNING
+        # Its pool workers see their pipes close and exit by themselves.
+        assert wait_until(lambda: session_ended(first.pid), 10.0), (
+            "the killed server left processes behind"
+        )
 
-        # The restart owns the root at once: no TTL to wait out, and the
-        # dead server's orphaned pool workers, still alive, hold no lock.
-        second = serve(root)
+        # The restart owns the root and the port at once: no TTL to wait
+        # out, and no orphan holds the listening socket.
+        second = serve(root, port)
         try:
             client = client_of(second)
-            os.killpg(first.pid, 0)  # the orphans are still there
-            kill_session(first)
             with watchdog(WATCHDOG):
                 final = client.wait(job_id, timeout=WATCHDOG)
             result = client.result(job_id)
@@ -314,3 +333,24 @@ def test_sigkill_mid_recovery_still_charges_exactly_one_attempt(
         with watchdog(WATCHDOG):
             assert Worker(store, worker_id="w-rescue").claim_once() == job_id
         assert store.get(job_id).state == STATE_COMPLETED
+
+
+def test_server_on_a_taken_port_exits_with_the_typed_error(tmp_path):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        server = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--root", str(tmp_path / "store"), "--port", str(port),
+            ],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=WATCHDOG,
+        )
+    assert server.returncode == 1
+    assert server.stderr.splitlines() == [
+        f"error: cannot listen on 127.0.0.1:{port}: Address already in use"
+    ]
