@@ -10,6 +10,7 @@ essentially free on the flow side.
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -94,6 +95,16 @@ _UNIT_FIELDS = (
 _unit_cache_lock = threading.Lock()
 _unit_cache: "OrderedDict[tuple, dict]" = OrderedDict()
 _unit_cache_size = 64
+
+
+def _reset_unit_cache_lock() -> None:
+    """Give a forked child a new cache lock: another thread of the parent
+    may have held the old one at the fork, and no child thread frees it."""
+    global _unit_cache_lock
+    _unit_cache_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_unit_cache_lock)
 
 
 def set_unit_cache_size(size: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,7 +133,26 @@ class ChannelGrid:
         self._restricted_mask = np.zeros((self.nrows, self.ncols), dtype=bool)
         for rect in self.restricted:
             self._restricted_mask |= rect.mask(self.nrows, self.ncols)
-        self.ports: list = []
+        self.ports = []
+
+    @property
+    def ports(self) -> List[Port]:
+        """Attached ports, in the order they were added.
+
+        Change them through :meth:`add_port`, :meth:`clear_ports` or by
+        assigning a new sequence, which keep the per-cell port lookup
+        current; do not mutate the returned list in place.
+        """
+        return self._ports
+
+    @ports.setter
+    def ports(self, ports: Iterable[Port]) -> None:
+        self._ports = list(ports)
+        #: ``(side, index) -> kind`` of every attached port: the O(1)
+        #: lookup :meth:`add_port` checks, insertion-ordered as the list.
+        self._port_kinds: Dict[Tuple[Side, int], PortKind] = {
+            (port.side, port.index): port.kind for port in self._ports
+        }
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -279,19 +298,16 @@ class ChannelGrid:
                 f"({row}, {col}); ports must attach to liquid cells"
             )
         port = Port(kind, side, index)
-        if port in self.ports:
+        attached = self._port_kinds.get((side, index))
+        if attached is kind:
             return port
-        opposite = Port(
-            PortKind.OUTLET if kind is PortKind.INLET else PortKind.INLET,
-            side,
-            index,
-        )
-        if opposite in self.ports:
+        if attached is not None:
             raise DesignRuleError(
                 f"cell {side.value}[{index}] already has a "
-                f"{opposite.kind.value}; a surface cannot be both"
+                f"{attached.value}; a surface cannot be both"
             )
-        self.ports.append(port)
+        self._ports.append(port)
+        self._port_kinds[(side, index)] = kind
         return port
 
     def add_port_span(
@@ -369,7 +385,7 @@ class ChannelGrid:
             restricted=self.restricted,
         )
         out.liquid = self.liquid.copy()
-        out.ports = list(self.ports)
+        out.ports = self.ports
         return out
 
     def transformed(self, rotations: int = 0, flip: bool = False) -> "ChannelGrid":
@@ -400,15 +416,17 @@ class ChannelGrid:
         out._restricted_mask = xform_arr(self._restricted_mask)
         out.restricted = ()
         out.liquid = new_liquid.copy()
+        ports = []
         for port in self.ports:
             cell = port.cell(self.nrows, self.ncols)
             direction = port.side.outward
             new_cell, new_dir = _transform_cell(
                 cell, direction, self.nrows, self.ncols, rotations, flip
             )
-            out.ports.append(
+            ports.append(
                 Port(port.kind, _side_from_outward(new_dir), _side_index(new_cell, new_dir))
             )
+        out.ports = ports
         return out
 
     def __repr__(self) -> str:

@@ -19,9 +19,15 @@ Workers are stage-agnostic: each batch carries its *evaluation context* --
 a picklable object with ``scorer()`` and ``infeasible()``, such as
 :class:`StageContext` or the portfolio's 4RM
 :class:`~repro.optimize.portfolio.ReferenceContext` -- named by the sha256
-of its pickle.  A worker builds a digest's scorer once and keeps it in a
+of its pickle.  A process builds a digest's scorer once and keeps it in a
 small LRU (:data:`CONTEXT_SLOTS`), so stages, directions, strategies and
-whole jobs reuse the same warm workers and their per-params cost caches.
+whole jobs reuse the same warm scorers and their per-params cost caches.
+Every process holds one such LRU, whatever the worker count: each pool
+worker its own, and the parent for its serial batches (``n_workers=1``,
+and a pool degraded to serial).  The LRU is emptied when the fault plan or
+the solver configuration changes, so a memo never outlives the settings
+that made its scores.  Only the grouped Problem-2 metric, whose candidates
+share group state, builds a fresh scorer for each batch.
 
 Error discipline (shared by the serial and parallel paths): a
 :class:`~repro.errors.ReproError` means the candidate network is illegal or
@@ -174,28 +180,67 @@ def count_scored(results: Sequence[Any]) -> None:
 CONTEXT_SLOTS = 4
 
 #: ``digest -> (context, scorer)`` of this process, least recent first.
-#: Pool workers fill it; the parent only when a pool degraded to serial.
+#: Every in-process scoring path fills it -- a pool worker's, the serial
+#: :func:`evaluate_population` and a pool degraded to serial -- so a
+#: process keeps one scorer, and its per-params cost memo, per context.
 _contexts: "OrderedDict[bytes, Tuple[Any, Callable[[np.ndarray], Any]]]" = (
     OrderedDict()
 )
+
+#: The score-changing settings every scorer in :data:`_contexts` was built
+#: under: the armed fault plan (by identity) and the solver configuration,
+#: what the shared pool is keyed by.  A change empties the LRU.
+_contexts_settings: Tuple[Any, Optional[LinalgConfig]] = (None, None)
+
+#: Service job threads score in-process at once.
+_contexts_lock = threading.Lock()
+
+
+def _reset_contexts_lock() -> None:
+    """Give a forked child a new LRU lock: another thread of the parent
+    may have held the old one at the fork, and no child thread frees it."""
+    global _contexts_lock
+    _contexts_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_contexts_lock)
+
+
+def _context_task(context: Any) -> Tuple[bytes, bytes]:
+    """``(digest, blob)``: a context's pickle and the sha256 naming it."""
+    blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
+    return hashlib.sha256(blob).digest(), blob
+
+
+def _clear_stale_contexts(fault_plan: Any, config: LinalgConfig) -> None:
+    """Empty :data:`_contexts` unless its scorers were built under
+    ``fault_plan`` and ``config``.  Call with :data:`_contexts_lock` held."""
+    global _contexts_settings
+    built_plan, built_config = _contexts_settings
+    if fault_plan is not built_plan or config != built_config:
+        _contexts.clear()
+        _contexts_settings = (fault_plan, config)
 
 
 def _context_scorer(
     digest: bytes, blob: bytes
 ) -> Tuple[Any, Callable[[np.ndarray], Any]]:
     """``(context, scorer)`` of a pickled context; unpickled and built once
-    per digest while the digest stays in :data:`_contexts`."""
-    entry = _contexts.get(digest)
-    if entry is not None:
-        _contexts.move_to_end(digest)
+    per digest while the digest stays in :data:`_contexts` and the fault
+    plan and solver configuration stay as they were."""
+    with _contexts_lock:
+        _clear_stale_contexts(faults.active_plan(), LinalgConfig.current())
+        entry = _contexts.get(digest)
+        if entry is not None:
+            _contexts.move_to_end(digest)
+            return entry
+        context = pickle.loads(blob)
+        entry = (context, context.scorer())
+        profiling.increment("parallel.context_loads")
+        _contexts[digest] = entry
+        while len(_contexts) > CONTEXT_SLOTS:
+            _contexts.popitem(last=False)
         return entry
-    context = pickle.loads(blob)
-    entry = (context, context.scorer())
-    profiling.increment("parallel.context_loads")
-    _contexts[digest] = entry
-    while len(_contexts) > CONTEXT_SLOTS:
-        _contexts.popitem(last=False)
-    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +257,8 @@ def _init_worker(fault_plan, telemetry_config, linalg_config) -> None:
         faults.set_active_plan(fault_plan)
     telemetry_config.apply()
     linalg_config.apply()
+    # Its own scorers, memos and counters: none inherited from the parent.
+    _contexts.clear()
     # A forked worker inherits the forking thread's lane (a service worker
     # thread's); drop it so its spans export as a pool-worker row.
     profiling.set_thread_lane(None)
@@ -402,10 +449,10 @@ class PersistentEvaluationPool:
         profiling.observe(
             "parallel.batch_size", len(payloads), bounds=SIZE_BUCKET_BOUNDS
         )
-        blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
-        task = (hashlib.sha256(blob).digest(), blob)
         with profiling.timer("parallel.batch", candidates=len(payloads)):
-            results = self._evaluate_resilient(task, payloads)
+            results = self._evaluate_resilient(
+                _context_task(context), payloads
+            )
         profiling.increment("parallel.batches")
         count_scored(results)
         return results
@@ -668,8 +715,11 @@ def evaluate_population(
         case / plan / stage / problem / fixed_pressure: As in the staged
             flow (:mod:`repro.optimize.runner`).
         params_list: Candidate (n_trees, 2) arrays.
-        n_workers: Worker processes; 1 evaluates serially in-process, more
-            dispatch to the process's shared pool (:func:`score_on_pool`).
+        n_workers: Worker processes; 1 evaluates serially in-process on
+            the process's scorer for this context (its cost memo kept
+            across batches, as a pool worker keeps it), more dispatch to
+            the process's shared pool (:func:`score_on_pool`).  The grouped
+            metric scores serially on a fresh scorer per batch.
 
     Returns:
         One cost per candidate (``inf`` for illegal/infeasible networks).
@@ -681,11 +731,14 @@ def evaluate_population(
     if not params_list:
         return []
     context = StageContext(case, plan, stage, problem, fixed_pressure)
-    # The grouped metric is stateful across candidates and must stay serial
-    # no matter how many workers were asked for.
-    if stage.metric == METRIC_MIN_GRADIENT_CAPPED or n_workers == 1:
+    # The grouped metric carries group state from candidate to candidate: a
+    # fresh scorer per batch, serial however many workers were asked for.
+    if stage.metric == METRIC_MIN_GRADIENT_CAPPED:
         scorer = context.scorer()
-        costs = [scorer(params) for params in params_list]
-        count_scored(costs)
-        return costs
-    return score_on_pool(context, params_list, n_workers)
+    elif n_workers == 1:
+        _, scorer = _context_scorer(*_context_task(context))
+    else:
+        return score_on_pool(context, params_list, n_workers)
+    costs = [scorer(params) for params in params_list]
+    count_scored(costs)
+    return costs

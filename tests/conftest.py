@@ -7,6 +7,12 @@ are scale-free and hold at any size.
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+import time
+from typing import Callable, List
+
 import numpy as np
 import pytest
 
@@ -15,6 +21,69 @@ from repro.geometry import build_contest_stack
 from repro.iccad2015 import load_case
 from repro.materials import WATER
 from repro.networks import plan_tree_bands, straight_network
+from repro.optimize import parallel
+
+
+@pytest.fixture(autouse=True)
+def _cold_scorers():
+    """Start every test with an empty process scorer LRU, as in a new
+    process: a memo left by an earlier test would skip the simulations
+    a counter assertion expects."""
+    parallel._contexts.clear()
+    yield
+
+
+def fork_while_busy(
+    busy: Callable[[], object],
+    child: Callable[[], object],
+    n_children: int = 20,
+    timeout: float = 5.0,
+) -> List[str]:
+    """Fork ``n_children`` children while a thread loops ``busy``; each
+    child runs ``child`` once and exits.
+
+    Returns one line per child that failed or still ran ``timeout`` seconds
+    after the last fork (it is killed): a child that inherited a lock
+    ``busy`` held at the fork waits for it forever.
+    """
+    stop = threading.Event()
+
+    def loop():
+        while not stop.is_set():
+            busy()
+
+    thread = threading.Thread(target=loop, daemon=True)
+    thread.start()
+    children = []
+    try:
+        for _ in range(n_children):
+            pid = os.fork()
+            if pid == 0:  # the child: run once, then leave
+                try:
+                    child()
+                except BaseException:
+                    os._exit(1)
+                os._exit(0)
+            children.append(pid)
+    finally:
+        stop.set()
+        thread.join()
+    deadline = time.monotonic() + timeout
+    problems = []
+    for pid in children:
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                if os.waitstatus_to_exitcode(status) != 0:
+                    problems.append(f"child {pid} failed")
+                break
+            if time.monotonic() > deadline:
+                problems.append(f"child {pid} hung")
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                break
+            time.sleep(0.01)
+    return problems
 
 
 @pytest.fixture

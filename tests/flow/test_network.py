@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import FlowError
-from repro.flow import FlowField, solve_flow
+from repro.flow import FlowField, network, solve_flow
 from repro.flow.conductance import cell_conductance, edge_conductance
 from repro.geometry import ChannelGrid, PortKind, Side
 from repro.materials import WATER
 from repro.networks import ladder_network, straight_network
+
+from ..conftest import fork_while_busy
 
 H_C = 200e-6
 
@@ -166,3 +168,19 @@ class TestConvenienceWrapper:
         sol = solve_flow(_single_channel(), H_C, WATER, 0.0)
         with pytest.raises(FlowError, match="zero"):
             _ = sol.r_sys
+
+
+class TestForkSafety:
+    # Python 3.12 warns about every fork of a multi-threaded process; such
+    # a fork is the subject of this test.
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_child_forked_mid_clear_can_build_a_flow_field(self):
+        """A child forked while another thread holds the unit-cache lock
+        (a pool worker forked beside a service job thread) must not inherit
+        it held: its first ``FlowField`` would wait forever."""
+        grid = straight_network(9, 9)
+
+        def child():
+            FlowField(grid, H_C, WATER)
+
+        assert fork_while_busy(network.clear_unit_cache, child) == []

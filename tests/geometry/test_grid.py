@@ -6,6 +6,7 @@ import pytest
 from repro.errors import DesignRuleError, GeometryError
 from repro.geometry import ChannelGrid, Port, PortKind, Rect, Side
 from repro.geometry.grid import alternating_tsv_mask
+from repro.networks import plan_tree_bands
 
 
 class TestConstruction:
@@ -163,6 +164,67 @@ class TestPorts:
         grid.add_port(PortKind.INLET, Side.WEST, 0)
         grid.clear_ports()
         assert not grid.ports
+
+
+def _port_rows(grid):
+    return [(p.kind.name[0], p.side.name, p.index) for p in grid.ports]
+
+
+#: Ports of ``plan_tree_bands(21, 21).build()``, in attachment order.
+TREE_PORTS = [("I", "WEST", 2), ("I", "WEST", 10), ("I", "WEST", 18)] + [
+    ("O", "EAST", i) for i in range(0, 21, 2)
+]
+
+
+class TestPortLookup:
+    """Ports are looked up per cell, not by a search of the list; the list
+    keeps its order through builds, copies, transforms and assignment."""
+
+    @staticmethod
+    def _row_grid():
+        grid = ChannelGrid(5, 5)
+        grid.carve_horizontal(0, 0, 4)
+        return grid
+
+    def test_tree_network_port_order(self):
+        grid = plan_tree_bands(21, 21).build()
+        assert _port_rows(grid) == TREE_PORTS
+        assert _port_rows(grid.copy()) == TREE_PORTS
+        assert _port_rows(grid.transformed(1, flip=True)) == [
+            (kind, {"WEST": "NORTH", "EAST": "SOUTH"}[side], index)
+            for kind, side, index in TREE_PORTS
+        ]
+
+    def test_error_messages(self):
+        grid = self._row_grid()
+        with pytest.raises(
+            DesignRuleError,
+            match=r"^inlet at west\[1\] touches a solid cell \(1, 0\); "
+            "ports must attach to liquid cells$",
+        ):
+            grid.add_port(PortKind.INLET, Side.WEST, 1)
+        grid.add_port(PortKind.INLET, Side.WEST, 0)
+        with pytest.raises(
+            DesignRuleError,
+            match=r"^cell west\[0\] already has a inlet; "
+            "a surface cannot be both$",
+        ):
+            grid.add_port(PortKind.OUTLET, Side.WEST, 0)
+        assert _port_rows(grid) == [("I", "WEST", 0)]
+
+    def test_lookup_follows_assignment_clear_and_copy(self):
+        grid = self._row_grid()
+        grid.add_port(PortKind.INLET, Side.WEST, 0)
+        grid.add_port(PortKind.OUTLET, Side.EAST, 0)
+        copy = grid.copy()
+        grid.ports = [p for p in grid.ports if p.kind is PortKind.OUTLET]
+        grid.add_port(PortKind.OUTLET, Side.WEST, 0)  # the inlet is gone
+        with pytest.raises(DesignRuleError, match="cannot be both"):
+            copy.add_port(PortKind.OUTLET, Side.WEST, 0)
+        copy.clear_ports()
+        copy.add_port(PortKind.OUTLET, Side.WEST, 0)
+        assert _port_rows(grid) == [("O", "EAST", 0), ("O", "WEST", 0)]
+        assert _port_rows(copy) == [("O", "WEST", 0)]
 
 
 class TestIteration:

@@ -17,7 +17,13 @@ import pytest
 
 from repro import profiling
 from repro.errors import SearchError
-from repro.faults import FaultInjector, FaultPlan, FaultSpec, SITE_PARALLEL_WORKER
+from repro.faults import (
+    SITE_PARALLEL_WORKER,
+    SITE_THERMAL_RC2,
+    FaultInjector,
+    FaultPlan,
+    FaultSpec,
+)
 from repro.iccad2015 import load_case
 from repro.linalg.config import use_config
 from repro.optimize import Chain, SAConfig, anneal, optimize_problem1
@@ -39,6 +45,8 @@ from repro.optimize.stages import (
     METRIC_MIN_GRADIENT_CAPPED,
     StageConfig,
 )
+
+from ..conftest import fork_while_busy
 
 STAGE = StageConfig("s", 4, 1, 4, METRIC_LOWEST_FEASIBLE_POWER, "2rm")
 
@@ -477,6 +485,174 @@ class TestPersistentPool:
             threads = threading.active_count()
             pool.evaluate(batch, context)
             assert threading.active_count() == threads
+
+
+def _bits(costs):
+    """The exact bytes of a cost list (``inf`` included)."""
+    return np.asarray(costs, dtype=np.float64).tobytes()
+
+
+class TestSerialScorerReuse:
+    """``n_workers=1`` scores on the process's one scorer per context, its
+    cost memo kept across batches, as a pool worker keeps it."""
+
+    @staticmethod
+    def _batch(plan):
+        return [plan.params(), plan.clamp_params(plan.params() + 2)]
+
+    @staticmethod
+    def _serial(case, plan, batch):
+        return evaluate_population(
+            case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, batch,
+            fixed_pressure=FIXED_PRESSURE, n_workers=1,
+        )
+
+    def test_repeated_batch_runs_no_simulation(self, case):
+        plan = case.tree_plan()
+        batch = self._batch(plan)
+        fresh = StageContext(
+            case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, FIXED_PRESSURE
+        ).scorer()
+        expected = [fresh(p) for p in batch]
+        profiling.reset()
+        first = self._serial(case, plan, batch)
+        assert profiling.counter("cooling.simulations") == len(batch)
+        profiling.reset()
+        again = self._serial(case, plan, batch)
+        assert profiling.counter("cooling.simulations") == 0
+        assert profiling.counter("parallel.context_loads") == 0
+        assert profiling.counter("parallel.candidates") == len(batch)
+        assert _bits(first) == _bits(again) == _bits(expected)
+
+    def test_grouped_metric_batches_score_fresh(self, case):
+        """The grouped metric carries group state between candidates, so
+        each batch starts a new group on a new scorer: two consecutive
+        batches score as each would alone."""
+        plan = case.tree_plan()
+        stage = StageConfig(
+            "g", 4, 1, 4, METRIC_MIN_GRADIENT_CAPPED, "2rm", group_size=3
+        )
+        params = plan.params()
+        batches = [
+            [params, plan.clamp_params(params + 2)],
+            [plan.clamp_params(params - 2), plan.clamp_params(params + 4)],
+        ]
+
+        def scored(batch, scorer):
+            return [scorer(p) for p in batch]
+
+        context = StageContext(case, plan, stage, "problem2")
+        expected = [scored(b, context.scorer()) for b in batches]
+        shared = context.scorer()
+        continued = [scored(b, shared) for b in batches]
+        # The check bites: one scorer across both batches scores otherwise.
+        assert _bits(continued[1]) != _bits(expected[1])
+        got = [
+            evaluate_population(case, plan, stage, "problem2", b, n_workers=1)
+            for b in batches
+        ]
+        assert [_bits(g) for g in got] == [_bits(e) for e in expected]
+
+    def test_fault_plan_between_batches_rescores(self, case):
+        """A memo never outlives the fault plan it was scored under, nor
+        serves a plan armed after it."""
+        plan = case.tree_plan()
+        batch = self._batch(plan)
+        clean = self._serial(case, plan, batch)
+        assert all(math.isfinite(c) for c in clean)
+        nan_plan = FaultPlan([FaultSpec(site=SITE_THERMAL_RC2, kind="nan")])
+        with FaultInjector(nan_plan):
+            faulted = self._serial(case, plan, batch)
+        assert all(math.isinf(c) for c in faulted)
+        profiling.reset()
+        after = self._serial(case, plan, batch)
+        assert profiling.counter("cooling.simulations") == len(batch)
+        assert _bits(after) == _bits(clean)
+
+    def test_linalg_config_between_batches_rescores(self, case):
+        plan = case.tree_plan()
+        batch = self._batch(plan)
+        first = self._serial(case, plan, batch)
+        profiling.reset()
+        with use_config(incremental=False):
+            self._serial(case, plan, batch)
+        assert profiling.counter("cooling.simulations") == len(batch)
+        profiling.reset()
+        after = self._serial(case, plan, batch)
+        assert profiling.counter("cooling.simulations") == len(batch)
+        assert _bits(after) == _bits(first)
+
+    def test_concurrent_threads_share_one_scorer(self, case):
+        """Service job threads scoring one context at once get the serial
+        costs, from one scorer built once."""
+        plan = case.tree_plan()
+        rng = np.random.default_rng(7)
+        batch = [plan.params()]
+        for _ in range(5):
+            jitter = 2 * rng.integers(-2, 3, size=batch[-1].shape)
+            batch.append(plan.clamp_params(batch[-1] + jitter))
+        fresh = StageContext(
+            case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, FIXED_PRESSURE
+        ).scorer()
+        expected = _bits([fresh(p) for p in batch])
+        profiling.reset()
+        got, errors = [], []
+
+        def client(order):
+            try:
+                costs = self._serial(case, plan, [batch[i] for i in order])
+                got.append(_bits([costs[order.index(i)] for i in range(6)]))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        orders = [list(range(6)), list(range(5, -1, -1))] * 2
+        threads = [threading.Thread(target=client, args=(o,)) for o in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert got == [expected] * len(orders)
+        assert profiling.counter("parallel.context_loads") == 1
+
+    def test_pool_workers_start_cold(self, case):
+        """A forked worker does not inherit the parent's scorers: it scores
+        a context the parent already memoized with its own simulations."""
+        plan = case.tree_plan()
+        batch = self._batch(plan)
+        serial = self._serial(case, plan, batch)
+        profiling.reset()
+        context = StageContext(
+            case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, FIXED_PRESSURE
+        )
+        with PersistentEvaluationPool(n_workers=1) as pool:
+            pooled = pool.evaluate(batch, context)
+        assert profiling.counter("cooling.simulations") == len(batch)
+        assert _bits(pooled) == _bits(serial)
+
+    # Python 3.12 warns about every fork of a multi-threaded process; such
+    # a fork is the subject of this test.
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_child_forked_mid_lookup_can_score(self, case):
+        """A child forked while another thread holds the scorer LRU's lock
+        must not inherit it held: its first lookup would wait forever."""
+        from repro.optimize import parallel
+
+        plan = case.tree_plan()
+        task = parallel._context_task(StageContext(
+            case, plan, FIXED_STAGE, PROBLEM_PUMPING_POWER, FIXED_PRESSURE
+        ))
+        parallel._context_scorer(*task)
+        assert fork_while_busy(
+            lambda: parallel._context_scorer(*task),
+            lambda: parallel._context_scorer(*task),
+        ) == []
 
 
 POOL_OWNER = """

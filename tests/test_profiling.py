@@ -1,10 +1,7 @@
 """Unit tests for the metrics recorder: counters, histograms, timers."""
 
-import os
 import random
-import signal
 import threading
-import time
 
 import pytest
 
@@ -16,6 +13,8 @@ from repro.profiling import (
     Histogram,
     Profiler,
 )
+
+from .conftest import fork_while_busy
 
 
 @pytest.fixture(autouse=True)
@@ -332,35 +331,13 @@ class TestForkSafety:
     def test_child_forked_mid_record_can_use_the_recorder(self):
         """A child forked while another thread holds the recorder's lock
         must not inherit it held: its first ``reset`` would wait forever."""
-        stop = threading.Event()
 
         def record():
-            while not stop.is_set():
-                profiling.increment("fork.probe")
-                profiling.observe("fork.probe_s", 0.001)
+            profiling.increment("fork.probe")
+            profiling.observe("fork.probe_s", 0.001)
 
-        recorder = threading.Thread(target=record, daemon=True)
-        recorder.start()
-        children = []
-        try:
-            for _ in range(20):
-                pid = os.fork()
-                if pid == 0:  # the child: touch the recorder, then leave
-                    profiling.reset()
-                    profiling.increment("fork.child")
-                    os._exit(0)
-                children.append(pid)
-        finally:
-            stop.set()
-            recorder.join()
-        deadline = time.monotonic() + 5.0
-        hung = []
-        for pid in children:
-            while os.waitpid(pid, os.WNOHANG) == (0, 0):
-                if time.monotonic() > deadline:
-                    hung.append(pid)
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                    break
-                time.sleep(0.01)
-        assert not hung, f"{len(hung)} of 20 forked children hung"
+        def child():  # touch the recorder
+            profiling.reset()
+            profiling.increment("fork.child")
+
+        assert fork_while_busy(record, child) == []
