@@ -9,7 +9,8 @@ one ``portfolio.ckpt`` at every optimizer round boundary with
 Layers, bottom to top:
 
 * :mod:`~repro.checkpoint.atomic` -- temp-file + fsync + ``os.replace``
-  writes; the sanctioned primitive behind every run artifact (lint R6).
+  writes; the sanctioned primitive behind every run artifact (the only
+  module ``tests/test_source_guards.py`` lets write files).
 * :mod:`~repro.checkpoint.format` -- header + pickle file format with
   magic/version/fingerprint/CRC validation; every rejection is a typed
   :class:`~repro.errors.CheckpointError`.

@@ -9,10 +9,11 @@ flush + ``fsync`` the file, then ``os.replace`` onto the final name and
 therefore sees either the previous complete file or the new complete file,
 never a partial one.
 
-The R6 lint rule (``repro.lint``, non-atomic persistence) flags
-``json.dump`` / ``pickle.dump`` / ``write_text(json.dumps(...))`` outside
-this module's boundary, so new artifact writers cannot quietly regress to
-truncatable writes.
+``tests/test_source_guards.py`` fails on every file-writing shape --
+``open`` for writing, ``write_text``/``write_bytes``, ``os.open``/
+``os.fdopen`` for writing, ``json.dump``/``pickle.dump`` -- anywhere in
+``src/repro`` outside this module, so new artifact writers cannot quietly
+regress to truncatable writes.
 """
 
 from __future__ import annotations

@@ -120,9 +120,10 @@ class FaultConfigError(ReproError):
 class TelemetryError(ReproError):
     """A telemetry artifact or configuration cannot be trusted.
 
-    Raised by :mod:`repro.profiling` / :mod:`repro.telemetry` on histogram
-    bucket-bound mismatches, malformed run-log files (corruption anywhere
-    other than a torn final line), or invalid report/export requests.
+    Raised by :mod:`repro.profiling` / :mod:`repro.telemetry` on names
+    missing from :mod:`repro.telemetry.names`, histogram bucket-bound
+    mismatches, malformed run-log files (corruption anywhere other than a
+    torn final line), or invalid report/export requests.
     """
 
 

@@ -9,6 +9,9 @@ file-driven and round-trippable:
 * **floorplan** -- per-die power maps as whitespace-separated grids;
 * **network** -- character art (``.`` solid, ``O`` liquid, ``#`` TSV) plus
   explicit port lines.
+
+Every writer goes through :func:`repro.checkpoint.atomic_write_text`, so a
+crash mid-write leaves the previous file or the new one, never a torn one.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..checkpoint.atomic import atomic_write_text
 from ..errors import BenchmarkError
 from ..faults import SITE_IO_POWER_MAP, corrupt
 from ..geometry.grid import ChannelGrid, Port, PortKind, Side
@@ -51,7 +55,7 @@ def write_stack_description(case: Case, path: PathLike) -> None:
         lines.append(
             f"restricted {rect.row0} {rect.col0} {rect.row1} {rect.col1}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_stack_description(path: PathLike) -> dict:
@@ -117,7 +121,7 @@ def write_floorplan(power_maps: Sequence[np.ndarray], path: PathLike) -> None:
         for row in arr:
             buf.write(" ".join(f"{v:.9g}" for v in row))
             buf.write("\n")
-    Path(path).write_text(buf.getvalue())
+    atomic_write_text(path, buf.getvalue())
 
 
 def _validate_power_map(arr: np.ndarray, die: str, path: PathLike) -> None:
@@ -211,7 +215,7 @@ def write_network(grid: ChannelGrid, path: PathLike) -> None:
         buf.write("".join(chars) + "\n")
     for port in grid.ports:
         buf.write(f"port {port.kind.value} {port.side.value} {port.index}\n")
-    Path(path).write_text(buf.getvalue())
+    atomic_write_text(path, buf.getvalue())
 
 
 def read_network(path: PathLike) -> ChannelGrid:

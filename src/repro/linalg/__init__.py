@@ -3,8 +3,8 @@
 Public surface:
 
 * :func:`~repro.linalg.superlu.factorize` -- the single sanctioned entry
-  point for sparse factorizations (lint rule R5 flags raw ``splu`` calls
-  everywhere else).  Runs scipy SuperLU and returns a
+  point for sparse factorizations (``tests/test_source_guards.py`` fails
+  on ``splu`` anywhere else).  Runs scipy SuperLU and returns a
   :class:`~repro.linalg.superlu.Factorization` answering single and
   multi-RHS solves; every failure surfaces as a typed ``LinalgError``.
 * :class:`~repro.linalg.config.LinalgConfig` -- the picklable process-wide

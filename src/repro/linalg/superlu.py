@@ -2,9 +2,9 @@
 
 Every sparse system in the repo -- the flow Laplacian, the 2RM/4RM thermal
 operators, the transient and control steppers -- is factorized through
-:func:`factorize`; lint rule R5 flags raw ``splu``/``factorized`` calls
-anywhere outside :mod:`repro.linalg`, so the error contract, the span and
-the timer live in this one place.
+:func:`factorize`; ``tests/test_source_guards.py`` fails on raw
+``splu``/``spilu``/``factorized`` anywhere outside :mod:`repro.linalg`, so
+the error contract, the span and the timer live in this one place.
 
 Error contract: SuperLU reports an exactly singular system as
 ``RuntimeError`` but only *warns* (``MatrixRankWarning``) on near-singular

@@ -1,8 +1,8 @@
 """Domain-aware static analysis for the repro codebase.
 
-``python -m repro.lint [paths]`` runs nine AST-based rules that encode the
-invariants the physics, solver-reuse, persistence and determinism layers
-depend on:
+``python -m repro.lint [paths]`` runs six AST-based rules that encode the
+invariants the physics, cache-key, worker-pool, error and determinism
+layers depend on:
 
 ====  ===================  ==================================================
 R1    units                ``[unit: ...]`` tags on physics constants; no
@@ -12,10 +12,6 @@ R3    pool-safety          worker-imported modules keep module state
                            private, immutable, or behind lifecycle functions
 R4    error-discipline     ``ReproError`` subclasses everywhere; no broad
                            excepts outside ``repro.errors.crash_boundary``
-R5    sparse-patterns      no densification, in-loop assembly, or raw
-                           factorizations outside ``repro.linalg``
-R6    atomic-persistence   files are written through ``repro.checkpoint``
-R7    telemetry-names      emitted names are declared literals
 R8    unit-flow            unit tags on float signatures; call arguments and
                            returns match the declared units
 R9    determinism-taint    no nondeterminism reaching keys, checkpoints,
@@ -23,10 +19,11 @@ R9    determinism-taint    no nondeterminism reaching keys, checkpoints,
 ====  ===================  ==================================================
 
 R1 and R8 share one unit-inference engine
-(:class:`~repro.lint.rules.unit_flow.UnitFlow`).  See
-``docs/STATIC_ANALYSIS.md`` for the conventions each rule enforces and the
-suppression policy (``# repro-lint: disable=R<n>``, budgeted at zero).  The
-analyzer is stdlib-only and safe to run anywhere, including CI.
+(:class:`~repro.lint.rules.unit_flow.UnitFlow`).  R5 (sparse patterns), R6
+(atomic persistence) and R7 (telemetry names) are retired; the guards that
+replaced them are listed in ``docs/STATIC_ANALYSIS.md`` with the
+conventions each rule enforces.  Any finding fails the run.  The analyzer
+is stdlib-only and safe to run anywhere, including CI.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from .core import (
     Finding,
     LintReport,
     Rule,
-    Suppression,
     all_rules,
     collect_files,
     register,
@@ -50,7 +46,6 @@ __all__ = [
     "Finding",
     "LintReport",
     "Rule",
-    "Suppression",
     "all_rules",
     "collect_files",
     "register",

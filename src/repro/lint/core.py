@@ -1,26 +1,11 @@
-"""Framework of the domain lint pass: findings, rules, files, suppressions.
+"""Framework of the domain lint pass: findings, rules, files.
 
 The analyzer is AST-based and dependency-free (stdlib only): every ``*.py``
 file under the given paths is parsed once into a :class:`FileContext`
-(tree, comments, docstring scope markers, suppression comments), a
-project-wide :class:`~repro.lint.symbols.Project` symbol table is built, and
-each registered :class:`Rule` walks the contexts emitting :class:`Finding`
-objects.
-
-Suppressions
-------------
-
-A finding may be silenced with a comment on its line (or the line directly
-above)::
-
-    risky_thing()  # repro-lint: disable=R4
-    # repro-lint: disable=R2,R5
-    other_risky_thing()
-
-Suppressions are *budgeted*: the CLI fails when more than ``--max-
-suppressions`` (default 0) are used, so silencing a rule is a reviewed,
-temporary state -- the report lists every suppression in use plus any stale
-ones that no longer match a finding.
+(tree, comments, docstring scope markers), a project-wide
+:class:`~repro.lint.symbols.Project` symbol table is built, and each
+registered :class:`Rule` walks the contexts emitting :class:`Finding`
+objects.  There is no way to silence a finding: fix the code.
 """
 
 from __future__ import annotations
@@ -39,13 +24,11 @@ from typing import (
     Optional,
     Sequence,
     Set,
-    Tuple,
     Type,
 )
 
 from ..errors import LintError
 
-_SUPPRESS_RE = re.compile(r"repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 #: Scope markers must sit on their own docstring line (anchored), so prose
 #: *mentioning* a marker never accidentally declares one.
 _SCOPE_RE = re.compile(r"^repro-lint-scope:\s*([a-z\-, ]+)$", re.MULTILINE)
@@ -68,15 +51,6 @@ class Finding:
         return (
             f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
         )
-
-
-@dataclass(frozen=True)
-class Suppression:
-    """One ``repro-lint: disable=`` comment found in a file."""
-
-    path: str
-    line: int
-    rules: Tuple[str, ...]
 
 
 class FileContext:
@@ -102,7 +76,6 @@ class FileContext:
             raise LintError(f"{display_path}: cannot parse: {exc}") from exc
         self.module = _module_name(path)
         self.comments: Dict[int, str] = {}
-        self.suppressions: List[Suppression] = []
         self._collect_comments()
         self.scopes: Set[str] = self._scope_markers()
 
@@ -114,19 +87,9 @@ class FileContext:
             for token in tokenize.generate_tokens(reader):
                 if token.type != tokenize.COMMENT:
                     continue
-                line = token.start[0]
-                text = token.string.lstrip("#").strip()
-                self.comments[line] = text
-                match = _SUPPRESS_RE.search(text)
-                if match:
-                    rules = tuple(
-                        r.strip()
-                        for r in match.group(1).split(",")
-                        if r.strip()
-                    )
-                    self.suppressions.append(
-                        Suppression(self.path, line, rules)
-                    )
+                self.comments[token.start[0]] = token.string.lstrip(
+                    "#"
+                ).strip()
         except tokenize.TokenError:
             # A tokenize hiccup only costs comment-based features.
             pass
@@ -273,27 +236,11 @@ class LintReport:
     """Outcome of one analyzer run."""
 
     findings: List[Finding] = field(default_factory=list)
-    suppressed: List[Finding] = field(default_factory=list)
-    unused_suppressions: List[Suppression] = field(default_factory=list)
     files_checked: int = 0
 
-    def exit_code(self, max_suppressions: int = 0) -> int:
-        """0 when clean under the suppression budget, 1 otherwise."""
-        if self.findings or len(self.suppressed) > max_suppressions:
-            return 1
-        return 0
-
-    def to_json(self) -> dict:
-        """JSON-ready summary (the ``--format json`` payload)."""
-        return {
-            "files_checked": self.files_checked,
-            "findings": [f.__dict__ for f in self.findings],
-            "suppressed": [f.__dict__ for f in self.suppressed],
-            "unused_suppressions": [
-                {"path": s.path, "line": s.line, "rules": list(s.rules)}
-                for s in self.unused_suppressions
-            ],
-        }
+    def exit_code(self) -> int:
+        """0 when there are no findings, 1 otherwise."""
+        return 1 if self.findings else 0
 
 
 def collect_files(paths: Sequence[str]) -> List[Path]:
@@ -347,47 +294,13 @@ class Analyzer:
             contexts.append(FileContext(file_path, source, str(file_path)))
         project = Project(contexts)
 
-        raw: List[Finding] = []
+        found: Set[Finding] = set()
         for ctx in contexts:
             for rule in self.rules:
-                raw.extend(rule.check(ctx, project))
+                found.update(rule.check(ctx, project))
         # Frozen findings dedupe exactly; a node reachable through two key
         # contexts (say) reports once.
-        raw = sorted(
-            set(raw), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
+        findings = sorted(
+            found, key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
         )
-
-        report = LintReport(files_checked=len(contexts))
-        used: Set[Tuple[str, int]] = set()
-        suppression_index: Dict[Tuple[str, int], Suppression] = {}
-        for ctx in contexts:
-            for suppression in ctx.suppressions:
-                suppression_index[(suppression.path, suppression.line)] = (
-                    suppression
-                )
-
-        for finding in raw:
-            suppression = _matching_suppression(suppression_index, finding)
-            if suppression is not None:
-                used.add((suppression.path, suppression.line))
-                report.suppressed.append(finding)
-            else:
-                report.findings.append(finding)
-
-        for key, suppression in sorted(suppression_index.items()):
-            if key not in used:
-                report.unused_suppressions.append(suppression)
-        return report
-
-
-def _matching_suppression(
-    index: Dict[Tuple[str, int], Suppression], finding: Finding
-) -> Optional[Suppression]:
-    """A suppression on the finding's line or the line directly above."""
-    for line in (finding.line, finding.line - 1):
-        suppression = index.get((finding.path, line))
-        if suppression is None:
-            continue
-        if finding.rule in suppression.rules or "all" in suppression.rules:
-            return suppression
-    return None
+        return LintReport(findings=findings, files_checked=len(contexts))

@@ -37,8 +37,12 @@ Each process records into its own :data:`GLOBAL` recorder.  A worker of
 :func:`drain` delta (counters, histograms and spans) home per candidate,
 and the parent folds it in with :func:`merge`.
 
-Names are dot-namespaced literals declared in :mod:`repro.telemetry.names`
-(lint rule R7); ``docs/OBSERVABILITY.md`` has the registry with semantics.
+Names are dot-namespaced literals declared in :mod:`repro.telemetry.names`.
+The module-level recording helpers (:func:`increment`, :func:`observe`,
+:func:`timer`, :func:`span`, :func:`instant`) raise
+:class:`~repro.errors.TelemetryError` on a name missing from it; a
+:class:`Profiler` of one's own records any name.
+``docs/OBSERVABILITY.md`` has the registry with semantics.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from dataclasses import dataclass
 from typing import Any, ContextManager, Dict, List, Optional, Sequence, Tuple
 
 from .errors import TelemetryError
+from .telemetry.names import check_name
 
 #: [unit: s] Upper bucket bounds for latency histograms: log-spaced, four
 #: buckets per decade, from 1 microsecond to 100 seconds (an implicit
@@ -573,6 +578,7 @@ os.register_at_fork(
 
 def increment(name: str, amount: int = 1) -> None:
     """Add to a counter on the global recorder."""
+    check_name(name)
     GLOBAL.increment(name, amount)
 
 
@@ -580,22 +586,26 @@ def observe(
     name: str, value: float, bounds: Sequence[float] = LATENCY_BUCKET_BOUNDS
 ) -> None:
     """Record a histogram observation on the global recorder."""
+    check_name(name)
     GLOBAL.observe(name, value, bounds=bounds)
 
 
 def timer(name: str, **attrs: Any) -> _Region:
     """Time a ``with`` body on the global recorder (see
     :meth:`Profiler.timer`)."""
+    check_name(name)
     return GLOBAL.timer(name, **attrs)
 
 
 def span(name: str, **attrs: Any) -> ContextManager[Any]:
     """Time a ``with`` body as a span on the global recorder."""
+    check_name(name)
     return GLOBAL.span(name, **attrs)
 
 
 def instant(name: str, **attrs: Any) -> None:
     """Record a zero-duration marker on the global recorder."""
+    check_name(name)
     GLOBAL.instant(name, **attrs)
 
 

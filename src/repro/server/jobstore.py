@@ -67,6 +67,7 @@ from ..errors import (
     JobStateError,
     JobStoreLockedError,
 )
+from ..telemetry.names import check_name
 from ..telemetry.promexpo import gauge
 from ..telemetry.runlog import read_run_log
 from .records import (
@@ -503,7 +504,12 @@ class JobStore:
     # -- per-job event log ---------------------------------------------
 
     def log_event(self, job_id: str, event_type: str, **fields: Any) -> None:
-        """Append one lifecycle event to the job's durable event log."""
+        """Append one lifecycle event to the job's durable event log.
+
+        Raises:
+            TelemetryError: ``event_type`` is not a registered name.
+        """
+        check_name(event_type)
         record = {"type": event_type, "t_wall": time.time(), **fields}
         append_jsonl(self.events_path(job_id), record, fsync=False)
         self._bump(records=False)

@@ -2,7 +2,8 @@
 :mod:`repro.profiling` (the one recorder of counters, histograms and spans):
 
 - :mod:`repro.telemetry.names`: every span, metric, run-event and gauge
-  name, enforced at call sites by lint rule R7;
+  name, enforced by the recorder and every event sink through
+  :func:`~repro.telemetry.names.check_name`;
 - :mod:`repro.telemetry.runlog`: the JSONL
   :class:`~repro.telemetry.runlog.RunLog` of typed per-iteration /
   per-round / per-stage records, appended atomically;

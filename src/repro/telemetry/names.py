@@ -3,27 +3,30 @@
 Every span, counter, histogram, run-event type and gauge used anywhere in
 the repo is declared here, once, as a dot-namespaced string.  A
 ``profiling.timer`` name is both a histogram and (while tracing) a span, so
-it is declared in both sets.  The R7 lint rule (``repro.lint``, telemetry
-hygiene) checks every ``profiling.increment(...)`` / ``observe(...)`` /
-``timer(...)`` / ``span(...)`` / ``instant(...)`` and
-``runlog.emit_event(...)`` call site against this registry, so a typo'd
-or undocumented name fails the build instead of silently forking the
-metric namespace.  ``docs/OBSERVABILITY.md`` renders the same registry as
-prose tables.
+it is declared in both sets.  Every sink where a name enters telemetry
+-- the ``profiling.increment`` / ``observe`` / ``timer`` / ``span`` /
+``instant`` helpers, ``runlog.emit_event`` and ``RunLog.emit``,
+``JobStore.log_event`` and ``promexpo.gauge`` -- passes it through
+:func:`check_name`, so a typo'd or undocumented name raises
+:class:`~repro.errors.TelemetryError` the first time it is recorded instead
+of silently forking the metric namespace.  ``docs/OBSERVABILITY.md``
+renders the same registry as prose tables.
 
 Naming convention: ``<subsystem>.<noun_or_verb>[.<qualifier>]`` --
 lowercase, underscores inside segments, dots between them, at least two
 segments.  Dynamic suffixes (per-kind fault counters) are declared as
-wildcard prefixes (``faults.injected.*``) and must be built from an f-string
-whose literal prefix ends at the wildcard boundary.
+wildcard prefixes (``faults.injected.*``): any name that continues past
+the wildcard's dot is registered, ``faults.injectedx`` is not.
 
-This module is deliberately dependency-free (imported by the lint rule and
-by ``repro.telemetry``); keep it pure data.
+This module is imported by :mod:`repro.profiling` and so depends only on
+:mod:`repro.errors`; keep it pure data plus the one check.
 """
 
 from __future__ import annotations
 
 from typing import FrozenSet
+
+from ..errors import TelemetryError
 
 #: Span names: ``profiling.span`` / ``instant``, and every
 #: ``profiling.timer`` (recorded while tracing).
@@ -157,11 +160,11 @@ GAUGE_NAMES: FrozenSet[str] = frozenset(
     }
 )
 
-#: Dynamic name families: an f-string whose literal prefix is
-#: ``"<prefix>."`` is accepted for a registered ``"<prefix>.*"`` entry.
+#: Dynamic name families: a name starting ``"<prefix>."`` is registered by
+#: a ``"<prefix>.*"`` entry.
 WILDCARD_PREFIXES: FrozenSet[str] = frozenset({"faults.injected.*"})
 
-#: Every registered literal name (the R7 lookup set).
+#: Every registered literal name.
 REGISTERED_NAMES: FrozenSet[str] = (
     SPAN_NAMES | METRIC_NAMES | EVENT_TYPES | GAUGE_NAMES
 )
@@ -169,14 +172,15 @@ REGISTERED_NAMES: FrozenSet[str] = (
 
 def is_registered(name: str) -> bool:
     """Whether ``name`` is declared here (exactly or under a wildcard)."""
-    if name in REGISTERED_NAMES:
-        return True
-    return matches_wildcard(name)
+    return name in REGISTERED_NAMES or any(
+        name.startswith(pattern[:-1]) for pattern in WILDCARD_PREFIXES
+    )
 
 
-def matches_wildcard(name: str) -> bool:
-    """Whether a registered ``prefix.*`` wildcard covers ``name``."""
-    for pattern in WILDCARD_PREFIXES:
-        if name.startswith(pattern[:-1]):
-            return True
-    return False
+def check_name(name: str) -> None:
+    """Raise :class:`TelemetryError` unless ``name`` is registered."""
+    if not is_registered(name):
+        raise TelemetryError(
+            f"telemetry name {name!r} is not declared in "
+            f"repro.telemetry.names"
+        )

@@ -21,7 +21,7 @@ Mapping rules (mechanical, so the registry in
   Prometheus histograms with *cumulative* ``le`` buckets ending in
   ``+Inf``; latency-bucket histograms get a ``_seconds`` unit suffix;
 * **gauges** (built with :func:`gauge`, names registered in
-  ``GAUGE_NAMES`` and checked by lint rule R7) render as gauges, with
+  ``GAUGE_NAMES`` and checked by :func:`gauge`) render as gauges, with
   labels escaped per the exposition spec.
 
 The module is pure data-in/text-out: no HTTP, no filesystem, no clock.
@@ -34,6 +34,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import TelemetryError
 from ..profiling import LATENCY_BUCKET_BOUNDS
+from .names import check_name
 
 __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
@@ -62,11 +63,12 @@ _SAMPLE_TYPES = frozenset({"counter", "gauge", "histogram", "untyped"})
 def gauge(name: str, value: float, **labels: str) -> Dict[str, Any]:
     """One gauge sample: registered dot-namespaced ``name`` plus labels.
 
-    The first positional argument is checked against
-    :data:`repro.telemetry.names.GAUGE_NAMES` by lint rule R7, exactly like
-    ``profiling.increment`` -- collect gauges through this constructor and
-    a typo'd name fails the build instead of forking the namespace.
+    Collect gauges through this constructor: like ``profiling.increment``
+    it raises :class:`TelemetryError` on a name missing from
+    :mod:`repro.telemetry.names`, so a typo'd gauge fails instead of
+    forking the namespace.
     """
+    check_name(name)
     return {
         "name": name,
         "value": float(value),

@@ -17,7 +17,8 @@ periodic ``run.metrics`` records.
 
 Like the tracer, the run log is opt-in and global: the CLI (``--run-log``)
 installs one with :func:`set_run_log`, instrumented code emits through
-:func:`emit_event`, which is a no-op (one ``None`` check) when no log is
+:func:`emit_event`, which checks the event type against
+:mod:`repro.telemetry.names` and otherwise does nothing when no log is
 active.  The offline analyzer lives in :mod:`repro.telemetry.report`.
 """
 
@@ -30,6 +31,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..checkpoint.atomic import append_jsonl
 from ..errors import TelemetryError
+from .names import check_name
 
 
 class Stopwatch:
@@ -79,7 +81,12 @@ class RunLog:
         self._last_metrics = time.monotonic()
 
     def emit(self, event_type: str, **fields: Any) -> None:
-        """Append one typed record (and maybe a ``run.metrics`` sample)."""
+        """Append one typed record (and maybe a ``run.metrics`` sample).
+
+        Raises:
+            TelemetryError: ``event_type`` is not a registered name.
+        """
+        check_name(event_type)
         self._append(event_type, fields)
         if (
             self.metrics_interval is not None
@@ -141,7 +148,12 @@ def active_run_log() -> Optional[RunLog]:
 
 
 def emit_event(event_type: str, **fields: Any) -> None:
-    """Emit a typed record to the global run log; no-op when none is set."""
+    """Emit a typed record to the global run log; no-op when none is set.
+
+    The name is checked either way, so an unregistered event type fails
+    in runs without a log too.
+    """
+    check_name(event_type)
     if _ACTIVE is not None:
         _ACTIVE.emit(event_type, **fields)
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import LintError
 from repro.lint import Analyzer
+from repro.lint.__main__ import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -19,9 +20,6 @@ BAD_FIXTURES = [
     ("R2", "r2_bad.py", 4),
     ("R3", "r3_bad.py", 4),
     ("R4", "r4_bad.py", 3),
-    ("R5", "r5_bad.py", 6),
-    ("R6", "r6_bad.py", 4),
-    ("R7", "r7_bad.py", 7),
     ("R8", "r8_bad.py", 4),
     ("R9", "r9_bad.py", 7),
 ]
@@ -31,9 +29,6 @@ GOOD_FIXTURES = [
     ("R2", "r2_good.py"),
     ("R3", "r3_good.py"),
     ("R4", "r4_good.py"),
-    ("R5", "r5_good.py"),
-    ("R6", "r6_good.py"),
-    ("R7", "r7_good.py"),
     ("R8", "r8_good.py"),
     ("R9", "r9_good.py"),
 ]
@@ -50,7 +45,6 @@ def test_bad_fixture_is_flagged(rule_id, filename, expected):
 def test_good_fixture_is_clean(rule_id, filename):
     report = run_rule(rule_id, filename)
     assert report.findings == []
-    assert report.suppressed == []
 
 
 def test_r1_distinguishes_coverage_from_mixing():
@@ -90,48 +84,6 @@ def test_r4_covers_all_three_shapes():
     assert "bare except" in messages
     assert "except Exception" in messages
     assert "raise ValueError" in messages
-
-
-def test_r7_covers_every_hygiene_shape():
-    report = run_rule("R7", "r7_bad.py")
-    messages = " | ".join(f.message for f in report.findings)
-    assert "not declared in repro.telemetry.names" in messages
-    assert "dot-namespaced" in messages
-    assert "dynamic expression" in messages
-    assert "wildcard boundary" in messages
-    assert "first positional argument" in messages
-
-
-def test_r7_wildcard_accepts_boundary_fstrings_only():
-    good = run_rule("R7", "r7_good.py")
-    assert good.findings == []
-    bad = run_rule("R7", "r7_bad.py")
-    assert any("f\"thermal." in f.message for f in bad.findings)
-
-
-def test_r6_covers_every_persistence_shape():
-    report = run_rule("R6", "r6_bad.py")
-    messages = " | ".join(f.message for f in report.findings)
-    assert "json.dump()" in messages
-    assert "pickle.dump()" in messages
-    assert ".write_text(json.dumps(...))" in messages
-    assert ".write(pickle.dumps(...))" in messages
-
-
-def test_r6_names_the_sanctioned_helpers():
-    report = run_rule("R6", "r6_bad.py")
-    assert all("repro.checkpoint" in f.message for f in report.findings)
-
-
-def test_r5_flags_every_anti_pattern_kind():
-    report = run_rule("R5", "r5_bad.py")
-    messages = " | ".join(f.message for f in report.findings)
-    assert ".toarray()" in messages
-    assert "spsolve" in messages
-    assert "factorized() outside repro.linalg" in messages
-    assert "splu() outside repro.linalg" in messages
-    assert "csr_matrix() inside a loop" in messages
-    assert ".tocsc() format conversion inside a loop" in messages
 
 
 def test_r8_covers_all_three_checks():
@@ -190,6 +142,28 @@ def test_unknown_rule_id_rejected():
         Analyzer(select=["R99"])
 
 
+def test_any_finding_fails_the_run(tmp_path, capsys):
+    path = tmp_path / "bad.py"
+    # A "disable" comment silences nothing.
+    path.write_text(
+        "def f():\n    raise ValueError('x')  # repro-lint: disable=R4\n"
+    )
+    assert main([str(path), "--select", "R4"]) == 1
+    assert capsys.readouterr().out.rstrip().endswith("1 errors")
+
+
+def test_unknown_rule_is_a_cli_usage_error(tmp_path):
+    path = tmp_path / "empty.py"
+    path.write_text("")
+    assert main([str(path), "--select", "R99"]) == 2
+
+
+def test_list_rules_prints_the_live_rules(capsys):
+    assert main(["--list-rules"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == ["R1", "R2", "R3", "R4", "R8", "R9"]
+
+
 def test_missing_path_rejected():
     with pytest.raises(LintError):
         Analyzer(select=["R4"]).run([str(FIXTURES / "does_not_exist.py")])
@@ -236,83 +210,3 @@ class TestR4BoundaryModules:
         mod = self._make_tree(tmp_path, "repro.faultsextra")
         report = Analyzer(select=["R4"]).run([str(mod)])
         assert len(report.findings) == 1
-
-
-class TestR6BoundaryModule:
-    """R6 sanctions ``repro.checkpoint`` (and submodules) by module path."""
-
-    BODY = (
-        "import json\n"
-        "def save(payload, fh):\n"
-        "    json.dump(payload, fh)\n"
-    )
-
-    def _make_module(self, root, package):
-        path = root
-        for part in package.split("."):
-            path = path / part
-            path.mkdir()
-            (path / "__init__.py").write_text("")
-        mod = path / "mod.py"
-        mod.write_text(self.BODY)
-        return mod
-
-    def test_checkpoint_package_is_sanctioned(self, tmp_path):
-        mod = self._make_module(tmp_path, "repro.checkpoint")
-        report = Analyzer(select=["R6"]).run([str(mod)])
-        assert report.findings == []
-
-    def test_lookalike_package_is_flagged(self, tmp_path):
-        mod = self._make_module(tmp_path, "repro.checkpointing")
-        report = Analyzer(select=["R6"]).run([str(mod)])
-        assert len(report.findings) == 1
-        assert report.findings[0].rule == "R6"
-
-
-class TestR5BackendModule:
-    """R5 sanctions raw factorizers only inside ``repro.linalg``."""
-
-    BODY = (
-        "from scipy.sparse.linalg import splu\n"
-        "def factorize(matrix):\n"
-        "    return splu(matrix)\n"
-    )
-
-    LOOP_BODY = (
-        "from scipy.sparse.linalg import splu\n"
-        "def solve_all(matrices, rhs):\n"
-        "    out = []\n"
-        "    for matrix in matrices:\n"
-        "        out.append(splu(matrix).solve(rhs))\n"
-        "    return out\n"
-    )
-
-    def _make_module(self, root, package, body):
-        path = root
-        for part in package.split("."):
-            path = path / part
-            path.mkdir()
-            (path / "__init__.py").write_text("")
-        mod = path / "mod.py"
-        mod.write_text(body)
-        return mod
-
-    def test_backend_package_is_sanctioned(self, tmp_path):
-        mod = self._make_module(tmp_path, "repro.linalg", self.BODY)
-        report = Analyzer(select=["R5"]).run([str(mod)])
-        assert report.findings == []
-
-    def test_lookalike_package_is_flagged(self, tmp_path):
-        # "repro.linalgx" must not ride on the "repro.linalg" sanction.
-        mod = self._make_module(tmp_path, "repro.linalgx", self.BODY)
-        report = Analyzer(select=["R5"]).run([str(mod)])
-        assert len(report.findings) == 1
-        assert "outside repro.linalg" in report.findings[0].message
-
-    def test_in_loop_factorization_flagged_even_when_sanctioned(
-        self, tmp_path
-    ):
-        mod = self._make_module(tmp_path, "repro.linalg", self.LOOP_BODY)
-        report = Analyzer(select=["R5"]).run([str(mod)])
-        assert len(report.findings) == 1
-        assert "inside a loop" in report.findings[0].message

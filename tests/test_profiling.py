@@ -1,4 +1,5 @@
-"""Unit tests for the metrics recorder: counters, histograms, timers."""
+"""Unit tests for the metrics recorder: counters, histograms, timers, and
+the registered-name check at every telemetry sink."""
 
 import random
 import threading
@@ -13,6 +14,10 @@ from repro.profiling import (
     Histogram,
     Profiler,
 )
+from repro.server.jobstore import JobStore
+from repro.server.records import new_job_id
+from repro.telemetry.promexpo import gauge
+from repro.telemetry.runlog import RunLog, emit_event
 
 from .conftest import fork_while_busy
 
@@ -312,16 +317,62 @@ class TestHistograms:
 
 class TestModuleHelpers:
     def test_global_helpers(self):
-        profiling.increment("g", 2)
-        with profiling.timer("gt"):
+        profiling.increment("search.probes", 2)
+        with profiling.timer("thermal.solve"):
             pass
-        profiling.observe("gt", 0.5)
+        profiling.observe("thermal.solve", 0.5)
         snap = profiling.snapshot()
-        assert snap["counters"]["g"] == 2
-        assert snap["histograms"]["gt"]["count"] == 2
-        assert profiling.timer_seconds("gt") >= 0.5
-        profiling.merge({"counters": {"g": 1}})
-        assert profiling.counter("g") == 3
+        assert snap["counters"]["search.probes"] == 2
+        assert snap["histograms"]["thermal.solve"]["count"] == 2
+        assert profiling.timer_seconds("thermal.solve") >= 0.5
+        profiling.merge({"counters": {"search.probes": 1}})
+        assert profiling.counter("search.probes") == 3
+
+
+def _timed(helper):
+    def record(name, tmp_path):
+        with helper(name):
+            pass
+
+    return record
+
+
+def _log_event(name, tmp_path):
+    with JobStore(tmp_path / "store") as store:
+        store.log_event(new_job_id(), name)
+
+
+#: Every place a telemetry name enters the system, as ``(name, tmp_path)``.
+NAME_SINKS = {
+    "profiling.increment": lambda name, tmp_path: profiling.increment(name),
+    "profiling.observe": lambda name, tmp_path: profiling.observe(name, 0.1),
+    "profiling.timer": _timed(profiling.timer),
+    "profiling.span": _timed(profiling.span),
+    "profiling.instant": lambda name, tmp_path: profiling.instant(name),
+    "runlog.emit_event": lambda name, tmp_path: emit_event(name),
+    "RunLog.emit": lambda name, tmp_path: RunLog(
+        tmp_path / "run.jsonl", fsync=False
+    ).emit(name),
+    "JobStore.log_event": _log_event,
+    "promexpo.gauge": lambda name, tmp_path: gauge(name, 1.0),
+}
+
+
+@pytest.mark.parametrize("sink", sorted(NAME_SINKS))
+class TestRegisteredNames:
+    """Each sink rejects a name missing from ``repro.telemetry.names``."""
+
+    @pytest.mark.parametrize(
+        "name", ["thermal.sovles", "faults.injectedx", "job.claimd", "g"]
+    )
+    def test_unregistered_name_raises(self, sink, name, tmp_path):
+        profiling.set_tracing(True)
+        with pytest.raises(TelemetryError, match="not declared"):
+            NAME_SINKS[sink](name, tmp_path)
+
+    def test_wildcard_family_is_accepted(self, sink, tmp_path):
+        profiling.set_tracing(True)
+        NAME_SINKS[sink]("faults.injected.torn-write", tmp_path)
 
 
 class TestForkSafety:
@@ -333,11 +384,11 @@ class TestForkSafety:
         must not inherit it held: its first ``reset`` would wait forever."""
 
         def record():
-            profiling.increment("fork.probe")
-            profiling.observe("fork.probe_s", 0.001)
+            profiling.increment("parallel.candidates")
+            profiling.observe("thermal.factorize", 0.001)
 
         def child():  # touch the recorder
             profiling.reset()
-            profiling.increment("fork.child")
+            profiling.increment("parallel.batches")
 
         assert fork_while_busy(record, child) == []
