@@ -12,7 +12,6 @@ size and per network style.  Findings reproduced here:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -20,6 +19,7 @@ import numpy as np
 
 from ..geometry.stack import Stack
 from ..materials import Coolant
+from ..telemetry.runlog import Stopwatch
 from ..thermal.rc2 import RC2Simulator
 from ..thermal.rc4 import RC4Simulator
 
@@ -71,9 +71,9 @@ def compare_models(
     reference: Dict[float, object] = {}
     times4: Dict[float, float] = {}
     for p in pressures:
-        start = time.perf_counter()
+        watch = Stopwatch()
         reference[p] = sim4.solve(p)
-        times4[p] = time.perf_counter() - start
+        times4[p] = watch.elapsed()
 
     records: List[ModelComparison] = []
     for tile_size in tile_sizes:
@@ -84,9 +84,9 @@ def compare_models(
             inlet_temperature=inlet_temperature,
         )
         for p in pressures:
-            start = time.perf_counter()
+            watch = Stopwatch()
             result2 = sim2.solve(p)
-            elapsed2 = time.perf_counter() - start
+            elapsed2 = watch.elapsed()
             err_abs, err_rise = source_layer_errors(
                 reference[p], result2, inlet_temperature
             )

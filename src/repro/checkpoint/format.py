@@ -30,8 +30,8 @@ Every rejection path raises a typed
 :func:`repro.checkpoint.atomic.atomic_write_bytes`, so a crash mid-write
 leaves the previous checkpoint intact.
 
-This module is a sanctioned R4 error boundary (``repro-lint-scope:
-error-boundary``): unpickling attacker- or corruption-shaped bytes can
+``repro.checkpoint`` is a sanctioned error boundary (in the R4 lint rule's
+``BOUNDARY_MODULES``): unpickling attacker- or corruption-shaped bytes can
 raise nearly anything (``UnpicklingError``, ``EOFError``,
 ``AttributeError``...), and the one ``except Exception`` below exists to
 translate all of it into :class:`~repro.errors.CheckpointError`.

@@ -4,8 +4,8 @@ Every error raised by the library derives from :class:`ReproError` so callers
 can catch library failures with a single ``except`` clause while still letting
 programming errors (``TypeError`` etc.) propagate.
 
-This module is also the one sanctioned *crash-translation boundary*
-(``repro-lint-scope: error-boundary``): :func:`crash_boundary` is the only
+This module is also the one sanctioned *crash-translation boundary* (it is
+in the R4 lint rule's ``BOUNDARY_MODULES``): :func:`crash_boundary` is the only
 place allowed to catch ``Exception``, converting anything that is not a
 :class:`ReproError` into a :class:`CandidateCrashError` so batch evaluators
 can tell "this candidate is infeasible" apart from "this code is broken"

@@ -6,8 +6,8 @@ owns a ``random.Random`` stream seeded from ``(plan seed, spec index, site,
 kind)``, so a plan replays the same fire/skip decisions on every run, and a
 worker process that unpickles the plan re-arms the identical schedule.
 
-This module is a sanctioned error boundary (``repro-lint-scope:
-error-boundary``): the ``raise-crash`` kind deliberately raises a *builtin*
+``repro.faults`` is a sanctioned error boundary (in the R4 lint rule's
+``BOUNDARY_MODULES``): the ``raise-crash`` kind deliberately raises a *builtin*
 ``RuntimeError`` to simulate an untyped programming error, which is exactly
 what the R4 lint rule forbids everywhere else -- the chaos suite needs it to
 prove :func:`~repro.errors.crash_boundary` translates such crashes into

@@ -1,8 +1,7 @@
 """Domain-aware static analysis for the repro codebase.
 
-``python -m repro.lint [paths]`` runs six AST-based rules that encode the
-invariants the physics, cache-key, worker-pool, error and determinism
-layers depend on:
+``python -m repro.lint [paths]`` runs five AST-based rules that encode the
+invariants the physics, cache-key, worker-pool and error layers depend on:
 
 ====  ===================  ==================================================
 R1    units                ``[unit: ...]`` tags on physics constants; no
@@ -14,16 +13,15 @@ R4    error-discipline     ``ReproError`` subclasses everywhere; no broad
                            excepts outside ``repro.errors.crash_boundary``
 R8    unit-flow            unit tags on float signatures; call arguments and
                            returns match the declared units
-R9    determinism-taint    no nondeterminism reaching keys, checkpoints,
-                           events or SA scores
 ====  ===================  ==================================================
 
 R1 and R8 share one unit-inference engine
 (:class:`~repro.lint.rules.unit_flow.UnitFlow`).  R5 (sparse patterns), R6
-(atomic persistence) and R7 (telemetry names) are retired; the guards that
-replaced them are listed in ``docs/STATIC_ANALYSIS.md`` with the
-conventions each rule enforces.  Any finding fails the run.  The analyzer
-is stdlib-only and safe to run anywhere, including CI.
+(atomic persistence), R7 (telemetry names) and R9 (determinism taint) are
+retired; the guards that replaced them are listed in
+``docs/STATIC_ANALYSIS.md`` with the conventions each rule enforces.  Any
+finding fails the run.  The analyzer is stdlib-only and safe to run
+anywhere, including CI.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Domain-aware static analysis (units, cache keys, "
-        "worker-pool safety, error discipline, determinism).",
+        "worker-pool safety, error discipline).",
     )
     parser.add_argument(
         "paths",

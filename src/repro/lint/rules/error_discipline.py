@@ -14,9 +14,8 @@ anti-patterns break that contract:
   code are indistinguishable from interpreter errors.  Raise the matching
   ``ReproError`` subclass instead.
 
-``repro.errors`` itself (or a module whose docstring declares
-``repro-lint-scope: error-boundary``) is exempt: it is where the boundary
-is implemented.  ``repro.faults`` and its submodules are likewise
+``repro.errors`` itself is exempt: it is where the boundary is
+implemented.  ``repro.faults`` and its submodules are likewise
 sanctioned: its injection sites must be able to *raise* builtin exceptions
 on purpose (the ``raise-crash`` fault kind simulates exactly the untyped
 programming error this rule exists to keep out of library code, so the
@@ -111,7 +110,7 @@ class ErrorDisciplineRule(Rule):
     )
 
     def check(self, ctx: FileContext, project: Project) -> Iterator[Finding]:
-        if _is_boundary_module(ctx.module) or "error-boundary" in ctx.scopes:
+        if _is_boundary_module(ctx.module):
             return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ExceptHandler):

@@ -6,8 +6,7 @@ Built once per analyzer run from every parsed file:
 * function return-unit tags (``[unit-return: ...]`` docstrings) and
   parameter unit tags (``name: ... [unit: X]`` docstring lines),
 * attribute unit tags from class docstrings (``attr: ... [unit: X]``),
-* top-level function definitions (the nodes the call graph and the
-  dataflow rules R8/R9 analyze),
+* top-level function definitions (the call targets R8 checks),
 * a static import graph over the analyzed modules, from which the
   *worker closure* -- every module transitively imported by
   ``repro.optimize.parallel`` -- is derived for the pool-safety rule.
@@ -98,7 +97,7 @@ class ModuleSymbols:
         #: Function name -> {param -> unit}; a ``None`` unit means the
         #: parameter is tagged ``[unit: any]`` (covered but polymorphic).
         self.param_units: Dict[str, Dict[str, Optional[Unit]]] = {}
-        #: Top-level function definitions by name (R8/R9, call graph).
+        #: Top-level function definitions by name (R8's call targets).
         self.functions: Dict[str, ast.FunctionDef] = {}
         #: Local alias -> (module, name) for ``from mod import name [as alias]``.
         self.imported_names: Dict[str, Tuple[str, str]] = {}
@@ -370,16 +369,3 @@ class Project:
             module == pkg or module.startswith(pkg + ".")
             for pkg in UNIT_SCOPED_PACKAGES
         )
-
-    # -- call graph -----------------------------------------------------
-
-    @property
-    def callgraph(self) -> "CallGraph":
-        """The project call graph, built lazily on first use."""
-        graph = getattr(self, "_callgraph", None)
-        if graph is None:
-            from .callgraph import CallGraph  # lazy: avoid import cycle
-
-            graph = CallGraph(self)
-            self._callgraph = graph
-        return graph

@@ -164,7 +164,8 @@ class Chain:
     @classmethod
     def restore(cls, state: Mapping[str, Any]) -> "Chain":
         """The chain of a :meth:`state` snapshot (extra keys are ignored)."""
-        rng = np.random.default_rng()
+        # The seed is a placeholder: the snapshot's state replaces it.
+        rng = np.random.default_rng(0)
         rng.bit_generator.state = state["rng"]
         return cls(
             rng, state["current"], state["current_cost"], state["best"],

@@ -24,16 +24,17 @@ Error discipline: every typed :class:`~repro.errors.JobError` maps to one
 status code (400 validation, 404 unknown job, 409 wrong state, 429 queue
 full with ``Retry-After``); unexpected exceptions become an opaque 500
 without killing the serving thread.  This module is therefore a sanctioned
-error boundary (``repro-lint-scope: error-boundary``): the process-edge
-handler may catch broad ``Exception`` exactly like the CLI main.
+error boundary (in the R4 lint rule's ``BOUNDARY_MODULES``): the
+process-edge handler may catch broad ``Exception`` exactly like the CLI
+main.
 
 Graceful degradation: a draining server (SIGTERM received, see
 :mod:`repro.server.service`) rejects new submissions with 503 +
 ``Retry-After`` while read paths keep serving, so clients can poll their
 jobs to the end of the drain window.
 
-``repro-lint-scope: determinism-boundary`` -- HTTP plumbing is wall-clock
-territory.
+HTTP plumbing is wall-clock territory, which the nondeterminism source
+guard allows in ``repro.server``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ raised -- a 404 comes back as :class:`~repro.errors.JobNotFoundError`, a
 ``Retry-After``, and so on -- so callers handle one error vocabulary on
 both sides of the wire.
 
-``repro-lint-scope: determinism-boundary`` -- polling is wall-clock.
+Waiting is wall-clock, which the nondeterminism source guard allows in
+``repro.server``.
 """
 
 from __future__ import annotations

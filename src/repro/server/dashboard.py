@@ -19,8 +19,8 @@ is what the tests exercise; :func:`run_top` adds the poll/clear/sleep loop
 around it.  ANSI clear-screen instead of curses keeps the module importable
 and testable anywhere a terminal is not guaranteed.
 
-``repro-lint-scope: determinism-boundary`` -- a live dashboard is
-wall-clock territory.
+A live dashboard is wall-clock territory, which the nondeterminism source
+guard allows in ``repro.server``.
 """
 
 from __future__ import annotations

@@ -41,8 +41,9 @@ append bumps a generation counter under one condition variable, and
 writer is a thread of the owning process, idle workers and ``follow=1``
 streams wake the moment a job changes, with no polling.
 
-``repro-lint-scope: determinism-boundary`` -- the store stamps wall-clock
-queue times; the work each job runs stays seeded by its spec.
+The store stamps wall-clock queue times and draws job ids, which the
+nondeterminism source guard allows in ``repro.server``; the work each job
+runs stays seeded by its spec.
 """
 
 from __future__ import annotations

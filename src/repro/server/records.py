@@ -21,9 +21,10 @@ truncates them here), and land via
 corruption, a reader sees either the previous complete record or the new
 one, never a tear.
 
-This module is a nondeterminism boundary (``repro-lint-scope:
-determinism-boundary``): job ids draw entropy and records carry wall-clock
-submission/update timestamps -- queue state, not algorithm state.  The
+Job ids draw entropy and records carry wall-clock submission/update
+timestamps -- queue state, not algorithm state; ``repro.server`` is one of
+the packages the nondeterminism source guard
+(``tests/test_source_guards.py``) lets read clocks and entropy.  The
 *work* a record describes stays deterministic: the spec seeds every RNG.
 """
 

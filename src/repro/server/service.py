@@ -26,8 +26,8 @@ and wake the store so idle workers and ``follow=1`` streams see the flag
 at once, then join every thread, close the listener and free the root.
 Nothing is lost; that is the whole point of the durable queue underneath.
 
-``repro-lint-scope: determinism-boundary`` -- process lifecycle is
-wall-clock territory.
+Process lifecycle is wall-clock territory, which the nondeterminism source
+guard allows in ``repro.server``.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ Failure discipline (R4): the executor call is wrapped in
 :func:`~repro.errors.crash_boundary`; everything reaching the retry logic
 is a typed ``ReproError`` or ``CandidateCrashError``.
 
-``repro-lint-scope: determinism-boundary`` -- scheduling is wall-clock
-(backoff); the work itself stays seeded by the job spec.
+Scheduling is wall-clock (backoff), which the nondeterminism source guard
+allows in ``repro.server``; the work itself stays seeded by the job spec.
 """
 
 from __future__ import annotations

@@ -38,9 +38,11 @@ class Stopwatch:
     """Monotonic elapsed-seconds measurement for run-event payloads.
 
     Clock reads live here in the telemetry boundary so instrumented code
-    (the SA runner, the staged flow) never touches ``time`` directly --
-    timing is observability, not algorithm state, and the determinism lint
-    (R9) holds non-telemetry modules to that.
+    (the SA runner, the staged flow, the 2RM/4RM model comparison) never
+    touches ``time`` directly -- timing is observability, not algorithm
+    state, and the nondeterminism source guard
+    (``tests/test_source_guards.py``) holds every module outside telemetry,
+    profiling, fault injection and the service to that.
     """
 
     __slots__ = ("_start",)

@@ -1,9 +1,8 @@
-"""Whole-program behavior: units and taint across module boundaries.
+"""Whole-program behavior: units across module boundaries.
 
-The R8/R9 fixtures in ``fixtures/`` exercise single-file shapes; the tests
-here run real mini-packages (``fixtures/unitpkg``, ``fixtures/detpkg``) so
-units and taint must flow across module boundaries through the project
-symbol table and call graph.
+The R8 fixtures in ``fixtures/`` exercise single-file shapes; the tests
+here run a real mini-package (``fixtures/unitpkg``), so units must flow
+across module boundaries through the project symbol table.
 """
 
 from pathlib import Path
@@ -35,20 +34,3 @@ class TestR8AcrossModules:
         assert "has unit [m]" in messages
         assert "'pressure'" in messages and "'flow'" in messages
 
-
-class TestR9AcrossModules:
-    """Taint crosses call/return edges; boundary modules launder it.
-
-    ``fixtures/detpkg/`` pairs two helpers that both return ``time.time()``
-    -- one plain, one declaring ``repro-lint-scope: determinism-boundary``
-    -- with callers keying a cache off each.
-    """
-
-    def test_taint_crosses_module_call_edge_boundary_does_not(self):
-        report = Analyzer(select=["R9"]).run([str(FIXTURES / "detpkg")])
-        assert len(report.findings) == 1
-        finding = report.findings[0]
-        assert finding.path.endswith("use_bad.py")
-        assert "wall-clock" in finding.message
-        # use_boundary.py keys the same cache off the sanctioned helper
-        # and must stay clean.

@@ -7,12 +7,18 @@ Three layers under test:
   memoization, fidelity eval accounting, corrected-2RM/4RM top-k
   agreement within the calibrated tolerance);
 * the round-based orchestrator (seeded determinism, bitwise
-  checkpoint/resume, worker-count invariance, per-optimizer run logs).
+  checkpoint/resume, worker-count invariance, hash-seed invariance,
+  per-optimizer run logs).
 """
 
 import dataclasses
+import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +44,43 @@ from repro.optimize.runner import PROBLEM_PUMPING_POWER
 from repro.telemetry.runlog import read_run_log
 
 QUICK = PortfolioConfig(rounds=2, iterations=2, batch_size=2, seed=3)
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: A small Problem-1 portfolio (case 1 at grid 21, two tiny 2RM stages for
+#: ``staged_sa``) that prints every strategy's outcome as one JSON line.
+#: Floats go out as ``float.hex`` or ``repr``, so equal lines mean bitwise
+#: equal outcomes.  With ``seed=0`` an ``_elite_candidates`` that ranks in
+#: ``set`` order already promotes in a different order under hash seeds 0
+#: and 1 (``offset_state`` records that order); some other seeds do not.
+HASH_SEED_RUN = """
+import json
+from repro.iccad2015 import load_case
+from repro.optimize.portfolio import PortfolioConfig, run_portfolio
+from repro.optimize.stages import (
+    METRIC_FIXED_PRESSURE_GRADIENT, METRIC_LOWEST_FEASIBLE_POWER, StageConfig,
+)
+config = PortfolioConfig(
+    rounds=2, iterations=2, batch_size=2, seed=0,
+    stages=(
+        StageConfig("s1", 3, 1, 8, METRIC_FIXED_PRESSURE_GRADIENT, "2rm"),
+        StageConfig("s2", 3, 1, 4, METRIC_LOWEST_FEASIBLE_POWER, "2rm"),
+    ),
+)
+result = run_portfolio(
+    load_case(1, grid_size=21), ("multi_fidelity", "staged_sa"), config
+)
+print(json.dumps({
+    name: {
+        "score": outcome.score.hex(),
+        "params": outcome.params.tolist(),
+        "evals": [outcome.low_evals, outcome.high_evals],
+        "rounds": repr(outcome.rounds),
+        "offset_state": repr(outcome.offset_state),
+    }
+    for name, outcome in result.outcomes.items()
+}))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +383,33 @@ class TestRunPortfolio:
         mf = read_run_log(tmp_path / "multi_fidelity.jsonl")
         promotions = [r for r in mf if r["type"] == "portfolio.promotion"]
         assert promotions and all("offset" in r for r in promotions)
+
+    def test_outcomes_do_not_depend_on_the_hash_seed(self):
+        """Two fresh interpreters with different ``str``/``bytes`` hash
+        seeds reach the same outcomes, so no result depends on set or hash
+        order.  In-process tests cannot see this: every test and every
+        forked pool worker shares one hash seed."""
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", HASH_SEED_RUN],
+                env=dict(
+                    os.environ,
+                    PYTHONHASHSEED=str(seed),
+                    PYTHONPATH=os.pathsep.join(
+                        p for p in (str(SRC), os.environ.get("PYTHONPATH"))
+                        if p
+                    ),
+                ),
+                stdout=subprocess.PIPE,
+                text=True,
+                timeout=120,
+                check=True,
+            ).stdout
+            for seed in (0, 1)
+        ]
+        first, second = (json.loads(out) for out in outputs)
+        assert sorted(first) == ["multi_fidelity", "staged_sa"]
+        assert first == second
 
 
 class TestCheckpointResume:

@@ -1,13 +1,20 @@
-"""Source guards: who may write files and who may factorize sparse systems.
+"""Source guards: who may write files, factorize sparse systems, or read
+nondeterministic values.
 
-Two decisions each live in one module, and these tests fail when code
+Three decisions each live in one place, and these tests fail when code
 anywhere else in ``src/repro`` takes them:
 
 - files are written only by :mod:`repro.checkpoint.atomic` (temp file,
   fsync, rename), so a crash never leaves a torn artifact;
 - sparse systems are factorized only in :mod:`repro.linalg`, behind its
   typed error contract and telemetry, and nothing densifies a matrix or
-  calls ``spsolve`` (which throws its factorization away).
+  calls ``spsolve`` (which throws its factorization away);
+- clocks, process ids, OS entropy, ``uuid``, ``id()`` and unseeded RNGs
+  are read only in :data:`NONDETERMINISM_PACKAGES` (telemetry, profiling,
+  fault injection, the service), so every result, cache key, checkpoint
+  and run event elsewhere is a function of the inputs and seeds.  Set and
+  hash order, which no source scan can see, is covered by the hash-seed
+  rerun in ``tests/optimize/test_portfolio.py``.
 
 The scans are syntactic (``ast``), so names in strings and comments do not
 count.  Each scanner is also run over a snippet of every shape it must see,
@@ -35,6 +42,26 @@ _OS_WRITE_FLAGS = frozenset(
 )
 _FACTORIZERS = frozenset({"splu", "spilu", "factorized"})
 _DENSIFIERS = frozenset({"todense", "toarray"})
+
+#: The packages allowed to read nondeterministic values: telemetry stamps
+#: and measures time, fault injection draws its own schedules, and the
+#: service stamps queue times and draws job ids.
+NONDETERMINISM_PACKAGES = (
+    "repro.telemetry", "repro.profiling", "repro.faults", "repro.server",
+)
+
+_CLOCKS = (
+    "time", "perf_counter", "monotonic", "clock_gettime", "process_time",
+)
+#: Functions whose every use reads a clock, the pid or OS entropy.
+_NONDETERMINISTIC_READS = frozenset(
+    {f"time.{clock}{ns}" for clock in _CLOCKS for ns in ("", "_ns")}
+    | {"os.getpid", "os.urandom"}
+)
+#: RNG constructors that draw OS entropy when given no seed.
+_SEEDABLE_RNGS = frozenset(
+    {"random.Random", "numpy.random.default_rng", "numpy.random.SeedSequence"}
+)
 
 
 def _modules():
@@ -128,6 +155,82 @@ def _sparse_uses(tree):
     return found
 
 
+def _imported_names(tree):
+    """Local name -> dotted origin for every import in ``tree`` (and the
+    builtin ``id``)."""
+    names = {"id": "id"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    names[alias.asname] = alias.name
+                else:
+                    root = alias.name.partition(".")[0]
+                    names[root] = root
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                names[alias.asname or alias.name] = (
+                    f"{node.module}.{alias.name}"
+                )
+    return names
+
+
+def _dotted(node, names):
+    """``numpy.random.default_rng`` for ``np.random.default_rng``, else
+    None when the expression is not a name chain rooted in an import."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value, names)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def _unseeded(call):
+    """Whether a call passes no seed (no arguments, or only ``None``)."""
+    return all(
+        isinstance(arg, ast.Constant) and arg.value is None
+        for arg in [*call.args, *(kw.value for kw in call.keywords)]
+    )
+
+
+def _source_call(name, call):
+    """The nondeterministic source a call to ``name`` is, else None."""
+    if name == "id" or name.startswith("uuid."):
+        return f"{name}()"
+    if name in _SEEDABLE_RNGS:
+        return f"{name}()" if _unseeded(call) else None
+    module = name.rpartition(".")[0]
+    if module == "random" or (
+        module == "numpy.random" and name != "numpy.random.Generator"
+    ):
+        return f"{name}()"
+    return None
+
+
+def _nondeterminism_sources(tree):
+    """Every clock, pid, entropy, ``uuid``, ``id()`` or unseeded-RNG use.
+
+    Clock, pid and entropy functions count wherever they are named (also
+    passed uncalled, say as a ``default_factory``); the others count when
+    called.
+    """
+    names = _imported_names(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            name = _dotted(node, names)
+            if name in _NONDETERMINISTIC_READS:
+                found.append(name)
+        elif isinstance(node, ast.Call):
+            name = _dotted(node.func, names)
+            if name is not None and name not in _NONDETERMINISTIC_READS:
+                source = _source_call(name, node)
+                if source is not None:
+                    found.append(source)
+    return found
+
+
 def test_only_checkpoint_atomic_writes_files():
     writes = [
         (module, shape)
@@ -148,6 +251,19 @@ def test_only_linalg_factorizes_and_nothing_densifies():
             if name not in _FACTORIZERS or not in_linalg:
                 misuse.append((module, name))
     assert misuse == []
+
+
+def test_only_observability_and_service_read_nondeterminism():
+    sources = [
+        (module, name)
+        for module, tree in _modules()
+        if not any(
+            module == package or module.startswith(package + ".")
+            for package in NONDETERMINISM_PACKAGES
+        )
+        for name in _nondeterminism_sources(tree)
+    ]
+    assert sources == []
 
 
 @pytest.mark.parametrize(
@@ -203,3 +319,64 @@ def test_write_scanner_ignores_reads(source):
 )
 def test_sparse_scanner_sees_every_shape(source, name):
     assert name in _sparse_uses(ast.parse(source))
+
+
+@pytest.mark.parametrize(
+    "source,name",
+    [
+        ("import time\nt = time.time()", "time.time"),
+        ("import time\nt = time.time_ns()", "time.time_ns"),
+        ("import time\nt = time.perf_counter()", "time.perf_counter"),
+        ("import time\nt = time.perf_counter_ns()", "time.perf_counter_ns"),
+        ("import time\nt = time.monotonic()", "time.monotonic"),
+        ("import time\nt = time.monotonic_ns()", "time.monotonic_ns"),
+        ("import time\nt = time.clock_gettime(c)", "time.clock_gettime"),
+        ("import time\nt = time.process_time()", "time.process_time"),
+        ("from time import perf_counter\nt = perf_counter()",
+         "time.perf_counter"),
+        ("from time import monotonic as now\nt = now()", "time.monotonic"),
+        ("import time as clock\nt = clock.time()", "time.time"),
+        ("import time\nf = field(default_factory=time.time)", "time.time"),
+        ("import os\npid = os.getpid()", "os.getpid"),
+        ("import os\nsalt = os.urandom(8)", "os.urandom"),
+        ("import uuid\njob = uuid.uuid4().hex", "uuid.uuid4()"),
+        ("from uuid import uuid1\njob = uuid1()", "uuid.uuid1()"),
+        ("key = (id(context), 3)", "id()"),
+        ("import random\nx = random.random()", "random.random()"),
+        ("import random\nrandom.shuffle(items)", "random.shuffle()"),
+        ("import random\nrng = random.Random()", "random.Random()"),
+        ("from random import choice\nx = choice(items)", "random.choice()"),
+        ("import numpy as np\nx = np.random.rand(3)", "numpy.random.rand()"),
+        ("import numpy as np\nnp.random.seed(0)", "numpy.random.seed()"),
+        ("import numpy\nx = numpy.random.normal()", "numpy.random.normal()"),
+        ("import numpy as np\nrng = np.random.default_rng()",
+         "numpy.random.default_rng()"),
+        ("import numpy as np\nrng = np.random.default_rng(None)",
+         "numpy.random.default_rng()"),
+        ("from numpy.random import default_rng\nrng = default_rng()",
+         "numpy.random.default_rng()"),
+        ("import numpy as np\nss = np.random.SeedSequence()",
+         "numpy.random.SeedSequence()"),
+    ],
+)
+def test_nondeterminism_scanner_sees_every_source(source, name):
+    assert name in _nondeterminism_sources(ast.parse(source))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import numpy as np\nrng = np.random.default_rng(seed)",
+        "import numpy as np\nrng = np.random.default_rng(0)",
+        "import numpy as np\n"
+        "ss = np.random.SeedSequence(seed, spawn_key=(stage, round_i))",
+        "import numpy as np\nrng = np.random.Generator(bit_generator)",
+        "import random\nrng = random.Random(seed)",
+        "import time\ntime.sleep(0.1)",
+        "import os\nroot = os.path.join(a, b)",
+        "t = self.time\nd = record.id",
+        "def f(time):\n    return time.time",
+    ],
+)
+def test_nondeterminism_scanner_ignores_seeded_and_inert_shapes(source):
+    assert _nondeterminism_sources(ast.parse(source)) == []
