@@ -37,7 +37,6 @@ from .analysis import (
 from .telemetry import runlog
 from .analysis.model_compare import aggregate_by
 from .checkpoint.atomic import atomic_write_json
-from .cooling import CoolingSystem, evaluate_problem1, evaluate_problem2
 from .errors import ReproError, RunInterrupted
 from .iccad2015 import load_case, read_network, write_network
 from .networks import serpentine_network
@@ -49,6 +48,7 @@ from .optimize.portfolio import (
     PortfolioConfig,
     run_portfolio,
 )
+from .optimize.stages import evaluate_design
 from .thermal import RC2Simulator, RC4Simulator
 
 #: Exit code of a supervised run stopped by SIGINT/SIGTERM after flushing
@@ -633,13 +633,10 @@ def _cmd_top(args) -> None:
 def _cmd_evaluate(args) -> None:
     case = load_case(args.case, grid_size=args.grid)
     network = read_network(args.network_file)
-    system = CoolingSystem.for_network(
-        case.base_stack(), network, case.coolant, model=args.model
+    problem = (
+        PROBLEM_PUMPING_POWER if args.problem == 1 else PROBLEM_THERMAL_GRADIENT
     )
-    if args.problem == 1:
-        ev = evaluate_problem1(system, case.delta_t_star, case.t_max_star)
-    else:
-        ev = evaluate_problem2(system, case.t_max_star, case.w_pump_star())
+    ev = evaluate_design(case, network, problem, model=args.model)
     status = "feasible" if ev.feasible else "INFEASIBLE"
     print(
         f"[{status}] P_sys={ev.p_sys / 1e3:.2f} kPa  "

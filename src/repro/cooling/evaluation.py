@@ -62,11 +62,6 @@ class EvaluationResult:
     simulations: int
     fidelity: str = ""
 
-    @property
-    def is_infeasible(self) -> bool:
-        """Inverse of ``feasible``."""
-        return not self.feasible
-
     def raise_if_infeasible(self, what: str = "network") -> "EvaluationResult":
         """Raise :class:`~repro.errors.InfeasibleError` unless feasible.
 

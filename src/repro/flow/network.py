@@ -94,7 +94,8 @@ _UNIT_FIELDS = (
 
 _unit_cache_lock = threading.Lock()
 _unit_cache: "OrderedDict[tuple, dict]" = OrderedDict()
-_unit_cache_size = 64
+#: Unit solutions kept, least recently used evicted first.  [unit: 1]
+UNIT_CACHE_SIZE = 64
 
 
 def _reset_unit_cache_lock() -> None:
@@ -105,20 +106,6 @@ def _reset_unit_cache_lock() -> None:
 
 
 os.register_at_fork(after_in_child=_reset_unit_cache_lock)
-
-
-def set_unit_cache_size(size: int) -> int:
-    """Resize the topology-keyed unit-solution cache; 0 disables it.
-
-    Returns the previous size.  Shrinking evicts oldest entries immediately.
-    """
-    global _unit_cache_size
-    with _unit_cache_lock:
-        previous = _unit_cache_size
-        _unit_cache_size = max(int(size), 0)
-        while len(_unit_cache) > _unit_cache_size:
-            _unit_cache.popitem(last=False)
-    return previous
 
 
 def clear_unit_cache() -> None:
@@ -188,10 +175,9 @@ class FlowField:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
         with _unit_cache_lock:
-            if _unit_cache_size > 0:
-                _unit_cache[key] = entry
-                while len(_unit_cache) > _unit_cache_size:
-                    _unit_cache.popitem(last=False)
+            _unit_cache[key] = entry
+            while len(_unit_cache) > UNIT_CACHE_SIZE:
+                _unit_cache.popitem(last=False)
 
     def _topology_key(self) -> tuple:
         """Everything the unit solution depends on, hashable."""

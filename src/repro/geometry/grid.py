@@ -183,10 +183,6 @@ class ChannelGrid:
         """Number of liquid basic cells."""
         return int(self.liquid.sum())
 
-    def is_liquid(self, row: int, col: int) -> bool:
-        """Whether one basic cell is liquid."""
-        return bool(self.liquid[row, col])
-
     def in_bounds(self, row: int, col: int) -> bool:
         """Whether (row, col) lies inside the grid."""
         return 0 <= row < self.nrows and 0 <= col < self.ncols

@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..constants import CELL_WIDTH
 from ..errors import DesignRuleError, GeometryError
 from ..geometry.grid import ChannelGrid
@@ -212,11 +210,6 @@ def _nearest_even_at_most(index: int) -> Optional[int]:
 
 def _nearest_even_at_least(index: int) -> int:
     return index if index % 2 == 0 else index + 1
-
-
-def blocked_columns(grid: ChannelGrid, row: int) -> np.ndarray:
-    """Columns of ``row`` that cannot be carved (TSV or restricted)."""
-    return np.nonzero(grid.tsv_mask[row] | grid.restricted_mask[row])[0]
 
 
 def row_is_clear(grid: ChannelGrid, row: int, col0: int, col1: int) -> bool:

@@ -10,9 +10,13 @@ stage switches to the 4RM reference model.
 * :mod:`~repro.optimize.annealing` -- the SA engine: one batched
   Metropolis loop that every SA caller runs.
 * :mod:`~repro.optimize.moves` -- the paper's tree-parameter move.
-* :mod:`~repro.optimize.stages` -- stage schedules for both problems.
-* :mod:`~repro.optimize.problem1` -- pumping power minimization (Problem 1).
-* :mod:`~repro.optimize.problem2` -- thermal gradient minimization (Problem 2).
+* :mod:`~repro.optimize.stages` -- stage schedules for both problems and
+  their network evaluation of a design.
+* :mod:`~repro.optimize.runner` -- the staged flow, and its entries for
+  pumping power minimization (Problem 1) and thermal gradient minimization
+  (Problem 2).
+* :mod:`~repro.optimize.parallel` -- batch scoring, in-process or on the
+  shared worker pool.
 * :mod:`~repro.optimize.baseline` -- straight-channel baselines and the
   manual-design comparator.
 * :mod:`~repro.optimize.registry` / :mod:`~repro.optimize.portfolio` --
@@ -32,8 +36,6 @@ from .portfolio import (
     PortfolioResult,
     run_portfolio,
 )
-from .problem1 import OptimizationResult, optimize_problem1
-from .problem2 import optimize_problem2
 from .registry import (
     DEFAULT_PORTFOLIO,
     OptimizerEntry,
@@ -41,6 +43,7 @@ from .registry import (
     optimizer_names,
     register_optimizer,
 )
+from .runner import OptimizationResult, optimize_problem1, optimize_problem2
 from .stages import StageConfig, problem1_stages, problem2_stages
 
 __all__ = [

@@ -14,12 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..cooling.evaluation import (
-    EvaluationResult,
-    evaluate_problem1,
-    evaluate_problem2,
-)
-from ..cooling.system import CoolingSystem
+from ..cooling.evaluation import EvaluationResult
 from ..errors import (
     DesignRuleError,
     FlowError,
@@ -35,7 +30,11 @@ from ..networks.serpentine import (
     serpentine_network,
     variable_pitch_network,
 )
-from .stages import PROBLEM_PUMPING_POWER, PROBLEM_THERMAL_GRADIENT
+from .stages import (
+    PROBLEM_PUMPING_POWER,
+    PROBLEM_THERMAL_GRADIENT,
+    evaluate_design,
+)
 
 
 @dataclass
@@ -163,22 +162,9 @@ def _best_of(
     best: Optional[BaselineResult] = None
     for name, grid in candidates:
         try:
-            system = CoolingSystem.for_network(
-                case.base_stack(),
-                grid,
-                case.coolant,
-                model=model,
-                tile_size=tile_size,
-                inlet_temperature=case.inlet_temperature,
+            evaluation = evaluate_design(
+                case, grid, problem, model=model, tile_size=tile_size
             )
-            if problem == PROBLEM_PUMPING_POWER:
-                evaluation = evaluate_problem1(
-                    system, case.delta_t_star, case.t_max_star
-                )
-            else:
-                evaluation = evaluate_problem2(
-                    system, case.t_max_star, case.w_pump_star()
-                )
         except (FlowError, ThermalError, SearchError):
             continue
         result = BaselineResult(name=name, network=grid, evaluation=evaluation)

@@ -1,9 +1,17 @@
 """Parallel candidate evaluation (the paper's 64-way neighbor evaluation).
 
 The paper's server evaluates 64 neighboring network solutions simultaneously
-in each SA iteration.  :func:`evaluate_population` reproduces that pattern:
-score a batch of tree-parameter vectors, optionally across worker processes
-(the grouped Problem-2 metric, inherently sequential, always runs serially).
+in each SA iteration.  :func:`score_batch` reproduces that pattern and is
+the one way a batch of tree-parameter vectors gets scored under an
+*evaluation context* -- a picklable object with ``scorer()``,
+``infeasible()`` and ``shares_group_state``, such as :class:`StageContext`
+(a staged-flow stage metric, scored by :func:`evaluate_population`) or the
+portfolio's 4RM :class:`~repro.optimize.portfolio.ReferenceContext`.  A
+batch runs in-process on the process's scorer for its context when
+``n_workers == 1`` and on the shared worker pool otherwise.  Only a context
+whose candidates share group state -- the grouped Problem-2 metric with
+groups of more than one candidate -- is scored serially on a fresh scorer
+per batch, however many workers were asked for.
 
 One worker pool per process serves every stage and both fidelities:
 :func:`score_on_pool` dispatches to a single module-level
@@ -15,19 +23,15 @@ together, so it runs no thread.  A worker loops on ``(digest, context
 bytes, params)`` -> ``(result, recorder delta)`` and exits when the parent's
 end of its pipe closes, even after a SIGKILL of the parent.
 
-Workers are stage-agnostic: each batch carries its *evaluation context* --
-a picklable object with ``scorer()`` and ``infeasible()``, such as
-:class:`StageContext` or the portfolio's 4RM
-:class:`~repro.optimize.portfolio.ReferenceContext` -- named by the sha256
-of its pickle.  A process builds a digest's scorer once and keeps it in a
-small LRU (:data:`CONTEXT_SLOTS`), so stages, directions, strategies and
-whole jobs reuse the same warm scorers and their per-params cost caches.
-Every process holds one such LRU, whatever the worker count: each pool
-worker its own, and the parent for its serial batches (``n_workers=1``,
+Workers are stage-agnostic: each batch carries its context, named by the
+sha256 of its pickle.  A process builds a digest's scorer once and keeps it
+in a small LRU (:data:`CONTEXT_SLOTS`), so stages, directions, strategies
+and whole jobs reuse the same warm scorers and their per-params cost
+caches.  Every process holds one such LRU, whatever the worker count: each
+pool worker its own, and the parent for its serial batches (``n_workers=1``,
 and a pool degraded to serial).  The LRU is emptied when the fault plan or
 the solver configuration changes, so a memo never outlives the settings
-that made its scores.  Only the grouped Problem-2 metric, whose candidates
-share group state, builds a fresh scorer for each batch.
+that made its scores.
 
 Error discipline (shared by the serial and parallel paths): a
 :class:`~repro.errors.ReproError` means the candidate network is illegal or
@@ -101,6 +105,7 @@ __all__ = [
     "WorkerTimeoutError",
     "count_scored",
     "evaluate_population",
+    "score_batch",
     "score_on_pool",
     "shutdown_degraded_pool",
     "shutdown_pools",
@@ -140,6 +145,15 @@ class StageContext(NamedTuple):
     problem: str
     fixed_pressure: Optional[float] = None
 
+    @property
+    def shares_group_state(self) -> bool:
+        """Whether a candidate's cost depends on the candidates scored
+        before it: the grouped metric with groups of more than one."""
+        return (
+            self.stage.metric == METRIC_MIN_GRADIENT_CAPPED
+            and self.stage.group_size > 1
+        )
+
     def scorer(self) -> Callable[[np.ndarray], float]:
         """A cost function over parameter vectors (``inf``: infeasible)."""
         from .runner import _CandidateEvaluator
@@ -163,9 +177,10 @@ def count_scored(results: Sequence[Any]) -> None:
     """Count a scored batch into ``parallel.candidates`` and
     ``parallel.infeasible``.
 
-    Every scoring path calls this once per batch -- the pool, the
-    in-process 2RM path and the in-process 4RM path -- so the counts do not
-    depend on the worker count.
+    Both branches of :func:`score_batch` -- the pool and the in-process
+    scorer -- call this once per batch, as does the staged flow's
+    in-process batch cost for its memo misses, so the counts do not depend
+    on the worker count.
     """
     profiling.increment("parallel.candidates", len(results))
     profiling.increment(
@@ -181,7 +196,7 @@ CONTEXT_SLOTS = 4
 
 #: ``digest -> (context, scorer)`` of this process, least recent first.
 #: Every in-process scoring path fills it -- a pool worker's, the serial
-#: :func:`evaluate_population` and a pool degraded to serial -- so a
+#: :func:`score_batch` and a pool degraded to serial -- so a
 #: process keeps one scorer, and its per-params cost memo, per context.
 _contexts: "OrderedDict[bytes, Tuple[Any, Callable[[np.ndarray], Any]]]" = (
     OrderedDict()
@@ -700,6 +715,33 @@ os.register_at_fork(before=gc.freeze, after_in_parent=gc.unfreeze)
 # ---------------------------------------------------------------------------
 
 
+def score_batch(
+    context: Any, params_list: Sequence[np.ndarray], n_workers: int
+) -> List[Any]:
+    """Score a batch under the evaluation ``context``: one result per
+    candidate, in order (a cost, for a :class:`StageContext`).
+
+    ``n_workers == 1`` scores in-process on the process's scorer for this
+    context (its cost memo kept across batches, as a pool worker keeps
+    it); more dispatch to the process's shared pool (:func:`score_on_pool`).
+    A context whose candidates share group state is scored serially on a
+    fresh scorer per batch.
+    """
+    if n_workers < 1:
+        raise SearchError(f"n_workers must be >= 1, got {n_workers}")
+    if not params_list:
+        return []
+    if context.shares_group_state:
+        scorer = context.scorer()
+    elif n_workers == 1:
+        _, scorer = _context_scorer(*_context_task(context))
+    else:
+        return score_on_pool(context, params_list, n_workers)
+    results = [scorer(params) for params in params_list]
+    count_scored(results)
+    return results
+
+
 def evaluate_population(
     case: Case,
     plan: TreePlan,
@@ -709,36 +751,22 @@ def evaluate_population(
     fixed_pressure: Optional[float] = None,
     n_workers: int = 1,
 ) -> List[float]:
-    """Score a batch of candidate parameter vectors.
+    """Score a batch of candidate parameter vectors under a staged-flow
+    stage: :func:`score_batch` of their :class:`StageContext`.
 
     Args:
         case / plan / stage / problem / fixed_pressure: As in the staged
             flow (:mod:`repro.optimize.runner`).
         params_list: Candidate (n_trees, 2) arrays.
-        n_workers: Worker processes; 1 evaluates serially in-process on
-            the process's scorer for this context (its cost memo kept
-            across batches, as a pool worker keeps it), more dispatch to
-            the process's shared pool (:func:`score_on_pool`).  The grouped
-            metric scores serially on a fresh scorer per batch.
+        n_workers: Worker processes; 1 evaluates in-process.
 
     Returns:
         One cost per candidate (``inf`` for illegal/infeasible networks).
         Unexpected worker exceptions propagate as
         :class:`CandidateCrashError` -- they are bugs, not infeasibility.
     """
-    if n_workers < 1:
-        raise SearchError(f"n_workers must be >= 1, got {n_workers}")
-    if not params_list:
-        return []
-    context = StageContext(case, plan, stage, problem, fixed_pressure)
-    # The grouped metric carries group state from candidate to candidate: a
-    # fresh scorer per batch, serial however many workers were asked for.
-    if stage.metric == METRIC_MIN_GRADIENT_CAPPED:
-        scorer = context.scorer()
-    elif n_workers == 1:
-        _, scorer = _context_scorer(*_context_task(context))
-    else:
-        return score_on_pool(context, params_list, n_workers)
-    costs = [scorer(params) for params in params_list]
-    count_scored(costs)
-    return costs
+    return score_batch(
+        StageContext(case, plan, stage, problem, fixed_pressure),
+        params_list,
+        n_workers,
+    )

@@ -44,12 +44,7 @@ import numpy as np
 
 from .. import profiling
 from ..checkpoint import CheckpointError, fingerprint_of, read_checkpoint, write_checkpoint
-from ..cooling.evaluation import (
-    EvaluationResult,
-    evaluate_problem1,
-    evaluate_problem2,
-)
-from ..cooling.system import CoolingSystem
+from ..cooling.evaluation import EvaluationResult
 from ..errors import (
     DesignRuleError,
     FlowError,
@@ -63,7 +58,7 @@ from ..networks.tree import TreePlan
 from ..telemetry import runlog
 from .annealing import BatchCost, Chain, SAConfig, anneal, warm_up_first_batch
 from .moves import perturb_tree_params
-from .parallel import shutdown_degraded_pool
+from .parallel import evaluate_population, score_batch, shutdown_degraded_pool
 from .registry import DEFAULT_PORTFOLIO, get_optimizer, register_optimizer
 from .stages import (
     METRIC_LOWEST_FEASIBLE_POWER,
@@ -71,10 +66,18 @@ from .stages import (
     PROBLEM_PUMPING_POWER,
     PROBLEM_THERMAL_GRADIENT,
     StageConfig,
+    evaluate_design,
 )
 
 #: Checkpoint file name inside ``checkpoint_dir``.
 PORTFOLIO_CHECKPOINT = "portfolio.ckpt"
+
+#: The annealing chains' move magnitude in columns, their geometric
+#: temperature decay per iteration, and the elites ``multi_fidelity``
+#: promotes per round.
+STEP = 4
+COOLING_RATE = 0.92
+ELITE = 2
 
 
 # ---------------------------------------------------------------------------
@@ -193,22 +196,10 @@ def _evaluate_high(
 ) -> EvaluationResult:
     """The 4RM reference evaluation of one candidate (illegal or infeasible
     networks score :func:`_infeasible_high`)."""
-    case = context.case
     try:
         grid = context.plan.with_params(np.asarray(params, dtype=int)).build()
-        system = CoolingSystem.for_network(
-            base_stack,
-            grid,
-            case.coolant,
-            model="4rm",
-            inlet_temperature=case.inlet_temperature,
-        )
-        if context.problem == PROBLEM_PUMPING_POWER:
-            return evaluate_problem1(
-                system, case.delta_t_star, case.t_max_star
-            )
-        return evaluate_problem2(
-            system, case.t_max_star, case.w_pump_star()
+        return evaluate_design(
+            context.case, grid, context.problem, base_stack=base_stack
         )
     except (DesignRuleError, FlowError, GeometryError, SearchError,
             ThermalError):
@@ -223,6 +214,9 @@ class ReferenceContext(NamedTuple):
     case: Case
     plan: TreePlan
     problem: str
+
+    #: Every candidate is evaluated on its own.
+    shares_group_state = False
 
     def scorer(self) -> Callable[[np.ndarray], EvaluationResult]:
         """Parameter vector -> reference :class:`EvaluationResult`."""
@@ -239,9 +233,10 @@ class MultiFidelityEvaluator:
 
     ``low`` scores come from the 2RM surrogate through
     :func:`~repro.optimize.parallel.evaluate_population`; ``high`` scores
-    run the full 4RM reference evaluation.  With ``n_workers > 1`` both go
-    to the process's shared worker pool, one dispatch per batch of memo
-    misses; otherwise they run in-process.  Promotions feed the
+    run the full 4RM reference evaluation (:class:`ReferenceContext`).
+    Each batch's memo misses are one dispatch
+    (:func:`~repro.optimize.parallel.score_batch`): to the process's shared
+    worker pool with ``n_workers > 1``, else in-process.  Promotions feed the
     :class:`OffsetModel` so :meth:`corrected` drifts toward the reference
     scale as evidence accumulates.  ``low_evals`` / ``high_evals`` count
     *distinct candidate evaluations* per fidelity (memo hits are free),
@@ -276,11 +271,6 @@ class MultiFidelityEvaluator:
         self._low_cache: Dict[bytes, float] = {}
         self._high_cache: Dict[bytes, EvaluationResult] = {}
         self._reference = ReferenceContext(case, plan, problem)
-        #: The in-process reference scorer (``n_workers == 1``), built on
-        #: first use.
-        self._reference_scorer: Optional[
-            Callable[[np.ndarray], EvaluationResult]
-        ] = None
 
     @staticmethod
     def _case_scale(case: Case, problem: str) -> float:
@@ -306,27 +296,38 @@ class MultiFidelityEvaluator:
                 missing.append((key, np.asarray(params, dtype=int)))
         return missing
 
+    def _memoized(
+        self,
+        params_list: Sequence[np.ndarray],
+        cache: Dict[bytes, Any],
+        score: Callable[[List[np.ndarray]], List[Any]],
+        counter: str,
+    ) -> List[Any]:
+        """A batch's results through ``cache``: the distinct misses are
+        scored as one ``score`` batch, memoized, and counted into the
+        ``counter`` attribute (``low_evals`` or ``high_evals``) and its
+        ``portfolio.*`` profiling counter."""
+        missing = self._misses(params_list, cache)
+        if missing:
+            results = score([params for _, params in missing])
+            for (key, _), result in zip(missing, results):
+                cache[key] = result
+            setattr(self, counter, getattr(self, counter) + len(missing))
+            profiling.increment(f"portfolio.{counter}", len(missing))
+        return [cache[self._key(p)] for p in params_list]
+
     # -- low fidelity ---------------------------------------------------
 
     def low_batch(self, params_list: Sequence[np.ndarray]) -> List[float]:
-        """Surrogate scores for a batch (one pooled dispatch for misses)."""
-        from .parallel import evaluate_population
+        """Surrogate scores for a batch (one dispatch for the misses)."""
 
-        missing = self._misses(params_list, self._low_cache)
-        if missing:
-            costs = evaluate_population(
-                self.case,
-                self.plan,
-                self.low_stage,
-                self.problem,
-                [params for _, params in missing],
+        def score(batch: List[np.ndarray]) -> List[float]:
+            return evaluate_population(
+                self.case, self.plan, self.low_stage, self.problem, batch,
                 n_workers=self.n_workers,
             )
-            for (key, _), cost in zip(missing, costs):
-                self._low_cache[key] = float(cost)
-            self.low_evals += len(missing)
-            profiling.increment("portfolio.low_evals", len(missing))
-        return [self._low_cache[self._key(p)] for p in params_list]
+
+        return self._memoized(params_list, self._low_cache, score, "low_evals")
 
     def low(self, params: np.ndarray) -> float:
         """Surrogate score of one candidate."""
@@ -343,31 +344,19 @@ class MultiFidelityEvaluator:
     ) -> List[EvaluationResult]:
         """Reference (4RM) evaluations of a batch, memoized.
 
-        The memo misses run as one dispatch to the shared worker pool when
-        ``n_workers > 1``, else in-process, in batch order.  Counts toward
+        The memo misses run as one dispatch, in batch order.  Counts toward
         ``high_evals`` but does *not* calibrate the offset model -- this is
         the pure-4RM path (``sa_4rm``) and the scoring half of
         :meth:`promote`.
         """
-        from .parallel import count_scored, score_on_pool
-
-        missing = self._misses(params_list, self._high_cache)
-        if missing:
-            batch = [params for _, params in missing]
-            if self.n_workers > 1:
-                evaluations = score_on_pool(
-                    self._reference, batch, self.n_workers
-                )
-            else:
-                if self._reference_scorer is None:
-                    self._reference_scorer = self._reference.scorer()
-                evaluations = [self._reference_scorer(p) for p in batch]
-                count_scored(evaluations)
-            for (key, _), evaluation in zip(missing, evaluations):
-                self._high_cache[key] = evaluation
-            self.high_evals += len(missing)
-            profiling.increment("portfolio.high_evals", len(missing))
-        return [self._high_cache[self._key(p)] for p in params_list]
+        return self._memoized(
+            params_list,
+            self._high_cache,
+            functools.partial(
+                score_batch, self._reference, n_workers=self.n_workers
+            ),
+            "high_evals",
+        )
 
     def high_evaluation(self, params: np.ndarray) -> EvaluationResult:
         """The reference (4RM) evaluation of one candidate (see
@@ -439,9 +428,6 @@ class PortfolioConfig:
     rounds: int = 3
     iterations: int = 8
     batch_size: int = 4
-    step: int = 4
-    cooling_rate: float = 0.92
-    elite: int = 2
     tile_size: int = 4
     leaves_per_tree: int = 4
     direction: int = 0
@@ -461,8 +447,7 @@ class PortfolioConfig:
     def __post_init__(self) -> None:
         if self.problem not in (PROBLEM_PUMPING_POWER, PROBLEM_THERMAL_GRADIENT):
             raise SearchError(f"unknown problem {self.problem!r}")
-        if min(self.rounds, self.iterations, self.batch_size, self.step,
-               self.elite) < 1:
+        if min(self.rounds, self.iterations, self.batch_size) < 1:
             raise SearchError("portfolio config values must be >= 1")
         if self.stages is not None and not self.stages:
             raise SearchError("need at least one stage")
@@ -479,7 +464,7 @@ class PortfolioConfig:
     def fingerprint_fields(self) -> Tuple[Any, ...]:
         return (
             self.problem, self.rounds, self.iterations, self.batch_size,
-            self.step, self.cooling_rate, self.elite, self.tile_size,
+            STEP, COOLING_RATE, ELITE, self.tile_size,
             self.leaves_per_tree, self.direction, self.seed,
         )
 
@@ -557,7 +542,7 @@ class OptimizerContext:
     ) -> np.ndarray:
         """The paper's tree move, clamped to the plan's legal range."""
         return self.plan.clamp_params(
-            perturb_tree_params(params, self.config.step, rng)
+            perturb_tree_params(params, STEP, rng)
         )
 
 
@@ -651,7 +636,7 @@ class _ChainOptimizer(RoundOptimizer):
     def _schedule(ctx: OptimizerContext) -> SAConfig:
         return SAConfig(
             iterations=ctx.config.iterations,
-            cooling_rate=ctx.config.cooling_rate,
+            cooling_rate=COOLING_RATE,
             seed=ctx.seed_seq(0),
         )
 
@@ -710,7 +695,7 @@ class MultiFidelityOptimizer(_ChainOptimizer):
 
         self._anneal(ctx, state, scored)
         pool.append((np.asarray(state["best"]), state["best_cost"]))
-        elites = _elite_candidates(pool, ctx.config.elite)
+        elites = _elite_candidates(pool, ELITE)
         self._verify(ctx, state, [params for params, _ in elites])
         state["rounds"].append(
             {
@@ -912,6 +897,8 @@ def run_portfolio(
             )
 
     def report(event_type: str, **fields: Any) -> None:
+        """A milestone: one run-log record and one ``progress`` call."""
+        runlog.emit_event(event_type, **fields)
         if progress is not None:
             progress(event_type, fields)
 
@@ -944,12 +931,6 @@ def run_portfolio(
                     optimizer=name,
                     fingerprint=fingerprint,
                 )
-                runlog.emit_event(
-                    "portfolio.optimizer.start",
-                    optimizer=name,
-                    rounds=n_rounds,
-                    iterations=config.iterations,
-                )
                 report(
                     "portfolio.optimizer.start",
                     optimizer=name,
@@ -971,11 +952,6 @@ def run_portfolio(
                         optimizer.run_round(ctx, state, round_i)
                         state["round"] = round_i + 1
                         record = state["rounds"][-1] if state["rounds"] else {}
-                        runlog.emit_event(
-                            "portfolio.round",
-                            optimizer=name,
-                            **record,
-                        )
                         report(
                             "portfolio.round", optimizer=name, **record
                         )
@@ -1010,14 +986,6 @@ def run_portfolio(
                 payload["active"] = None
                 payload["active_state"] = None
                 save()
-                runlog.emit_event(
-                    "portfolio.optimizer.end",
-                    optimizer=name,
-                    score=outcome.score,
-                    feasible=outcome.evaluation.feasible,
-                    low_evals=outcome.low_evals,
-                    high_evals=outcome.high_evals,
-                )
                 report(
                     "portfolio.optimizer.end",
                     optimizer=name,
@@ -1034,14 +1002,18 @@ def run_portfolio(
                     seconds=started.elapsed(),
                     histograms=profiling.histogram_summaries(),
                 )
-                report(
-                    "run.end",
-                    optimizer=name,
-                    score=outcome.score,
-                    feasible=outcome.evaluation.feasible,
-                    total_simulations=outcome.low_evals + outcome.high_evals,
-                    seconds=started.elapsed(),
-                )
+                if progress is not None:
+                    progress(
+                        "run.end",
+                        dict(
+                            optimizer=name,
+                            score=outcome.score,
+                            feasible=outcome.evaluation.feasible,
+                            total_simulations=outcome.low_evals
+                            + outcome.high_evals,
+                            seconds=started.elapsed(),
+                        ),
+                    )
             finally:
                 if log is not None:
                     runlog.set_run_log(previous_log)

@@ -13,7 +13,9 @@ evaluator.
 dict.  The staged flow therefore shares the portfolio's single checkpoint
 (``portfolio.ckpt``), its interrupt points between rounds, and its run
 events.  :func:`run_staged_flow` is the front door that returns the flow's
-:class:`OptimizationResult`.
+:class:`OptimizationResult`; :func:`optimize_problem1` (pumping power
+minimization, Section 4) and :func:`optimize_problem2` (thermal gradient
+minimization, Section 5) run it on the paper's schedule of each problem.
 
 Every (direction, stage, round) derives its own ``np.random.SeedSequence``
 child via spawn keys (:func:`_round_seed`), so rounds are statistically
@@ -72,6 +74,7 @@ from .stages import (
     PROBLEM_PUMPING_POWER,
     PROBLEM_THERMAL_GRADIENT,
     StageConfig,
+    evaluate_design,
     problem1_stages,
     problem2_stages,
 )
@@ -82,6 +85,8 @@ __all__ = [
     "PROBLEM_THERMAL_GRADIENT",
     "StageReport",
     "StagedSAOptimizer",
+    "optimize_problem1",
+    "optimize_problem2",
     "run_staged_flow",
 ]
 
@@ -323,31 +328,6 @@ def _position(
     return d_index, s_index, k
 
 
-def _evaluate(
-    system: CoolingSystem, case: Case, problem: str
-) -> EvaluationResult:
-    """The problem's network evaluation (Algorithm 2 or its P2 variant)."""
-    if problem == PROBLEM_PUMPING_POWER:
-        return evaluate_problem1(system, case.delta_t_star, case.t_max_star)
-    return evaluate_problem2(system, case.t_max_star, case.w_pump_star())
-
-
-def _reference_pressure(
-    case: Case, plan: TreePlan, stage: StageConfig, problem: str
-) -> Tuple[float, int]:
-    """The fixed pressure for stage-1 costs -- the initial network's
-    optimum -- and the simulations it took."""
-    system = CoolingSystem.for_network(
-        case.base_stack(),
-        plan.build(),
-        case.coolant,
-        model=stage.model,
-        tile_size=stage.tile_size,
-        inlet_temperature=case.inlet_temperature,
-    )
-    return _evaluate(system, case, problem).p_sys, system.n_simulations
-
-
 def _reset_stage(flight: Dict[str, Any]) -> None:
     """Clear the per-stage fields of a direction in flight."""
     flight.update(round_bests=[], histories=[], evaluator=None, batch_evals=0)
@@ -505,9 +485,13 @@ class StagedSAOptimizer(RoundOptimizer):
         }
         _reset_stage(flight)
         if any(s.metric == METRIC_FIXED_PRESSURE_GRADIENT for s in stages):
-            flight["fixed_pressure"], flight["sims"] = _reference_pressure(
-                ctx.case, plan, stages[0], ctx.config.problem
+            # Fixed-pressure costs run at the initial network's optimum.
+            reference = evaluate_design(
+                ctx.case, plan.build(), ctx.config.problem,
+                model=stages[0].model, tile_size=stages[0].tile_size,
             )
+            flight["fixed_pressure"] = reference.p_sys
+            flight["sims"] = reference.simulations
         return flight
 
     def _end_stage(
@@ -574,25 +558,18 @@ class StagedSAOptimizer(RoundOptimizer):
         d_index: int,
     ) -> None:
         """The final 4RM evaluation of the direction's design."""
-        case, flight = ctx.case, state["direction"]
+        flight = state["direction"]
         final_plan = plan.with_params(np.asarray(flight["params"]))
         network = final_plan.build()
         with profiling.span("optimize.final_eval", d_index=d_index):
-            system = CoolingSystem.for_network(
-                case.base_stack(),
-                network,
-                case.coolant,
-                model="4rm",
-                inlet_temperature=case.inlet_temperature,
-            )
-            evaluation = _evaluate(system, case, ctx.config.problem)
+            evaluation = evaluate_design(ctx.case, network, ctx.config.problem)
         result = OptimizationResult(
             plan=final_plan,
             network=network,
             evaluation=evaluation,
             direction=final_plan.direction,
             stage_reports=flight["reports"],
-            total_simulations=flight["sims"] + system.n_simulations,
+            total_simulations=flight["sims"] + evaluation.simulations,
         )
         runlog.emit_event(
             "direction.end",
@@ -704,11 +681,57 @@ def run_staged_flow(
     return result.outcomes[StagedSAOptimizer.name].flow
 
 
+def optimize_problem1(
+    case: Case,
+    stages: Optional[Sequence[StageConfig]] = None,
+    directions: Sequence[int] = (0, 1),
+    seed: int = 0,
+    quick: bool = False,
+    **options: Any,
+) -> OptimizationResult:
+    """Problem 1, pumping power minimization (Eq. 9): the staged flow with
+    network evaluation by lowest feasible pumping power (Algorithm 2).
+
+    ``stages`` defaults to the paper's Table 1 schedule, or its ``quick``
+    laptop-scale variant; the paper tries all eight ``directions``.  The
+    other keywords (``leaves_per_tree``, ``n_workers``, ``batch_size``,
+    ``initialization``, ``checkpoint_dir``, ``resume``,
+    ``interrupt_check``) are :func:`run_staged_flow`'s.
+    """
+    if stages is None:
+        stages = problem1_stages(quick=quick)
+    return run_staged_flow(
+        case, stages, PROBLEM_PUMPING_POWER, directions=directions,
+        seed=seed, **options,
+    )
+
+
+def optimize_problem2(
+    case: Case,
+    stages: Optional[Sequence[StageConfig]] = None,
+    directions: Sequence[int] = (0, 1),
+    seed: int = 0,
+    quick: bool = False,
+    **options: Any,
+) -> OptimizationResult:
+    """Problem 2, thermal gradient minimization (Eq. 12) under the case's
+    pumping-power cap ``w_pump_star()`` (0.1% of die power, the Table 4
+    setting): the staged flow with grouped evaluation and no fixed-pressure
+    stage.  Arguments as in :func:`optimize_problem1`.
+    """
+    if stages is None:
+        stages = problem2_stages(quick=quick)
+    return run_staged_flow(
+        case, stages, PROBLEM_THERMAL_GRADIENT, directions=directions,
+        seed=seed, **options,
+    )
+
+
 class _BatchCost:
     """A caching batch evaluator over :func:`evaluate_population`.
 
     One instance per SA round.  Parallel dispatch goes through the process's
-    shared worker pool (:func:`~repro.optimize.parallel.score_on_pool`):
+    shared worker pool (:func:`~repro.optimize.parallel.score_batch`):
     every batch of every stage, direction and strategy reuses the same warm
     workers, and each batch ships its stage context under a digest the
     workers unpickle once.

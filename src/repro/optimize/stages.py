@@ -16,14 +16,27 @@ stage: 80/20/20 iterations with 8/2/1 rounds.
 ``quick`` schedules shrink iteration/round counts for laptop-scale runs and
 tests; the shape of the flow (metric progression, model switch, step decay)
 is preserved.
+
+:func:`evaluate_design` is the problems' one network evaluation of a whole
+design: the staged flow's reference pressure and final 4RM score, the
+portfolio's 4RM reference, the baselines and ``repro evaluate`` all use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
+from ..cooling.evaluation import (
+    EvaluationResult,
+    evaluate_problem1,
+    evaluate_problem2,
+)
+from ..cooling.system import CoolingSystem
 from ..errors import SearchError
+from ..geometry.grid import ChannelGrid
+from ..geometry.stack import Stack
+from ..iccad2015.cases import Case
 
 #: Problem identifiers.
 PROBLEM_PUMPING_POWER = "problem1"
@@ -146,3 +159,35 @@ def problem2_stages(quick: bool = False, tile_size: int = 4) -> List[StageConfig
             group_size=5,
         ),
     ]
+
+
+def evaluate_design(
+    case: Case,
+    network: ChannelGrid,
+    problem: str,
+    model: str = "4rm",
+    tile_size: int = 4,
+    base_stack: Optional[Stack] = None,
+) -> EvaluationResult:
+    """The problem's evaluation of ``network`` on ``case``: Algorithm 2 for
+    :data:`PROBLEM_PUMPING_POWER`, its Problem-2 variant (pumping-power cap
+    ``case.w_pump_star()``) for :data:`PROBLEM_THERMAL_GRADIENT`.
+
+    The network goes into every channel layer of ``base_stack`` (default
+    ``case.base_stack()``) and is simulated with ``model`` at the case's
+    coolant and inlet temperature.  The result's ``simulations`` are all the
+    thermal simulations the evaluation took.
+    """
+    if problem not in (PROBLEM_PUMPING_POWER, PROBLEM_THERMAL_GRADIENT):
+        raise SearchError(f"unknown problem {problem!r}")
+    system = CoolingSystem.for_network(
+        case.base_stack() if base_stack is None else base_stack,
+        network,
+        case.coolant,
+        model=model,
+        tile_size=tile_size,
+        inlet_temperature=case.inlet_temperature,
+    )
+    if problem == PROBLEM_PUMPING_POWER:
+        return evaluate_problem1(system, case.delta_t_star, case.t_max_star)
+    return evaluate_problem2(system, case.t_max_star, case.w_pump_star())

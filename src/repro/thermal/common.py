@@ -1,4 +1,4 @@
-"""Shared thermal-conductance formulas and the simulator base class.
+"""Shared thermal-conductance formulas and the simulators' linear system.
 
 The individual conductance expressions follow Section 2.2 of the paper:
 
@@ -11,7 +11,8 @@ The individual conductance expressions follow Section 2.2 of the paper:
 Both simulators reduce to one sparse linear system ``(K + P_sys * A) T =
 b0 + P_sys * b1``: ``K`` collects every conductance (pressure independent),
 ``A``/``b1`` collect the advection terms which scale linearly with ``P_sys``
-because all local flow rates do.
+because all local flow rates do; :class:`LinearThermalSystem` solves it for
+either simulator.
 """
 
 from __future__ import annotations
@@ -335,8 +336,9 @@ SHIFT_RANK_PER_SQRT_NODE = 10.0  #: [unit: 1]
 class LinearThermalSystem:
     """Solves ``(K + P A) T = b0 + P b1`` for the node temperature vector.
 
-    Shared back end of both simulators; subclass meshes provide the matrices
-    and interpret the solution vector.
+    Shared back end of both simulators: each one assembles the matrices
+    from its own mesh, holds one of these, and interprets the solution
+    vector.
 
     Solver reuse: on first use, ``K`` and ``A`` are aligned onto the union
     sparsity pattern once, so assembling the operator at a new pressure is a

@@ -39,11 +39,6 @@ class TransientTrace:
         """Peak temperature per stored step."""
         return np.array([r.t_max for r in self.results])
 
-    @property
-    def delta_t_series(self) -> np.ndarray:
-        """Thermal gradient per stored step."""
-        return np.array([r.delta_t for r in self.results])
-
     def final(self) -> ThermalResult:
         """The last stored snapshot."""
         if not self.results:

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 from repro import profiling
 from repro.errors import CheckpointError, RunInterrupted
 from repro.iccad2015 import load_case
-from repro.optimize.problem1 import optimize_problem1
-from repro.optimize.problem2 import optimize_problem2
+from repro.optimize import optimize_problem1, optimize_problem2
 from repro.optimize.stages import (
     METRIC_FIXED_PRESSURE_GRADIENT,
     METRIC_LOWEST_FEASIBLE_POWER,

@@ -30,6 +30,7 @@ from repro.optimize.annealing import (
     warm_up_first_three,
 )
 from repro.optimize.portfolio import (
+    COOLING_RATE,
     MultiFidelityOptimizer,
     OptimizerContext,
     PortfolioConfig,
@@ -211,7 +212,7 @@ def ref_anneal_round(ctx, state, cost_batch_fn, pool_out=None):
             if cost < best_cost:
                 best, best_cost = cand, cost
         if temperature is not None:
-            temperature *= cfg.cooling_rate
+            temperature *= COOLING_RATE
     state["rng"] = rng.bit_generator.state
     state["current"] = current
     state["current_cost"] = current_cost

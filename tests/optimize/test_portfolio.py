@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -40,12 +41,16 @@ from repro.optimize.registry import (
     optimizer_names,
     register_optimizer,
 )
-from repro.optimize.runner import PROBLEM_PUMPING_POWER
+from repro.optimize.runner import (
+    PROBLEM_PUMPING_POWER,
+    PROBLEM_THERMAL_GRADIENT,
+)
 from repro.telemetry.runlog import read_run_log
 
 QUICK = PortfolioConfig(rounds=2, iterations=2, batch_size=2, seed=3)
 
 SRC = Path(__file__).resolve().parents[2] / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 #: A small Problem-1 portfolio (case 1 at grid 21, two tiny 2RM stages for
 #: ``staged_sa``) that prints every strategy's outcome as one JSON line.
@@ -358,6 +363,56 @@ class TestRunPortfolio:
         assert promotions["serial"]
         assert promotions["serial"] == promotions["pooled"]
 
+    def test_worker_count_invariance_problem2(self, case, tmp_path):
+        """The Problem-2 twin: ``multi_fidelity``'s 2RM groups hold one
+        candidate each, so with two workers its 2RM batches run on the
+        shared pool like every 4RM batch, and n_workers 1 and 2 still agree
+        bitwise on outcomes, counts, round records and offset state."""
+        opts = ("multi_fidelity",)
+        counted = ("parallel.candidates", "parallel.infeasible")
+        runs, counts, pooled = {}, {}, {}
+        for n_workers in (1, 2):
+            profiling.reset()
+            config = dataclasses.replace(
+                QUICK, problem=PROBLEM_THERMAL_GRADIENT, n_workers=n_workers
+            )
+            runs[n_workers] = run_portfolio(
+                case, opts, config, run_log_dir=str(tmp_path / str(n_workers))
+            )
+            counts[n_workers] = [profiling.counter(name) for name in counted]
+            sizes = profiling.histogram("parallel.batch_size")
+            pooled[n_workers] = 0 if sizes is None else int(sizes.total)
+        assert counts[1][0] > 0
+        assert counts[1] == counts[2]
+        # Every candidate the pooled run scored went through the pool.
+        assert pooled[1] == 0
+        assert pooled[2] == counts[2][0]
+        for name in opts:
+            a, b = runs[1].outcomes[name], runs[2].outcomes[name]
+            assert np.array_equal(a.params, b.params)
+            assert bits(a.score) == bits(b.score)
+            assert evaluation_bits(a.evaluation) == evaluation_bits(
+                b.evaluation
+            )
+            assert a.low_evals == b.low_evals
+            assert a.high_evals == b.high_evals
+            assert a.rounds == b.rounds
+            assert a.envelope == b.envelope
+            assert a.offset_state == b.offset_state
+        promotions = [
+            [
+                {k: v for k, v in record.items()
+                 if k not in ("seq", "t_wall", "t_mono_ns")}
+                for record in read_run_log(
+                    tmp_path / str(n_workers) / "multi_fidelity.jsonl"
+                )
+                if record["type"] == "portfolio.promotion"
+            ]
+            for n_workers in (1, 2)
+        ]
+        assert promotions[0]
+        assert promotions[0] == promotions[1]
+
     def test_empty_portfolio_rejected(self, case):
         with pytest.raises(SearchError, match="at least one"):
             run_portfolio(case, ())
@@ -472,6 +527,32 @@ class TestCheckpointResume:
         assert len(staged.rounds) == 6
         assert staged.flow.total_simulations == (
             staged.low_evals + staged.high_evals
+        )
+
+    def test_resumes_checkpoint_written_before_settings_became_constants(
+        self, case, tmp_path
+    ):
+        """``data/multi_fidelity_round1.ckpt`` was written by the code in
+        which the move step, cooling rate and elite count were
+        ``PortfolioConfig`` fields: ``run_portfolio(generate_case(7),
+        ("multi_fidelity",), QUICK, interrupt_check=lambda: True)`` after
+        round 1.  Its fingerprint still matches, and the resume ends where
+        that code's uninterrupted run ended."""
+        shutil.copy(
+            DATA / "multi_fidelity_round1.ckpt", tmp_path / "portfolio.ckpt"
+        )
+        resumed = run_portfolio(
+            case, ("multi_fidelity",), QUICK,
+            checkpoint_dir=str(tmp_path), resume=True,
+        ).outcomes["multi_fidelity"]
+        assert resumed.score.hex() == "0x1.78f7015cfe50cp-23"
+        assert resumed.params.tolist() == [[0, 0], [0, 10]]
+        assert (resumed.low_evals, resumed.high_evals) == (9, 4)
+        assert outcomes_equal(
+            resumed,
+            run_portfolio(case, ("multi_fidelity",), QUICK).outcomes[
+                "multi_fidelity"
+            ],
         )
 
     def test_resume_with_missing_checkpoint_starts_fresh(self, case, tmp_path):
