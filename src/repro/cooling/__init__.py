@@ -9,7 +9,9 @@ A *cooling system* is a cooling network plus a system pressure drop
 * :mod:`~repro.cooling.pressure_search` implements Algorithm 3 (the
   three-point probe that minimizes ``P_sys`` subject to
   ``f(P_sys) <= DeltaT*``), the golden-section search used by Problem 2 and
-  the binary search on the monotone ``h``;
+  the crossing search on the monotone ``h``; once a crossing is bracketed,
+  Illinois steps in ``log P_sys`` on the probe values already held close
+  the bracket;
 * :mod:`~repro.cooling.evaluation` implements Algorithm 2 (network
   evaluation by lowest feasible pumping power) and its thermal-gradient
   counterpart.

@@ -2,7 +2,7 @@
 
 Problem 1 scores a candidate network by its *lowest feasible pumping power*:
 the smallest ``P_sys`` meeting both the gradient constraint (via Algorithm 3)
-and the peak-temperature constraint (via binary search on the monotone
+and the peak-temperature constraint (via a crossing search on the monotone
 ``h``), converted to power through ``W_pump = P_sys^2 / R_sys`` (Eq. 10).
 Infeasible networks score ``+inf``.
 
@@ -10,7 +10,12 @@ Problem 2 scores a network by the *smallest achievable thermal gradient*
 under a pumping-power cap: the cap converts to a pressure cap
 ``P* = sqrt(W* R_sys)``; if the gradient curve is still falling at ``P*``
 that point is optimal, otherwise a golden-section search finds the interior
-minimum (Section 5).
+minimum (Section 5).  The peak search below the cap starts from the
+bracket ``[P_min, P*]``, since ``T_max(P*) <= T_max*`` is checked first.
+
+Both peak searches place their probes by interpolating
+``log(T_max - T_in)``: where advection dominates, ``T_max - T_in`` scales
+with ``1 / P_sys``, so that curve is nearly straight in ``log P_sys``.
 """
 
 from __future__ import annotations
@@ -95,8 +100,9 @@ def evaluate_problem1(
     Step 1 solves the gradient-constrained pressure minimization (Eq. 11,
     Algorithm 3).  If no pressure meets ``DeltaT*``, the network is
     infeasible (score ``+inf``).  Step 2 raises the pressure further when the
-    peak-temperature constraint is still violated (``h`` is monotone, so a
-    binary search suffices), and re-checks both constraints at the new point.
+    peak-temperature constraint is still violated (``h`` is monotone, so one
+    crossing is bracketed and closed), and re-checks both constraints at the
+    new point.
 
     Args:
         system: The cooling network under evaluation.
@@ -124,7 +130,12 @@ def evaluate_problem1(
 
         if system.t_max(p_sys) > t_max_star:
             peak = min_pressure_for_peak(
-                system.t_max, t_max_star, p_sys, rtol=rtol, p_max=p_max
+                system.t_max,
+                t_max_star,
+                p_sys,
+                rtol=rtol,
+                p_max=p_max,
+                t_in=system.simulator.inlet_temperature,
             )
             p_sys = peak.p_sys
             # Raising the pressure may have crossed the gradient minimum onto
@@ -171,7 +182,13 @@ def evaluate_problem2(
             return _result(system, p_cap, math.inf, False, before)
 
         peak = min_pressure_for_peak(
-            system.t_max, t_max_star, p_min, rtol=rtol, p_max=p_cap
+            system.t_max,
+            t_max_star,
+            p_min,
+            rtol=rtol,
+            p_max=p_cap,
+            t_in=system.simulator.inlet_temperature,
+            max_feasible=True,
         )
         p_lo = min(peak.p_sys, p_cap) if peak.feasible else p_cap
 

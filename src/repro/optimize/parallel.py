@@ -21,7 +21,9 @@ its workers -- forked processes on one duplex pipe each -- and keeps one
 candidate in flight per worker, waiting on pipes and process sentinels
 together, so it runs no thread.  A worker loops on ``(digest, context
 bytes, params)`` -> ``(result, recorder delta)`` and exits when the parent's
-end of its pipe closes, even after a SIGKILL of the parent.
+end of its pipe closes, even after a SIGKILL of the parent.  Each worker
+runs numpy's and scipy's bundled OpenBLAS on one thread, since the pool
+already keeps one process per core busy.
 
 Workers are stage-agnostic: each batch carries its context, named by the
 sha256 of its pickle.  A process builds a digest's scorer once and keeps it
@@ -54,9 +56,11 @@ from __future__ import annotations
 
 import atexit
 import contextlib
+import ctypes
 import functools
 import gc
 import hashlib
+import importlib.util
 import math
 import multiprocessing
 import os
@@ -65,6 +69,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from multiprocessing.connection import Connection, wait
+from pathlib import Path
 from typing import (
     Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -263,11 +268,52 @@ def _context_scorer(
 # ---------------------------------------------------------------------------
 
 
+#: numpy's and scipy's bundled OpenBLAS builds: package, library file
+#: pattern in ``<package>.libs``, and the suffix of their symbols (numpy's
+#: 64-bit-integer build ends them in ``64_``).
+_BUNDLED_OPENBLAS = (
+    ("numpy", "libscipy_openblas64_*.so", "64_"),
+    ("scipy", "libscipy_openblas-*.so", ""),
+)
+
+
+def bundled_openblas() -> List[Tuple[ctypes.CDLL, str]]:
+    """numpy's and scipy's bundled OpenBLAS libraries, each with its symbol
+    suffix; a package or library not installed is left out."""
+    found = []
+    for package, pattern, suffix in _BUNDLED_OPENBLAS:
+        spec = importlib.util.find_spec(package)
+        if spec is None or not spec.origin:
+            continue
+        libs = Path(spec.origin).parents[1] / f"{package}.libs"
+        for path in sorted(libs.glob(pattern)):
+            try:
+                found.append((ctypes.CDLL(str(path)), suffix))
+            except OSError:
+                continue
+    return found
+
+
+def _single_blas_thread() -> None:
+    """One OpenBLAS thread in this process: a pool already runs one process
+    per core, and each library's default thread pool on top of that
+    oversubscribes the cores.  A library without the setter is skipped."""
+    for library, suffix in bundled_openblas():
+        setter = getattr(
+            library, "scipy_openblas_set_num_threads" + suffix, None
+        )
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
 def _init_worker(fault_plan, telemetry_config, linalg_config) -> None:
     """Arm a new pool worker like the parent: its fault plan, telemetry
     configuration (tracing, span capacity) and solver configuration
     (pressure-shift settings), so a respawned worker behaves like the one
-    it replaced.  Evaluation contexts arrive with the tasks."""
+    it replaced, with one BLAS thread.  Evaluation contexts arrive with the
+    tasks."""
+    _single_blas_thread()
     if fault_plan is not None:
         faults.set_active_plan(fault_plan)
     telemetry_config.apply()

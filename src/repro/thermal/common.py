@@ -328,8 +328,9 @@ class _PressureShiftState:
 #: shift pays ``r`` triangular solves once and an ``r x r`` dense solve per
 #: probe, while factorizing these layered meshes costs about ``n ** 1.5``,
 #: so the shift's break-even probe count grows with ``r / sqrt(n)``.  Up to
-#: this bound it wins a 7-47-probe search; above it every probe
-#: refactorizes exactly.  Measurements are in ``docs/SOLVER_CACHES.md``.
+#: this bound it won the 7-47-probe evaluations of the bisecting searches
+#: (an evaluation now takes 9-32); above it every probe refactorizes
+#: exactly.  Measurements are in ``docs/SOLVER_CACHES.md``.
 SHIFT_RANK_PER_SQRT_NODE = 10.0  #: [unit: 1]
 
 

@@ -68,6 +68,15 @@ class TestAlgorithm3Feasible:
         assert f(result.p_sys) <= target * (1 + 1e-3)
         assert f(result.p_sys * 0.98) > target
 
+    def test_crossing_between_last_step_and_cap_is_searched(self):
+        # The expansion's next step would pass p_max, but the crossing at
+        # 170 kPa lies below it: the cap's probe closes the bracket.
+        f = decreasing(scale=1e5, f_inf=1.0)
+        result = minimize_pressure_for_gradient(f, target=f(170000.0))
+        assert result.feasible
+        assert result.p_sys == pytest.approx(170000.0, rel=2e-3)
+        assert result.p_sys <= 2e5
+
 
 class TestAlgorithm3Infeasible:
     def test_unimodal_unreachable_returns_minimum(self):
@@ -156,6 +165,15 @@ class TestPeakSearch:
             h, t_max_star=340.0, p_lo=1e3, p_max=1e8
         )
         assert not result.feasible
+
+    def test_crossing_below_cap_after_doubling_overshoot(self):
+        # Doubling from 5 Pa passes p_max (200 kPa) after 163,840 Pa; the
+        # crossing at 180 kPa is searched, not replaced by p_max.
+        h = self._h(t_inf=1.0, scale=1e5)
+        result = min_pressure_for_peak(h, t_max_star=h(180000.0), p_lo=5.0)
+        assert result.feasible
+        assert result.p_sys == pytest.approx(180000.0, rel=2e-3)
+        assert h(result.p_sys) <= h(180000.0)
 
     def test_evaluations_counted(self):
         h = self._h()

@@ -3,11 +3,15 @@
 Hypothesis draws random curves with the Section 4.1 shapes (uni-modal or
 monotone decreasing) and checks Algorithm 3's contract on each: when a
 feasible pressure exists it returns (approximately) the smallest one; when
-none exists it returns a certificate near the curve's minimum.
+none exists it returns a certificate near the curve's minimum.  Further
+checks: the probes do not move when the values are perturbed in their last
+bits, hard monotone curves still close their brackets, and real candidates
+pay a pinned number of simulations.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -111,3 +115,191 @@ class TestPeakSearchProperties:
         assert h(result.p_sys) <= t_star * (1 + 1e-9)
         # Minimality: a slightly lower pressure violates the constraint.
         assert h(result.p_sys * 0.98) > t_star
+
+
+# ---------------------------------------------------------------------------
+# Probe placement: invariant to the last bits of the values
+# ---------------------------------------------------------------------------
+
+
+def recorded(curve, eps=0.0):
+    """``curve`` scaled by ``1 + eps * s(p)`` for a deterministic ``s`` in
+    [-1, 1], and the list of pressures it is probed at."""
+    probes = []
+
+    def g(p):
+        probes.append(p)
+        return curve(p) * (1.0 + eps * math.sin(1e3 * math.log(p)))
+
+    return g, probes
+
+
+def same_search(run, curve, eps=1e-13):
+    """``run`` returns the same bits and probes on ``curve`` and on
+    ``curve`` perturbed by ``eps`` relative noise."""
+    exact, exact_probes = recorded(curve)
+    noisy, noisy_probes = recorded(curve, eps)
+    a, b = run(exact), run(noisy)
+    assert a.p_sys.hex() == b.p_sys.hex()
+    assert exact_probes == noisy_probes
+    assert a.feasible == b.feasible
+
+
+class TestProbeLattice:
+    """An incremental (pressure-shift) solve and an exact one differ in the
+    last bits of a value; where the searches probe next must not."""
+
+    @given(unimodal_curves(), st.floats(0.2, 10.0))
+    @settings(max_examples=40, deadline=None)
+    def test_algorithm3_probes_ignore_value_noise(self, curve, margin):
+        f, _, f_min, _ = curve
+        same_search(
+            lambda g: minimize_pressure_for_gradient(
+                g, f_min + margin, p_init=5e3, p_max=1e7
+            ),
+            f,
+        )
+
+    @given(decreasing_curves(), st.floats(0.3, 15.0))
+    @settings(max_examples=40, deadline=None)
+    def test_peak_search_probes_ignore_value_noise(self, curve, margin):
+        h, _, t_inf = curve
+        same_search(
+            lambda g: min_pressure_for_peak(
+                g, t_inf + margin, p_lo=5.0, p_max=1e7, t_in=0.5 * t_inf
+            ),
+            h,
+        )
+
+    @given(unimodal_curves())
+    @settings(max_examples=40, deadline=None)
+    def test_golden_section_probes_ignore_value_noise(self, curve):
+        f, p_opt, _, _ = curve
+        # A bracket symmetric about p_opt in log p would compare mirror
+        # points of equal value, where any noise decides; keep it lopsided.
+        same_search(
+            lambda g: golden_section_minimize(g, p_opt / 37.0, p_opt * 53.0),
+            f,
+        )
+
+
+# ---------------------------------------------------------------------------
+# Hard monotone curves: the interpolating steps still close the bracket
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def hard_decreasing_curves(draw):
+    """Monotone decreasing curves a secant step reads badly: a near-step
+    ``tanh`` on a ``1/p`` slope, a saturating exponential, and ``1/p**2``
+    falling onto a plateau."""
+    kind = draw(st.sampled_from(["step", "exponential", "plateau"]))
+    p_mid = draw(st.floats(1e3, 5e4))
+    if kind == "step":
+
+        def f(p):
+            step = math.tanh(math.log(p / p_mid) / 0.02)
+            return 2.0 + 1e3 / p + 2.5 * (1.0 - step)
+
+    elif kind == "exponential":
+
+        def f(p):
+            return 1.0 + 9.0 * math.exp(-p / p_mid)
+
+    else:
+
+        def f(p):
+            return 1.0 + (p_mid / p) ** 2
+
+    return f, p_mid
+
+
+#: Probe budget of the hard-curve tests: about twice what doubling from
+#: 5 Pa and bisecting to ``rtol`` spend on the widest bracket.
+HARD_BUDGET = 60
+
+
+class TestHardMonotoneCurves:
+    @given(hard_decreasing_curves(), st.floats(0.05, 0.95))
+    @settings(max_examples=60, deadline=None)
+    def test_peak_search_minimal_and_feasible(self, curve, level):
+        h, p_mid = curve
+        t_star = h(p_mid * math.exp(4.0 * (level - 0.5)))
+        result = min_pressure_for_peak(
+            h,
+            t_star,
+            p_lo=5.0,
+            p_max=1e7,
+            max_evaluations=HARD_BUDGET,
+            t_in=0.5,
+        )
+        assert result.feasible
+        assert h(result.p_sys) <= t_star
+        assert h(result.p_sys * 0.98) > t_star
+
+    @given(hard_decreasing_curves(), st.floats(0.05, 0.95))
+    @settings(max_examples=60, deadline=None)
+    def test_algorithm3_minimal_and_feasible(self, curve, level):
+        f, p_mid = curve
+        target = f(p_mid * math.exp(4.0 * (level - 0.5)))
+        result = minimize_pressure_for_gradient(
+            f, target, p_init=5e3, p_max=1e7, max_evaluations=HARD_BUDGET
+        )
+        assert result.feasible
+        assert f(result.p_sys) <= target
+        assert f(result.p_sys * 0.98) > target
+
+
+# ---------------------------------------------------------------------------
+# Probe counts on real candidates
+# ---------------------------------------------------------------------------
+
+
+def test_problem1_simulations_per_candidate():
+    """Stage-3 candidates of contest case 1 at grid 21 (2RM): a random walk
+    of SA moves from the tree plan.  Bisecting the brackets took 18.3
+    simulations per candidate on this set; interpolated probes take 11.8."""
+    from repro.iccad2015 import load_case
+    from repro.optimize import perturb_tree_params, problem1_stages
+    from repro.optimize.stages import evaluate_design
+
+    case = load_case(1, grid_size=21)
+    plan = case.tree_plan()
+    stage = problem1_stages()[2]
+    rng = np.random.default_rng(0)
+    params = plan.params()
+    simulations = []
+    for _ in range(20):
+        params = plan.clamp_params(
+            perturb_tree_params(params, stage.step, rng)
+        )
+        result = evaluate_design(
+            case,
+            plan.with_params(params).build(),
+            "problem1",
+            model=stage.model,
+            tile_size=stage.tile_size,
+        )
+        simulations.append(result.simulations)
+    assert np.mean(simulations) < 15.0
+
+
+def test_problem2_simulations_per_candidate():
+    """The tree networks of eight generated grid-9 cases (2RM): 34.0
+    simulations per candidate with bisection and a peak search doubling up
+    from 1 Pa; 22.75 with interpolated probes bracketed by the cap."""
+    from repro.cases import generate_case
+    from repro.optimize.stages import evaluate_design
+
+    simulations = []
+    for seed in range(8):
+        case = generate_case(seed, grid_size=9)
+        result = evaluate_design(
+            case,
+            case.tree_plan().build(),
+            "problem2",
+            model="2rm",
+            tile_size=4,
+        )
+        simulations.append(result.simulations)
+    assert np.mean(simulations) < 28.0

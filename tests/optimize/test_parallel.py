@@ -1,6 +1,7 @@
 """Tests for batched/parallel neighbor evaluation."""
 
 import contextlib
+import ctypes
 import hashlib
 import math
 import os
@@ -33,6 +34,7 @@ from repro.optimize.parallel import (
     PersistentEvaluationPool,
     StageContext,
     _score_candidate,
+    bundled_openblas,
     evaluate_population,
     score_on_pool,
     shutdown_pools,
@@ -53,6 +55,27 @@ STAGE = StageConfig("s", 4, 1, 4, METRIC_LOWEST_FEASIBLE_POWER, "2rm")
 #: One-solve-per-candidate stage for the cheap parity/pool tests.
 FIXED_STAGE = StageConfig("f", 4, 1, 4, METRIC_FIXED_PRESSURE_GRADIENT, "2rm")
 FIXED_PRESSURE = 2e4
+
+
+class BlasThreadsContext:
+    """An evaluation context whose scorer reads, where it runs, the thread
+    count of bundled OpenBLAS library ``params[0, 0]``."""
+
+    @staticmethod
+    def scorer():
+        def score(params):
+            library, suffix = bundled_openblas()[int(params[0, 0])]
+            getter = getattr(
+                library, "scipy_openblas_get_num_threads" + suffix
+            )
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return float(getter())
+
+        return score
+
+    @staticmethod
+    def infeasible():
+        return math.inf
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +293,16 @@ class TestPersistentPool:
         )
         assert profiling.counter("cooling.simulations") == 2
         assert profiling.counter("thermal.solves") == 2
+
+    def test_pool_workers_run_one_blas_thread(self):
+        """numpy's and scipy's OpenBLAS each run one thread in a worker."""
+        libraries = bundled_openblas()
+        if not libraries:
+            pytest.skip("no bundled OpenBLAS library installed")
+        batch = [np.array([[index, 0]]) for index in range(len(libraries))]
+        with PersistentEvaluationPool(n_workers=2) as pool:
+            threads = pool.evaluate(batch * 2, BlasThreadsContext())
+        assert threads == [1.0] * (2 * len(libraries))
 
     def test_bad_pool_workers(self):
         with pytest.raises(SearchError):
