@@ -260,8 +260,8 @@ def run_solver_backends_bench(
     exact_times = []
     sweep_parity = 0.0
     with use_config(incremental=False):
-        # Every probe pressure is distinct, so each exact solve pays a full
-        # factorization (the per-pressure LU cache never hits).
+        # Every probe pressure is distinct, so each exact solve after the
+        # first pays a full factorization (a system keeps only its first).
         for p, probe in zip(pressures, shift_results):
             start = time.perf_counter()
             exact = exact_system.solve(float(p))

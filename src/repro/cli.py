@@ -41,6 +41,7 @@ from .errors import ReproError, RunInterrupted
 from .iccad2015 import load_case, read_network, write_network
 from .networks import serpentine_network
 from .optimize import optimize_problem1, optimize_problem2
+from .optimize.parallel import single_blas_thread
 from .optimize.portfolio import (
     DEFAULT_PORTFOLIO,
     PROBLEM_PUMPING_POWER,
@@ -101,6 +102,7 @@ class RunSupervisor:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
+    single_blas_thread()  # as in pool workers
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:

@@ -325,6 +325,10 @@ def golden_section_minimize(
     in ``log P_sys``, matching the relative stop rule, and the answer is the
     better of the two interior probes last compared.
 
+    ``DeltaT`` is not always uni-modal on real candidates (docs/PHYSICS.md
+    section 4 has one with two minima); the search then returns whichever
+    local minimum its sections bracket.
+
     Args:
         f: The curve to minimize (gradient vs. pressure).
         lo: Lower bracket pressure.  [unit: Pa]

@@ -9,9 +9,9 @@ so the searches only pay for the linear solves they genuinely need.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set, Union
+from typing import Dict, Sequence, Union
 
-from .. import linalg, profiling
+from .. import profiling
 from ..constants import (
     EDGE_CONDUCTANCE_FACTOR,
     INLET_TEMPERATURE,
@@ -78,7 +78,6 @@ class CoolingSystem:
         self.coolant = coolant
         self.model = model
         self._cache: Dict[float, ThermalResult] = {}
-        self._exact_keys: Set[float] = set()
         self.n_simulations = 0
 
     # ------------------------------------------------------------------
@@ -133,15 +132,16 @@ class CoolingSystem:
         already visited is a cache hit instead of a fresh simulation.
 
         ``exact=True`` guarantees the returned result came from an exact
-        factorization: a cached entry produced by the incremental solver
-        path is recomputed exactly (and replaces the approximate entry), so
-        final scores never depend on whether incremental updates were on.
+        factorization: a cached entry the incremental solver path produced
+        (``ThermalResult.exact`` is ``False``) is recomputed exactly and
+        replaces it, so final scores never depend on whether incremental
+        updates were on.
         The recompute does not count as a new simulation -- it revisits a
         pressure already paid for.
         """
         key = quantize_key(p_sys)
         cached = self._cache.get(key)
-        if cached is not None and (not exact or key in self._exact_keys):
+        if cached is not None and (cached.exact or not exact):
             profiling.increment("cooling.cache_hits")
             return cached
         result = self.simulator.solve(key, exact=exact)
@@ -151,8 +151,6 @@ class CoolingSystem:
         else:
             profiling.increment("cooling.exact_recomputes")
         self._cache[key] = result
-        if exact or not linalg.current_config().incremental:
-            self._exact_keys.add(key)
         return result
 
     def delta_t(self, p_sys: float) -> float:
@@ -166,4 +164,3 @@ class CoolingSystem:
     def clear_cache(self) -> None:
         """Drop memoized thermal results."""
         self._cache.clear()
-        self._exact_keys.clear()

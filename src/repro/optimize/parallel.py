@@ -294,10 +294,11 @@ def bundled_openblas() -> List[Tuple[ctypes.CDLL, str]]:
     return found
 
 
-def _single_blas_thread() -> None:
+def single_blas_thread() -> None:
     """One OpenBLAS thread in this process: a pool already runs one process
     per core, and each library's default thread pool on top of that
-    oversubscribes the cores.  A library without the setter is skipped."""
+    oversubscribes the cores; a serial evaluation is no slower on one
+    (docs/SOLVER_CACHES.md).  A library without the setter is skipped."""
     for library, suffix in bundled_openblas():
         setter = getattr(
             library, "scipy_openblas_set_num_threads" + suffix, None
@@ -313,7 +314,7 @@ def _init_worker(fault_plan, telemetry_config, linalg_config) -> None:
     (pressure-shift settings), so a respawned worker behaves like the one
     it replaced, with one BLAS thread.  Evaluation contexts arrive with the
     tasks."""
-    _single_blas_thread()
+    single_blas_thread()
     if fault_plan is not None:
         faults.set_active_plan(fault_plan)
     telemetry_config.apply()

@@ -113,7 +113,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "thermal.factorizations",
         "thermal.factorize",
         "thermal.field_expansions",
-        "thermal.lu_cache_hits",
         "thermal.solve",
         "thermal.solves",
     }

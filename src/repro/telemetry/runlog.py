@@ -119,7 +119,6 @@ class RunLog:
         rates = {}
         for label, hits, misses in (
             ("flow_unit", "flow.unit_cache_hits", "flow.unit_solves"),
-            ("thermal_lu", "thermal.lu_cache_hits", "thermal.factorizations"),
             ("cooling", "cooling.cache_hits", "cooling.simulations"),
             ("batch_memo", "optimize.batch_cache_hits", "parallel.candidates"),
         ):

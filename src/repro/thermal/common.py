@@ -17,7 +17,6 @@ either simulator.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
@@ -292,6 +291,7 @@ class ConductanceBuilder:
         ).tocsc()
 
 
+@dataclass
 class _PressureShiftState:
     """Cached Woodbury data for incremental solves across pressures.
 
@@ -304,23 +304,12 @@ class _PressureShiftState:
     ``r x r`` dense solve -- instead of a fresh sparse factorization.
     """
 
-    __slots__ = ("p0", "factor", "rows", "vt", "w", "m")
-
-    def __init__(
-        self,
-        p0: float,
-        factor: "linalg.Factorization",
-        rows: np.ndarray,
-        vt: csc_matrix,
-        w: np.ndarray,
-        m: np.ndarray,
-    ) -> None:
-        self.p0 = p0
-        self.factor = factor
-        self.rows = rows
-        self.vt = vt
-        self.w = w
-        self.m = m
+    p0: float
+    factor: "linalg.Factorization"
+    rows: np.ndarray
+    vt: csc_matrix
+    w: np.ndarray
+    m: np.ndarray
 
 
 #: Largest advected-row rank ``r``, per square root of the node count
@@ -343,10 +332,10 @@ class LinearThermalSystem:
 
     Solver reuse: on first use, ``K`` and ``A`` are aligned onto the union
     sparsity pattern once, so assembling the operator at a new pressure is a
-    single fused-data sum instead of a full sparse addition.  Factorizations
-    are memoized per quantized pressure (:data:`~repro.constants.
-    PRESSURE_KEY_DECIMALS`), so re-solving at a pressure the searches already
-    probed only pays the cheap triangular sweeps.
+    single fused-data sum instead of a full sparse addition.  It keeps one
+    factorization, its first: the shift base below, which also answers a
+    later solve at the same quantized pressure.  Every other exact solve
+    factorizes, solves and lets go (``CoolingSystem`` memoizes results).
 
     Incremental solves: when :class:`~repro.linalg.LinalgConfig` enables
     them (the default), pressure probes after the first are answered through
@@ -356,12 +345,10 @@ class LinearThermalSystem:
     count, guarded by a relative-residual check that falls back to the exact
     path on any doubt.  ``solve(..., exact=True)`` bypasses the incremental
     path entirely -- final scoring uses it so results are bitwise identical
-    with incremental updates on or off.
+    with incremental updates on or off; :meth:`solve_flagged` also says
+    whether an exact factorization answered.
     """
 
-    #: Factorizations retained per system (the pressure searches probe a few
-    #: dozen distinct pressures; an LRU this size never thrashes on them).
-    LU_CACHE_SIZE = 32
     #: Columns of ``W`` solved per block when building the shift state, so
     #: the unit right-hand sides never take a full ``n x r`` array.
     SHIFT_BLOCK_COLUMNS = 128
@@ -380,10 +367,10 @@ class LinearThermalSystem:
         self.n_nodes = stiffness.shape[0]
         self._aligned_pair: Optional[Tuple[csc_matrix, csc_matrix]] = None
         self._residual_op: Optional[csc_matrix] = None
-        self._lu_cache: "OrderedDict[float, object]" = OrderedDict()
+        #: ``(quantized pressure, factorization)`` of the first exact solve.
+        self._base: Optional[Tuple[float, Any]] = None
         self._shift: Optional[_PressureShiftState] = None
         self._advected: Optional[np.ndarray] = None
-        self._base_key: Optional[float] = None
 
     # -- operator assembly with structure reuse -------------------------
 
@@ -444,13 +431,7 @@ class LinearThermalSystem:
         return op
 
     def _factorize(self, p_sys: float) -> Any:
-        """A (cached) LU factorization of the operator at ``p_sys``."""
-        key = quantize_key(p_sys)
-        lu = self._lu_cache.get(key)
-        if lu is not None:
-            self._lu_cache.move_to_end(key)
-            profiling.increment("thermal.lu_cache_hits")
-            return lu
+        """A fresh LU of the operator at ``p_sys``; the first is the base."""
         with profiling.timer("thermal.factorize", nodes=self.n_nodes):
             try:
                 lu = linalg.factorize(self._operator(p_sys))
@@ -460,11 +441,8 @@ class LinearThermalSystem:
                     "thermally isolated from the coolant"
                 ) from exc
         profiling.increment("thermal.factorizations")
-        if self._base_key is None:
-            self._base_key = key
-        self._lu_cache[key] = lu
-        while len(self._lu_cache) > self.LU_CACHE_SIZE:
-            self._lu_cache.popitem(last=False)
+        if self._base is None:
+            self._base = (quantize_key(p_sys), lu)
         return lu
 
     # -- solves ----------------------------------------------------------
@@ -475,27 +453,38 @@ class LinearThermalSystem:
         Args:
             p_sys: System pressure drop in Pa (> 0).
             exact: Bypass the incremental pressure-shift path and solve
-                through a (cached) exact factorization.  Final scoring
-                passes ``True`` so results never depend on whether
-                incremental updates are enabled.
+                through an exact factorization.  Final scoring passes
+                ``True`` so results never depend on whether incremental
+                updates are enabled.
         """
+        return self.solve_flagged(p_sys, exact)[0]
+
+    def solve_flagged(
+        self, p_sys: float, exact: bool = False
+    ) -> Tuple[np.ndarray, bool]:
+        """:meth:`solve`, plus whether an exact factorization answered
+        (``False`` only for an accepted pressure-shift answer)."""
         if p_sys <= 0:
             raise ThermalError(
                 f"system pressure must be positive for a steady solution, "
                 f"got {p_sys}"
             )
         temperatures: Optional[np.ndarray] = None
-        if not exact and quantize_key(p_sys) not in self._lu_cache:
-            temperatures = self._solve_incremental(p_sys)
+        base = self._base
+        if base is not None and quantize_key(p_sys) == base[0]:
+            lu = base[1]
+        else:
+            if not exact:
+                temperatures = self._solve_incremental(p_sys)
+            lu = None if temperatures is not None else self._factorize(p_sys)
+        from_lu = temperatures is None
         if temperatures is None:
-            lu = self._factorize(p_sys)
-            rhs = self.rhs_static + p_sys * self.rhs_advection
             with profiling.timer("thermal.solve", nodes=self.n_nodes):
-                temperatures = lu.solve(rhs)
+                temperatures = lu.solve(self.rhs(p_sys))
             profiling.increment("thermal.solves")
         if not np.all(np.isfinite(temperatures)):
             raise ThermalError("thermal solve produced non-finite temperatures")
-        return temperatures
+        return temperatures, from_lu
 
     # -- incremental pressure-shift path ---------------------------------
 
@@ -513,14 +502,14 @@ class LinearThermalSystem:
         shift = self._shift
         if shift is None:
             # The first solve establishes the exact base.
-            if self._base_key is None or not self.shift_pays():
+            if self._base is None or not self.shift_pays():
                 return None
-            shift = self._build_shift()
-        rhs = self.rhs_static + p_sys * self.rhs_advection
+            shift = self._build_shift(*self._base)
+        rhs = self.rhs(p_sys)
         dp = p_sys - shift.p0
         with profiling.timer("linalg.incremental_solve"):
             y = shift.factor.solve(rhs)
-            if shift.rows.size == 0 or dp == 0.0:
+            if shift.rows.size == 0:
                 x = y
             else:
                 r = shift.rows.size
@@ -554,13 +543,9 @@ class LinearThermalSystem:
         rank = self.advected_rows().size
         return rank <= SHIFT_RANK_PER_SQRT_NODE * np.sqrt(self.n_nodes)
 
-    def _build_shift(self) -> _PressureShiftState:
+    def _build_shift(self, p0: float, factor: Any) -> _PressureShiftState:
         """Build the pressure-shift state on the base factorization."""
         rows = self.advected_rows()
-        base_key = self._base_key
-        factor = self._lu_cache.get(base_key)
-        if factor is None:
-            factor = self._factorize(base_key)
         vt = self.advection.tocsr()[rows, :]
         w = np.empty((self.n_nodes, rows.size))
         for start in range(0, rows.size, self.SHIFT_BLOCK_COLUMNS):
@@ -570,7 +555,7 @@ class LinearThermalSystem:
             w[:, start : start + block.size] = factor.solve_many(unit)
         m = np.asarray(vt @ w)
         shift = self._shift = _PressureShiftState(
-            p0=float(base_key), factor=factor, rows=rows, vt=vt, w=w, m=m
+            p0=p0, factor=factor, rows=rows, vt=vt, w=w, m=m
         )
         profiling.increment("linalg.shift_bases")
         profiling.observe(

@@ -30,7 +30,7 @@ from .result import ThermalResult
 #: Backward-Euler LU factorizations kept per controlled run.  A bang-bang
 #: controller alternates between two pressures and a PI controller converges
 #: onto a few, so a handful of slots makes re-commanded pressures free.
-_CONTROL_LU_CACHE_SIZE = 8  #: [unit: 1]
+_CONTROL_LU_SLOTS = 8  #: [unit: 1]
 
 
 class HysteresisController:
@@ -202,7 +202,7 @@ def run_controlled(
                     f"pressure {pressure}"
                 ) from exc
             lu_cache[key] = lu
-            while len(lu_cache) > _CONTROL_LU_CACHE_SIZE:
+            while len(lu_cache) > _CONTROL_LU_SLOTS:
                 lu_cache.popitem(last=False)
         else:
             lu_cache.move_to_end(key)

@@ -283,17 +283,19 @@ class RC4Simulator:
     def solve(self, p_sys: float, exact: bool = False) -> ThermalResult:
         """Steady temperatures at system pressure drop ``p_sys`` (Pa).
 
-        ``exact=True`` bypasses the incremental solver path (final scoring).
+        ``exact=True`` bypasses the incremental solver path (final scoring);
+        the result's ``exact`` says whether an exact factorization answered.
         """
         with profiling.span("thermal.rc4.solve", cells=self.n_nodes):
-            temperatures = corrupt(
-                SITE_THERMAL_RC4, self.system.solve(p_sys, exact=exact)
-            )
+            temperatures, from_lu = self.system.solve_flagged(p_sys, exact)
+            temperatures = corrupt(SITE_THERMAL_RC4, temperatures)
             if not np.all(np.isfinite(temperatures)):
                 raise ThermalError(
                     "4RM solve produced non-finite temperatures"
                 )
-            return self._package(p_sys, temperatures)
+            result = self._package(p_sys, temperatures)
+            result.exact = from_lu
+            return result
 
     def node_capacitances(self) -> np.ndarray:
         """Heat capacity of every thermal node in J/K (transient extension)."""

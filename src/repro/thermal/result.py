@@ -46,6 +46,8 @@ class ThermalResult:
         coolant_heat_removed: Coolant enthalpy rise rate (W); equals
             total_power at a converged steady solution of an adiabatic
             stack.
+        exact: Whether an exact factorization produced the temperatures
+            (``False`` for a pressure-shift probe answer).
     """
 
     def __init__(
@@ -76,6 +78,7 @@ class ThermalResult:
         self.inlet_temperature = inlet_temperature
         self.total_power = total_power
         self.coolant_heat_removed = coolant_heat_removed
+        self.exact = True
         self._layer_fields = layer_fields
         self._liquid_fields = {} if liquid_fields is None else liquid_fields
         self._layer_extrema = layer_extrema

@@ -15,6 +15,7 @@ identical.
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.cooling.system import CoolingSystem
 from repro.geometry import build_contest_stack
 from repro.iccad2015.cases import load_case
 from repro.linalg import use_config
+from repro.linalg.superlu import Factorization
 from repro.materials import WATER
 from repro.networks import serpentine_network
 from repro.telemetry.promexpo import parse_prometheus_text, render_prometheus
@@ -75,6 +77,23 @@ def generated_4rm(seed, grid):
         inlet_temperature=case.inlet_temperature,
     )
     return case, system
+
+
+def case1_straight_2rm(case):
+    """Case ``case``'s straight network on 2RM."""
+    return CoolingSystem.for_network(
+        case.base_stack(),
+        case.baseline_network(),
+        case.coolant,
+        model="2rm",
+        inlet_temperature=case.inlet_temperature,
+    )
+
+
+def live_factorizations():
+    """Factorizations reachable in this process."""
+    gc.collect()
+    return sum(isinstance(obj, Factorization) for obj in gc.get_objects())
 
 
 def bits(result):
@@ -155,21 +174,11 @@ def test_shift_path_follows_rank_per_sqrt_node(grid, takes_shift):
     over 2016 nodes (11.4) refactorizes every probe.  Scores are bitwise
     equal to incremental-off on both sides."""
     case = load_case(1, grid_size=grid)
-
-    def straight_2rm():
-        return CoolingSystem.for_network(
-            case.base_stack(),
-            case.baseline_network(),
-            case.coolant,
-            model="2rm",
-            inlet_temperature=case.inlet_temperature,
-        )
-
     with use_config(incremental=False):
         expected = evaluate_problem1(
-            straight_2rm(), case.delta_t_star, case.t_max_star
+            case1_straight_2rm(case), case.delta_t_star, case.t_max_star
         )
-    system = straight_2rm()
+    system = case1_straight_2rm(case)
     thermal = system.simulator.system
     rank = thermal.advected_rows().size
     ratio = rank / np.sqrt(thermal.n_nodes)
@@ -246,11 +255,61 @@ def test_cooling_system_exact_recompute_bookkeeping():
 
 
 def test_transient_and_steady_agree_after_incremental_probes():
-    """The incremental path must not leak approximate state into the LU
-    caches the transient integrator reuses."""
+    """Incremental probes must leave no approximate state behind: a later
+    exact solve equals one on a fresh system, bit for bit."""
     sim = RC2Simulator(small_stack(), WATER, tile_size=4)
     for p in PRESSURES:
         sim.system.solve(p)  # populate shift machinery
     exact = sim.system.solve(2000.0, exact=True)
     fresh = RC2Simulator(small_stack(), WATER, tile_size=4)
     np.testing.assert_array_equal(exact, fresh.system.solve(2000.0, exact=True))
+
+
+def test_system_above_the_cut_keeps_only_its_first_factorization():
+    """Case 1's straight network on 2RM at grid 61 (11.4 per sqrt node)
+    factorizes every probe, keeps none but the first, and needs no exact
+    recompute: every answer already came from an exact factorization."""
+    case = load_case(1, grid_size=61)
+    with use_config(incremental=False):
+        expected = evaluate_problem1(
+            case1_straight_2rm(case), case.delta_t_star, case.t_max_star
+        )
+    system = case1_straight_2rm(case)
+    before = live_factorizations()
+    profiling.reset()
+    result = evaluate_problem1(system, case.delta_t_star, case.t_max_star)
+    counters = profiling.snapshot()["counters"]
+    assert counters.get("thermal.factorizations", 0) == result.simulations > 1
+    assert live_factorizations() - before == 1
+    assert counters.get("cooling.exact_recomputes", 0) == 0
+    assert bits(result) == bits(expected)
+
+
+def test_problem2_optimum_at_the_cap_needs_no_exact_recompute():
+    """The cap is Problem 2's first probe, so its factorization is the
+    exact base: an optimum there is final as probed."""
+    case = load_case(1, grid_size=21)
+    system = case1_straight_2rm(case)
+    assert system.simulator.system.shift_pays()
+    profiling.reset()
+    result = evaluate_problem2(system, case.t_max_star, case.w_pump_star())
+    assert result.feasible
+    assert result.p_sys == system.p_sys_for_power(case.w_pump_star())
+    assert profiling.counter("cooling.exact_recomputes") == 0
+    with use_config(incremental=False):
+        expected = evaluate_problem2(
+            case1_straight_2rm(case), case.t_max_star, case.w_pump_star()
+        )
+    assert bits(result) == bits(expected)
+
+
+def test_non_exact_solve_at_the_base_pressure_reuses_the_base(simulator):
+    profiling.reset()
+    system = simulator.system
+    first, first_exact = system.solve_flagged(PRESSURES[0])
+    again, again_exact = system.solve_flagged(PRESSURES[0])
+    np.testing.assert_array_equal(again, first)
+    assert first_exact and again_exact
+    counters = profiling.snapshot()["counters"]
+    assert counters.get("thermal.factorizations", 0) == 1
+    assert counters.get("linalg.shift_bases", 0) == 0

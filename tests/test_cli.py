@@ -1,8 +1,42 @@
 """Tests for the command-line interface."""
 
+import ctypes
+
 import pytest
 
 from repro.cli import main
+from repro.optimize.parallel import bundled_openblas
+
+
+def _blas_call(library, suffix, name, *args):
+    """Call ``scipy_openblas_<name>_num_threads`` of one bundled OpenBLAS."""
+    function = getattr(library, f"scipy_openblas_{name}_num_threads{suffix}")
+    function.argtypes = [ctypes.c_int] * len(args)
+    function.restype = ctypes.c_int if name == "get" else None
+    return function(*args)
+
+
+@pytest.fixture(autouse=True)
+def restore_blas_threads():
+    """``main`` pins this process to one BLAS thread; undo it per test."""
+    libraries = bundled_openblas()
+    before = [_blas_call(lib, sfx, "get") for lib, sfx in libraries]
+    yield
+    for (library, suffix), threads in zip(libraries, before):
+        _blas_call(library, suffix, "set", threads)
+
+
+def test_cli_runs_one_blas_thread(capsys):
+    """numpy's and scipy's OpenBLAS each run one thread in a CLI process."""
+    libraries = bundled_openblas()
+    if not libraries:
+        pytest.skip("no bundled OpenBLAS library installed")
+    for library, suffix in libraries:
+        _blas_call(library, suffix, "set", 2)
+    assert main([]) == 2
+    assert [_blas_call(lib, sfx, "get") for lib, sfx in libraries] == [1] * len(
+        libraries
+    )
 
 
 class TestSimulate:
