@@ -24,13 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ..constants import (
-    PRESSURE_INIT,
-    PRESSURE_INIT_STEP_RATIO,
-    PRESSURE_MAX,
-    PRESSURE_MIN,
-    PRESSURE_SEARCH_RTOL,
-)
+from ..constants import PRESSURE_MIN, PRESSURE_SEARCH_RTOL
 from .. import profiling
 from ..faults import SITE_COOLING_PROBLEM1, SITE_COOLING_PROBLEM2, inject
 from .pressure_search import (
@@ -90,10 +84,6 @@ def evaluate_problem1(
     system: CoolingSystem,
     delta_t_star: float,
     t_max_star: float,
-    p_init: float = PRESSURE_INIT,
-    r_init: float = PRESSURE_INIT_STEP_RATIO,
-    rtol: float = PRESSURE_SEARCH_RTOL,
-    p_max: float = PRESSURE_MAX,
 ) -> EvaluationResult:
     """Algorithm 2: the lowest feasible pumping power of one network.
 
@@ -102,30 +92,23 @@ def evaluate_problem1(
     infeasible (score ``+inf``).  Step 2 raises the pressure further when the
     peak-temperature constraint is still violated (``h`` is monotone, so one
     crossing is bracketed and closed), and re-checks both constraints at the
-    new point.
+    new point.  The searches run with their defaults, the
+    :mod:`repro.constants` values (``PRESSURE_INIT``,
+    ``PRESSURE_INIT_STEP_RATIO``, ``PRESSURE_SEARCH_RTOL``,
+    ``PRESSURE_MAX``).
 
     Args:
         system: The cooling network under evaluation.
         delta_t_star: Thermal-gradient constraint ``DeltaT*``.  [unit: K]
         t_max_star: Peak-temperature constraint ``T_max*``.  [unit: K]
-        p_init: Starting pressure for the search.  [unit: Pa]
-        r_init: Dimensionless initial step ratio.  [unit: 1]
-        rtol: Dimensionless relative tolerance.  [unit: 1]
-        p_max: Upper pressure bound.  [unit: Pa]
     """
     inject(SITE_COOLING_PROBLEM1)
     with profiling.span("cooling.evaluate_problem1"):
         before = system.n_simulations
-        search = minimize_pressure_for_gradient(
-            system.delta_t,
-            delta_t_star,
-            p_init=p_init,
-            r_init=r_init,
-            rtol=rtol,
-            p_max=p_max,
-        )
+        slack = 1.0 + PRESSURE_SEARCH_RTOL
+        search = minimize_pressure_for_gradient(system.delta_t, delta_t_star)
         p_sys = search.p_sys
-        if system.delta_t(p_sys) > delta_t_star * (1.0 + rtol):
+        if system.delta_t(p_sys) > delta_t_star * slack:
             return _result(system, p_sys, math.inf, False, before)
 
         if system.t_max(p_sys) > t_max_star:
@@ -133,16 +116,14 @@ def evaluate_problem1(
                 system.t_max,
                 t_max_star,
                 p_sys,
-                rtol=rtol,
-                p_max=p_max,
                 t_in=system.simulator.inlet_temperature,
             )
             p_sys = peak.p_sys
             # Raising the pressure may have crossed the gradient minimum onto
             # the rising side; both constraints must hold at the final point.
             if (
-                system.delta_t(p_sys) > delta_t_star * (1.0 + rtol)
-                or system.t_max(p_sys) > t_max_star * (1.0 + rtol)
+                system.delta_t(p_sys) > delta_t_star * slack
+                or system.t_max(p_sys) > t_max_star * slack
             ):
                 return _result(system, p_sys, math.inf, False, before)
 
@@ -153,8 +134,6 @@ def evaluate_problem2(
     system: CoolingSystem,
     t_max_star: float,
     w_pump_star: float,
-    rtol: float = PRESSURE_SEARCH_RTOL,
-    p_min: float = PRESSURE_MIN,
 ) -> EvaluationResult:
     """Problem-2 network evaluation: smallest gradient under a power cap.
 
@@ -164,28 +143,27 @@ def evaluate_problem2(
     pressure window is ``[P_peak, P*]`` where ``P_peak`` is the smallest
     pressure meeting ``T_max*``; the gradient is minimized there -- directly
     at ``P*`` when ``f`` is still falling, else by golden-section search.
+    The window starts at ``PRESSURE_MIN`` and the searches stop at their
+    default ``PRESSURE_SEARCH_RTOL`` (:mod:`repro.constants`).
 
     Args:
         system: The cooling network under evaluation.
         t_max_star: Peak-temperature constraint ``T_max*``.  [unit: K]
         w_pump_star: Pumping-power cap ``W_pump*``.  [unit: W]
-        rtol: Dimensionless relative tolerance.  [unit: 1]
-        p_min: Lower pressure bound.  [unit: Pa]
     """
     inject(SITE_COOLING_PROBLEM2)
     with profiling.span("cooling.evaluate_problem2"):
         before = system.n_simulations
         p_cap = system.p_sys_for_power(w_pump_star)
-        if p_cap <= p_min:
-            return _result(system, p_min, math.inf, False, before)
+        if p_cap <= PRESSURE_MIN:
+            return _result(system, PRESSURE_MIN, math.inf, False, before)
         if system.t_max(p_cap) > t_max_star:
             return _result(system, p_cap, math.inf, False, before)
 
         peak = min_pressure_for_peak(
             system.t_max,
             t_max_star,
-            p_min,
-            rtol=rtol,
+            PRESSURE_MIN,
             p_max=p_cap,
             t_in=system.simulator.inlet_temperature,
             max_feasible=True,
@@ -193,7 +171,7 @@ def evaluate_problem2(
         p_lo = min(peak.p_sys, p_cap) if peak.feasible else p_cap
 
         # Probe whether f is still falling at the cap.
-        p_probe = max(p_lo, p_cap * (1.0 - 4.0 * rtol))
+        p_probe = max(p_lo, p_cap * (1.0 - 4.0 * PRESSURE_SEARCH_RTOL))
         falling = (
             p_probe >= p_cap
             or system.delta_t(p_cap) <= system.delta_t(p_probe)
@@ -202,7 +180,7 @@ def evaluate_problem2(
             p_best = p_cap
         else:
             search = golden_section_minimize(
-                system.delta_t, max(p_lo, p_min), p_cap, rtol=rtol
+                system.delta_t, max(p_lo, PRESSURE_MIN), p_cap
             )
             p_best = search.p_sys
             # Never exceed the cap; never go below the peak-feasible floor.

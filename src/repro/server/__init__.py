@@ -31,7 +31,7 @@ from ..errors import (
 from .api import ApiServer
 from .client import ServiceClient
 from .dashboard import TopMonitor, render, run_top
-from .executor import Executor, SimulationExecutor
+from .executor import SimulationExecutor
 from .jobstore import JobStore
 from .records import (
     JOB_STATES,
@@ -51,7 +51,6 @@ from .worker import Worker, recover_running
 __all__ = [
     "ApiServer",
     "DesignService",
-    "Executor",
     "JOB_STATES",
     "JobError",
     "JobNotFoundError",

@@ -1,11 +1,8 @@
 """Job execution: spec -> deterministic portfolio run -> JSON result.
 
-The service's execution seam.  :class:`Executor` is the interface a
-scheduler dispatches through; :class:`SimulationExecutor` is the only
-implementation today -- it runs the portfolio **in-process** over the same
+Where the service's jobs run: :class:`SimulationExecutor` runs the
+portfolio **in-process** over the same
 :func:`repro.optimize.portfolio.run_portfolio` entry point the CLI uses.
-A future remote shard (one container per job) implements the same two
-methods against a wire protocol; nothing in the worker or store changes.
 
 Crash-safety contract: ``execute`` always points the portfolio at the
 job's own checkpoint directory with ``resume=True``, so
@@ -40,7 +37,7 @@ from ..optimize.portfolio import (
     run_portfolio,
 )
 
-__all__ = ["Executor", "SimulationExecutor", "case_from_spec", "config_from_spec"]
+__all__ = ["SimulationExecutor", "case_from_spec", "config_from_spec"]
 
 
 def case_from_spec(spec: Dict[str, Any]) -> Case:
@@ -100,8 +97,8 @@ def config_from_spec(spec: Dict[str, Any]) -> PortfolioConfig:
     )
 
 
-class Executor:
-    """Where a claimed job's work actually happens (the shard seam)."""
+class SimulationExecutor:
+    """In-process execution over the local portfolio (simulation mode)."""
 
     def execute(
         self,
@@ -112,8 +109,8 @@ class Executor:
     ) -> Dict[str, Any]:
         """Run ``spec`` to completion; returns the JSON result payload.
 
-        Must be resumable: when ``checkpoint_dir`` holds state from an
-        interrupted attempt, continue from it and produce a result
+        Resumable: when ``checkpoint_dir`` holds state from an interrupted
+        attempt, the run continues from it and produces a result
         bitwise-identical to an uninterrupted run.
 
         ``progress`` (when given) receives ``(event_type, fields)`` for
@@ -124,23 +121,6 @@ class Executor:
             RunInterrupted: ``interrupt_check`` fired; the checkpoint in
                 ``checkpoint_dir`` captures all completed work.
         """
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        """Human-readable executor identity (for /healthz)."""
-        raise NotImplementedError
-
-
-class SimulationExecutor(Executor):
-    """In-process execution over the local portfolio (simulation mode)."""
-
-    def execute(
-        self,
-        spec: Dict[str, Any],
-        checkpoint_dir: str,
-        interrupt_check: Optional[Callable[[], bool]] = None,
-        progress: Optional[Callable[[str, Dict[str, Any]], None]] = None,
-    ) -> Dict[str, Any]:
         case = case_from_spec(spec)
         config = config_from_spec(spec)
         result = run_portfolio(
@@ -174,6 +154,3 @@ class SimulationExecutor(Executor):
                 for name, outcome in sorted(result.outcomes.items())
             },
         }
-
-    def describe(self) -> str:
-        return "simulation (in-process portfolio)"

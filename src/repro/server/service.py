@@ -7,7 +7,7 @@ runs them:
   second service on the same root fails with
   :class:`~repro.errors.JobStoreLockedError`),
 * ``n_workers`` :class:`~repro.server.worker.Worker` threads claiming and
-  executing jobs (simulation-mode executor by default),
+  executing jobs in-process,
 * one :class:`~repro.server.api.ApiServer` exposing the HTTP routes, with
   a readiness hook that reports dead worker threads and evaluation-pool
   degradation (the ``parallel.degraded`` counter); an address it cannot
@@ -40,7 +40,6 @@ from .. import profiling
 from ..errors import ServerBindError
 from ..telemetry import runlog
 from .api import ApiServer
-from .executor import Executor, SimulationExecutor
 from .jobstore import JobStore
 from .worker import Worker, recover_running
 
@@ -55,8 +54,6 @@ class DesignService:
         host / port: API bind address (``port=0`` picks a free port).
         n_workers: Worker threads executing jobs.
         tenant_cap: Per-tenant active-job cap (429 past it).
-        executor: Execution backend shared by all workers (defaults to
-            in-process simulation; the remote-shard seam).
         run_log: Optional JSONL path for service lifecycle events.
         trace_jobs: Export a stitched Chrome/Perfetto trace per executed
             job (``GET /v1/jobs/<id>/trace``); off by default because the
@@ -72,18 +69,15 @@ class DesignService:
         port: int = 0,
         n_workers: int = 1,
         tenant_cap: int = 8,
-        executor: Optional[Executor] = None,
         run_log: Optional[str] = None,
         trace_jobs: bool = False,
         stream_heartbeat: float = 5.0,
     ):
         self.store = JobStore(root, tenant_cap=tenant_cap)
-        self.executor = executor or SimulationExecutor()
         self._stop = threading.Event()
         self.workers = [
             Worker(
                 self.store,
-                self.executor,
                 worker_id=f"worker-{i}",
                 trace_jobs=trace_jobs,
             )

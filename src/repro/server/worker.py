@@ -3,9 +3,9 @@
 A :class:`Worker` claims the oldest claimable job --
 :meth:`JobStore.claim` flips its record to ``running`` under the store's
 lock, and that atomic record write is the claim -- and executes the spec
-through its :class:`~repro.server.executor.Executor`.  Idle, it sleeps on
-the store's change notifier; the one timed wait is for the earliest retry
-backoff to end.
+through a :class:`~repro.server.executor.SimulationExecutor`.  Idle, it
+sleeps on the store's change notifier; the one timed wait is for the
+earliest retry backoff to end.
 
 One object owns a store root (:class:`JobStore` holds an exclusive lock
 on it), so a ``running`` record found when the store opens was left by a
@@ -45,7 +45,7 @@ from ..errors import (
 from ..faults import SITE_SERVER_WORKER, inject
 from ..optimize.portfolio import PORTFOLIO_CHECKPOINT
 from ..profiling import TelemetryConfig
-from .executor import Executor, SimulationExecutor
+from .executor import SimulationExecutor
 from .jobstore import JobStore
 from .records import (
     JobRecord,
@@ -157,7 +157,6 @@ class Worker:
 
     Args:
         store: The durable queue.
-        executor: Execution backend; defaults to in-process simulation.
         worker_id: Stable identity in records and events (generated if
             absent).
         retry_backoff: Base retry delay [unit: s].
@@ -169,13 +168,12 @@ class Worker:
     def __init__(
         self,
         store: JobStore,
-        executor: Optional[Executor] = None,
         worker_id: Optional[str] = None,
         retry_backoff: float = RETRY_BACKOFF_BASE,
         trace_jobs: bool = False,
     ):
         self.store = store
-        self.executor = executor or SimulationExecutor()
+        self.executor = SimulationExecutor()
         self.worker_id = worker_id or _worker_id("worker")
         self.retry_backoff = float(retry_backoff)
         self.trace_jobs = bool(trace_jobs)

@@ -18,6 +18,7 @@ either simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Optional, Tuple
 
 import numpy as np
@@ -25,10 +26,13 @@ from scipy.sparse import coo_matrix, csc_matrix
 
 from .. import linalg, profiling
 from ..constants import NUSSELT_NUMBER, quantize_key
-from ..errors import LinalgError, ThermalError
+from ..errors import GeometryError, LinalgError, ThermalError
 from ..faults import SITE_LINALG_UPDATE, corrupt
 from ..flow.conductance import hydraulic_diameter
+from ..geometry.layers import ChannelLayer
+from ..geometry.stack import Stack
 from ..materials import Coolant
+from .result import ThermalResult
 
 
 def series_conductance(g_a: float, g_b: float) -> float:
@@ -570,3 +574,93 @@ class LinearThermalSystem:
     def rhs(self, p_sys: float) -> np.ndarray:
         """Right-hand side (sources + inlet enthalpy) at ``p_sys``."""
         return self.rhs_static + p_sys * self.rhs_advection
+
+
+def check_stack(stack: Stack, top_bc: Optional[Tuple[float, float]]) -> None:
+    """Reject adjacent channel layers (no solid interface couples them) and
+    a negative ambient coefficient in the top boundary ``(h, T_amb)``."""
+    layers = stack.layers
+    for below, above in zip(layers, layers[1:]):
+        if isinstance(below, ChannelLayer) and isinstance(above, ChannelLayer):
+            raise GeometryError(
+                f"adjacent channel layers {below.name!r} / {above.name!r} "
+                "are not supported (no solid interface between them)"
+            )
+    if top_bc is not None and top_bc[0] < 0:
+        raise ThermalError(
+            f"ambient heat transfer coefficient must be >= 0, got {top_bc[0]}"
+        )
+
+
+def linear_system(
+    steady: Any, builder: ConductanceBuilder, rhs_static: np.ndarray
+) -> LinearThermalSystem:
+    """A simulator's system: its conductances and static sources, plus the
+    advection of its ``_specs`` in its scheme."""
+    advection, rhs_adv = assemble_advection(
+        steady.n_nodes,
+        steady._specs,
+        steady.coolant.volumetric_heat_capacity,
+        steady.inlet_temperature,
+        scheme=steady.advection_scheme,
+    )
+    return LinearThermalSystem(builder.build(), advection, rhs_static, rhs_adv)
+
+
+def solve_steady(
+    steady: Any, span: str, site: str, p_sys: float, exact: bool
+) -> ThermalResult:
+    """The body of both simulators' ``solve``, under their span and fault
+    site.  ``exact=True`` bypasses the incremental path (final scoring);
+    the result's ``exact`` says whether an exact factorization answered.
+
+    Args:
+        p_sys: System pressure drop.  [unit: Pa]
+    """
+    with profiling.span(span, cells=steady.n_nodes):
+        temperatures, from_lu = steady.system.solve_flagged(p_sys, exact)
+        temperatures = corrupt(site, temperatures)
+        if not np.all(np.isfinite(temperatures)):
+            raise ThermalError(
+                f"{steady.model_name} solve produced non-finite temperatures"
+            )
+        result = package_result(steady, p_sys, temperatures)
+        result.exact = from_lu
+        return result
+
+
+def package_result(
+    steady: Any, p_sys: float, temperatures: np.ndarray
+) -> ThermalResult:
+    """A lazy result of a node temperature vector of either simulator:
+    layer node ids are contiguous from ``steady._layer_starts`` and cover
+    every cell, so the layers' node ``(min, max)`` are those of the cell
+    maps ``steady._expand_fields`` builds on first use.
+
+    Args:
+        p_sys: System pressure drop.  [unit: Pa]
+    """
+    q_sys = sum(f.q_sys(p_sys) for f in steady.flow_fields)
+    removed = 0.0
+    c_v = steady.coolant.volumetric_heat_capacity
+    for spec in steady._specs:
+        t_nodes = temperatures[spec.node_ids]
+        removed += c_v * p_sys * float(
+            np.dot(spec.outlet_flows, t_nodes)
+            - spec.inlet_flows.sum() * steady.inlet_temperature
+        )
+    return ThermalResult(
+        p_sys=float(p_sys),
+        q_sys=q_sys,
+        w_pump=float(p_sys) * q_sys,
+        layer_names=list(steady._layer_names),
+        source_layer_indices=list(steady._source_layer_indices),
+        inlet_temperature=steady.inlet_temperature,
+        total_power=steady._total_power,
+        coolant_heat_removed=removed,
+        layer_extrema=(
+            np.minimum.reduceat(temperatures, steady._layer_starts),
+            np.maximum.reduceat(temperatures, steady._layer_starts),
+        ),
+        expand_fields=partial(steady._expand_fields, temperatures),
+    )

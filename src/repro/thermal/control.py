@@ -4,9 +4,10 @@ The paper's future work proposes "combining cooling networks with run-time
 thermal management techniques (e.g., DVFS and adjustable flow rates) to
 handle dynamic die power".  This module implements that loop on top of the
 transient extension: a controller observes the peak temperature at a control
-period and adjusts the pump pressure; the plant integrates backward-Euler
-between control decisions (LU factorizations are memoized per commanded
-pressure, so revisited pump levels never re-factorize).
+period and adjusts the pump pressure; between control decisions the plant
+steps with the transient extension's backward-Euler integrator (LU
+factorizations are memoized per commanded pressure, so revisited pump levels
+never re-factorize).
 
 Two standard controllers are provided: a hysteresis (bang-bang) controller
 switching between two pump levels, and a clamped proportional-integral
@@ -17,15 +18,16 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import accumulate, islice, repeat
 from typing import Any, Callable, List, Optional
 
 import numpy as np
-from scipy.sparse import diags
 
-from .. import linalg
 from ..constants import quantize_key
-from ..errors import LinalgError, ThermalError
+from ..errors import ThermalError
+from .common import package_result
 from .result import ThermalResult
+from .transient import backward_euler_lu, backward_euler_steps
 
 #: Backward-Euler LU factorizations kept per controlled run.  A bang-bang
 #: controller alternates between two pressures and a PI controller converges
@@ -175,77 +177,58 @@ def run_controlled(
     if n_periods < 1:
         raise ThermalError("duration shorter than one control period")
 
-    capacitances = steady.node_capacitances()
-    c_over_dt = capacitances / dt
-    rhs_power = steady.system.rhs_static
+    c_over_dt = steady.node_capacitances() / dt
     state = np.full(steady.system.n_nodes, steady.inlet_temperature)
+    q_unit = sum(f.q_sys(1.0) for f in steady.flow_fields)
+    clock = accumulate(repeat(dt))  # ``time += dt`` per step
 
-    p_current = float(p_initial)
-    energy_pump = 0.0
-
-    # Backward-Euler operator ``K + P A + C/dt`` factorized once per distinct
-    # commanded pressure.  The capacitance diagonal never changes, so it is
-    # assembled exactly once, outside the control loop.
-    c_diag = diags(c_over_dt).tocsc()
     lu_cache: "OrderedDict[float, object]" = OrderedDict()
 
     def lu_for(pressure: float) -> Any:
         key = quantize_key(pressure)
         lu = lu_cache.get(key)
         if lu is None:
-            matrix = steady.system.system_matrix(pressure)
-            try:
-                lu = linalg.factorize(matrix.tocsc() + c_diag)
-            except LinalgError as exc:
-                raise ThermalError(
-                    f"backward-Euler operator is singular at commanded "
-                    f"pressure {pressure}"
-                ) from exc
-            lu_cache[key] = lu
+            lu = lu_cache[key] = backward_euler_lu(steady, c_over_dt, pressure)
             while len(lu_cache) > _CONTROL_LU_SLOTS:
                 lu_cache.popitem(last=False)
         else:
             lu_cache.move_to_end(key)
         return lu
 
-    times = [0.0]
-    result0 = steady._package(max(p_current, 1e-9), state.copy())
-    t_maxes = [result0.t_max]
-    delta_ts = [result0.delta_t]
-    pressures = [p_current]
-    results = [result0] if store_results else []
+    trace = ControlTrace([], [], [], [], mean_pumping_power=0.0)
 
-    time = 0.0
-    for _ in range(n_periods):
-        commanded = float(controller(t_maxes[-1], p_current))
+    def record(time: float, pressure: float, snapshot: ThermalResult) -> None:
+        trace.times.append(time)
+        trace.t_max.append(snapshot.t_max)
+        trace.delta_t.append(snapshot.delta_t)
+        trace.pressures.append(pressure)
+        if store_results:
+            trace.results.append(snapshot)
+
+    p_current = float(p_initial)
+    record(0.0, p_current, package_result(steady, max(p_current, 1e-9), state))
+    energy_pump = 0.0
+    for period in range(n_periods):
+        commanded = float(controller(trace.t_max[-1], p_current))
         if commanded <= 0:
             raise ThermalError(
                 f"controller commanded non-positive pressure {commanded}"
             )
         p_current = commanded
-        lu = lu_for(p_current)
-        rhs_adv = p_current * steady.system.rhs_advection
-        for _ in range(steps_per_period):
-            time += dt
-            scale = 1.0 if power_profile is None else float(power_profile(time))
-            state = lu.solve(c_over_dt * state + scale * rhs_power + rhs_adv)
+        for time, state in backward_euler_steps(
+            steady,
+            lu_for(p_current),
+            p_current,
+            c_over_dt,
+            state,
+            islice(clock, steps_per_period),
+            power_profile,
+            first_step=period * steps_per_period + 1,
+        ):
+            pass
         # Pumping power P^2 / R integrated over the period.
-        q_unit = sum(f.q_sys(1.0) for f in steady.flow_fields)
         energy_pump += p_current * p_current * q_unit * control_period
+        record(time, p_current, package_result(steady, p_current, state))
 
-        snapshot = steady._package(p_current, state.copy())
-        times.append(time)
-        t_maxes.append(snapshot.t_max)
-        delta_ts.append(snapshot.delta_t)
-        pressures.append(p_current)
-        if store_results:
-            results.append(snapshot)
-
-    return ControlTrace(
-        times=times,
-        t_max=t_maxes,
-        delta_t=delta_ts,
-        pressures=pressures,
-        mean_pumping_power=energy_pump / (n_periods * control_period),
-        results=results,
-    )
+    trace.mean_pumping_power = energy_pump / (n_periods * control_period)
+    return trace

@@ -24,7 +24,6 @@ paper's inner-loop network evaluation affordable.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -34,9 +33,8 @@ from ..constants import (
     INLET_TEMPERATURE,
     NUSSELT_NUMBER,
 )
-from .. import profiling
-from ..errors import GeometryError, ThermalError
-from ..faults import SITE_THERMAL_RC2, corrupt
+from ..errors import ThermalError
+from ..faults import SITE_THERMAL_RC2
 from ..flow.network import FlowField
 from ..geometry.layers import ChannelLayer, SolidLayer, SourceLayer
 from ..geometry.stack import Stack
@@ -45,10 +43,11 @@ from .common import (
     ADVECTION_SCHEME_DEFAULT,
     AdvectionSpec,
     ConductanceBuilder,
-    LinearThermalSystem,
-    assemble_advection,
+    check_stack,
     h_conv,
+    linear_system,
     slab_half_conductance,
+    solve_steady,
 )
 from .mesh import Tiling
 from .result import ThermalResult
@@ -97,7 +96,7 @@ class RC2Simulator:
         self.top_bc = top_bc
         self.tsv_material = tsv_material
         self.advection_scheme = str(advection_scheme)
-        self._check_stack()
+        check_stack(stack, top_bc)
         self.nrows, self.ncols = stack.nrows, stack.ncols
         self.tiling = Tiling(self.nrows, self.ncols, self.tile_size)
         self.flow_fields: List[FlowField] = [
@@ -111,15 +110,6 @@ class RC2Simulator:
         self._build_system()
 
     # ------------------------------------------------------------------
-
-    def _check_stack(self) -> None:
-        layers = self.stack.layers
-        for below, above in zip(layers, layers[1:]):
-            if isinstance(below, ChannelLayer) and isinstance(above, ChannelLayer):
-                raise GeometryError(
-                    f"adjacent channel layers {below.name!r} / {above.name!r} "
-                    "are not supported"
-                )
 
     def _allocate_nodes(self) -> None:
         """Assign global node ids per layer.
@@ -186,18 +176,8 @@ class RC2Simulator:
         if self.top_bc is not None:
             self._add_top_bc(builder, rhs_static)
 
-        specs = self._advection_specs()
-        advection, rhs_adv = assemble_advection(
-            self.n_nodes,
-            specs,
-            self.coolant.volumetric_heat_capacity,
-            self.inlet_temperature,
-            scheme=self.advection_scheme,
-        )
-        self._specs = specs
-        self.system = LinearThermalSystem(
-            builder.build(), advection, rhs_static, rhs_adv
-        )
+        self._specs = self._advection_specs()
+        self.system = linear_system(self, builder, rhs_static)
 
     # -- horizontal conduction -------------------------------------------
 
@@ -318,10 +298,6 @@ class RC2Simulator:
         self, builder: ConductanceBuilder, rhs_static: np.ndarray
     ) -> None:
         h_amb, t_amb = self.top_bc
-        if h_amb < 0:
-            raise ThermalError(
-                f"ambient heat transfer coefficient must be >= 0, got {h_amb}"
-            )
         w = self.stack.cell_width
         top_k = self.stack.n_layers - 1
         ids = self._solid_ids[top_k].ravel()
@@ -395,21 +371,11 @@ class RC2Simulator:
     # ------------------------------------------------------------------
 
     def solve(self, p_sys: float, exact: bool = False) -> ThermalResult:
-        """Steady temperatures at system pressure drop ``p_sys`` (Pa).
-
-        ``exact=True`` bypasses the incremental solver path (final scoring);
-        the result's ``exact`` says whether an exact factorization answered.
-        """
-        with profiling.span("thermal.rc2.solve", cells=self.n_nodes):
-            temperatures, from_lu = self.system.solve_flagged(p_sys, exact)
-            temperatures = corrupt(SITE_THERMAL_RC2, temperatures)
-            if not np.all(np.isfinite(temperatures)):
-                raise ThermalError(
-                    "2RM solve produced non-finite temperatures"
-                )
-            result = self._package(p_sys, temperatures)
-            result.exact = from_lu
-            return result
+        """Steady temperatures at ``p_sys`` (Pa); see
+        :func:`~repro.thermal.common.solve_steady`."""
+        return solve_steady(
+            self, "thermal.rc2.solve", SITE_THERMAL_RC2, p_sys, exact
+        )
 
     def node_capacitances(self) -> np.ndarray:
         """Heat capacity of every thermal node in J/K (transient extension)."""
@@ -445,37 +411,6 @@ class RC2Simulator:
                     * layer.material.volumetric_heat_capacity
                 )
         return caps
-
-    def _package(self, p_sys: float, temperatures: np.ndarray) -> ThermalResult:
-        """A lazy result: per-layer node extrema now, cell maps on first use.
-
-        A layer's node ids are contiguous and each node covers a cell, so
-        the node min/max are those of the layer's cell map.
-        """
-        q_sys = sum(f.q_sys(p_sys) for f in self.flow_fields)
-        removed = 0.0
-        c_v = self.coolant.volumetric_heat_capacity
-        for spec in self._specs:
-            t_nodes = temperatures[spec.node_ids]
-            removed += c_v * p_sys * float(
-                np.dot(spec.outlet_flows, t_nodes)
-                - spec.inlet_flows.sum() * self.inlet_temperature
-            )
-        return ThermalResult(
-            p_sys=float(p_sys),
-            q_sys=q_sys,
-            w_pump=float(p_sys) * q_sys,
-            layer_names=list(self._layer_names),
-            source_layer_indices=list(self._source_layer_indices),
-            inlet_temperature=self.inlet_temperature,
-            total_power=self._total_power,
-            coolant_heat_removed=removed,
-            layer_extrema=(
-                np.minimum.reduceat(temperatures, self._layer_starts),
-                np.maximum.reduceat(temperatures, self._layer_starts),
-            ),
-            expand_fields=partial(self._expand_fields, temperatures),
-        )
 
     def _expand_fields(
         self, temperatures: np.ndarray

@@ -18,7 +18,7 @@ Accuracy matches 3D-ICE-style models; speed is what the 2RM model then buys.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,9 +27,7 @@ from ..constants import (
     INLET_TEMPERATURE,
     NUSSELT_NUMBER,
 )
-from .. import profiling
-from ..errors import GeometryError, ThermalError
-from ..faults import SITE_THERMAL_RC4, corrupt
+from ..faults import SITE_THERMAL_RC4
 from ..flow.network import FlowField
 from ..geometry.layers import ChannelLayer, SolidLayer, SourceLayer
 from ..geometry.stack import Stack
@@ -38,11 +36,12 @@ from .common import (
     ADVECTION_SCHEME_DEFAULT,
     AdvectionSpec,
     ConductanceBuilder,
-    LinearThermalSystem,
-    assemble_advection,
+    check_stack,
     h_conv,
+    linear_system,
     series_conductance,
     slab_half_conductance,
+    solve_steady,
 )
 from .result import ThermalResult
 
@@ -96,10 +95,14 @@ class RC4Simulator:
         self.top_bc = top_bc
         self.tsv_material = tsv_material
         self.advection_scheme = str(advection_scheme)
-        self._check_stack()
+        check_stack(stack, top_bc)
         self.nrows, self.ncols = stack.nrows, stack.ncols
         self._cells_per_layer = self.nrows * self.ncols
         self.n_nodes = stack.n_layers * self._cells_per_layer
+        self._layer_starts = np.arange(stack.n_layers) * self._cells_per_layer
+        self._layer_names = [layer.name for layer in stack.layers]
+        self._source_layer_indices = stack.source_layer_indices()
+        self._total_power = stack.total_power
         self.flow_fields: List[FlowField] = [
             FlowField(
                 layer.grid, layer.channel_height, coolant, self.edge_factor
@@ -109,15 +112,6 @@ class RC4Simulator:
         self._build_system()
 
     # ------------------------------------------------------------------
-
-    def _check_stack(self) -> None:
-        layers = self.stack.layers
-        for below, above in zip(layers, layers[1:]):
-            if isinstance(below, ChannelLayer) and isinstance(above, ChannelLayer):
-                raise GeometryError(
-                    f"adjacent channel layers {below.name!r} / {above.name!r} "
-                    "are not supported (no solid interface between them)"
-                )
 
     def _node_ids(self, layer_index: int) -> np.ndarray:
         """Global node ids of one layer, shape (nrows, ncols)."""
@@ -147,27 +141,13 @@ class RC4Simulator:
 
         if self.top_bc is not None:
             h_amb, t_amb = self.top_bc
-            if h_amb < 0:
-                raise ThermalError(
-                    f"ambient heat transfer coefficient must be >= 0, got {h_amb}"
-                )
             top_ids = self._node_ids(stack.n_layers - 1).ravel()
             g = np.full(top_ids.shape, h_amb * w * w)
             builder.add_grounded(top_ids, g)
             rhs_static[top_ids] += g * t_amb
 
-        specs = self._advection_specs()
-        advection, rhs_adv = assemble_advection(
-            self.n_nodes,
-            specs,
-            self.coolant.volumetric_heat_capacity,
-            self.inlet_temperature,
-            scheme=self.advection_scheme,
-        )
-        self._specs = specs
-        self.system = LinearThermalSystem(
-            builder.build(), advection, rhs_static, rhs_adv
-        )
+        self._specs = self._advection_specs()
+        self.system = linear_system(self, builder, rhs_static)
 
     def _add_horizontal(self, builder: ConductanceBuilder, k: int, layer) -> None:
         w = self.stack.cell_width
@@ -281,21 +261,11 @@ class RC4Simulator:
     # ------------------------------------------------------------------
 
     def solve(self, p_sys: float, exact: bool = False) -> ThermalResult:
-        """Steady temperatures at system pressure drop ``p_sys`` (Pa).
-
-        ``exact=True`` bypasses the incremental solver path (final scoring);
-        the result's ``exact`` says whether an exact factorization answered.
-        """
-        with profiling.span("thermal.rc4.solve", cells=self.n_nodes):
-            temperatures, from_lu = self.system.solve_flagged(p_sys, exact)
-            temperatures = corrupt(SITE_THERMAL_RC4, temperatures)
-            if not np.all(np.isfinite(temperatures)):
-                raise ThermalError(
-                    "4RM solve produced non-finite temperatures"
-                )
-            result = self._package(p_sys, temperatures)
-            result.exact = from_lu
-            return result
+        """Steady temperatures at ``p_sys`` (Pa); see
+        :func:`~repro.thermal.common.solve_steady`."""
+        return solve_steady(
+            self, "thermal.rc4.solve", SITE_THERMAL_RC4, p_sys, exact
+        )
 
     def node_capacitances(self) -> np.ndarray:
         """Heat capacity of every thermal node in J/K (transient extension)."""
@@ -321,38 +291,18 @@ class RC4Simulator:
             caps[ids] = per_cell
         return caps
 
-    def _package(self, p_sys: float, temperatures: np.ndarray) -> ThermalResult:
-        stack = self.stack
-        fields = []
-        liquid_fields = {}
-        for k, layer in enumerate(stack.layers):
-            field = temperatures[self._node_ids(k).ravel()].reshape(
-                self.nrows, self.ncols
-            )
-            fields.append(field)
-            if isinstance(layer, ChannelLayer):
-                liquid_fields[k] = np.where(layer.grid.liquid, field, np.nan)
-        q_sys = sum(f.q_sys(p_sys) for f in self.flow_fields)
-        removed = 0.0
-        c_v = self.coolant.volumetric_heat_capacity
-        for spec in self._specs:
-            t_nodes = temperatures[spec.node_ids]
-            removed += c_v * p_sys * float(
-                np.dot(spec.outlet_flows, t_nodes)
-                - spec.inlet_flows.sum() * self.inlet_temperature
-            )
-        return ThermalResult(
-            p_sys=float(p_sys),
-            q_sys=q_sys,
-            w_pump=float(p_sys) * q_sys,
-            layer_fields=fields,
-            layer_names=[layer.name for layer in stack.layers],
-            source_layer_indices=stack.source_layer_indices(),
-            inlet_temperature=self.inlet_temperature,
-            total_power=stack.total_power,
-            liquid_fields=liquid_fields,
-            coolant_heat_removed=removed,
-        )
+    def _expand_fields(
+        self, temperatures: np.ndarray
+    ) -> Tuple[List[np.ndarray], Dict[int, np.ndarray]]:
+        """Cell-resolution layer and coolant maps of a node temperature
+        vector: a layer's map is a view of its slice of ``temperatures``."""
+        shape = (self.stack.n_layers, self.nrows, self.ncols)
+        fields = list(temperatures.reshape(shape))
+        return fields, {
+            k: np.where(layer.grid.liquid, fields[k], np.nan)
+            for k, layer in enumerate(self.stack.layers)
+            if isinstance(layer, ChannelLayer)
+        }
 
 
 def _pair_slices(

@@ -23,12 +23,12 @@ from ..errors import ThermalError
 class ThermalResult:
     """Steady-state temperatures of one simulation.
 
-    The metrics read only per-layer ``(min, max)`` temperatures.  A 2RM
-    result gets them at solve time (``layer_extrema``) and builds its cell
-    maps with ``expand_fields`` on first access, so pressure probes never
-    pay for maps; explicit ``layer_fields`` (4RM, tests) yield the extrema
-    on the first metric read.  Pickling and ``copy.deepcopy`` materialize
-    the maps first.
+    The metrics read only per-layer ``(min, max)`` temperatures.  A
+    simulator's result gets them at solve time (``layer_extrema``) and
+    builds its cell maps with ``expand_fields`` on first access, so probes
+    never pay for maps; explicit ``layer_fields`` (the tests' reference)
+    yield the extrema on the first metric read.  Pickling and
+    ``copy.deepcopy`` materialize the maps first.
 
     Attributes:
         p_sys: System pressure drop, Pa.

@@ -6,20 +6,68 @@ Wraps a steady simulator (4RM or 2RM) and integrates::
 
 with backward Euler: ``(C/dt + K + P A) T_{n+1} = (C/dt) T_n + b``.  The
 implicit step is unconditionally stable, which matters because channel-layer
-liquid nodes have tiny capacitances compared with bulk silicon tiles.
+liquid nodes have tiny capacitances compared with bulk silicon tiles.  One
+integrator serves :meth:`TransientSimulator.run` and ``run_controlled``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import diags
 
 from .. import linalg
 from ..errors import LinalgError, ThermalError
+from .common import package_result
 from .result import ThermalResult
+
+
+def backward_euler_lu(steady: Any, c_over_dt: np.ndarray, p_sys: float) -> Any:
+    """LU of a steady simulator's backward-Euler operator ``K + P A + C/dt``.
+
+    Args:
+        p_sys: System pressure drop ``P``.  [unit: Pa]
+    """
+    try:
+        return linalg.factorize(
+            steady.system.system_matrix(p_sys) + diags(c_over_dt)
+        )
+    except LinalgError as exc:
+        raise ThermalError(
+            f"backward-Euler operator could not be factorized at pressure "
+            f"{p_sys}"
+        ) from exc
+
+
+def backward_euler_steps(
+    steady: Any,
+    lu: Any,
+    p_sys: float,
+    c_over_dt: np.ndarray,
+    state: np.ndarray,
+    times: Iterable[float],
+    power_scale: Optional[Callable[[float], float]],
+    first_step: int = 1,
+) -> Iterator[Tuple[float, np.ndarray]]:
+    """Step ``state`` to each of ``times`` on :func:`backward_euler_lu`'s
+    ``lu``; yields ``(time, state)``.  ``power_scale(time)`` scales the
+    power map, never the inlet term.  A non-finite state raises
+    :class:`~repro.errors.ThermalError` naming its step, counted from
+    ``first_step``.
+
+    Args:
+        p_sys: System pressure drop ``P``.  [unit: Pa]
+    """
+    rhs_power = steady.system.rhs_static
+    rhs_adv = p_sys * steady.system.rhs_advection
+    for step, time in enumerate(times, start=first_step):
+        scale = 1.0 if power_scale is None else float(power_scale(time))
+        state = lu.solve(c_over_dt * state + scale * rhs_power + rhs_adv)
+        if not np.all(np.isfinite(state)):
+            raise ThermalError(f"transient diverged at step {step}")
+        yield time, state
 
 
 @dataclass
@@ -65,8 +113,6 @@ class TransientSimulator:
         self.capacitances = steady.node_capacitances()
         if (self.capacitances <= 0).any():
             raise ThermalError("every thermal node needs positive capacitance")
-        self._matrix = steady.system.system_matrix(self.p_sys)
-        self._rhs = steady.system.rhs(self.p_sys)
         self.n_nodes = steady.system.n_nodes
 
     def initial_state(self, temperature: Optional[float] = None) -> np.ndarray:
@@ -115,31 +161,21 @@ class TransientSimulator:
                 f"({self.n_nodes},)"
             )
         c_over_dt = self.capacitances / dt
-        lhs = (self._matrix + diags(c_over_dt)).tocsc()
-        try:
-            lu = linalg.factorize(lhs)
-        except LinalgError as exc:
-            raise ThermalError(
-                "backward-Euler operator could not be factorized"
-            ) from exc
-
-        # Split the RHS so sources can be rescaled over time: the static part
-        # contains the power map, the advection part the inlet-enthalpy term.
-        rhs_power = self.steady.system.rhs_static
-        rhs_adv = self.p_sys * self.steady.system.rhs_advection
-
         times = [0.0]
-        results = [self.steady._package(self.p_sys, state.copy())]
-        for step in range(1, n_steps + 1):
-            time = step * dt
-            scale = 1.0 if power_scale is None else float(power_scale(time))
-            rhs = c_over_dt * state + scale * rhs_power + rhs_adv
-            state = lu.solve(rhs)
-            if not np.all(np.isfinite(state)):
-                raise ThermalError(f"transient diverged at step {step}")
+        results = [package_result(self.steady, self.p_sys, state.copy())]
+        steps = backward_euler_steps(
+            self.steady,
+            backward_euler_lu(self.steady, c_over_dt, self.p_sys),
+            self.p_sys,
+            c_over_dt,
+            state,
+            (step * dt for step in range(1, n_steps + 1)),
+            power_scale,
+        )
+        for step, (time, state) in enumerate(steps, start=1):
             if step % store_every == 0 or step == n_steps:
                 times.append(time)
-                results.append(self.steady._package(self.p_sys, state.copy()))
+                results.append(package_result(self.steady, self.p_sys, state))
         return TransientTrace(times=times, results=results)
 
     def steady_state(self) -> ThermalResult:

@@ -12,6 +12,7 @@ from repro.thermal import (
     HysteresisController,
     PIController,
     RC2Simulator,
+    TransientSimulator,
     run_controlled,
 )
 
@@ -162,4 +163,30 @@ class TestRunControlled:
             run_controlled(
                 steady, lambda t, p: 0.0, duration=0.5,
                 control_period=0.25, dt=0.05, p_initial=5e3,
+            )
+
+    @pytest.mark.parametrize("controller", ["constant", "pi"])
+    def test_non_finite_state_raises_divergence(self, steady, controller):
+        """A state gone non-finite stops the run at the step it appeared,
+        as a fixed-pressure run does, instead of returning NaN peaks or
+        commanding a NaN pressure.  Steps are numbered over the whole run:
+        the controlled clock (``time += dt``) first passes 0.3 s at step 7,
+        in the second period; the fixed run's ``6 * dt`` already does."""
+
+        def power(t):
+            return float("nan") if t > 0.3 else 1.0
+
+        with pytest.raises(ThermalError, match="transient diverged at step 6$"):
+            TransientSimulator(steady, 5e3).run(
+                duration=1.0, dt=0.05, power_scale=power
+            )
+        ctl = (
+            (lambda t_max, p: 5e3)
+            if controller == "constant"
+            else PIController(310.0, 60.0, 30.0, 1e3, 1e5, period=0.25)
+        )
+        with pytest.raises(ThermalError, match="transient diverged at step 7$"):
+            run_controlled(
+                steady, ctl, duration=1.0, control_period=0.25, dt=0.05,
+                p_initial=5e3, power_profile=power,
             )

@@ -1,10 +1,12 @@
-"""The lazy 2RM result: metrics from node extrema, cell maps on demand.
+"""Lazy steady results: metrics from node extrema, cell maps on demand.
 
-A 2RM ``ThermalResult`` records per-layer node-temperature extrema at solve
-time and expands the tile temperatures to cell maps only when someone reads
-them.  These tests pin the contract: every metric equals, bit for bit, what
-the expanded maps give; copies carry the same maps; the search path never
-expands; and the residual check's reused operator never leaks.
+A 2RM or 4RM ``ThermalResult`` records per-layer node-temperature extrema
+at solve time and expands the node temperatures to cell maps only when
+someone reads them.  These tests pin the contract: every metric equals, bit
+for bit, what the expanded maps give and what a result built from explicit
+maps gives; 4RM maps equal the per-cell gather 4RM results once built
+eagerly; copies carry the same maps; the search path never expands; and the
+residual check's reused operator never leaks.
 """
 
 import copy
@@ -16,14 +18,16 @@ import pytest
 from repro import profiling
 from repro.cases import generate_case
 from repro.constants import CELL_WIDTH
+from repro.cooling import CoolingSystem
 from repro.geometry import build_contest_stack
 from repro.iccad2015 import load_case
 from repro.linalg import use_config
 from repro.materials import COPPER, WATER
 from repro.networks import straight_network
-from repro.optimize.parallel import evaluate_population
+from repro.optimize.parallel import evaluate_population, score_batch
+from repro.optimize.portfolio import ReferenceContext
 from repro.optimize.stages import problem1_stages
-from repro.thermal import RC2Simulator, ThermalResult
+from repro.thermal import RC2Simulator, RC4Simulator, ThermalResult
 from repro.verify import verify_thermal_result
 
 
@@ -35,34 +39,56 @@ def _contest_stack(n=21):
     )
 
 
-def _case1_sim():
+def _case1_stack():
     case = load_case(1, grid_size=21)
-    stack = case.stack_with_network(case.tree_plan().build())
-    return RC2Simulator(stack, case.coolant, tile_size=4)
+    return case.stack_with_network(case.tree_plan().build()), case.coolant
 
 
-def _three_die_sim():
+def _three_die_stack():
     case = generate_case(1)  # 3 dies, grid 9
     assert case.n_dies == 3
-    stack = case.stack_with_network(case.baseline_network())
-    return RC2Simulator(stack, case.coolant, tile_size=2)
+    return case.stack_with_network(case.baseline_network()), case.coolant
 
+
+def _case1_sim():
+    return RC2Simulator(*_case1_stack(), tile_size=4)
+
+
+RC4_SIMULATORS = {
+    "rc4_case1_grid21": lambda: RC4Simulator(*_case1_stack()),
+    "rc4_generated_3die": lambda: RC4Simulator(*_three_die_stack()),
+    "rc4_tsv_material": lambda: RC4Simulator(
+        _contest_stack(), WATER, tsv_material=COPPER
+    ),
+    "rc4_top_bc": lambda: RC4Simulator(
+        _contest_stack(), WATER, top_bc=(1e4, 300.0)
+    ),
+    "rc4_liquid_conduction": lambda: RC4Simulator(
+        *_three_die_stack(), liquid_conduction=True
+    ),
+}
 
 SIMULATORS = {
     "case1_grid21": _case1_sim,
-    "generated_3die": _three_die_sim,
+    "generated_3die": lambda: RC2Simulator(*_three_die_stack(), tile_size=2),
     "tsv_material": lambda: RC2Simulator(
         _contest_stack(), WATER, tile_size=4, tsv_material=COPPER
     ),
     "top_bc": lambda: RC2Simulator(
         _contest_stack(), WATER, tile_size=3, top_bc=(1e4, 300.0)
     ),
+    **RC4_SIMULATORS,
 }
 
 
 @pytest.fixture(params=sorted(SIMULATORS))
 def sim(request):
     return SIMULATORS[request.param]()
+
+
+@pytest.fixture(params=sorted(RC4_SIMULATORS))
+def rc4_sim(request):
+    return RC4_SIMULATORS[request.param]()
 
 
 class TestExtremaParity:
@@ -93,6 +119,30 @@ class TestExtremaParity:
         assert eager.t_max == lazy.t_max
         assert eager.delta_t_per_source_layer() == lazy.delta_t_per_source_layer()
         assert eager.t_max_source == lazy.t_max_source
+
+    def test_rc4_maps_equal_the_per_cell_gather(self, rc4_sim):
+        """The maps 4RM results built eagerly: each layer's node ids
+        gathered per cell, coolant maps NaN outside the liquid."""
+        result = rc4_sim.solve(2e4)
+        temperatures = rc4_sim.system.solve(2e4)
+        eager = [
+            temperatures[rc4_sim._node_ids(k).ravel()].reshape(
+                rc4_sim.nrows, rc4_sim.ncols
+            )
+            for k in range(rc4_sim.stack.n_layers)
+        ]
+        assert len(result.layer_fields) == len(eager)
+        for field, expected in zip(result.layer_fields, eager):
+            assert np.array_equal(field, expected)
+        channels = rc4_sim.stack.channel_layer_indices()
+        assert sorted(result.liquid_fields) == channels
+        for k in channels:
+            liquid = rc4_sim.stack.layers[k].grid.liquid
+            assert np.array_equal(
+                result.liquid_fields[k],
+                np.where(liquid, eager[k], np.nan),
+                equal_nan=True,
+            )
 
     def test_channel_maps_hold_no_nan_and_liquid_maps_only_coolant(self, sim):
         result = sim.solve(2e4)
@@ -133,6 +183,31 @@ class TestFieldExpansions:
         assert np.isfinite(cost)
         assert profiling.counter("search.probes") > 0
         assert profiling.counter("thermal.field_expansions") == 0
+
+    def test_scoring_a_4rm_candidate_expands_nothing(self):
+        """A 4RM reference evaluation reads extrema only; verifying the
+        thermal result at its operating point then expands its maps once."""
+        case = load_case(1, grid_size=21)
+        plan = case.tree_plan()
+        profiling.reset()
+        (evaluation,) = score_batch(
+            ReferenceContext(case, plan, "problem1"), [plan.params()], 1
+        )
+        assert evaluation.fidelity == "high"
+        assert np.isfinite(evaluation.p_sys)
+        assert profiling.counter("thermal.field_expansions") == 0
+        system = CoolingSystem.for_network(
+            case.base_stack(),
+            plan.build(),
+            case.coolant,
+            model="4rm",
+            inlet_temperature=case.inlet_temperature,
+        )
+        result = system.evaluate(evaluation.p_sys, exact=True)
+        assert result.t_max == evaluation.t_max
+        assert profiling.counter("thermal.field_expansions") == 0
+        assert verify_thermal_result(result).ok
+        assert profiling.counter("thermal.field_expansions") == 1
 
     def test_verification_expands_once(self):
         result = _case1_sim().solve(2e4)

@@ -8,7 +8,12 @@ from repro.errors import ThermalError
 from repro.geometry import build_contest_stack
 from repro.materials import WATER
 from repro.networks import straight_network
-from repro.thermal import RC2Simulator, RC4Simulator, TransientSimulator
+from repro.thermal import (
+    RC2Simulator,
+    RC4Simulator,
+    TransientSimulator,
+    run_controlled,
+)
 
 
 def _sim(model="2rm", n=15, power_watts=1.0):
@@ -64,6 +69,36 @@ class TestPowerSteps:
         transient = TransientSimulator(_sim(), p_sys=1e4)
         trace = transient.run(duration=0.2, dt=0.02, power_scale=lambda t: 0.0)
         assert trace.final().t_max == pytest.approx(INLET_TEMPERATURE, abs=1e-6)
+
+
+class TestOneIntegrator:
+    @pytest.mark.parametrize("model", ["2rm", "4rm"])
+    def test_fixed_pressure_run_matches_constant_control(self, model):
+        """Without a power profile, a fixed-pressure run and a controlled run
+        holding that pressure take the same steps, bit for bit."""
+        steady = _sim(model)
+        p_sys = 1e4
+        fixed = TransientSimulator(steady, p_sys).run(
+            duration=0.6, dt=0.05, store_every=4
+        )
+        controlled = run_controlled(
+            steady,
+            lambda t_max, p: p_sys,
+            duration=0.6,
+            control_period=0.2,
+            dt=0.05,
+            p_initial=p_sys,
+            store_results=True,
+        )
+        assert len(fixed.results) == len(controlled.results) == 4
+        assert fixed.times == pytest.approx(controlled.times)
+        for a, b in zip(fixed.results, controlled.results):
+            assert a.t_max == b.t_max
+            assert a.delta_t == b.delta_t
+            assert a.coolant_heat_removed == b.coolant_heat_removed
+            for field_a, field_b in zip(a.layer_fields, b.layer_fields):
+                assert np.array_equal(field_a, field_b)
+        assert controlled.t_max == [r.t_max for r in fixed.results]
 
 
 class TestValidation:
